@@ -229,60 +229,6 @@ func BenchmarkFusionExactMaxRS(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelinedDisk measures the prefetch/write-behind layer on the
-// file-backed disk (DESIGN.md §8): wall-clock is the benchmark, while the
-// sub-benches assert io/op is bit-identical with pipelining on and off —
-// the layer may only hide latency, never change the transfer schedule.
-func BenchmarkPipelinedDisk(b *testing.B) {
-	const n = 12_500
-	pts := workload.Uniform(2012, n, 4*float64(n))
-	objs := make([]Object, len(pts))
-	for i, p := range pts {
-		objs[i] = Object{X: p.X, Y: p.Y, Weight: p.W}
-	}
-	queryEdge := 4 * float64(n) / 1000
-	var syncIO uint64
-	for _, mode := range []PipelineMode{PipelineOff, PipelineOn} {
-		name := "sync"
-		if mode == PipelineOn {
-			name = "pipelined"
-		}
-		b.Run(name, func(b *testing.B) {
-			var io uint64
-			for i := 0; i < b.N; i++ {
-				e, err := NewEngine(&Options{
-					BlockSize: 4096,
-					Memory:    52 * 1024,
-					OnDisk:    true,
-					OnDiskDir: b.TempDir(),
-					Pipeline:  mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				d, err := e.Load(context.Background(), objs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.ResetStats()
-				if _, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge); err != nil {
-					b.Fatal(err)
-				}
-				io = e.Stats().Total()
-				if err := e.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if mode == PipelineOff {
-				syncIO = io
-			} else if syncIO != 0 && io != syncIO {
-				b.Fatalf("pipelined io/op %d != synchronous io/op %d", io, syncIO)
-			}
-			b.ReportMetric(float64(io), "io/op")
-		})
-	}
-}
-
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationFanout sweeps the recursion fan-in m of ExactMaxRS,

@@ -14,12 +14,13 @@ import (
 
 // fusionConfig parameterizes the -exp=fusion mode: a head-to-head of the
 // fused root pipeline (DESIGN.md §8) against the materializing one, on the
-// in-memory and the file-backed disk, with and without stream pipelining.
-// The run doubles as a regression gate: it asserts bit-identical results
-// across all six variants, the golden transfer-saving floor of the
-// fusion, and count-invariance of prefetch/write-behind — then reports
-// io/op, ns/op and pipeline coverage so `-json=BENCH_3.json` leaves a
-// machine-readable perf-trajectory record.
+// in-memory disk and the file-backed disk (whose streams pipeline). The
+// run doubles as a regression gate: it asserts bit-identical results
+// across all four variants, the golden transfer-saving floor of the
+// fusion, and count-invariance of the storage medium and its
+// prefetch/write-behind — then reports io/op, ns/op and pipeline coverage
+// so `-json=BENCH_3.json` leaves a machine-readable perf-trajectory
+// record.
 type fusionConfig struct {
 	objects int
 	iters   int // timing iterations per variant (best-of)
@@ -34,16 +35,13 @@ type fusionVariant struct {
 	name       string
 	fileBacked bool
 	unfused    bool
-	pipeline   bool
 }
 
 var fusionVariants = []fusionVariant{
 	{name: "mem/unfused", unfused: true},
 	{name: "mem/fused"},
-	{name: "disk/unfused/sync", fileBacked: true, unfused: true},
-	{name: "disk/fused/sync", fileBacked: true},
-	{name: "disk/fused/pipelined", fileBacked: true, pipeline: true},
-	{name: "disk/unfused/pipelined", fileBacked: true, unfused: true, pipeline: true},
+	{name: "disk/unfused", fileBacked: true, unfused: true},
+	{name: "disk/fused", fileBacked: true},
 }
 
 // runFusion measures every variant and returns the three metric series.
@@ -87,7 +85,6 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 					return nil, err
 				}
 			}
-			d.SetPipelining(v.pipeline)
 			env := em.Env{Disk: d, M: cfg.memory}
 			f, err := workload.Write(d, objs)
 			if err != nil {
@@ -145,13 +142,11 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 		}
 		panic("unknown variant " + name)
 	}
-	// 2: io/op depends only on fused/unfused — never on the backend or on
+	// 2: io/op depends only on fused/unfused — never on the medium or on
 	// pipelining.
 	for _, pair := range [][2]string{
-		{"mem/fused", "disk/fused/sync"},
-		{"disk/fused/sync", "disk/fused/pipelined"},
-		{"mem/unfused", "disk/unfused/sync"},
-		{"disk/unfused/sync", "disk/unfused/pipelined"},
+		{"mem/fused", "disk/fused"},
+		{"mem/unfused", "disk/unfused"},
 	} {
 		if a, b := byName(pair[0]), byName(pair[1]); a.io != b.io {
 			return nil, fmt.Errorf("fusion: io/op %d (%s) != %d (%s)", a.io, pair[0], b.io, pair[1])

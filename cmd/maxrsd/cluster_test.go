@@ -121,21 +121,21 @@ func TestShardSolveChecksum(t *testing.T) {
 // a non-coordinator, register/list/remove round trip on a coordinator.
 func TestClusterWorkersEndpoints(t *testing.T) {
 	_, plain := newTestServer(t)
-	resp, body := do(t, http.MethodPost, plain.URL+"/cluster/workers", `{"name":"a","url":"http://x"}`)
+	resp, body := do(t, http.MethodPost, plain.URL+"/v1/cluster/workers", `{"name":"a","url":"http://x"}`)
 	if resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("register on non-coordinator: status %d (%s), want 412", resp.StatusCode, body)
 	}
 
 	_, coord := newClusterServer(t, nil)
-	resp, body = do(t, http.MethodPost, coord.URL+"/cluster/workers", `{"name":"a"}`)
+	resp, body = do(t, http.MethodPost, coord.URL+"/v1/cluster/workers", `{"name":"a"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("register without url: status %d (%s), want 400", resp.StatusCode, body)
 	}
-	resp, body = do(t, http.MethodPost, coord.URL+"/cluster/workers", `{"name":"a","url":"http://localhost:9"}`)
+	resp, body = do(t, http.MethodPost, coord.URL+"/v1/cluster/workers", `{"name":"a","url":"http://localhost:9"}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: status %d (%s), want 201", resp.StatusCode, body)
 	}
-	resp, body = do(t, http.MethodGet, coord.URL+"/cluster/workers", "")
+	resp, body = do(t, http.MethodGet, coord.URL+"/v1/cluster/workers", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list: status %d (%s)", resp.StatusCode, body)
 	}
@@ -146,10 +146,10 @@ func TestClusterWorkersEndpoints(t *testing.T) {
 	if len(list.Workers) != 1 || list.Workers[0].Name != "a" || !list.Workers[0].Ready {
 		t.Fatalf("list %+v, want worker a registered ready", list.Workers)
 	}
-	if resp, body = do(t, http.MethodDelete, coord.URL+"/cluster/workers/a", ""); resp.StatusCode != http.StatusOK {
+	if resp, body = do(t, http.MethodDelete, coord.URL+"/v1/cluster/workers/a", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove: status %d (%s), want 200", resp.StatusCode, body)
 	}
-	if resp, _ = do(t, http.MethodDelete, coord.URL+"/cluster/workers/a", ""); resp.StatusCode != http.StatusNotFound {
+	if resp, _ = do(t, http.MethodDelete, coord.URL+"/v1/cluster/workers/a", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("remove absent: status %d, want 404", resp.StatusCode)
 	}
 }
@@ -169,7 +169,7 @@ func TestQueryDistributedEndToEnd(t *testing.T) {
 
 	csv := bigCSV(300)
 	for _, ts := range []*httptest.Server{coord, control} {
-		resp, body := do(t, http.MethodPut, ts.URL+"/datasets/d?shards=2", csv)
+		resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/d?shards=2", csv)
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("put: status %d (%s)", resp.StatusCode, body)
 		}
@@ -202,7 +202,7 @@ func TestQueryDistributedEndToEnd(t *testing.T) {
 
 	// The coordinator's /stats reports the membership and the worker
 	// calls the query made.
-	resp, body := do(t, http.MethodGet, coord.URL+"/stats", "")
+	resp, body := do(t, http.MethodGet, coord.URL+"/v1/stats", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d (%s)", resp.StatusCode, body)
 	}
@@ -234,7 +234,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	putDataset(t, ts, "d", "1,1,1\n2,2,1\n")
 	srv.queue = 0
 	srv.inflight.Store(4) // pool full, queue disabled: next admit sheds
-	resp, body := do(t, http.MethodPost, ts.URL+"/query", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
 	srv.inflight.Store(0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%s), want 429", resp.StatusCode, body)
@@ -254,7 +254,7 @@ func TestOverloadBeatsTimeout(t *testing.T) {
 
 	srv.queue = 0
 	srv.inflight.Store(4)
-	resp, body := do(t, http.MethodPost, ts.URL+"/query?timeout=1ns", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query?timeout=1ns", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated + instant deadline: status %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -271,7 +271,7 @@ func TestOverloadBeatsTimeout(t *testing.T) {
 			<-srv.sem
 		}
 	}()
-	resp, body = do(t, http.MethodPost, ts.URL+"/query?timeout=30ms", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
+	resp, body = do(t, http.MethodPost, ts.URL+"/v1/query?timeout=30ms", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("queued past deadline: status %d (%s), want 504", resp.StatusCode, body)
 	}
@@ -286,7 +286,7 @@ func TestDrainReleasesQueued(t *testing.T) {
 	putDataset(t, ts, "d", "1,1,1\n2,2,1\n3,3,1\n")
 
 	var base statsResponse
-	_, body := do(t, http.MethodGet, ts.URL+"/stats", "")
+	_, body := do(t, http.MethodGet, ts.URL+"/v1/stats", "")
 	if err := json.Unmarshal(body, &base); err != nil {
 		t.Fatalf("bad stats %s: %v", body, err)
 	}
@@ -307,7 +307,7 @@ func TestDrainReleasesQueued(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		resp, b := do(t, http.MethodPost, ts.URL+"/query", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
+		resp, b := do(t, http.MethodPost, ts.URL+"/v1/query", `{"dataset":"d","op":"maxrs","w":1,"h":1}`)
 		done <- reply{resp.StatusCode, string(b)}
 	}()
 	// Once admitted (inflight = 1) the query is at or before acquire;
@@ -336,7 +336,7 @@ func TestDrainReleasesQueued(t *testing.T) {
 	// The rejected query held no engine state: blocks in use are exactly
 	// the dataset's, same as before the query.
 	var after statsResponse
-	_, body = do(t, http.MethodGet, ts.URL+"/stats", "")
+	_, body = do(t, http.MethodGet, ts.URL+"/v1/stats", "")
 	if err := json.Unmarshal(body, &after); err != nil {
 		t.Fatalf("bad stats %s: %v", body, err)
 	}
@@ -354,7 +354,7 @@ func TestJoinCluster(t *testing.T) {
 	if err := joinCluster(coord.URL, "w9", "http://localhost:9"); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	resp, body := do(t, http.MethodGet, coord.URL+"/cluster/workers", "")
+	resp, body := do(t, http.MethodGet, coord.URL+"/v1/cluster/workers", "")
 	var list workerListResponse
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatalf("bad list %s (status %d): %v", body, resp.StatusCode, err)

@@ -11,7 +11,7 @@
 //
 // Cluster mode (DESIGN.md §13) — a coordinator fans sharded queries out
 // to worker instances and merges exactly; workers are plain maxrsd
-// processes (every instance serves /shard/solve):
+// processes (every instance serves /v1/shard/solve):
 //
 //	maxrsd -addr=:8081                                   # worker A
 //	maxrsd -addr=:8082                                   # worker B
@@ -23,9 +23,7 @@
 //	maxrsd -addr=:8081 -join=http://localhost:8080 \
 //	       -advertise=http://localhost:8081 -name=a
 //
-// API (canonical under /v1/; the bare pre-versioning paths remain for
-// one release as aliases answering with a "Deprecation: true" header;
-// errors are a uniform envelope
+// API (every route lives under /v1/; errors are a uniform envelope
 // {"error":{"code":...,"message":...,"retryable":...}}):
 //
 //	GET    /v1/livez                   liveness: the process is up

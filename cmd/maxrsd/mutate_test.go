@@ -219,34 +219,33 @@ func TestBackgroundCompaction(t *testing.T) {
 	}
 }
 
-// TestV1Routing checks the path versioning: canonical /v1/ routes serve
-// without a Deprecation header, the pre-/v1/ paths still work but are
-// marked deprecated, and /healthz remains a deprecated liveness alias.
+// TestV1Routing checks the path versioning: the /v1/ routes serve, and
+// the pre-/v1/ paths and /healthz, removed after their one release as
+// aliases, answer 404.
 func TestV1Routing(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDataset(t, ts, "demo", testCSV)
 
+	query := `{"dataset":"demo","op":"maxrs","w":4,"h":4}`
 	for _, c := range []struct {
 		method, path, body string
-		deprecated         bool
+		want               int
 	}{
-		{http.MethodGet, "/v1/livez", "", false},
-		{http.MethodGet, "/livez", "", true},
-		{http.MethodGet, "/healthz", "", true},
-		{http.MethodGet, "/v1/stats", "", false},
-		{http.MethodGet, "/stats", "", true},
-		{http.MethodGet, "/v1/datasets", "", false},
-		{http.MethodGet, "/datasets", "", true},
-		{http.MethodPost, "/v1/query", `{"dataset":"demo","op":"maxrs","w":4,"h":4}`, false},
-		{http.MethodPost, "/query", `{"dataset":"demo","op":"maxrs","w":4,"h":4}`, true},
+		{http.MethodGet, "/v1/livez", "", http.StatusOK},
+		{http.MethodGet, "/v1/stats", "", http.StatusOK},
+		{http.MethodGet, "/v1/datasets", "", http.StatusOK},
+		{http.MethodPost, "/v1/query", query, http.StatusOK},
+		{http.MethodGet, "/livez", "", http.StatusNotFound},
+		{http.MethodGet, "/healthz", "", http.StatusNotFound},
+		{http.MethodGet, "/stats", "", http.StatusNotFound},
+		{http.MethodGet, "/datasets", "", http.StatusNotFound},
+		{http.MethodPost, "/query", query, http.StatusNotFound},
+		{http.MethodPut, "/datasets/demo", testCSV, http.StatusNotFound},
+		{http.MethodPost, "/shard/solve", "{}", http.StatusNotFound},
 	} {
 		resp, b := do(t, c.method, ts.URL+c.path, c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s %s: status %d body %s", c.method, c.path, resp.StatusCode, b)
-			continue
-		}
-		if got := resp.Header.Get("Deprecation") != ""; got != c.deprecated {
-			t.Errorf("%s %s: Deprecation header present=%v, want %v", c.method, c.path, got, c.deprecated)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s: status %d, want %d (body %s)", c.method, c.path, resp.StatusCode, c.want, b)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestOverloadSheds429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/query", "application/json",
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 				strings.NewReader(`{"dataset":"big","op":"topk","w":600,"h":600,"k":4}`))
 			if err != nil {
 				codes[i] = -1
@@ -85,7 +85,7 @@ func TestQueryTimeout(t *testing.T) {
 	srv, ts := newTestServer(t)
 	putDataset(t, ts, "big", bigCSV(4000))
 
-	resp, body := do(t, http.MethodPost, ts.URL+"/query?timeout=1ns",
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query?timeout=1ns",
 		`{"dataset":"big","op":"topk","w":600,"h":600,"k":4}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("1ns timeout: status %d body %s, want 504", resp.StatusCode, body)
@@ -96,12 +96,12 @@ func TestQueryTimeout(t *testing.T) {
 	if code != http.StatusOK || qr.Cached {
 		t.Fatalf("query after timeout: status %d cached %v, want fresh 200", code, qr.Cached)
 	}
-	if resp, _ := do(t, http.MethodPost, ts.URL+"/query?timeout=10s",
+	if resp, _ := do(t, http.MethodPost, ts.URL+"/v1/query?timeout=10s",
 		`{"dataset":"big","op":"maxrs","w":600,"h":600}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("generous timeout: status %d, want 200", resp.StatusCode)
 	}
 	for _, bad := range []string{"nope", "-1s", "0"} {
-		resp, _ := do(t, http.MethodPost, ts.URL+"/query?timeout="+bad,
+		resp, _ := do(t, http.MethodPost, ts.URL+"/v1/query?timeout="+bad,
 			`{"dataset":"big","op":"maxrs","w":600,"h":600}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("timeout=%q: status %d, want 400", bad, resp.StatusCode)
@@ -109,7 +109,7 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	// The server-side ceiling applies without any request parameter.
 	srv.timeout = 1 // 1ns
-	resp, _ = do(t, http.MethodPost, ts.URL+"/query",
+	resp, _ = do(t, http.MethodPost, ts.URL+"/v1/query",
 		`{"dataset":"big","op":"topk","w":500,"h":500,"k":4}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("server ceiling: status %d, want 504", resp.StatusCode)
@@ -127,7 +127,7 @@ func TestFailedQueryNotCached(t *testing.T) {
 	srv.eng.InjectFaults(maxrs.FaultPlan{At: []maxrs.FaultAt{
 		{Op: maxrs.OpRead, Transfer: 1, Kind: maxrs.FaultPermanent},
 	}})
-	resp, body := do(t, http.MethodPost, ts.URL+"/query",
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query",
 		`{"dataset":"big","op":"maxrs","w":600,"h":600}`)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("faulted query: status %d body %s, want 500", resp.StatusCode, body)
@@ -176,7 +176,7 @@ func TestLivezReadyzSplit(t *testing.T) {
 	}
 	check := func(phase string, livez, readyz int) {
 		t.Helper()
-		for path, want := range map[string]int{"/livez": livez, "/healthz": livez, "/readyz": readyz} {
+		for path, want := range map[string]int{"/v1/livez": livez, "/v1/readyz": readyz} {
 			if got := get(path); got != want {
 				t.Errorf("%s: GET %s = %d, want %d", phase, path, got, want)
 			}

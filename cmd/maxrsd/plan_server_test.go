@@ -51,7 +51,7 @@ func TestSemanticReuse(t *testing.T) {
 	}
 
 	// Reuse hits are observable apart from exact hits.
-	resp, body := do(t, http.MethodGet, ts.URL+"/datasets", "")
+	resp, body := do(t, http.MethodGet, ts.URL+"/v1/datasets", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list datasets: %d", resp.StatusCode)
 	}
@@ -93,7 +93,7 @@ func TestExplainEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDataset(t, ts, "demo", testCSV)
 
-	resp, body := do(t, http.MethodPost, ts.URL+"/query?explain=1",
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query?explain=1",
 		`{"dataset":"demo","op":"maxrs","w":4,"h":4}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain status %d: %s", resp.StatusCode, body)
@@ -127,11 +127,11 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 
 	// Only the rectangle ops are explainable.
-	if resp, _ := do(t, http.MethodPost, ts.URL+"/query?explain=1",
+	if resp, _ := do(t, http.MethodPost, ts.URL+"/v1/query?explain=1",
 		`{"dataset":"demo","op":"maxcrs","diameter":4}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("explain maxcrs: status %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := do(t, http.MethodPost, ts.URL+"/query?explain=1",
+	if resp, _ := do(t, http.MethodPost, ts.URL+"/v1/query?explain=1",
 		`{"dataset":"gone","op":"maxrs","w":4,"h":4}`); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("explain unknown dataset: status %d, want 404", resp.StatusCode)
 	}
@@ -142,7 +142,7 @@ func TestExplainEndpoint(t *testing.T) {
 // dropping the shards.
 func TestFallbackReasonReported(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/neg?shards=2", "1,1,2\n2,2,-1\n3,3,4\n")
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/neg?shards=2", "1,1,2\n2,2,-1\n3,3,4\n")
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %s", resp.StatusCode, body)
 	}
@@ -172,7 +172,7 @@ func TestFallbackReasonReported(t *testing.T) {
 // statistics the planner will use.
 func TestPutReturnsStats(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/demo", testCSV)
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/demo", testCSV)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d", resp.StatusCode)
 	}

@@ -200,21 +200,9 @@ func (s *server) openDataPath(path string) (*os.File, error) {
 	return os.OpenInRoot(s.dataDir, path)
 }
 
-// deprecated wraps a handler registered under a pre-/v1/ path: it serves
-// identically but stamps a Deprecation header so clients can find and
-// migrate their callers before the aliases go away.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	}
-}
-
 func (s *server) handler() http.Handler {
-	// The canonical API lives under /v1/; every route is also served at
-	// its pre-versioning path for one release, marked with a Deprecation
-	// header (the cluster-internal paths in internal/dist name the /v1/
-	// forms directly).
+	// Every route lives under /v1/ (the cluster-internal paths in
+	// internal/dist name the /v1/ forms directly).
 	routes := []struct {
 		method, path string
 		h            http.HandlerFunc
@@ -239,9 +227,7 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		mux.HandleFunc(rt.method+" "+rt.path, deprecated(rt.h))
 	}
-	mux.HandleFunc("GET /healthz", deprecated(s.handleLivez)) // historical alias
 	return mux
 }
 

@@ -56,7 +56,7 @@ const testCSV = `# three close points and one outlier
 
 func putDataset(t *testing.T, ts *httptest.Server, name, csv string) {
 	t.Helper()
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/"+name, csv)
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/"+name, csv)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put dataset: status %d, body %s", resp.StatusCode, body)
 	}
@@ -64,7 +64,7 @@ func putDataset(t *testing.T, ts *httptest.Server, name, csv string) {
 
 func query(t *testing.T, ts *httptest.Server, req string) (int, queryResponse) {
 	t.Helper()
-	resp, body := do(t, http.MethodPost, ts.URL+"/query", req)
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query", req)
 	var qr queryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(body, &qr); err != nil {
@@ -143,11 +143,11 @@ func TestServeValidationAndErrors(t *testing.T) {
 	if code, _ := query(t, ts, `{"dataset":"demo","op":"maxrs","w":-1,"h":4}`); code != http.StatusBadRequest {
 		t.Fatalf("bad size: status %d, want 400", code)
 	}
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/bad", "1,notanumber\n")
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/bad", "1,notanumber\n")
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "line 1") {
 		t.Fatalf("bad CSV: status %d body %s, want 400 with line number", resp.StatusCode, body)
 	}
-	resp, _ = do(t, http.MethodPut, ts.URL+"/datasets/inf", "1,+Inf\n")
+	resp, _ = do(t, http.MethodPut, ts.URL+"/v1/datasets/inf", "1,+Inf\n")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("Inf CSV: status %d, want 400", resp.StatusCode)
 	}
@@ -159,7 +159,7 @@ func TestDeleteReleasesBlocks(t *testing.T) {
 	if srv.eng.BlocksInUse() == 0 {
 		t.Fatal("dataset should occupy blocks")
 	}
-	resp, body := do(t, http.MethodDelete, ts.URL+"/datasets/demo", "")
+	resp, body := do(t, http.MethodDelete, ts.URL+"/v1/datasets/demo", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: status %d body %s", resp.StatusCode, body)
 	}
@@ -181,7 +181,7 @@ func TestDeleteReleasesBlocks(t *testing.T) {
 func TestServerLocalPathConfinement(t *testing.T) {
 	srv, ts := newTestServer(t)
 	// Disabled without -datadir.
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/x?path=whatever.csv", "")
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/x?path=whatever.csv", "")
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("path load without datadir: status %d body %s, want 403", resp.StatusCode, body)
 	}
@@ -190,17 +190,17 @@ func TestServerLocalPathConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.dataDir = dir
-	resp, body = do(t, http.MethodPut, ts.URL+"/datasets/x?path=ok.csv", "")
+	resp, body = do(t, http.MethodPut, ts.URL+"/v1/datasets/x?path=ok.csv", "")
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("path load: status %d body %s", resp.StatusCode, body)
 	}
 	// Escapes fail — both plain .. traversal and symlinks out of the root.
-	resp, body = do(t, http.MethodPut, ts.URL+"/datasets/x?path=../../etc/passwd", "")
+	resp, body = do(t, http.MethodPut, ts.URL+"/v1/datasets/x?path=../../etc/passwd", "")
 	if resp.StatusCode == http.StatusCreated || strings.Contains(string(body), "root:") {
 		t.Fatalf("escape attempt: status %d body %s", resp.StatusCode, body)
 	}
 	if err := os.Symlink("/etc", dir+"/link"); err == nil {
-		resp, body = do(t, http.MethodPut, ts.URL+"/datasets/x?path=link/passwd", "")
+		resp, body = do(t, http.MethodPut, ts.URL+"/v1/datasets/x?path=link/passwd", "")
 		if resp.StatusCode == http.StatusCreated || strings.Contains(string(body), "root:") {
 			t.Fatalf("symlink escape: status %d body %s", resp.StatusCode, body)
 		}
@@ -265,7 +265,7 @@ func TestShardedDataset(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDataset(t, ts, "plain", testCSV)
 
-	resp, body := do(t, http.MethodPut, ts.URL+"/datasets/sharded?shards=2", testCSV)
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/sharded?shards=2", testCSV)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put sharded dataset: status %d, body %s", resp.StatusCode, body)
 	}
@@ -304,7 +304,7 @@ func TestShardedDataset(t *testing.T) {
 	}
 
 	// The shard count is part of the dataset listing.
-	resp, body = do(t, http.MethodGet, ts.URL+"/datasets", "")
+	resp, body = do(t, http.MethodGet, ts.URL+"/v1/datasets", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list datasets: %d", resp.StatusCode)
 	}
@@ -323,10 +323,10 @@ func TestShardedDataset(t *testing.T) {
 		t.Fatalf("listing shards = %v, want sharded:2 plain:0", byName)
 	}
 
-	if resp, _ := do(t, http.MethodPut, ts.URL+"/datasets/bad?shards=-1", testCSV); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := do(t, http.MethodPut, ts.URL+"/v1/datasets/bad?shards=-1", testCSV); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("shards=-1 accepted: status %d", resp.StatusCode)
 	}
-	if resp, _ := do(t, http.MethodPut, ts.URL+"/datasets/bad?shards=x", testCSV); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := do(t, http.MethodPut, ts.URL+"/v1/datasets/bad?shards=x", testCSV); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("shards=x accepted: status %d", resp.StatusCode)
 	}
 }
@@ -338,7 +338,7 @@ func TestShardedDataset(t *testing.T) {
 func TestDegenerateResultNotSilentEmpty(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDataset(t, ts, "neg", "1,1,-5\n2,2,-3\n")
-	resp, body := do(t, http.MethodPost, ts.URL+"/query",
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/query",
 		`{"dataset":"neg","op":"maxrs","w":4,"h":4}`)
 	if len(body) == 0 {
 		t.Fatalf("empty response body (status %d)", resp.StatusCode)
@@ -378,7 +378,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query",
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query",
 			strings.NewReader(`{"dataset":"big","op":"topk","w":600,"h":600,"k":4}`))
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +428,7 @@ func TestShutdownCancelsStragglers(t *testing.T) {
 			if i == 0 {
 				close(started)
 			}
-			resp, err := http.Post(ts.URL+"/query", "application/json",
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 				strings.NewReader(`{"dataset":"big","op":"topk","w":600,"h":600,"k":8}`))
 			if err != nil {
 				results <- -1

@@ -41,8 +41,8 @@ func TestStatsExposesStorageAndFaults(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("bad stats %s: %v", body, err)
 	}
-	if st.Storage.Codec != "delta" || st.Storage.Backend != "store/mem" {
-		t.Fatalf("storage block = %+v, want delta on store/mem", st.Storage)
+	if st.Storage.Codec != "delta" || st.Storage.Backend != "mem" {
+		t.Fatalf("storage block = %+v, want delta on mem", st.Storage)
 	}
 	if !st.Storage.Measured {
 		t.Fatal("delta engine must measure physical bytes")

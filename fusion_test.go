@@ -58,15 +58,14 @@ func TestEngineFusionEquivalence(t *testing.T) {
 	}
 }
 
-// TestEnginePipelineInvariance pins the public contract of
-// Options.Pipeline: on an OnDisk engine, prefetch/write-behind (the Auto
-// default) changes neither the result nor a single counted transfer
-// relative to PipelineOff — and PipelineOn works on the in-memory backend
-// too.
+// TestEnginePipelineInvariance pins the public contract of stream
+// pipelining: an OnDisk engine's prefetch/write-behind, on either file
+// store, changes neither the result nor a single counted transfer
+// relative to the synchronous in-memory engine.
 func TestEnginePipelineInvariance(t *testing.T) {
 	objs := fusionObjects(3000)
 	queryEdge := 4.0 * 3000 / 1000
-	run := func(opts Options) Result {
+	run := func(opts Options) (Result, uint64) {
 		e, err := NewEngine(&opts)
 		if err != nil {
 			t.Fatal(err)
@@ -80,23 +79,25 @@ func TestEnginePipelineInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		pr, pw := e.PipelineStats()
+		return res, pr + pw
 	}
-	base := run(Options{Memory: 52 * 1024, OnDisk: true, OnDiskDir: t.TempDir(), Pipeline: PipelineOff})
+	base, piped := run(Options{Memory: 52 * 1024})
+	if piped != 0 {
+		t.Fatalf("in-memory engine pipelined %d transfers", piped)
+	}
 	for name, opts := range map[string]Options{
-		"disk/auto":   {Memory: 52 * 1024, OnDisk: true, Pipeline: PipelineAuto},
-		"disk/forced": {Memory: 52 * 1024, OnDisk: true, Pipeline: PipelineOn},
-		"mem/forced":  {Memory: 52 * 1024, Pipeline: PipelineOn},
-		"mem/auto":    {Memory: 52 * 1024},
+		"disk/file": {Memory: 52 * 1024, OnDisk: true},
+		"disk/mmap": {Memory: 52 * 1024, OnDisk: true, Backend: BackendMmap},
 	} {
 		opts.OnDiskDir = t.TempDir()
-		got := run(opts)
+		got, piped := run(opts)
 		if !sameResult(got, base) {
-			t.Errorf("%s: result %+v (stats %+v) != PipelineOff baseline %+v (stats %+v)",
+			t.Errorf("%s: result %+v (stats %+v) != in-memory baseline %+v (stats %+v)",
 				name, got, got.Stats, base, base.Stats)
 		}
-	}
-	if _, err := NewEngine(&Options{Pipeline: PipelineMode(42)}); err == nil {
-		t.Fatal("bogus pipeline mode must be rejected")
+		if piped == 0 {
+			t.Errorf("%s: OnDisk engine did not pipeline", name)
+		}
 	}
 }

@@ -107,9 +107,9 @@ func TestParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestParallelOnFileBackedDisk runs the parallel solver against the OS-file
-// backend, exercising the pooled scratch path of fileBackend.write under
-// concurrency.
+// TestParallelOnFileBackedDisk runs the parallel solver against the
+// file store, exercising its pooled bounce buffers and the pipelined
+// streams under concurrency.
 func TestParallelOnFileBackedDisk(t *testing.T) {
 	d, err := em.NewFileBackedDisk(t.TempDir(), 256)
 	if err != nil {

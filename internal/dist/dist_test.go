@@ -378,7 +378,7 @@ func TestWireChecksumRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, _ := http.NewRequest(http.MethodPost, "/shard/solve", strings.NewReader(string(body)))
+	hreq, _ := http.NewRequest(http.MethodPost, PathSolve, strings.NewReader(string(body)))
 	hreq.Header.Set(ChecksumHeader, sum)
 	got, err := DecodeRequest(hreq)
 	if err != nil {
@@ -390,7 +390,7 @@ func TestWireChecksumRoundTrip(t *testing.T) {
 
 	damaged := append([]byte(nil), body...)
 	damaged[0] ^= 0xA5
-	hreq, _ = http.NewRequest(http.MethodPost, "/shard/solve", strings.NewReader(string(damaged)))
+	hreq, _ = http.NewRequest(http.MethodPost, PathSolve, strings.NewReader(string(damaged)))
 	hreq.Header.Set(ChecksumHeader, sum)
 	if _, err := DecodeRequest(hreq); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("damaged request: err = %v, want ErrBadChecksum", err)

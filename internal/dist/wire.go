@@ -37,8 +37,7 @@ import (
 
 // Wire paths and headers of the internal cluster protocol.
 const (
-	// PathSolve is the worker's shard-solve endpoint (maxrsd serves the
-	// pre-/v1/ path as a deprecated alias for one release).
+	// PathSolve is the worker's shard-solve endpoint.
 	PathSolve = "/v1/shard/solve"
 	// PathReady is the readiness endpoint membership probes.
 	PathReady = "/v1/readyz"

@@ -29,7 +29,7 @@ func TestFileBackedDiskRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("file-backed round trip mismatch")
 	}
-	// Transfer accounting identical to the in-memory backend.
+	// Transfer accounting identical to the in-memory store.
 	want := uint64((len(payload) + 63) / 64)
 	if s := d.Stats(); s.Writes != want || s.Reads != want {
 		t.Fatalf("stats = %v, want %d each way", s, want)
@@ -87,8 +87,9 @@ func TestFileBackedDiskPartialWriteZeroPads(t *testing.T) {
 	}
 }
 
-// The two backends must be observably identical: same data, same stats,
-// for a randomized workload of allocs, frees, reads and writes.
+// The memory and file stores must be observably identical: same data,
+// same stats, for a randomized workload of allocs, frees, reads and
+// writes.
 func TestBackendsEquivalent(t *testing.T) {
 	mem := MustNewDisk(32)
 	file, err := NewFileBackedDisk(t.TempDir(), 32)

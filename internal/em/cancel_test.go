@@ -12,7 +12,7 @@ import (
 func TestWriterCancelAtBlockGranularity(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		d := MustNewDisk(64)
-		d.SetPipelining(pipelined)
+		d.pipelined = pipelined
 		ctx, cancel := context.WithCancel(context.Background())
 		env := Env{Disk: d, M: 256, Ctx: ctx}
 		f := env.NewFile()
@@ -57,7 +57,7 @@ func TestReaderCancelAtBlockGranularity(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		d.SetPipelining(pipelined)
+		d.pipelined = pipelined
 
 		ctx, cancel := context.WithCancel(context.Background())
 		env := Env{Disk: d, M: 256, Ctx: ctx}

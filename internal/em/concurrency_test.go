@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestInterleavedWritersDoNotCorruptBlocks is the regression test for the
-// shared-scratch-buffer design of fileBackend.write: two writers on the
-// same disk, flushing alternately (as the division phase's per-child
-// writers do), must never see each other's payloads — with a single shared
-// pad buffer the second writer's copy-in could clobber the first's bytes
+// TestInterleavedWritersDoNotCorruptBlocks is the regression test for
+// shared scratch buffers under the file store: two writers on the same
+// disk, flushing alternately (as the division phase's per-child writers
+// do), must never see each other's payloads — with a single shared bounce
+// buffer the second writer's copy-in could clobber the first's bytes
 // before its WriteAt ran.
 func TestInterleavedWritersDoNotCorruptBlocks(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
@@ -32,7 +32,7 @@ func TestInterleavedWritersDoNotCorruptBlocks(t *testing.T) {
 			fa, fb := NewFile(d), NewFile(d)
 			wa, wb := fa.NewWriter(), fb.NewWriter()
 			// 48-byte payloads on 64-byte blocks: every flush is a partial
-			// write and takes the padded scratch path.
+			// write.
 			for i := 0; i < 100; i++ {
 				pa := bytes.Repeat([]byte{byte(i)}, 48)
 				pb := bytes.Repeat([]byte{byte(200 - i)}, 48)
@@ -77,8 +77,8 @@ func TestInterleavedWritersDoNotCorruptBlocks(t *testing.T) {
 
 // TestConcurrentWriters drives many goroutines, each writing and then
 // reading back its own file on one shared disk. Run under -race this is
-// the data-race test for the Disk's locking and the fileBackend's pooled
-// scratch buffers.
+// the data-race test for the Disk's locking and the store's pooled bounce
+// buffers.
 func TestConcurrentWriters(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {

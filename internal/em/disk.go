@@ -6,10 +6,11 @@
 // The paper evaluates every algorithm by this transfer count ("We do not
 // consider CPU time, since it is dominated by I/O cost", §7.1), so the
 // simulator *is* the measurement instrument: every block read or written
-// through a Disk is tallied in its Stats. Blocks live in process memory by
-// default (hermetic, fast tests) or in a real OS file via
-// NewFileBackedDisk; either way algorithms may only touch data in whole
-// blocks through the APIs here and must bound their private state by Env.M.
+// through a Disk is tallied in its Stats. Blocks live in a slot store over
+// process memory by default (hermetic, fast tests), or over a real OS file
+// via NewFileBackedDisk or NewStoreDisk; either way algorithms may only
+// touch data in whole blocks through the APIs here and must bound their
+// private state by Env.M.
 package em
 
 import (
@@ -31,7 +32,7 @@ var zeroPad [4096]byte
 
 // crcPadded returns the CRC32C of src extended with zeros to blockSize —
 // the checksum of the block content a (possibly partial) write produces,
-// since both backends zero the remainder.
+// since the store zero-fills the remainder.
 func crcPadded(src []byte, blockSize int) uint32 {
 	sum := crc32.Update(0, castagnoli, src)
 	for rem := blockSize - len(src); rem > 0; rem -= len(zeroPad) {
@@ -78,7 +79,7 @@ func (s Stats) String() string {
 type BlockID int64
 
 // Disk is a simulated block device. The zero value is unusable; construct
-// with NewDisk or NewFileBackedDisk.
+// with NewDisk, NewFileBackedDisk or NewStoreDisk.
 //
 // Disk is safe for concurrent use: the transfer counters are atomic and
 // allocation state is mutex-guarded, so the parallel solver (DESIGN.md §6)
@@ -89,7 +90,8 @@ type BlockID int64
 // writers to one file would be.
 type Disk struct {
 	blockSize int
-	backend   backend
+	backend   backend       // store, or the fault injector wrapping it
+	store     *storeBackend // the slot store under any injector
 
 	// mu guards live, gen and freeList. ReadBlock/WriteBlock take it in
 	// read mode only to validate ids against the (append-only) live table.
@@ -109,10 +111,11 @@ type Disk struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
 
-	// pipelined enables stream prefetch / write-behind (DESIGN.md §8);
-	// pipeReads/pipeWrites count the transfers that rode the background
-	// path (a subset of reads/writes — never extra transfers).
-	pipelined  atomic.Bool
+	// pipelined enables stream prefetch / write-behind (DESIGN.md §8) on
+	// file and mmap stores; pipeReads/pipeWrites count the transfers that
+	// rode the background path (a subset of reads/writes — never extra
+	// transfers).
+	pipelined  bool
 	pipeReads  atomic.Uint64
 	pipeWrites atomic.Uint64
 
@@ -140,17 +143,6 @@ type Disk struct {
 // bits.
 const sumRecorded = 1 << 32
 
-// NewDisk returns an in-memory Disk with the given block size in bytes.
-func NewDisk(blockSize int) (*Disk, error) {
-	if blockSize <= 0 {
-		return nil, ErrBlockSize
-	}
-	return &Disk{
-		blockSize: blockSize,
-		backend:   &memBackend{blockSize: blockSize},
-	}, nil
-}
-
 // MustNewDisk is NewDisk for static configurations; it panics on error.
 func MustNewDisk(blockSize int) *Disk {
 	d, err := NewDisk(blockSize)
@@ -169,31 +161,15 @@ func (d *Disk) Stats() Stats {
 }
 
 // ResetStats zeroes the transfer counters (e.g. to exclude data generation
-// from a measured phase), along with the physical-byte counters of a
-// slot-store disk so PhysIO stays phase-aligned with Stats.
+// from a measured phase), along with the physical-byte counters so PhysIO
+// stays phase-aligned with Stats.
 func (d *Disk) ResetStats() {
 	d.reads.Store(0)
 	d.writes.Store(0)
 	d.pipeReads.Store(0)
 	d.pipeWrites.Store(0)
-	if sb := d.storeOf(); sb != nil {
-		sb.resetPhys()
-	}
+	d.store.resetPhys()
 }
-
-// SetPipelining enables or disables prefetch / write-behind on streams
-// created afterwards (DESIGN.md §8): Readers double-buffer read-ahead and
-// Writers write behind, each via one short-lived background goroutine per
-// block, overlapping backend latency with CPU. Transfer counts are
-// identical either way — pipelining changes wall-clock only — at the cost
-// of one extra block of memory per open stream. Default: off for
-// in-memory disks (their "transfers" are memcpys with nothing to overlap),
-// on for file-backed disks.
-func (d *Disk) SetPipelining(on bool) { d.pipelined.Store(on) }
-
-// Pipelined reports whether streams created now would use prefetch /
-// write-behind.
-func (d *Disk) Pipelined() bool { return d.pipelined.Load() }
 
 // PipelineStats returns how many read and write transfers were performed
 // by the background prefetch / write-behind path since the last
@@ -234,7 +210,7 @@ func (d *Disk) Alloc() BlockID {
 	if err := d.backend.grow(id); err != nil {
 		// Growth failures (disk full) surface on the next access; a full
 		// alloc-with-error API would complicate every caller for a case
-		// the in-memory backend cannot hit.
+		// the in-memory store cannot hit.
 		panic(fmt.Sprintf("em: backend grow: %v", err))
 	}
 	d.live[id] = true
@@ -253,9 +229,7 @@ func (d *Disk) Free(id BlockID) error {
 	d.gen[id]++
 	d.liveCount.Add(-1)
 	d.freeList = append(d.freeList, id)
-	if m, ok := d.backend.(blockFreer); ok {
-		m.free(id) // let large intermediates be collected
-	}
+	d.backend.free(id) // let large intermediates be collected
 	return nil
 }
 
@@ -291,7 +265,7 @@ func (d *Disk) readBlockCtx(ctx context.Context, id BlockID, dst []byte) error {
 // readBlockOnce performs one read attempt with checksum verification.
 //
 // The read lock is held across the backend access: it excludes Alloc/Free
-// (which may move the backends' block tables) while still letting any
+// (which may move the store's block tables) while still letting any
 // number of block transfers proceed concurrently. It is NOT held across
 // retry backoffs — a sleeping retry must never stall allocation.
 func (d *Disk) readBlockOnce(id BlockID, dst []byte) error {

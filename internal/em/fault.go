@@ -485,9 +485,7 @@ func (fb *faultBackend) free(id BlockID) {
 	fb.mu.Lock()
 	delete(fb.bad, id)
 	fb.mu.Unlock()
-	if fr, ok := fb.inner.(blockFreer); ok {
-		fr.free(id)
-	}
+	fb.inner.free(id)
 }
 
 func (fb *faultBackend) Close() error { return fb.inner.Close() }

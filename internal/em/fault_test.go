@@ -310,7 +310,7 @@ func TestNoFaultScheduleBitIdentical(t *testing.T) {
 			d.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond})
 			d.SetChecksums(true)
 			d.InjectFaults(FaultPlan{}) // armed, fires nothing
-			d.SetPipelining(true)
+			d.pipelined = true
 		}
 		env := Env{Disk: d, M: 4 * 64}
 		f := env.NewFile()
@@ -372,7 +372,7 @@ func TestInjectFaultsReplacesInjector(t *testing.T) {
 }
 
 // TestFaultInjectionFileBacked smoke-checks the injector over the file
-// backend: torn write caught by checksums, free forwarded through the
+// store: torn write caught by checksums, free forwarded through the
 // wrapper, backing file removed on Close.
 func TestFaultInjectionFileBacked(t *testing.T) {
 	d, err := NewFileBackedDisk(t.TempDir(), 64)

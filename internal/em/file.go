@@ -65,7 +65,7 @@ func (f *File) Release() error {
 // filled block costs one write transfer; Close flushes the final partial
 // block.
 //
-// On a pipelined Disk (Disk.SetPipelining, DESIGN.md §8) the Writer runs
+// On a pipelined Disk (a file or mmap store, DESIGN.md §8) the Writer runs
 // write-behind: a filled block is handed to a short-lived background
 // goroutine while the caller keeps filling a second buffer, overlapping
 // the backend's write latency with record encoding. The transfer schedule
@@ -99,7 +99,7 @@ type writeBehind struct {
 // the file's scope (if any) on top of the disk-global counters.
 func (f *File) NewWriter() *Writer {
 	w := &Writer{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
-	if f.disk.Pipelined() {
+	if f.disk.pipelined {
 		w.wb = &writeBehind{spare: make([]byte, f.disk.blockSize), ch: make(chan error, 1)}
 	}
 	return w
@@ -203,7 +203,7 @@ func (w *Writer) Close() error {
 // Reader streams a File sequentially through an in-memory block buffer.
 // Every block fetched costs one read transfer.
 //
-// On a pipelined Disk (Disk.SetPipelining, DESIGN.md §8) the Reader runs
+// On a pipelined Disk (a file or mmap store, DESIGN.md §8) the Reader runs
 // double-buffered read-ahead: while the caller consumes block k, a
 // short-lived background goroutine fetches block k+1 into a spare buffer,
 // overlapping the backend's read latency with record decoding. Read-ahead
@@ -236,7 +236,7 @@ type prefetcher struct {
 // transfers to the file's scope (if any).
 func (f *File) NewReader() *Reader {
 	r := &Reader{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
-	if f.disk.Pipelined() {
+	if f.disk.pipelined {
 		r.pre = &prefetcher{spare: make([]byte, f.disk.blockSize), ch: make(chan error, 1)}
 	}
 	return r

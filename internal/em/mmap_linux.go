@@ -20,16 +20,18 @@ import (
 //
 // Lifecycle (DESIGN.md §15): the mapping grows geometrically; growing
 // remaps (munmap → ftruncate → mmap), which is safe against concurrent
-// readAt/writeAt because grow runs with the Disk's write lock held —
-// exclusively of every reader and writer — per the backend contract.
+// readSlot/writeSlot — and the views readSlot hands out — because grow
+// runs with the Disk's write lock held, exclusively of every reader and
+// writer, per the backend contract.
 // Close drops the mapping and removes the file; the store is scratch
 // space, so durability is never required and MS_SYNC is never issued.
 type mmapSlots struct {
-	f    *os.File
-	data []byte // current mapping; nil until first grow
+	f        *os.File
+	slotSize int64
+	data     []byte // current mapping
 
 	// Dirty-extent accounting for batched write submission. A mutex, not
-	// atomics: writeAt already pays a memcpy, and the critical section is
+	// atomics: writeSlot already pays a memcpy, and the critical section is
 	// two compares.
 	mu       sync.Mutex
 	dirtyLo  int64
@@ -48,12 +50,12 @@ var pageSize = int64(os.Getpagesize())
 // platform or filesystem cannot map (the caller falls back to
 // fileSlots). The initial mapping is created eagerly so inability to
 // map surfaces here, not on the first block write.
-func newMmapSlots(dir string) (*mmapSlots, error) {
+func newMmapSlots(dir string, slotSize int64) (*mmapSlots, error) {
 	f, err := os.CreateTemp(dir, "maxrs-mmap-*.dat")
 	if err != nil {
 		return nil, fmt.Errorf("em: mmap store file: %w", err)
 	}
-	s := &mmapSlots{f: f}
+	s := &mmapSlots{f: f, slotSize: slotSize}
 	if err := s.remap(flushEvery); err != nil {
 		return nil, errors.Join(err, f.Close(), os.Remove(f.Name()))
 	}
@@ -90,7 +92,8 @@ func (s *mmapSlots) remap(size int64) error {
 	return nil
 }
 
-func (s *mmapSlots) grow(size int64) error {
+func (s *mmapSlots) grow(id BlockID) error {
+	size := (int64(id) + 1) * s.slotSize
 	if size <= int64(len(s.data)) {
 		return nil
 	}
@@ -102,21 +105,26 @@ func (s *mmapSlots) grow(size int64) error {
 	return s.remap(size)
 }
 
-func (s *mmapSlots) readAt(dst []byte, off int64) error {
-	copy(dst, s.data[off:])
-	return nil
+func (s *mmapSlots) free(BlockID) {}
+
+func (s *mmapSlots) readSlot(id BlockID, n int, _ []byte) (hdr, payload []byte, err error) {
+	off := int64(id) * s.slotSize
+	return s.data[off : off+slotHeaderSize], s.data[off+slotHeaderSize : off+slotHeaderSize+int64(n)], nil
 }
 
-func (s *mmapSlots) writeAt(src []byte, off int64) error {
-	copy(s.data[off:], src)
+func (s *mmapSlots) writeSlot(id BlockID, buf, payload []byte) error {
+	off := int64(id) * s.slotSize
+	copy(s.data[off:], buf[:slotHeaderSize])
+	copy(s.data[off+slotHeaderSize:], payload)
+	end := off + slotHeaderSize + int64(len(payload))
 	s.mu.Lock()
 	if s.dirtyLen == 0 || off < s.dirtyLo {
 		s.dirtyLo = off
 	}
-	if end := off + int64(len(src)); s.dirtyLen == 0 || end > s.dirtyHi {
-		s.dirtyHi = off + int64(len(src))
+	if s.dirtyLen == 0 || end > s.dirtyHi {
+		s.dirtyHi = end
 	}
-	s.dirtyLen += int64(len(src))
+	s.dirtyLen += end - off
 	var lo, hi int64
 	flush := s.dirtyLen >= flushEvery
 	if flush {

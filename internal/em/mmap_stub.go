@@ -10,4 +10,4 @@ var errMmapUnsupported = errors.New("em: mmap store not supported on this platfo
 
 // newMmapSlots always fails here; the caller falls back to fileSlots,
 // which is the documented graceful-degradation path.
-func newMmapSlots(string) (slotStore, error) { return nil, errMmapUnsupported }
+func newMmapSlots(string, int64) (slotStore, error) { return nil, errMmapUnsupported }

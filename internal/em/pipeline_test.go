@@ -25,15 +25,15 @@ func pipelineDisks(t *testing.T, blockSize int, fileBacked bool) (sync, pipe *Di
 		return MustNewDisk(blockSize)
 	}
 	sync, pipe = mk(), mk()
-	sync.SetPipelining(false)
-	pipe.SetPipelining(true)
+	sync.pipelined = false
+	pipe.pipelined = true
 	return sync, pipe
 }
 
 // TestPipelineCountsIdentical is the contract of DESIGN.md §8: for fully
 // consumed streams, prefetch and write-behind change wall-clock only —
 // bytes, Stats, and per-scope attribution are identical to the
-// synchronous path, on both backends.
+// synchronous path, on the memory and file stores.
 func TestPipelineCountsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, fileBacked := range []bool{false, true} {
@@ -167,7 +167,7 @@ func TestPipelineConcurrentStreams(t *testing.T) {
 // test binary's exit).
 func TestPipelineAbandonedStreams(t *testing.T) {
 	d := MustNewDisk(64)
-	d.SetPipelining(true)
+	d.pipelined = true
 	data := make([]byte, 64*10)
 	rand.New(rand.NewSource(1)).Read(data)
 	f := NewFile(d)

@@ -11,19 +11,19 @@ import (
 	"maxrs/internal/codec"
 )
 
-// This file implements the compressed slot store (DESIGN.md §15): a
-// backend that persists each logical block as a fixed-size *slot* of
-// slotHeaderSize + blockSize bytes — a self-describing header followed
-// by the block's physical payload, which a per-block codec may have
-// shrunk below the fixed layout. Slots are fixed so block addressing
-// stays O(1) (offset = id·slotSize) while payloads vary; the raw codec
-// (id 0) always fits, so compression can only save bytes, never spill.
+// This file implements the slot store (DESIGN.md §15), the one physical
+// backend under every Disk. Each logical block persists as a *slot*: a
+// self-describing header followed by the block's physical payload, which
+// a per-block codec may have shrunk below the fixed layout. Without a
+// codec every payload is the block's written bytes — the fixed layout.
+// The raw codec (id 0) always fits, so compression can only save bytes,
+// never spill.
 //
 // The store sits strictly below the Disk's transfer counters: one
 // logical ReadBlock/WriteBlock is one counted transfer whatever the
-// payload size, so the counted schedule is bit-identical to the plain
-// file backend by construction. What the store changes is the physical
-// bytes each transfer moves, tallied in PhysIO.
+// payload size or the medium, so the counted schedule is bit-identical
+// across stores and codecs by construction. What a codec changes is the
+// physical bytes each transfer moves, tallied in PhysIO.
 
 // slotHeaderSize is the fixed per-slot header:
 //
@@ -35,83 +35,124 @@ import (
 //	[12:16] CRC32C of the uncompressed prefix, uint32 LE
 const slotHeaderSize = 16
 
-// slotStore is flat byte storage for slots. Offsets are managed by
-// storeBackend; implementations only move bytes.
+// backend is the block interface a Disk drives: the slot store itself,
+// or the fault injector wrapping it (DESIGN.md §11).
 //
-// Concurrency contract (inherited from backend): grow runs with the
-// Disk's write lock held — exclusively of readAt/writeAt, which run
-// under its read lock and may be concurrent with each other on disjoint
-// ranges.
-type slotStore interface {
-	readAt(dst []byte, off int64) error
-	writeAt(src []byte, off int64) error
-	// grow ensures the store can hold size bytes.
-	grow(size int64) error
+// Concurrency contract: grow and free are only called with the Disk's
+// write lock held; read and write are called with its read lock held and
+// so may run concurrently with each other (on distinct blocks) but never
+// with grow or free.
+type backend interface {
+	read(id BlockID, dst []byte) error
+	write(id BlockID, src []byte) error
+	// grow ensures capacity for block id.
+	grow(id BlockID) error
+	// free drops the storage of released block id where the medium can.
+	free(id BlockID)
+	// Close releases backend resources.
 	Close() error
 }
 
-// fileSlots stores slots in an OS file via positioned I/O — the
-// portable store, and the fallback when mmap is unavailable.
-type fileSlots struct {
-	f *os.File
+// slotStore is the medium under a storeBackend. Slots are addressed by
+// block id; each implementation only moves bytes, under the backend
+// concurrency contract.
+type slotStore interface {
+	// readSlot returns slot id's header and its n-byte payload. buf
+	// (slotHeaderSize+n bytes or more) is scratch for a store that must
+	// copy the slot out; the others return views of their storage, valid
+	// while the Disk's read lock is held.
+	readSlot(id BlockID, n int, buf []byte) (hdr, payload []byte, err error)
+	// writeSlot stores slot id: the header in buf[:slotHeaderSize], then
+	// payload. buf has room for the payload after the header, for a store
+	// that writes the slot in one contiguous piece.
+	writeSlot(id BlockID, buf, payload []byte) error
+	// grow makes room for slot id.
+	grow(id BlockID) error
+	// free drops slot id's storage where the medium can.
+	free(id BlockID)
+	Close() error
 }
 
-func newFileSlots(dir string) (*fileSlots, error) {
+// fileSlots stores slot id at offset id·slotSize of an OS file via
+// positioned I/O — the portable store, and the fallback when mmap is
+// unavailable.
+type fileSlots struct {
+	f        *os.File
+	slotSize int64
+}
+
+func newFileSlots(dir string, slotSize int64) (*fileSlots, error) {
 	f, err := os.CreateTemp(dir, "maxrs-store-*.dat")
 	if err != nil {
 		return nil, fmt.Errorf("em: store file: %w", err)
 	}
-	return &fileSlots{f: f}, nil
+	return &fileSlots{f: f, slotSize: slotSize}, nil
 }
 
-func (s *fileSlots) readAt(dst []byte, off int64) error {
-	_, err := s.f.ReadAt(dst, off)
-	return err
+func (s *fileSlots) readSlot(id BlockID, n int, buf []byte) (hdr, payload []byte, err error) {
+	buf = buf[:slotHeaderSize+n]
+	_, err = s.f.ReadAt(buf, int64(id)*s.slotSize)
+	return buf[:slotHeaderSize], buf[slotHeaderSize:], err
 }
 
-func (s *fileSlots) writeAt(src []byte, off int64) error {
-	_, err := s.f.WriteAt(src, off)
+func (s *fileSlots) writeSlot(id BlockID, buf, payload []byte) error {
+	buf = buf[:slotHeaderSize+len(payload)]
+	copy(buf[slotHeaderSize:], payload)
+	_, err := s.f.WriteAt(buf, int64(id)*s.slotSize)
 	return err
 }
 
 // grow is a no-op: WriteAt extends the file on demand and only written
-// ranges are ever read back.
-func (s *fileSlots) grow(int64) error { return nil }
+// slots are ever read back.
+func (s *fileSlots) grow(BlockID) error { return nil }
 
+func (s *fileSlots) free(BlockID) {}
+
+// Close closes and removes the backing file. The remove runs even when
+// the close fails — leaking a temp file because close errored would turn
+// one fault into two — and both errors surface, joined.
 func (s *fileSlots) Close() error {
 	name := s.f.Name()
 	return errors.Join(s.f.Close(), os.Remove(name))
 }
 
-// memSlots stores slots in process memory — the hermetic store for
-// codec tests that must not touch the filesystem.
+// memSlots keeps slots in process memory. Each slot's payload is its own
+// slice of exactly the written length, with the header kept apart: a
+// full raw 4 KiB block stays one 4096-byte allocation, a partial block
+// holds only its prefix, an allocated block costs nothing until written,
+// and a freed block's payload is dropped at once so large intermediates
+// are collected.
 type memSlots struct {
-	data []byte
+	hdrs     [][slotHeaderSize]byte
+	payloads [][]byte
 }
 
-func (s *memSlots) readAt(dst []byte, off int64) error {
-	copy(dst, s.data[off:])
+func (s *memSlots) readSlot(id BlockID, n int, _ []byte) (hdr, payload []byte, err error) {
+	return s.hdrs[id][:], s.payloads[id][:n], nil
+}
+
+func (s *memSlots) writeSlot(id BlockID, buf, payload []byte) error {
+	s.hdrs[id] = [slotHeaderSize]byte(buf)
+	s.payloads[id] = append(s.payloads[id][:0], payload...)
 	return nil
 }
 
-func (s *memSlots) writeAt(src []byte, off int64) error {
-	copy(s.data[off:], src)
-	return nil
-}
-
-func (s *memSlots) grow(size int64) error {
-	for int64(len(s.data)) < size {
-		s.data = append(s.data, make([]byte, size-int64(len(s.data)))...)
+func (s *memSlots) grow(id BlockID) error {
+	for int(id) >= len(s.payloads) {
+		s.payloads = append(s.payloads, nil)
+		s.hdrs = append(s.hdrs, [slotHeaderSize]byte{})
 	}
 	return nil
 }
 
+func (s *memSlots) free(id BlockID) { s.payloads[id] = nil }
+
 func (s *memSlots) Close() error {
-	s.data = nil
+	s.hdrs, s.payloads = nil, nil
 	return nil
 }
 
-// StoreKind selects the physical store under a slot-store disk.
+// StoreKind selects the medium under a Disk's slot store.
 type StoreKind int
 
 const (
@@ -121,32 +162,31 @@ const (
 	// reads, batched write-behind submission. Falls back to StoreFile
 	// when the platform or filesystem cannot map.
 	StoreMmap
-	// StoreMem keeps slots in process memory (hermetic tests).
+	// StoreMem keeps slots in process memory.
 	StoreMem
 )
 
 // storeBackend implements backend over a slotStore plus a codec
-// candidate family. An empty family stores every block raw — the store
-// format without compression (how the mmap backend runs codec-less).
+// candidate family. An empty family stores every block raw — the fixed
+// layout.
 type storeBackend struct {
 	blockSize int
-	slotSize  int64
 	store     slotStore
 	name      string // actual store in use: "file", "mmap", "mem"
 	cands     []codec.BlockCodec
 
 	// sizes caches each block's slot payload length + 1; 0 means the
 	// block was never written since its last grow, so reads zero-fill
-	// without physical I/O (fixed-layout backends get the same
-	// observable semantics by zeroing storage in grow). Guarded by the
-	// Disk's locks exactly like memBackend.blocks: grown under the write
-	// lock, element-wise accessed under the read lock with single-owner
-	// block semantics.
+	// without touching the store. Grown under the Disk's write lock,
+	// element-wise accessed under its read lock with single-owner block
+	// semantics.
 	sizes []uint32
 
 	encoders sync.Pool // of *codec.Encoder
-	bufs     sync.Pool // of []byte, slot-sized
+	bufs     sync.Pool // of *[]byte, slot-sized bounce buffers
 
+	// Physical-byte counters, kept only when a codec is armed (without
+	// one every transfer moves exactly one fixed-layout block).
 	physReads  atomic.Uint64 // physical bytes moved store → memory
 	physWrites atomic.Uint64 // physical bytes moved memory → store
 	compressed atomic.Uint64 // block writes that beat the raw layout
@@ -154,15 +194,12 @@ type storeBackend struct {
 }
 
 func newStoreBackend(store slotStore, name string, blockSize int, cands []codec.BlockCodec) *storeBackend {
-	sb := &storeBackend{
-		blockSize: blockSize,
-		slotSize:  int64(slotHeaderSize + blockSize),
-		store:     store,
-		name:      name,
-		cands:     cands,
-	}
+	sb := &storeBackend{blockSize: blockSize, store: store, name: name, cands: cands}
 	sb.encoders.New = func() any { return codec.NewEncoder(sb.cands) }
-	sb.bufs.New = func() any { return make([]byte, sb.slotSize) }
+	sb.bufs.New = func() any {
+		b := make([]byte, slotHeaderSize+blockSize)
+		return &b
+	}
 	return sb
 }
 
@@ -171,41 +208,44 @@ func (sb *storeBackend) grow(id BlockID) error {
 		sb.sizes = append(sb.sizes, 0)
 	}
 	sb.sizes[id] = 0 // fresh or recycled: reads zero-fill, no I/O
-	return sb.store.grow((int64(id) + 1) * sb.slotSize)
+	return sb.store.grow(id)
 }
 
-// free drops a released block's payload mapping so a stale slot can
-// never be read after reallocation (grow re-zeroes it anyway; this
-// keeps the invariant even between Free and the next Alloc).
+// free forgets a released block's payload so a stale slot can never be
+// read after reallocation, and lets the medium drop its storage.
 func (sb *storeBackend) free(id BlockID) {
-	if int(id) < len(sb.sizes) {
-		sb.sizes[id] = 0
-	}
+	sb.sizes[id] = 0
+	sb.store.free(id)
 }
+
+func (sb *storeBackend) hasCodec() bool { return len(sb.cands) > 0 }
 
 func (sb *storeBackend) write(id BlockID, src []byte) error {
-	enc := sb.encoders.Get().(*codec.Encoder)
-	cid, payload := enc.Encode(src)
-	buf := sb.bufs.Get().([]byte)
-	buf = buf[:slotHeaderSize+len(payload)]
-	buf[0] = cid
-	buf[1], buf[2], buf[3] = 0, 0, 0
-	putU32(buf[4:], uint32(len(payload)))
-	putU32(buf[8:], uint32(len(src)))
-	putU32(buf[12:], crc32.Checksum(src, castagnoli))
-	copy(buf[slotHeaderSize:], payload)
-	err := sb.store.writeAt(buf, int64(id)*sb.slotSize)
-	sb.bufs.Put(buf[:cap(buf)])
-	sb.encoders.Put(enc)
-	if err != nil {
+	cid, payload := codec.RawID, src
+	if sb.hasCodec() {
+		enc := sb.encoders.Get().(*codec.Encoder)
+		defer sb.encoders.Put(enc) // payload may alias the encoder's buffer
+		cid, payload = enc.Encode(src)
+	}
+	bp := sb.bufs.Get().(*[]byte)
+	defer sb.bufs.Put(bp)
+	hdr := (*bp)[:slotHeaderSize]
+	hdr[0] = cid
+	hdr[1], hdr[2], hdr[3] = 0, 0, 0
+	putU32(hdr[4:], uint32(len(payload)))
+	putU32(hdr[8:], uint32(len(src)))
+	putU32(hdr[12:], crc32.Checksum(src, castagnoli))
+	if err := sb.store.writeSlot(id, *bp, payload); err != nil {
 		return err
 	}
 	sb.sizes[id] = uint32(len(payload)) + 1
-	sb.physWrites.Add(uint64(slotHeaderSize + len(payload)))
-	if cid == codec.RawID {
-		sb.rawBlocks.Add(1)
-	} else {
-		sb.compressed.Add(1)
+	if sb.hasCodec() {
+		sb.physWrites.Add(uint64(slotHeaderSize + len(payload)))
+		if cid == codec.RawID {
+			sb.rawBlocks.Add(1)
+		} else {
+			sb.compressed.Add(1)
+		}
 	}
 	return nil
 }
@@ -218,22 +258,23 @@ func (sb *storeBackend) read(id BlockID, dst []byte) error {
 		return nil
 	}
 	n := int(sz - 1)
-	buf := sb.bufs.Get().([]byte)
-	defer sb.bufs.Put(buf)
-	buf = buf[:slotHeaderSize+n]
-	if err := sb.store.readAt(buf, int64(id)*sb.slotSize); err != nil {
+	bp := sb.bufs.Get().(*[]byte)
+	defer sb.bufs.Put(bp)
+	hdr, payload, err := sb.store.readSlot(id, n, *bp)
+	if err != nil {
 		return err
 	}
-	sb.physReads.Add(uint64(len(buf)))
-	cid := buf[0]
-	payloadLen := int(getU32(buf[4:]))
-	uncomp := int(getU32(buf[8:]))
-	sum := getU32(buf[12:])
+	if sb.hasCodec() {
+		sb.physReads.Add(uint64(slotHeaderSize + n))
+	}
+	cid := hdr[0]
+	payloadLen := int(getU32(hdr[4:]))
+	uncomp := int(getU32(hdr[8:]))
+	sum := getU32(hdr[12:])
 	if payloadLen != n || uncomp > sb.blockSize {
 		return fmt.Errorf("%w: block %d slot header inconsistent (payload %d/%d, logical %d/%d)",
 			ErrBlockCorrupt, id, payloadLen, n, uncomp, sb.blockSize)
 	}
-	payload := buf[slotHeaderSize:]
 	if cid == codec.RawID {
 		if uncomp != payloadLen {
 			return fmt.Errorf("%w: block %d raw payload %d bytes, logical %d",
@@ -259,17 +300,6 @@ func (sb *storeBackend) read(id BlockID, dst []byte) error {
 
 func (sb *storeBackend) Close() error { return sb.store.Close() }
 
-// phys snapshots the physical-byte counters.
-func (sb *storeBackend) phys() PhysIO {
-	return PhysIO{
-		ReadBytes:        sb.physReads.Load(),
-		WriteBytes:       sb.physWrites.Load(),
-		BlocksCompressed: sb.compressed.Load(),
-		BlocksRaw:        sb.rawBlocks.Load(),
-		Measured:         true,
-	}
-}
-
 func (sb *storeBackend) resetPhys() {
 	sb.physReads.Store(0)
 	sb.physWrites.Store(0)
@@ -286,45 +316,48 @@ func getU32(b []byte) uint32 {
 }
 
 // PhysIO counts the physical bytes moved below the transfer counters
-// (DESIGN.md §15). For a slot-store disk the counters are measured:
-// header + payload per transfer, with per-block compression outcomes.
-// For fixed-layout backends they are derived as transfers × block size
-// and Measured is false.
+// (DESIGN.md §15). With a codec armed the counters are measured: header
+// + payload per transfer, with per-block compression outcomes. Without
+// one every transfer moves one fixed-layout block, so they are derived
+// as transfers × block size and Measured is false.
 type PhysIO struct {
 	ReadBytes        uint64 // physical bytes moved storage → memory
 	WriteBytes       uint64 // physical bytes moved memory → storage
 	BlocksCompressed uint64 // block writes that beat the raw layout
 	BlocksRaw        uint64 // block writes stored in the fixed layout
-	Measured         bool   // true when a slot store counted; false = transfers × B
+	Measured         bool   // true when a codec's store counted; false = transfers × B
 }
 
 // Bytes returns ReadBytes + WriteBytes.
 func (p PhysIO) Bytes() uint64 { return p.ReadBytes + p.WriteBytes }
 
-// StorageInfo describes the physical storage stack under a Disk's
-// transfer counters — which store actually serves blocks (after any
-// mmap fallback) and whether a codec family is armed.
+// StorageInfo describes the physical storage under a Disk's transfer
+// counters — which store actually serves blocks (after any mmap
+// fallback) and whether a codec family is armed.
 type StorageInfo struct {
-	Backend string // "mem", "file", "store/file", "store/mmap", "store/mem"
+	Backend string // "mem", "file" or "mmap"
 	Codec   string // "none" or "delta"
 }
 
-// NewStoreDisk returns a Disk whose blocks live in a compressed slot
-// store (DESIGN.md §15): kind selects the physical store — StoreMmap
-// falls back to a plain temp file when mapping is unavailable — and
-// cands is the codec candidate family tried per block (nil stores every
-// block in the fixed layout). dir is the directory for the backing file
-// ("" = the OS temp directory; ignored by StoreMem).
+// NewStoreDisk returns a Disk whose blocks live in a slot store
+// (DESIGN.md §15): kind selects the medium — StoreMmap falls back to a
+// plain temp file when mapping is unavailable — and cands is the codec
+// candidate family tried per block (nil stores every block in the fixed
+// layout). dir is the directory for the backing file ("" = the OS temp
+// directory; ignored by StoreMem).
 //
-// Transfer counts are bit-identical to NewFileBackedDisk by
+// Transfer counts are bit-identical across kinds and codecs by
 // construction: the store sits below the counters, so codecs and the
-// mmap path change only the physical bytes per transfer (PhysIO), never
-// the counted schedule. Stream pipelining defaults on except for
-// StoreMem, matching the plain backends.
+// medium change only the physical bytes per transfer (PhysIO), never the
+// counted schedule. Streams on a file or mmap store pipeline (prefetch
+// and write-behind, DESIGN.md §8) to overlap storage latency with CPU;
+// in memory there is no latency to hide, so they run synchronously.
+// Call Close when done to remove the backing file.
 func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.BlockCodec) (*Disk, error) {
 	if blockSize <= 0 {
 		return nil, ErrBlockSize
 	}
+	slotSize := int64(slotHeaderSize + blockSize)
 	var (
 		store slotStore
 		name  string
@@ -334,74 +367,65 @@ func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.Block
 	case StoreMem:
 		store, name = &memSlots{}, "mem"
 	case StoreMmap:
-		store, err = newMmapSlots(dir)
+		store, err = newMmapSlots(dir, slotSize)
 		name = "mmap"
 		if err != nil {
 			// Graceful fallback: mapping can fail per-platform or
 			// per-filesystem; the portable store is always available.
-			store, err = newFileSlots(dir)
+			store, err = newFileSlots(dir, slotSize)
 			name = "file"
 		}
 	default:
-		store, err = newFileSlots(dir)
+		store, err = newFileSlots(dir, slotSize)
 		name = "file"
 	}
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{
-		blockSize: blockSize,
-		backend:   newStoreBackend(store, name, blockSize, cands),
-	}
-	d.pipelined.Store(kind != StoreMem)
-	return d, nil
+	sb := newStoreBackend(store, name, blockSize, cands)
+	return &Disk{blockSize: blockSize, backend: sb, store: sb, pipelined: kind != StoreMem}, nil
 }
 
-// storeOf unwraps the disk's backend chain (fault injector included) to
-// the slot store, if one is installed.
-func (d *Disk) storeOf() *storeBackend {
-	d.mu.RLock()
-	b := d.backend
-	d.mu.RUnlock()
-	if fb, ok := b.(*faultBackend); ok {
-		b = fb.inner
-	}
-	sb, _ := b.(*storeBackend)
-	return sb
+// NewDisk returns an in-memory Disk with the given block size in bytes.
+func NewDisk(blockSize int) (*Disk, error) {
+	return NewStoreDisk("", blockSize, StoreMem, nil)
+}
+
+// NewFileBackedDisk returns a Disk whose blocks live in a temporary file
+// under dir ("" = the OS temp directory), in the fixed layout. The
+// transfer counters behave identically to the in-memory disk; only the
+// storage medium differs. Call Close when done to remove the backing
+// file.
+func NewFileBackedDisk(dir string, blockSize int) (*Disk, error) {
+	return NewStoreDisk(dir, blockSize, StoreFile, nil)
 }
 
 // PhysIO returns the physical-byte counters accumulated since the last
-// ResetStats. Slot-store disks measure them exactly (fault injection
-// composes: injected faults sit above the store, so the counters still
-// reflect real store traffic); fixed-layout disks derive them as
-// transfers × block size with Measured false.
+// ResetStats. With a codec armed they are measured exactly (fault
+// injection composes: injected faults sit above the store, so the
+// counters still reflect real store traffic); otherwise they are derived
+// as transfers × block size with Measured false.
 func (d *Disk) PhysIO() PhysIO {
-	if sb := d.storeOf(); sb != nil {
-		return sb.phys()
+	sb := d.store
+	if sb.hasCodec() {
+		return PhysIO{
+			ReadBytes:        sb.physReads.Load(),
+			WriteBytes:       sb.physWrites.Load(),
+			BlocksCompressed: sb.compressed.Load(),
+			BlocksRaw:        sb.rawBlocks.Load(),
+			Measured:         true,
+		}
 	}
 	s := d.Stats()
 	b := uint64(d.blockSize)
 	return PhysIO{ReadBytes: s.Reads * b, WriteBytes: s.Writes * b}
 }
 
-// StorageInfo reports which physical store serves this disk's blocks
-// (after any mmap fallback) and whether a codec family is armed.
+// StorageInfo reports which store serves this disk's blocks (after any
+// mmap fallback) and whether a codec family is armed.
 func (d *Disk) StorageInfo() StorageInfo {
-	sb := d.storeOf()
-	if sb == nil {
-		d.mu.RLock()
-		b := d.backend
-		d.mu.RUnlock()
-		if fb, ok := b.(*faultBackend); ok {
-			b = fb.inner
-		}
-		if _, ok := b.(*fileBackend); ok {
-			return StorageInfo{Backend: "file", Codec: "none"}
-		}
-		return StorageInfo{Backend: "mem", Codec: "none"}
-	}
-	info := StorageInfo{Backend: "store/" + sb.name, Codec: "none"}
-	if len(sb.cands) > 0 {
+	info := StorageInfo{Backend: d.store.name, Codec: "none"}
+	if d.store.hasCodec() {
 		info.Codec = "delta"
 	}
 	return info

@@ -98,7 +98,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 }
 
 // TestStoreDiskTransferInvariance runs one scripted workload on the
-// plain file backend and every store variant: the counted transfers
+// plain file-backed disk and every store variant: the counted transfers
 // must be bit-identical — the store sits below the counters.
 func TestStoreDiskTransferInvariance(t *testing.T) {
 	script := func(t *testing.T, d *Disk) Stats {
@@ -191,17 +191,18 @@ func TestStorePhysBytesCompressed(t *testing.T) {
 	if p.ReadBytes >= uncompressed {
 		t.Fatalf("ReadBytes=%d, want < uncompressed %d", p.ReadBytes, uncompressed)
 	}
-	// The codec-less store is bounded by uncompressed + headers.
+	// The codec-less store moves exactly one fixed-layout block per
+	// transfer, derived rather than measured.
 	d2, err := NewStoreDisk(t.TempDir(), blockSize, StoreFile, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
 	id := d2.Alloc()
-	if err := d2.WriteBlock(id, block); err != nil {
+	if err := d2.WriteBlock(id, block[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if p := d2.PhysIO(); p.WriteBytes != blockSize+slotHeaderSize || p.BlocksRaw != 1 {
+	if p := d2.PhysIO(); p.WriteBytes != blockSize || p.ReadBytes != 0 || p.Measured {
 		t.Fatalf("raw store phys = %+v", p)
 	}
 	// ResetStats zeroes the physical counters with the transfer counters.
@@ -214,7 +215,7 @@ func TestStorePhysBytesCompressed(t *testing.T) {
 // TestStoreDiskFaultComposition re-runs the canonical fault drills on a
 // delta slot store: injection sits above the store, so corruption and
 // torn writes land on logical content and the Disk-level checksums
-// catch them exactly as on the plain backends.
+// catch them exactly as on the codec-less stores.
 func TestStoreDiskFaultComposition(t *testing.T) {
 	newDisk := func(t *testing.T, plan FaultPlan) *Disk {
 		t.Helper()
@@ -291,9 +292,8 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 	if err := d.WriteBlock(id, sortedBlock(8, 64)); err != nil {
 		t.Fatal(err)
 	}
-	sb := d.storeOf()
-	ms := sb.store.(*memSlots)
-	ms.data[slotHeaderSize+3] ^= 0x40 // damage the payload on "media"
+	ms := d.store.store.(*memSlots)
+	ms.payloads[id][3] ^= 0x40 // damage the payload on "media"
 	buf := make([]byte, 64)
 	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("read of damaged slot = %v, want ErrBlockCorrupt", err)
@@ -302,7 +302,7 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 	if err := d.WriteBlock(id, sortedBlock(8, 64)); err != nil {
 		t.Fatal(err)
 	}
-	ms.data[0] = 0xFE // no codec registered at 254
+	ms.hdrs[id][0] = 0xFE // no codec registered at 254
 	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("read with unknown codec id = %v, want ErrBlockCorrupt", err)
 	}
@@ -339,7 +339,7 @@ func TestMmapStoreGrowRemap(t *testing.T) {
 
 // TestStoreDiskStreams runs the em stream layer (Writer write-behind,
 // Reader prefetch) over a store disk and checks content and counted
-// transfers match the plain file-backed disk.
+// transfers match the codec-less file-backed disk.
 func TestStoreDiskStreams(t *testing.T) {
 	payload := sortedBlock(10, 10000)
 
@@ -380,7 +380,8 @@ func TestStoreDiskStreams(t *testing.T) {
 	}
 }
 
-// TestStorageInfo pins the introspection strings maxrsd surfaces.
+// TestStorageInfo pins the introspection strings maxrsd surfaces and
+// the Measured rule: physical bytes are counted only with a codec armed.
 func TestStorageInfo(t *testing.T) {
 	mem := MustNewDisk(64)
 	if got := mem.StorageInfo(); got != (StorageInfo{Backend: "mem", Codec: "none"}) {
@@ -395,19 +396,22 @@ func TestStorageInfo(t *testing.T) {
 		t.Fatalf("file disk info = %+v", got)
 	}
 	if p := fd.PhysIO(); p.Measured {
-		t.Fatal("plain file disk claims measured physical bytes")
+		t.Fatal("codec-less file disk claims measured physical bytes")
 	}
 	sd, err := NewStoreDisk(t.TempDir(), 64, StoreFile, codec.DeltaFamily())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sd.Close()
-	if got := sd.StorageInfo(); got != (StorageInfo{Backend: "store/file", Codec: "delta"}) {
+	if got := sd.StorageInfo(); got != (StorageInfo{Backend: "file", Codec: "delta"}) {
 		t.Fatalf("store disk info = %+v", got)
+	}
+	if p := sd.PhysIO(); !p.Measured {
+		t.Fatal("delta disk does not measure physical bytes")
 	}
 	// Fault injection must not hide the store from introspection.
 	sd.InjectFaults(FaultPlan{})
-	if got := sd.StorageInfo(); got.Backend != "store/file" {
+	if got := sd.StorageInfo(); got.Backend != "file" {
 		t.Fatalf("store info through injector = %+v", got)
 	}
 	md, err := NewStoreDisk(t.TempDir(), 64, StoreMmap, nil)
@@ -416,10 +420,50 @@ func TestStorageInfo(t *testing.T) {
 	}
 	defer md.Close()
 	info := md.StorageInfo()
-	if info.Backend != "store/mmap" && info.Backend != "store/file" {
+	if info.Backend != "mmap" && info.Backend != "file" {
 		t.Fatalf("mmap disk backend = %q", info.Backend)
 	}
-	if info.Codec != "none" {
-		t.Fatalf("codec-less mmap disk codec = %q", info.Codec)
+	if info.Codec != "none" || md.PhysIO().Measured {
+		t.Fatalf("codec-less mmap disk: info %+v, measured %v", info, md.PhysIO().Measured)
+	}
+}
+
+// TestMemStoreFreeReleasesStorage pins the in-memory store's memory
+// behaviour: an allocated block holds nothing until written, a written
+// block holds exactly its payload (a full 4 KiB block in one 4096-byte
+// allocation), and Free drops it — through a fault injector too — so
+// released intermediates are collected.
+func TestMemStoreFreeReleasesStorage(t *testing.T) {
+	const blockSize = 4096
+	d := MustNewDisk(blockSize)
+	ms := d.store.store.(*memSlots)
+	full, part := d.Alloc(), d.Alloc()
+	if ms.payloads[full] != nil {
+		t.Fatal("allocated, unwritten block holds storage")
+	}
+	if err := d.WriteBlock(full, sortedBlock(11, blockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBlock(part, sortedBlock(12, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(ms.payloads[full]); c != blockSize {
+		t.Fatalf("full raw block holds %d bytes, want %d", c, blockSize)
+	}
+	if n := len(ms.payloads[part]); n != 100 {
+		t.Fatalf("partial block holds %d bytes, want its 100-byte prefix", n)
+	}
+	if err := d.Free(full); err != nil {
+		t.Fatal(err)
+	}
+	if ms.payloads[full] != nil {
+		t.Fatal("Free kept the block's payload")
+	}
+	d.InjectFaults(FaultPlan{})
+	if err := d.Free(part); err != nil {
+		t.Fatal(err)
+	}
+	if ms.payloads[part] != nil {
+		t.Fatal("Free through the fault injector kept the block's payload")
 	}
 }

@@ -82,14 +82,6 @@ func (e *Engine) LoadCSV(ctx context.Context, r io.Reader) (_ *Dataset, err erro
 	return e.newDataset(f, n, col.Finalize(e.opts.BlockSize, e.opts.Memory)), nil
 }
 
-// LoadCSVReader is the pre-context form of LoadCSV.
-//
-// Deprecated: use LoadCSV(ctx, r). LoadCSVReader remains for one release
-// as a thin wrapper over LoadCSV with context.Background().
-func (e *Engine) LoadCSVReader(r io.Reader) (*Dataset, error) {
-	return e.LoadCSV(context.Background(), r)
-}
-
 func parseObjectLine(line string) (rec.Object, error) {
 	parts := strings.Split(line, ",")
 	if len(parts) < 2 || len(parts) > 3 {

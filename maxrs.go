@@ -261,17 +261,23 @@ type Options struct {
 	// OnDisk stores blocks in a temporary OS file under OnDiskDir
 	// (default: the system temp directory) instead of process memory, so
 	// datasets larger than RAM work too. Call Engine.Close to remove the
-	// backing file. Transfer accounting is identical either way.
+	// backing file. Transfer accounting is identical either way. OnDisk
+	// streams prefetch and write behind (DESIGN.md §8), overlapping
+	// storage latency with CPU; in-memory streams, with no latency to
+	// hide, run synchronously. For every query that completes, results
+	// and block-transfer counts are identical either way; a query
+	// abandoned by an error mid-scan may charge one extra read per
+	// dropped stream for a block a synchronous stream would not have
+	// fetched yet.
 	OnDisk    bool
 	OnDiskDir string
-	// Backend selects the physical storage under an OnDisk engine
-	// (DESIGN.md §15). BackendAuto (the default) and BackendFile use the
-	// portable positioned-I/O temp file; BackendMmap memory-maps the
-	// backing file — page-cache reads, batched write-behind submission —
-	// and falls back to the file backend when mapping is unavailable.
-	// Counted transfers are bit-identical across backends; only
-	// wall-clock and physical bytes change. Non-Auto values require
-	// OnDisk. Shard disks mirror the selection.
+	// Backend selects the store under an OnDisk engine (DESIGN.md §15).
+	// BackendAuto (the default) and BackendFile use the portable
+	// positioned-I/O temp file; BackendMmap memory-maps the backing file
+	// — page-cache reads, batched write-behind submission — and falls
+	// back to the file store when mapping is unavailable. Counted
+	// transfers are bit-identical across stores; only wall-clock changes.
+	// Non-Auto values require OnDisk. Shard disks mirror the selection.
 	Backend BackendKind
 	// Codec selects the physical block codec family (DESIGN.md §15).
 	// CodecNone (the default) stores blocks in the fixed layout;
@@ -283,17 +289,6 @@ type Options struct {
 	// codecs. Works with OnDisk and in-memory engines alike; shard disks
 	// mirror the selection.
 	Codec CodecKind
-	// Pipeline controls prefetch / write-behind on the engine's disk
-	// streams (DESIGN.md §8): readers double-buffer read-ahead and writers
-	// write behind, overlapping storage latency with CPU. PipelineAuto
-	// (the default) enables it for OnDisk engines — where a block transfer
-	// is a real syscall worth hiding — and disables it in memory, where
-	// there is nothing to overlap. For every query that completes, results
-	// and block-transfer counts (global and per-query Stats) are identical
-	// in every mode; only wall-clock changes. A query abandoned by an
-	// error mid-scan may charge one extra read per dropped stream for a
-	// block the synchronous mode would not have fetched yet.
-	Pipeline PipelineMode
 	// Unfused disables ExactMaxRS's root pass fusion (DESIGN.md §8),
 	// restoring the materialize-sort-reread pipeline. Kept for ablation
 	// and regression comparison: results are bit-identical, the fused
@@ -372,22 +367,6 @@ func (e *Engine) deltaCompactAt() int {
 		return e.opts.DeltaCompactAt
 	}
 }
-
-// PipelineMode selects the stream prefetch / write-behind behavior of an
-// Engine's disk (see Options.Pipeline).
-type PipelineMode int
-
-// Pipeline modes.
-const (
-	// PipelineAuto pipelines OnDisk engines and leaves in-memory engines
-	// synchronous.
-	PipelineAuto PipelineMode = iota
-	// PipelineOff forces synchronous streams.
-	PipelineOff
-	// PipelineOn forces pipelined streams (useful for testing the
-	// count-invariance contract on the in-memory backend).
-	PipelineOn
-)
 
 func (o *Options) withDefaults() Options {
 	out := Options{}
@@ -481,17 +460,6 @@ func NewEngine(opts *Options) (*Engine, error) {
 	env := em.Env{Disk: d, M: o.Memory}
 	if err = env.Validate(); err != nil {
 		return nil, errors.Join(err, d.Close())
-	}
-	switch o.Pipeline {
-	case PipelineAuto:
-		env.Disk.SetPipelining(o.OnDisk)
-	case PipelineOn:
-		env.Disk.SetPipelining(true)
-	case PipelineOff:
-		env.Disk.SetPipelining(false)
-	default:
-		_ = env.Disk.Close()
-		return nil, fmt.Errorf("maxrs: unknown pipeline mode %d", o.Pipeline)
 	}
 	env.Disk.SetRetryPolicy(o.Retry.em())
 	env.Disk.SetChecksums(o.Checksums)
@@ -779,14 +747,6 @@ func (e *Engine) Load(ctx context.Context, objs []Object) (_ *Dataset, err error
 		return nil, err
 	}
 	return e.newDataset(f, len(objs), col.Finalize(e.opts.BlockSize, e.opts.Memory)), nil
-}
-
-// LoadObjects is the pre-context form of Load.
-//
-// Deprecated: use Load(ctx, objs). LoadObjects remains for one release
-// as a thin wrapper over Load with context.Background().
-func (e *Engine) LoadObjects(objs []Object) (*Dataset, error) {
-	return e.Load(context.Background(), objs)
 }
 
 // checkObject rejects NaN and ±Inf coordinates/weights — infinities
@@ -1157,13 +1117,12 @@ func (q *query) solveObjects(f *em.File, w, h float64, k int) (sweep.Result, []S
 }
 
 // newShardDisk allocates one shard's private disk, mirroring the
-// engine's backend, codec and pipelining choices.
+// engine's store and codec choices.
 func (e *Engine) newShardDisk() (*em.Disk, error) {
 	d, err := e.opts.newDisk()
 	if err != nil {
 		return nil, err
 	}
-	d.SetPipelining(e.env.Disk.Pipelined())
 	d.SetRetryPolicy(e.opts.Retry.em())
 	d.SetChecksums(e.opts.Checksums)
 	if p := e.faultPlan.Load(); p != nil {

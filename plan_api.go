@@ -192,14 +192,6 @@ func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...
 	return out, nil
 }
 
-// ExplainQuery is the pre-context form of Explain.
-//
-// Deprecated: use Explain(ctx, d, w, h, opts...). ExplainQuery remains
-// for one release as a thin wrapper with context.Background().
-func (e *Engine) ExplainQuery(d *Dataset, w, h float64, opts ...QueryOption) (Explanation, error) {
-	return e.Explain(context.Background(), d, w, h, opts...)
-}
-
 // queryKind names the five query shapes the plan layer distinguishes:
 // they differ in which strategy dimensions are free (MinRS and MaxCRS
 // never shard, only MaxRS swaps algorithms) and in the kind-specific

@@ -7,16 +7,16 @@ import (
 	"maxrs/internal/em"
 )
 
-// BackendKind selects the physical storage under an OnDisk engine (see
+// BackendKind selects the store under an OnDisk engine (see
 // Options.Backend). Every kind counts the bit-identical transfer
 // schedule; kinds differ only in how each counted transfer touches the
 // hardware.
 type BackendKind int
 
 const (
-	// BackendAuto lets the engine pick: the portable file backend.
+	// BackendAuto lets the engine pick: the portable file store.
 	BackendAuto BackendKind = iota
-	// BackendFile forces the portable positioned-I/O temp-file backend.
+	// BackendFile forces the portable positioned-I/O temp-file store.
 	BackendFile
 	// BackendMmap memory-maps the backing file: reads are page-cache
 	// memcpys with no per-block syscall, writes land in the mapping and
@@ -67,14 +67,23 @@ func (c CodecKind) String() string {
 	}
 }
 
-// newDisk builds one disk per the options' storage selection. Both the
-// engine's primary disk and every shard disk come through here, so
-// shards mirror the backend and codec choices exactly.
+// newDisk builds one disk per the options' storage selection — a store
+// kind and a codec family. Both the engine's primary disk and every
+// shard disk come through here, so shards mirror the choices exactly.
 func (o *Options) newDisk() (*em.Disk, error) {
+	kind := em.StoreMem
 	switch o.Backend {
-	case BackendAuto, BackendFile, BackendMmap:
+	case BackendAuto, BackendFile:
+		if o.OnDisk {
+			kind = em.StoreFile
+		}
+	case BackendMmap:
+		kind = em.StoreMmap
 	default:
 		return nil, fmt.Errorf("maxrs: unknown backend kind %d", o.Backend)
+	}
+	if o.Backend != BackendAuto && !o.OnDisk {
+		return nil, fmt.Errorf("maxrs: Options.Backend %v requires OnDisk", o.Backend)
 	}
 	var cands []codec.BlockCodec
 	switch o.Codec {
@@ -84,33 +93,15 @@ func (o *Options) newDisk() (*em.Disk, error) {
 	default:
 		return nil, fmt.Errorf("maxrs: unknown codec kind %d", o.Codec)
 	}
-	if !o.OnDisk {
-		if o.Backend != BackendAuto {
-			return nil, fmt.Errorf("maxrs: Options.Backend %v requires OnDisk", o.Backend)
-		}
-		if cands == nil {
-			return em.NewDisk(o.BlockSize)
-		}
-		// Compressed blocks for an in-memory engine: the hermetic slot
-		// store, so codec behavior is testable without touching disk.
-		return em.NewStoreDisk("", o.BlockSize, em.StoreMem, cands)
-	}
-	switch {
-	case o.Backend == BackendMmap:
-		return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, em.StoreMmap, cands)
-	case cands != nil:
-		return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, em.StoreFile, cands)
-	default:
-		// The default OnDisk path is byte-for-byte the pre-codec engine.
-		return em.NewFileBackedDisk(o.OnDiskDir, o.BlockSize)
-	}
+	return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, kind, cands)
 }
 
 // PhysIO counts the physical bytes moved below the counted block
-// transfers (DESIGN.md §15). With a codec or the mmap backend armed the
-// counters are measured exactly — slot header + payload per transfer,
-// with per-block compression outcomes; on the default backends they are
-// derived as transfers × block size and Measured is false.
+// transfers (DESIGN.md §15). With a codec armed the counters are
+// measured exactly — slot header + payload per transfer, with per-block
+// compression outcomes; without one every transfer moves one
+// fixed-layout block, so they are derived as transfers × block size and
+// Measured is false.
 type PhysIO struct {
 	// ReadBytes and WriteBytes are physical bytes moved storage→memory
 	// and memory→storage since the last ResetStats.
@@ -118,7 +109,7 @@ type PhysIO struct {
 	// BlocksCompressed and BlocksRaw split block writes by whether a
 	// codec beat the fixed layout.
 	BlocksCompressed, BlocksRaw uint64
-	// Measured is true when a slot store counted real payloads.
+	// Measured is true when a codec's store counted real payloads.
 	Measured bool
 }
 
@@ -129,7 +120,7 @@ func (p PhysIO) Bytes() uint64 { return p.ReadBytes + p.WriteBytes }
 // actually serving blocks (after any mmap fallback) and the armed codec
 // family.
 type StorageInfo struct {
-	Backend string // "mem", "file", "store/file", "store/mmap", "store/mem"
+	Backend string // "mem", "file" or "mmap"
 	Codec   string // "none" or "delta"
 }
 

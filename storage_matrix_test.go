@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// storageVariants is the backend × codec grid of the extended invariance
-// matrix: every storage stack an engine can run on.
+// storageVariants is the store × codec grid of the extended invariance
+// matrix: every storage stack an engine can run on. mem+none is the
+// default engine.
 var storageVariants = []struct {
 	name    string
 	onDisk  bool
@@ -18,16 +19,17 @@ var storageVariants = []struct {
 	{"file+delta", true, BackendFile, CodecDelta},
 	{"mmap+none", true, BackendMmap, CodecNone},
 	{"mmap+delta", true, BackendMmap, CodecDelta},
+	{"mem+none", false, BackendAuto, CodecNone},
 	{"mem+delta", false, BackendAuto, CodecDelta},
 }
 
 // TestStorageInvarianceMatrix is the acceptance matrix of the storage
 // subsystem (DESIGN.md §15): counted read/write transfers must be
-// bit-identical between the file and mmap backends and across all
+// bit-identical between the mem, file and mmap stores and across all
 // codecs, at parallelism 1, 2, 4 and 8, unsharded and sharded — the
-// codecs and the mmap path live below the transfer counters, so the
+// codecs and the medium live below the transfer counters, so the
 // counted schedule cannot move. Results must be bit-identical too, and
-// codec-bearing variants must actually measure physical bytes.
+// exactly the codec-bearing variants must measure physical bytes.
 func TestStorageInvarianceMatrix(t *testing.T) {
 	objs := fusionObjects(3000)
 	queryEdge := 4.0 * 3000 / 1000
@@ -80,8 +82,8 @@ func TestStorageInvarianceMatrix(t *testing.T) {
 						t.Errorf("%s: per-query transfers %+v != baseline %+v — the counted schedule moved",
 							name, got.Stats, base.Stats)
 					}
-					if v.codec == CodecDelta && !phys.Measured {
-						t.Errorf("%s: codec armed but physical bytes not measured", name)
+					if phys.Measured != (v.codec == CodecDelta) {
+						t.Errorf("%s: physical bytes measured=%v with codec %v", name, phys.Measured, v.codec)
 					}
 				}
 			}
