@@ -14,8 +14,8 @@ import (
 
 // faultConfig parameterizes the -exp=fault mode: the hardening-overhead and
 // fault-recovery record (DESIGN.md §11). It answers two questions with one
-// run. First, what do checksums, a retry policy, and an armed-but-silent
-// fault injector cost at zero fault rate — the answer must be zero block
+// run. First, what do a retry policy and an armed-but-silent fault
+// injector cost at zero fault rate — the answer must be zero block
 // transfers, asserted internally and gated by the -baseline comparator via
 // the "(block transfers)" series. Second, how does the hardened stack
 // behave at 0.1% and 1% transient fault rates — recovery wall-clock and
@@ -32,19 +32,17 @@ type faultConfig struct {
 
 // faultVariant is one measured configuration.
 type faultVariant struct {
-	name      string
-	checksums bool
-	retry     bool
-	armed     bool    // install an injector (with the variant's rate)
-	rate      float64 // transient read+write fault probability per transfer
+	name  string
+	retry bool
+	armed bool    // install an injector (with the variant's rate)
+	rate  float64 // transient read+write fault probability per transfer
 }
 
 var faultVariants = []faultVariant{
 	{name: "plain"},
-	{name: "checksummed", checksums: true},
-	{name: "hardened/armed", checksums: true, retry: true, armed: true},
-	{name: "recover/0.1%", checksums: true, retry: true, armed: true, rate: 0.001},
-	{name: "recover/1%", checksums: true, retry: true, armed: true, rate: 0.01},
+	{name: "hardened/armed", retry: true, armed: true},
+	{name: "recover/0.1%", retry: true, armed: true, rate: 0.001},
+	{name: "recover/1%", retry: true, armed: true, rate: 0.01},
 }
 
 // faultRetryPolicy is the hardened variants' policy. The backoff is kept
@@ -90,7 +88,6 @@ func runFault(cfg faultConfig) ([]experiments.Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.SetChecksums(v.checksums)
 			if v.retry {
 				d.SetRetryPolicy(faultRetryPolicy)
 			}
@@ -144,10 +141,9 @@ func runFault(cfg faultConfig) ([]experiments.Series, error) {
 				faultVariants[vi].name, faultVariants[0].name)
 		}
 	}
-	// 2: io/op is identical across every variant. Checksums live in disk
-	// metadata, the counters count successful transfers only, so neither
-	// hardening nor recovered transient faults may change the counted
-	// schedule.
+	// 2: io/op is identical across every variant. The counters count
+	// successful transfers only, so neither hardening nor recovered
+	// transient faults may change the counted schedule.
 	for vi := 1; vi < len(results); vi++ {
 		if results[vi].io != results[0].io {
 			return nil, fmt.Errorf("fault: io/op %d (%s) != %d (%s)",

@@ -117,7 +117,6 @@ func main() {
 		retryBase    = flag.Duration("retrybase", time.Millisecond, "initial retry backoff (doubles per attempt)")
 		retryMax     = flag.Duration("retrymax", 100*time.Millisecond, "retry backoff cap (0 = uncapped)")
 		retryJitter  = flag.Int64("retryjitter", 0, "seed for decorrelated-jitter retry backoff, storage and worker calls alike (0 = plain doubling)")
-		checksums    = flag.Bool("checksums", false, "verify per-block CRC32C checksums on every read")
 		auto         = flag.Bool("auto", false, "let the cost model pick algorithm/shards/fusion per query (AlgorithmAuto)")
 		deltaCompact = flag.Int("deltacompact", 1024, "pending-mutation threshold for background dataset compaction (0 = compact inline at the engine default instead)")
 
@@ -211,7 +210,6 @@ func main() {
 		Backend:     backend,
 		Codec:       blockCodec,
 		Shards:      *shards,
-		Checksums:   *checksums,
 		Retry: maxrs.RetryPolicy{
 			MaxRetries: *retries,
 			BaseDelay:  *retryBase,

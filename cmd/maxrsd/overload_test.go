@@ -190,13 +190,12 @@ func TestLivezReadyzSplit(t *testing.T) {
 }
 
 // TestServerTransientFaultRecovery smoke-checks the hardened server
-// configuration end to end: with checksums, retries, and a 1% transient
+// configuration end to end: with retries and a 1% transient
 // fault rate, queries keep succeeding and the recoveries are counted.
 func TestServerTransientFaultRecovery(t *testing.T) {
 	eng, err := maxrs.NewEngine(&maxrs.Options{
 		BlockSize: 512,
 		Memory:    8192,
-		Checksums: true,
 		Retry:     maxrs.RetryPolicy{MaxRetries: 5},
 	})
 	if err != nil {

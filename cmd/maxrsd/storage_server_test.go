@@ -16,9 +16,8 @@ import (
 func TestStatsExposesStorageAndFaults(t *testing.T) {
 	eng, err := maxrs.NewEngine(&maxrs.Options{
 		BlockSize: 512, Memory: 8192,
-		Codec:     maxrs.CodecDelta,
-		Checksums: true,
-		Retry:     maxrs.RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond},
+		Codec: maxrs.CodecDelta,
+		Retry: maxrs.RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,8 +80,10 @@ const (
 	// FaultPermanent fails the targeted transfer and marks the block bad
 	// until it is freed (a realloc models a remapped sector).
 	FaultPermanent
-	// FaultCorrupt delivers the targeted read with flipped bits, once;
-	// checksums detect it, a retry rereads clean data.
+	// FaultCorrupt delivers the targeted read with flipped bits, once,
+	// below the block's slot checksum: verification always detects it, a
+	// retry rereads the intact block, and without retries the query fails
+	// with ErrBlockCorrupt.
 	FaultCorrupt
 	// FaultTorn persists the targeted write with flipped bits; every
 	// later read fails verification until the block is overwritten.
@@ -145,8 +147,8 @@ func (p FaultPlan) em() em.FaultPlan {
 
 // FaultStats counts fault-handling activity on the engine's primary disk
 // since the last InjectFaults (injected counts) / engine creation (retry
-// and checksum counts). Shard disks inherit the engine's retry policy,
-// checksums, and fault plan, so faults there are recovered identically,
+// and checksum counts). Shard disks inherit the engine's retry policy
+// and fault plan, so faults there are recovered identically,
 // but their counters are ephemeral (per query) and not folded in.
 type FaultStats struct {
 	// ReadRetries / WriteRetries count retry attempts performed under the
@@ -154,8 +156,8 @@ type FaultStats struct {
 	// when they succeed).
 	ReadRetries  uint64
 	WriteRetries uint64
-	// ChecksumFailures counts read attempts whose content failed CRC32C
-	// verification.
+	// ChecksumFailures counts read attempts whose block failed its slot
+	// checksum (CRC32C) or header check.
 	ChecksumFailures uint64
 	// Injected* count faults the injected plan actually fired, by kind.
 	InjectedTransient uint64

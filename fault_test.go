@@ -12,8 +12,9 @@ import (
 
 // faultClasses enumerates the injected fault classes of the fault matrix
 // and what each must surface. A torn write may go undetected when the
-// damaged block is never reread (mayComplete): then the query must
-// succeed with the result of a clean run — the tear touched dead data.
+// damaged block is never reread, and a one-shot corrupt read is recovered
+// by a reread (mayComplete): then the query must succeed with the result
+// of a clean run.
 var faultClasses = []struct {
 	name        string
 	op          FaultOp
@@ -24,10 +25,11 @@ var faultClasses = []struct {
 	{"permanentRead", OpRead, FaultPermanent, ErrIOFault, false},
 	{"permanentWrite", OpWrite, FaultPermanent, ErrIOFault, true},
 	{"tornWrite", OpWrite, FaultTorn, ErrBlockCorrupt, true},
+	{"corruptRead", OpRead, FaultCorrupt, ErrBlockCorrupt, true},
 }
 
-// hardenedEngine returns an engine with checksums, a small retry budget,
-// and the matrix's EM configuration.
+// hardenedEngine returns an engine with a small retry budget and the
+// matrix's EM configuration.
 func hardenedEngine(t *testing.T, onDisk bool, dir string, shards int) *Engine {
 	t.Helper()
 	e, err := NewEngine(&Options{
@@ -36,7 +38,6 @@ func hardenedEngine(t *testing.T, onDisk bool, dir string, shards int) *Engine {
 		OnDisk:    onDisk,
 		OnDiskDir: dir,
 		Shards:    shards,
-		Checksums: true,
 		Retry:     RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond},
 	})
 	if err != nil {
@@ -162,7 +163,6 @@ func TestTransientFaultRecovery(t *testing.T) {
 	e, err := NewEngine(&Options{
 		BlockSize: 512,
 		Memory:    4096,
-		Checksums: true,
 		Retry:     RetryPolicy{MaxRetries: 8, BaseDelay: time.Microsecond},
 	})
 	if err != nil {
@@ -203,10 +203,10 @@ func TestTransientFaultRecovery(t *testing.T) {
 }
 
 // TestChecksumRetryInvariance extends the count-invariance contract to
-// the hardened configuration: checksums on, retries armed, a fault
-// injector installed (firing nothing), on a pipelined OnDisk engine —
-// results and per-query transfer counts must stay bit-identical to a
-// plain in-memory engine at every parallelism level, sharded and not.
+// the hardened configuration: retries armed and a fault injector
+// installed (firing nothing), on a pipelined OnDisk engine — results and
+// per-query transfer counts must stay bit-identical to a plain in-memory
+// engine at every parallelism level, sharded and not.
 func TestChecksumRetryInvariance(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -218,7 +218,6 @@ func TestChecksumRetryInvariance(t *testing.T) {
 					Shards:      shards,
 				}
 				if hardened {
-					opts.Checksums = true
 					opts.Retry = RetryPolicy{MaxRetries: 3, BaseDelay: time.Microsecond}
 					opts.OnDisk, opts.OnDiskDir = true, t.TempDir()
 				}

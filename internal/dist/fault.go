@@ -130,7 +130,7 @@ func NewTransport(inner http.RoundTripper, plan FaultPlan) *Transport {
 const noFault FaultKind = -1
 
 // decide advances the call counter and returns the fault to inject for
-// this attempt, mirroring faultBackend.decide: exact schedule first,
+// this attempt, mirroring the em injector's decide: exact schedule first,
 // then a single uniform draw subdivided into cumulative rate bands.
 func (t *Transport) decide() FaultKind {
 	t.mu.Lock()

@@ -10,7 +10,7 @@
 //
 //   - Transport injects deterministic network faults (exact per-call
 //     schedules plus seeded rate bands) below the retry layer, the way
-//     em's faultBackend sits below the Disk's counters.
+//     em's fault injector sits below the Disk's counters.
 //   - Worker calls are retried under em.RetryPolicy with the same
 //     jittered capped-exponential backoff the Disk uses, honoring
 //     typed transient-vs-permanent classification and Retry-After.

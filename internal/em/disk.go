@@ -17,33 +17,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 )
-
-// castagnoli is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64) used for block checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// zeroPad feeds the implied zero padding of partial writes into the
-// checksum without materializing a full block of zeros per call.
-var zeroPad [4096]byte
-
-// crcPadded returns the CRC32C of src extended with zeros to blockSize —
-// the checksum of the block content a (possibly partial) write produces,
-// since the store zero-fills the remainder.
-func crcPadded(src []byte, blockSize int) uint32 {
-	sum := crc32.Update(0, castagnoli, src)
-	for rem := blockSize - len(src); rem > 0; rem -= len(zeroPad) {
-		n := rem
-		if n > len(zeroPad) {
-			n = len(zeroPad)
-		}
-		sum = crc32.Update(sum, castagnoli, zeroPad[:n])
-	}
-	return sum
-}
 
 // Common configuration errors.
 var (
@@ -90,8 +66,7 @@ type BlockID int64
 // writers to one file would be.
 type Disk struct {
 	blockSize int
-	backend   backend       // store, or the fault injector wrapping it
-	store     *storeBackend // the slot store under any injector
+	store     *storeBackend // the slot store; any fault injector sits under it
 
 	// mu guards live, gen and freeList. ReadBlock/WriteBlock take it in
 	// read mode only to validate ids against the (append-only) live table.
@@ -123,25 +98,14 @@ type Disk struct {
 	// (DESIGN.md §11); nil means never retry. Retries count in the fault
 	// counters below, never in reads/writes — those tally successful
 	// transfers only, so the I/O metric of a fault-free run is
-	// bit-identical with any policy.
-	retry        atomic.Pointer[RetryPolicy]
-	jitter       atomic.Pointer[JitterSource]
-	readRetries  atomic.Uint64
-	writeRetries atomic.Uint64
-
-	// checksums enables per-block CRC32C verification: every successful
-	// write records the checksum of the block's full (padded) content in
-	// sums, every read verifies it. sums is guarded like live/gen and
-	// grown by Alloc; entry 0 means "no checksum recorded" (a block
-	// written while verification was off is not verified).
-	checksums     atomic.Bool
-	sums          []uint64
+	// bit-identical with any policy. checksumFails counts read attempts
+	// whose slot failed verification (ErrBlockCorrupt).
+	retry         atomic.Pointer[RetryPolicy]
+	jitter        atomic.Pointer[JitterSource]
+	readRetries   atomic.Uint64
+	writeRetries  atomic.Uint64
 	checksumFails atomic.Uint64
 }
-
-// sumRecorded flags a sums entry as holding a valid CRC32C in its low 32
-// bits.
-const sumRecorded = 1 << 32
 
 // MustNewDisk is NewDisk for static configurations; it panics on error.
 func MustNewDisk(blockSize int) *Disk {
@@ -178,17 +142,16 @@ func (d *Disk) PipelineStats() (reads, writes uint64) {
 	return d.pipeReads.Load(), d.pipeWrites.Load()
 }
 
-// Close releases backend resources (removes the backing file of a
+// Close releases store resources (removes the backing file of a
 // file-backed disk). The disk must not be used afterwards.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	d.live = nil
 	d.gen = nil
-	d.sums = nil
 	d.freeList = nil
 	d.liveCount.Store(0)
 	d.mu.Unlock()
-	return d.backend.Close()
+	return d.store.Close()
 }
 
 // Alloc reserves a zeroed block and returns its id. Allocation itself is
@@ -200,18 +163,16 @@ func (d *Disk) Alloc() BlockID {
 	if n := len(d.freeList); n > 0 {
 		id = d.freeList[n-1]
 		d.freeList = d.freeList[:n-1]
-		d.sums[id] = 0 // fresh block, no checksum recorded yet
 	} else {
 		id = BlockID(len(d.live))
 		d.live = append(d.live, false)
 		d.gen = append(d.gen, 0)
-		d.sums = append(d.sums, 0)
 	}
-	if err := d.backend.grow(id); err != nil {
+	if err := d.store.grow(id); err != nil {
 		// Growth failures (disk full) surface on the next access; a full
 		// alloc-with-error API would complicate every caller for a case
 		// the in-memory store cannot hit.
-		panic(fmt.Sprintf("em: backend grow: %v", err))
+		panic(fmt.Sprintf("em: store grow: %v", err))
 	}
 	d.live[id] = true
 	d.liveCount.Add(1)
@@ -229,7 +190,7 @@ func (d *Disk) Free(id BlockID) error {
 	d.gen[id]++
 	d.liveCount.Add(-1)
 	d.freeList = append(d.freeList, id)
-	d.backend.free(id) // let large intermediates be collected
+	d.store.free(id) // let large intermediates be collected
 	return nil
 }
 
@@ -262,9 +223,10 @@ func (d *Disk) readBlockCtx(ctx context.Context, id BlockID, dst []byte) error {
 	}
 }
 
-// readBlockOnce performs one read attempt with checksum verification.
+// readBlockOnce performs one read attempt; the slot store verifies the
+// block against its header CRC32C.
 //
-// The read lock is held across the backend access: it excludes Alloc/Free
+// The read lock is held across the store access: it excludes Alloc/Free
 // (which may move the store's block tables) while still letting any
 // number of block transfers proceed concurrently. It is NOT held across
 // retry backoffs — a sleeping retry must never stall allocation.
@@ -277,17 +239,11 @@ func (d *Disk) readBlockOnce(id BlockID, dst []byte) error {
 	if len(dst) < d.blockSize {
 		return fmt.Errorf("em: read buffer %d < block size %d", len(dst), d.blockSize)
 	}
-	if err := d.backend.read(id, dst); err != nil {
-		return err
-	}
-	if d.checksums.Load() {
-		if want := d.sums[id]; want&sumRecorded != 0 {
-			if got := crc32.Checksum(dst[:d.blockSize], castagnoli); got != uint32(want) {
-				d.checksumFails.Add(1)
-				return fmt.Errorf("%w: block %d checksum mismatch (stored %08x, read %08x)",
-					ErrBlockCorrupt, id, uint32(want), got)
-			}
+	if err := d.store.read(id, dst); err != nil {
+		if errors.Is(err, ErrBlockCorrupt) {
+			d.checksumFails.Add(1)
 		}
+		return err
 	}
 	d.reads.Add(1)
 	return nil
@@ -320,10 +276,10 @@ func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte) error 
 	}
 }
 
-// writeBlockOnce performs one write attempt, recording the block's
-// checksum on success. The checksum is of the content the caller intended
-// — a torn write that persists damaged bytes is caught by the next read's
-// verification, which is the point.
+// writeBlockOnce performs one write attempt. The slot header records the
+// CRC32C of the content the caller intended — a torn write that persists
+// damaged bytes is caught by the next read's verification, which is the
+// point.
 func (d *Disk) writeBlockOnce(id BlockID, src []byte) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -333,13 +289,8 @@ func (d *Disk) writeBlockOnce(id BlockID, src []byte) error {
 	if len(src) > d.blockSize {
 		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
 	}
-	if err := d.backend.write(id, src); err != nil {
+	if err := d.store.write(id, src); err != nil {
 		return err
-	}
-	if d.checksums.Load() {
-		// Concurrent writers to distinct blocks write distinct elements;
-		// same-block concurrency is a caller bug (single-owner semantics).
-		d.sums[id] = sumRecorded | uint64(crcPadded(src, d.blockSize))
 	}
 	d.writes.Add(1)
 	return nil
@@ -367,30 +318,22 @@ func (d *Disk) SetRetryPolicy(p RetryPolicy) {
 	d.retry.Store(&p)
 }
 
-// SetChecksums enables or disables CRC32C verification of block content.
-// Writes performed while enabled record a checksum that reads verify;
-// blocks written while disabled are served unverified (their checksum is
-// unknown). Verification changes no transfer counts — checksums live in
-// disk metadata, not in blocks, so the counted schedule stays
-// bit-identical (DESIGN.md §11).
-func (d *Disk) SetChecksums(on bool) { d.checksums.Store(on) }
-
-// Checksums reports whether block reads verify CRC32C checksums.
-func (d *Disk) Checksums() bool { return d.checksums.Load() }
-
-// InjectFaults wraps the disk's backend with a deterministic fault
-// injector driven by plan (DESIGN.md §11) — the chaos hook for tests and
-// benchmarks. Calling it again replaces the previous injector (transfer
-// indices restart at zero); injecting a zero plan effectively disarms it.
-// An armed injector that fires nothing leaves the counted transfer
-// schedule bit-identical to an uninstrumented disk.
+// InjectFaults installs a deterministic fault injector driven by plan
+// (DESIGN.md §11) — the chaos hook for tests and benchmarks. The injector
+// wraps the slot store's medium, below the slot header check, so injected
+// corruption is caught exactly like real media damage. Calling it again
+// replaces the previous injector (transfer indices restart at zero);
+// injecting a zero plan effectively disarms it. An armed injector that
+// fires nothing leaves the counted transfer schedule bit-identical to an
+// uninstrumented disk.
 func (d *Disk) InjectFaults(plan FaultPlan) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if fb, ok := d.backend.(*faultBackend); ok {
-		d.backend = fb.inner
+	medium := d.store.store
+	if fs, ok := medium.(*faultSlots); ok {
+		medium = fs.inner
 	}
-	d.backend = newFaultBackend(d.backend, plan)
+	d.store.store = newFaultSlots(medium, plan)
 }
 
 // FaultStats returns the disk's fault-handling counters: retries and
@@ -403,10 +346,10 @@ func (d *Disk) FaultStats() FaultStats {
 		ChecksumFailures: d.checksumFails.Load(),
 	}
 	d.mu.RLock()
-	fb, ok := d.backend.(*faultBackend)
+	inj, ok := d.store.store.(*faultSlots)
 	d.mu.RUnlock()
 	if ok {
-		fs.InjectedTransient, fs.InjectedPermanent, fs.InjectedCorrupt, fs.InjectedTorn, fs.InjectedLatency = fb.stats()
+		fs.InjectedTransient, fs.InjectedPermanent, fs.InjectedCorrupt, fs.InjectedTorn, fs.InjectedLatency = inj.stats()
 	}
 	return fs
 }
@@ -457,11 +400,8 @@ func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte) error {
 	if len(src) > d.blockSize {
 		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
 	}
-	if err := d.backend.write(id, src); err != nil {
+	if err := d.store.write(id, src); err != nil {
 		return err
-	}
-	if d.checksums.Load() {
-		d.sums[id] = sumRecorded | uint64(crcPadded(src, d.blockSize))
 	}
 	d.writes.Add(1)
 	return nil

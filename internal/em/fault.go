@@ -17,9 +17,10 @@ var (
 	// storage layer (a transient fault that exhausted its retries, or a
 	// permanent one).
 	ErrIOFault = errors.New("em: storage I/O fault")
-	// ErrBlockCorrupt marks a block whose content failed checksum
-	// verification (a torn write, bit rot, or injected corruption) and
-	// could not be recovered by rereading.
+	// ErrBlockCorrupt marks a block whose slot failed verification — a
+	// CRC32C mismatch, an inconsistent header or an undecodable payload
+	// (a torn write, bit rot, or injected corruption) — and could not be
+	// recovered by rereading.
 	ErrBlockCorrupt = errors.New("em: block corrupt")
 )
 
@@ -215,14 +216,15 @@ const (
 	// read or write of it fails too, until the block is freed (a realloc
 	// models a remapped sector).
 	FaultPermanent
-	// FaultCorrupt delivers the targeted read with deterministically
-	// flipped bits, once. With checksums enabled the mismatch is detected
-	// and a retry rereads the clean stored data; without checksums the
-	// corruption is silent — exactly the failure mode checksums exist for.
+	// FaultCorrupt delivers the targeted read's slot with
+	// deterministically flipped bits, once. The damage lands below the
+	// slot header check, on a copy — the stored slot stays intact — so
+	// verification always catches it: a retry rereads the clean slot, and
+	// without retries the read surfaces ErrBlockCorrupt.
 	FaultCorrupt
-	// FaultTorn persists the targeted write with flipped bits (a torn
-	// write). Every later read of the block fails checksum verification
-	// until it is overwritten; with retries exhausted the reader surfaces
+	// FaultTorn persists the targeted write's slot with flipped bits (a
+	// torn write). Every later read of the block fails verification until
+	// it is overwritten; with retries exhausted the reader surfaces
 	// ErrBlockCorrupt.
 	FaultTorn
 	// FaultLatency delays the targeted transfer by FaultPlan.Latency and
@@ -233,7 +235,8 @@ const (
 // FaultAt schedules one fault at an exact transfer index, counted per
 // direction from the moment the injector is installed: Transfer == 1
 // targets the first read (OpRead) or first write (OpWrite) attempt that
-// reaches the backend. Exact schedules are fully reproducible regardless
+// reaches the slot store (a read of a never-written block is served as
+// zeros without reaching it, so it counts for nothing). Exact schedules are fully reproducible regardless
 // of goroutine interleaving — "the k-th transfer" is well defined even
 // when the k-th transfer's block depends on scheduling.
 type FaultAt struct {
@@ -275,12 +278,6 @@ type FaultPlan struct {
 	At []FaultAt
 }
 
-// injects reports whether the plan can ever fire a fault.
-func (p FaultPlan) injects() bool {
-	return len(p.At) > 0 || p.TransientReadRate > 0 || p.TransientWriteRate > 0 ||
-		p.CorruptReadRate > 0 || p.LatencyRate > 0
-}
-
 // FaultStats counts fault-handling activity on a Disk since the injector
 // (and the disk's own retry/checksum counters) last reset. Retries and
 // checksum failures are counted by the Disk itself and appear whether or
@@ -291,8 +288,9 @@ type FaultStats struct {
 	// retry policy (not the initial attempts).
 	ReadRetries  uint64
 	WriteRetries uint64
-	// ChecksumFailures counts reads whose content failed CRC32C
-	// verification (each failed attempt counts once).
+	// ChecksumFailures counts read attempts whose slot failed
+	// verification, surfacing ErrBlockCorrupt (each failed attempt counts
+	// once).
 	ChecksumFailures uint64
 	// Injected* count faults the injector actually fired, by kind.
 	InjectedTransient uint64
@@ -302,13 +300,15 @@ type FaultStats struct {
 	InjectedLatency   uint64
 }
 
-// faultBackend wraps a backend and injects faults per a FaultPlan. The
-// scheduling state (transfer counters, rng, bad-block set) is mutex-
+// faultSlots is the fault injector: a slotStore decorator that
+// Disk.InjectFaults installs under the storeBackend, so every fault lands
+// on slot bytes below the header check, where real media damage would.
+// The scheduling state (transfer counters, rng, bad-block set) is mutex-
 // guarded; the wrapped transfer itself runs outside the lock, so injection
 // adds no serialization to concurrent clean transfers beyond the counter
 // bump.
-type faultBackend struct {
-	inner backend
+type faultSlots struct {
+	inner slotStore
 	plan  FaultPlan
 
 	mu      sync.Mutex
@@ -326,8 +326,8 @@ type faultBackend struct {
 	injLatency   uint64
 }
 
-func newFaultBackend(inner backend, plan FaultPlan) *faultBackend {
-	fb := &faultBackend{
+func newFaultSlots(inner slotStore, plan FaultPlan) *faultSlots {
+	fs := &faultSlots{
 		inner:   inner,
 		plan:    plan,
 		readAt:  make(map[uint64]FaultKind),
@@ -336,163 +336,163 @@ func newFaultBackend(inner backend, plan FaultPlan) *faultBackend {
 	}
 	if plan.TransientReadRate > 0 || plan.TransientWriteRate > 0 ||
 		plan.CorruptReadRate > 0 || plan.LatencyRate > 0 {
-		fb.rng = rand.New(rand.NewSource(plan.Seed))
+		fs.rng = rand.New(rand.NewSource(plan.Seed))
 	}
 	for _, at := range plan.At {
 		if at.Op == OpRead {
-			fb.readAt[at.Transfer] = at.Kind
+			fs.readAt[at.Transfer] = at.Kind
 		} else {
-			fb.writeAt[at.Transfer] = at.Kind
+			fs.writeAt[at.Transfer] = at.Kind
 		}
 	}
-	return fb
+	return fs
 }
 
 // noFault is the sentinel "inject nothing" decision.
 const noFault FaultKind = -1
 
 // decide advances the op's transfer counter and returns the fault to
-// inject for this attempt (noFault = none) plus whether the block is
-// already marked permanently bad.
-func (fb *faultBackend) decide(op FaultOp, id BlockID) (kind FaultKind, bad bool) {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
+// inject for this attempt (noFault = none). A block already marked bad
+// fails as FaultPermanent again without counting a new fault.
+func (fs *faultSlots) decide(op FaultOp, id BlockID) FaultKind {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	var n uint64
-	exact := fb.readAt
+	exact := fs.readAt
 	if op == OpRead {
-		fb.reads++
-		n = fb.reads
+		fs.reads++
+		n = fs.reads
 	} else {
-		fb.writes++
-		n = fb.writes
-		exact = fb.writeAt
+		fs.writes++
+		n = fs.writes
+		exact = fs.writeAt
 	}
-	if _, isBad := fb.bad[id]; isBad {
-		return noFault, true
+	if _, isBad := fs.bad[id]; isBad {
+		return FaultPermanent
 	}
 	k, ok := exact[n]
 	if !ok {
-		k = fb.draw(op)
+		k = fs.draw(op)
 	}
 	switch k {
 	case FaultTransient:
-		fb.injTransient++
+		fs.injTransient++
 	case FaultPermanent:
-		fb.injPermanent++
-		fb.bad[id] = struct{}{}
+		fs.injPermanent++
+		fs.bad[id] = struct{}{}
 	case FaultCorrupt:
-		fb.injCorrupt++
+		fs.injCorrupt++
 	case FaultTorn:
-		fb.injTorn++
+		fs.injTorn++
 	case FaultLatency:
-		fb.injLatency++
+		fs.injLatency++
 	}
-	return k, false
+	return k
 }
 
 // draw makes the rate-driven decision for one transfer: a single uniform
 // draw, subdivided into cumulative bands so each transfer consumes exactly
 // one random number (keeping serial schedules a pure function of the seed).
-func (fb *faultBackend) draw(op FaultOp) FaultKind {
-	if fb.rng == nil {
+func (fs *faultSlots) draw(op FaultOp) FaultKind {
+	if fs.rng == nil {
 		return noFault
 	}
-	r := fb.rng.Float64()
-	transient := fb.plan.TransientWriteRate
+	r := fs.rng.Float64()
+	transient := fs.plan.TransientWriteRate
 	corrupt := 0.0
 	if op == OpRead {
-		transient = fb.plan.TransientReadRate
-		corrupt = fb.plan.CorruptReadRate
+		transient = fs.plan.TransientReadRate
+		corrupt = fs.plan.CorruptReadRate
 	}
 	switch {
 	case r < transient:
 		return FaultTransient
 	case r < transient+corrupt:
 		return FaultCorrupt
-	case r < transient+corrupt+fb.plan.LatencyRate:
+	case r < transient+corrupt+fs.plan.LatencyRate:
 		return FaultLatency
 	}
 	return noFault
 }
 
-// corruptByte is XORed into the first byte of a corrupted or torn block —
+// corruptByte is XORed into the first payload byte of a corrupted or torn
+// slot, or into its header's CRC field when the payload is empty —
 // deterministic, so tests can even assert the exact damage.
 const corruptByte = 0xA5
 
-func (fb *faultBackend) read(id BlockID, dst []byte) error {
-	kind, bad := fb.decide(OpRead, id)
-	if bad {
-		return fmt.Errorf("%w: block %d unreadable (permanent fault)", ErrIOFault, id)
+// damage flips bits of the slot laid out in slot: header, then payload.
+func damage(slot []byte) {
+	if len(slot) > slotHeaderSize {
+		slot[slotHeaderSize] ^= corruptByte
+	} else {
+		slot[12] ^= corruptByte // the CRC32C field
 	}
-	switch kind {
-	case FaultTransient:
-		return &transientErr{fmt.Errorf("%w: injected transient read fault (block %d)", ErrIOFault, id)}
-	case FaultPermanent:
-		return fmt.Errorf("%w: block %d unreadable (permanent fault)", ErrIOFault, id)
-	case FaultCorrupt:
-		if err := fb.inner.read(id, dst); err != nil {
-			return err
-		}
-		if len(dst) > 0 {
-			dst[0] ^= corruptByte
-		}
-		return nil
-	case FaultLatency:
-		time.Sleep(fb.plan.Latency)
-	}
-	return fb.inner.read(id, dst)
 }
 
-func (fb *faultBackend) write(id BlockID, src []byte) error {
-	kind, bad := fb.decide(OpWrite, id)
-	if bad {
-		return fmt.Errorf("%w: block %d unwritable (permanent fault)", ErrIOFault, id)
+func (fs *faultSlots) readSlot(id BlockID, n int, buf []byte) (hdr, payload []byte, err error) {
+	switch fs.decide(OpRead, id) {
+	case FaultTransient:
+		return nil, nil, &transientErr{fmt.Errorf("%w: injected transient read fault (block %d)", ErrIOFault, id)}
+	case FaultPermanent:
+		return nil, nil, fmt.Errorf("%w: block %d unreadable (permanent fault)", ErrIOFault, id)
+	case FaultCorrupt:
+		hdr, payload, err := fs.inner.readSlot(id, n, buf)
+		if err != nil {
+			return nil, nil, err
+		}
+		// mem and mmap hand out views of their storage: damage a copy in
+		// the caller's scratch, or the one-shot fault would persist.
+		slot := buf[:slotHeaderSize+n]
+		copy(slot, hdr)
+		copy(slot[slotHeaderSize:], payload)
+		damage(slot)
+		return slot[:slotHeaderSize], slot[slotHeaderSize:], nil
+	case FaultLatency:
+		time.Sleep(fs.plan.Latency)
 	}
-	switch kind {
+	return fs.inner.readSlot(id, n, buf)
+}
+
+func (fs *faultSlots) writeSlot(id BlockID, buf, payload []byte) error {
+	switch fs.decide(OpWrite, id) {
 	case FaultTransient:
 		return &transientErr{fmt.Errorf("%w: injected transient write fault (block %d)", ErrIOFault, id)}
 	case FaultPermanent:
 		return fmt.Errorf("%w: block %d unwritable (permanent fault)", ErrIOFault, id)
 	case FaultTorn:
-		// Persist damaged bytes: the write "succeeds" but the stored
-		// content disagrees with what the caller (and the checksum layer)
-		// believes was written.
-		torn := make([]byte, len(src))
-		copy(torn, src)
-		if len(torn) > 0 {
-			torn[0] ^= corruptByte
-		} else {
-			// A zero-length write still zeroes the block; tear it by
-			// writing one damaged byte instead.
-			torn = []byte{corruptByte}
-		}
-		return fb.inner.write(id, torn)
+		// Persist damaged bytes: the write "succeeds" but the stored slot
+		// disagrees with the CRC32C its header records. payload may alias
+		// the caller's block, so the damage goes to a copy in buf.
+		slot := buf[:slotHeaderSize+len(payload)]
+		copy(slot[slotHeaderSize:], payload)
+		damage(slot)
+		return fs.inner.writeSlot(id, slot, slot[slotHeaderSize:])
 	case FaultLatency:
-		time.Sleep(fb.plan.Latency)
+		time.Sleep(fs.plan.Latency)
 	}
-	return fb.inner.write(id, src)
+	return fs.inner.writeSlot(id, buf, payload)
 }
 
 // grow passes through: allocation is metadata, not a transfer, and the
 // Disk would panic on a grow error — injecting there would test nothing
 // about the transfer paths.
-func (fb *faultBackend) grow(id BlockID) error { return fb.inner.grow(id) }
+func (fs *faultSlots) grow(id BlockID) error { return fs.inner.grow(id) }
 
-// free forwards block release to the wrapped backend and clears the
-// block's permanent-fault mark: a reallocated block models a fresh
-// (remapped) sector.
-func (fb *faultBackend) free(id BlockID) {
-	fb.mu.Lock()
-	delete(fb.bad, id)
-	fb.mu.Unlock()
-	fb.inner.free(id)
+// free forwards slot release to the wrapped store and clears the block's
+// permanent-fault mark: a reallocated block models a fresh (remapped)
+// sector.
+func (fs *faultSlots) free(id BlockID) {
+	fs.mu.Lock()
+	delete(fs.bad, id)
+	fs.mu.Unlock()
+	fs.inner.free(id)
 }
 
-func (fb *faultBackend) Close() error { return fb.inner.Close() }
+func (fs *faultSlots) Close() error { return fs.inner.Close() }
 
 // stats snapshots the injector's fired-fault counters.
-func (fb *faultBackend) stats() (transient, permanent, corrupt, torn, latency uint64) {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	return fb.injTransient, fb.injPermanent, fb.injCorrupt, fb.injTorn, fb.injLatency
+func (fs *faultSlots) stats() (transient, permanent, corrupt, torn, latency uint64) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.injTransient, fs.injPermanent, fs.injCorrupt, fs.injTorn, fs.injLatency
 }

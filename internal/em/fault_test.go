@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-// faultDisk returns an in-memory disk with retries, checksums, and the
-// given plan armed — the standard hardened configuration under test.
+// faultDisk returns an in-memory disk with retries and the given plan
+// armed — the standard hardened configuration under test.
 func faultDisk(t *testing.T, plan FaultPlan) *Disk {
 	t.Helper()
 	d := MustNewDisk(64)
 	d.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
-	d.SetChecksums(true)
 	d.InjectFaults(plan)
 	return d
 }
@@ -108,8 +107,8 @@ func TestPermanentFaultPersistsUntilFree(t *testing.T) {
 }
 
 // TestCorruptReadRecoveredByChecksum checks the one-shot corruption case:
-// the first read delivers flipped bits, checksum verification catches it,
-// and the retry rereads clean data.
+// the first read delivers flipped bits, the slot CRC32C catches it, and
+// the retry rereads clean data.
 func TestCorruptReadRecoveredByChecksum(t *testing.T) {
 	d := faultDisk(t, FaultPlan{At: []FaultAt{
 		{Op: OpRead, Transfer: 1, Kind: FaultCorrupt},
@@ -132,25 +131,32 @@ func TestCorruptReadRecoveredByChecksum(t *testing.T) {
 	}
 }
 
-// TestCorruptReadSilentWithoutChecksums documents the failure mode
-// checksums exist for: without verification, the corrupted read is
-// delivered as if it were clean.
-func TestCorruptReadSilentWithoutChecksums(t *testing.T) {
+// TestCorruptReadDetectedByDefault checks that verification needs no
+// configuration: a disk with no retry policy surfaces a corrupted read as
+// ErrBlockCorrupt instead of delivering it, and the damage was confined to
+// that read — the stored slot still reads back clean.
+func TestCorruptReadDetectedByDefault(t *testing.T) {
 	d := MustNewDisk(64)
-	d.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
 	d.InjectFaults(FaultPlan{At: []FaultAt{
 		{Op: OpRead, Transfer: 1, Kind: FaultCorrupt},
 	}})
 	id := d.Alloc()
-	if err := d.WriteBlock(id, []byte{0x00, 0x11}); err != nil {
+	src := []byte{0x00, 0x11}
+	if err := d.WriteBlock(id, src); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	if err := d.ReadBlock(id, buf); err != nil {
-		t.Fatalf("unexpected error: %v", err)
+	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
+		t.Fatalf("corrupted read = %v, want ErrBlockCorrupt", err)
 	}
-	if buf[0] != corruptByte {
-		t.Fatalf("buf[0] = %#x, want the corrupted byte %#x", buf[0], corruptByte)
+	if err := d.ReadBlock(id, buf); err != nil {
+		t.Fatalf("reread after one-shot corruption: %v", err)
+	}
+	if string(buf[:len(src)]) != string(src) {
+		t.Fatalf("reread returned %x, want %x", buf[:len(src)], src)
+	}
+	if fs := d.FaultStats(); fs.ChecksumFailures != 1 || fs.InjectedCorrupt != 1 {
+		t.Fatalf("checksumFails=%d injected=%d, want 1,1", fs.ChecksumFailures, fs.InjectedCorrupt)
 	}
 }
 
@@ -178,12 +184,28 @@ func TestTornWriteSurfacesErrBlockCorrupt(t *testing.T) {
 	if fs.ChecksumFailures != 4 || fs.ReadRetries != 3 {
 		t.Fatalf("checksumFails=%d retries=%d, want 4,3", fs.ChecksumFailures, fs.ReadRetries)
 	}
-	// A clean rewrite re-records the checksum and recovers the block.
+	// A clean rewrite records a fresh slot and recovers the block.
 	if err := d.WriteBlock(id, []byte("healed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.ReadBlock(id, buf); err != nil {
 		t.Fatalf("read after rewrite: %v", err)
+	}
+}
+
+// TestTornEmptyWriteDetected checks the tear of a slot with no payload
+// (an empty write): the damage lands on the header's CRC32C field, so the
+// block still fails verification instead of reading back as zeros.
+func TestTornEmptyWriteDetected(t *testing.T) {
+	d := faultDisk(t, FaultPlan{At: []FaultAt{
+		{Op: OpWrite, Transfer: 1, Kind: FaultTorn},
+	}})
+	id := d.Alloc()
+	if err := d.WriteBlock(id, nil); err != nil {
+		t.Fatalf("torn write should report success: %v", err)
+	}
+	if err := d.ReadBlock(id, make([]byte, 64)); !errors.Is(err, ErrBlockCorrupt) {
+		t.Fatalf("read of torn empty block = %v, want ErrBlockCorrupt", err)
 	}
 }
 
@@ -300,15 +322,13 @@ func TestSeededRatesDeterministic(t *testing.T) {
 }
 
 // TestNoFaultScheduleBitIdentical checks the central invariance contract:
-// an armed injector that fires nothing, plus checksums, plus a retry
-// policy, leaves the counted transfer schedule bit-identical to a plain
+// an armed injector that fires nothing, plus a retry policy, leaves the counted transfer schedule bit-identical to a plain
 // disk — including through pipelined streams.
 func TestNoFaultScheduleBitIdentical(t *testing.T) {
 	counts := func(harden bool) Stats {
 		d := MustNewDisk(64)
 		if harden {
 			d.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond})
-			d.SetChecksums(true)
 			d.InjectFaults(FaultPlan{}) // armed, fires nothing
 			d.pipelined = true
 		}
@@ -372,7 +392,7 @@ func TestInjectFaultsReplacesInjector(t *testing.T) {
 }
 
 // TestFaultInjectionFileBacked smoke-checks the injector over the file
-// store: torn write caught by checksums, free forwarded through the
+// store: torn write caught by the slot CRC32C, free forwarded through the
 // wrapper, backing file removed on Close.
 func TestFaultInjectionFileBacked(t *testing.T) {
 	d, err := NewFileBackedDisk(t.TempDir(), 64)
@@ -380,7 +400,6 @@ func TestFaultInjectionFileBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetRetryPolicy(RetryPolicy{MaxRetries: 2})
-	d.SetChecksums(true)
 	d.InjectFaults(FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTorn}}})
 	id := d.Alloc()
 	if err := d.WriteBlock(id, []byte("torn")); err != nil {

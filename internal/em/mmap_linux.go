@@ -22,7 +22,7 @@ import (
 // remaps (munmap → ftruncate → mmap), which is safe against concurrent
 // readSlot/writeSlot — and the views readSlot hands out — because grow
 // runs with the Disk's write lock held, exclusively of every reader and
-// writer, per the backend contract.
+// writer, per the slotStore contract.
 // Close drops the mapping and removes the file; the store is scratch
 // space, so durability is never required and MS_SYNC is never issued.
 type mmapSlots struct {

@@ -35,27 +35,19 @@ import (
 //	[12:16] CRC32C of the uncompressed prefix, uint32 LE
 const slotHeaderSize = 16
 
-// backend is the block interface a Disk drives: the slot store itself,
-// or the fault injector wrapping it (DESIGN.md §11).
+// castagnoli is the CRC32C polynomial table (hardware-accelerated on
+// amd64/arm64) behind the slot header checksum — the one block checksum,
+// verified on every read.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// slotStore is the medium under a storeBackend: the bare store, or the
+// fault injector wrapping it (DESIGN.md §11). Slots are addressed by
+// block id; each implementation only moves bytes.
 //
 // Concurrency contract: grow and free are only called with the Disk's
-// write lock held; read and write are called with its read lock held and
-// so may run concurrently with each other (on distinct blocks) but never
-// with grow or free.
-type backend interface {
-	read(id BlockID, dst []byte) error
-	write(id BlockID, src []byte) error
-	// grow ensures capacity for block id.
-	grow(id BlockID) error
-	// free drops the storage of released block id where the medium can.
-	free(id BlockID)
-	// Close releases backend resources.
-	Close() error
-}
-
-// slotStore is the medium under a storeBackend. Slots are addressed by
-// block id; each implementation only moves bytes, under the backend
-// concurrency contract.
+// write lock held; readSlot and writeSlot are called with its read lock
+// held and so may run concurrently with each other (on distinct blocks)
+// but never with grow or free.
 type slotStore interface {
 	// readSlot returns slot id's header and its n-byte payload. buf
 	// (slotHeaderSize+n bytes or more) is scratch for a store that must
@@ -166,13 +158,14 @@ const (
 	StoreMem
 )
 
-// storeBackend implements backend over a slotStore plus a codec
-// candidate family. An empty family stores every block raw — the fixed
-// layout.
+// storeBackend is a Disk's block layer: it frames each block as a slot
+// (header with CRC32C, then the payload a codec candidate family shrank)
+// over a slotStore, and verifies the slot on every read. An empty family
+// stores every block raw — the fixed layout.
 type storeBackend struct {
 	blockSize int
-	store     slotStore
-	name      string // actual store in use: "file", "mmap", "mem"
+	store     slotStore // swapped by Disk.InjectFaults under the Disk's write lock
+	name      string    // actual store in use: "file", "mmap", "mem"
 	cands     []codec.BlockCodec
 
 	// sizes caches each block's slot payload length + 1; 0 means the
@@ -383,7 +376,7 @@ func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.Block
 		return nil, err
 	}
 	sb := newStoreBackend(store, name, blockSize, cands)
-	return &Disk{blockSize: blockSize, backend: sb, store: sb, pipelined: kind != StoreMem}, nil
+	return &Disk{blockSize: blockSize, store: sb, pipelined: kind != StoreMem}, nil
 }
 
 // NewDisk returns an in-memory Disk with the given block size in bytes.
@@ -402,9 +395,9 @@ func NewFileBackedDisk(dir string, blockSize int) (*Disk, error) {
 
 // PhysIO returns the physical-byte counters accumulated since the last
 // ResetStats. With a codec armed they are measured exactly (fault
-// injection composes: injected faults sit above the store, so the
-// counters still reflect real store traffic); otherwise they are derived
-// as transfers × block size with Measured false.
+// injection composes: injected faults sit in the medium, so only attempts
+// that move a slot count, as real store traffic would); otherwise they are
+// derived as transfers × block size with Measured false.
 func (d *Disk) PhysIO() PhysIO {
 	sb := d.store
 	if sb.hasCodec() {

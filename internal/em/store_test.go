@@ -212,76 +212,107 @@ func TestStorePhysBytesCompressed(t *testing.T) {
 	}
 }
 
-// TestStoreDiskFaultComposition re-runs the canonical fault drills on a
-// delta slot store: injection sits above the store, so corruption and
-// torn writes land on logical content and the Disk-level checksums
-// catch them exactly as on the codec-less stores.
+// TestStoreDiskFaultComposition re-runs the canonical fault drills on
+// every store kind, with and without the delta codecs: the injector sits
+// in the medium, below the slot header check, so corruption and torn
+// writes are caught by the slot CRC32C whatever the store or codec.
 func TestStoreDiskFaultComposition(t *testing.T) {
-	newDisk := func(t *testing.T, plan FaultPlan) *Disk {
-		t.Helper()
-		d, err := NewStoreDisk(t.TempDir(), 64, StoreMmap, codec.DeltaFamily())
-		if err != nil {
-			t.Fatal(err)
+	// forEachStore runs drill on a fresh disk per store kind × codec
+	// family, with retries and plan armed.
+	forEachStore := func(t *testing.T, plan FaultPlan, drill func(t *testing.T, d *Disk)) {
+		for _, sk := range storeKinds {
+			for _, cf := range []struct {
+				name  string
+				cands []codec.BlockCodec
+			}{{"none", nil}, {"delta", codec.DeltaFamily()}} {
+				t.Run(sk.name+"+"+cf.name, func(t *testing.T) {
+					d, err := NewStoreDisk(t.TempDir(), 64, sk.kind, cf.cands)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { _ = d.Close() })
+					d.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
+					d.InjectFaults(plan)
+					drill(t, d)
+				})
+			}
 		}
-		t.Cleanup(func() { _ = d.Close() })
-		d.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
-		d.SetChecksums(true)
-		d.InjectFaults(plan)
-		return d
 	}
 
 	t.Run("corrupt read recovered", func(t *testing.T) {
-		d := newDisk(t, FaultPlan{At: []FaultAt{{Op: OpRead, Transfer: 1, Kind: FaultCorrupt}}})
-		id := d.Alloc()
-		src := sortedBlock(4, 48)
-		if err := d.WriteBlock(id, src); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 64)
-		if err := d.ReadBlock(id, buf); err != nil {
-			t.Fatalf("read through one-shot corruption: %v", err)
-		}
-		if !bytes.Equal(buf[:len(src)], src) {
-			t.Fatal("recovered read returned damaged data")
-		}
-		if fs := d.FaultStats(); fs.ChecksumFailures != 1 || fs.ReadRetries != 1 {
-			t.Fatalf("checksumFails=%d retries=%d, want 1,1", fs.ChecksumFailures, fs.ReadRetries)
-		}
+		plan := FaultPlan{At: []FaultAt{{Op: OpRead, Transfer: 1, Kind: FaultCorrupt}}}
+		forEachStore(t, plan, func(t *testing.T, d *Disk) {
+			id := d.Alloc()
+			src := sortedBlock(4, 48)
+			if err := d.WriteBlock(id, src); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			if err := d.ReadBlock(id, buf); err != nil {
+				t.Fatalf("read through one-shot corruption: %v", err)
+			}
+			if !bytes.Equal(buf[:len(src)], src) {
+				t.Fatal("recovered read returned damaged data")
+			}
+			if fs := d.FaultStats(); fs.ChecksumFailures != 1 || fs.ReadRetries != 1 {
+				t.Fatalf("checksumFails=%d retries=%d, want 1,1", fs.ChecksumFailures, fs.ReadRetries)
+			}
+			// The damage went to a copy, never to the stored slot that mem
+			// and mmap hand out as a view: a second read is clean at once.
+			clear(buf)
+			if err := d.ReadBlock(id, buf); err != nil {
+				t.Fatalf("second read: %v", err)
+			}
+			if !bytes.Equal(buf[:len(src)], src) {
+				t.Fatal("one-shot corruption persisted in the store")
+			}
+			if fs := d.FaultStats(); fs.ChecksumFailures != 1 || fs.ReadRetries != 1 {
+				t.Fatalf("second read: checksumFails=%d retries=%d, want 1,1", fs.ChecksumFailures, fs.ReadRetries)
+			}
+		})
 	})
 
 	t.Run("torn write detected", func(t *testing.T) {
-		d := newDisk(t, FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTorn}}})
-		id := d.Alloc()
-		if err := d.WriteBlock(id, sortedBlock(5, 48)); err != nil {
-			t.Fatalf("torn write should report success: %v", err)
-		}
-		buf := make([]byte, 64)
-		if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
-			t.Fatalf("read of torn block = %v, want ErrBlockCorrupt", err)
-		}
-		if err := d.WriteBlock(id, sortedBlock(6, 48)); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.ReadBlock(id, buf); err != nil {
-			t.Fatalf("read after clean rewrite: %v", err)
-		}
+		plan := FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTorn}}}
+		forEachStore(t, plan, func(t *testing.T, d *Disk) {
+			id := d.Alloc()
+			src := sortedBlock(5, 48)
+			if err := d.WriteBlock(id, src); err != nil {
+				t.Fatalf("torn write should report success: %v", err)
+			}
+			if !bytes.Equal(src, sortedBlock(5, 48)) {
+				t.Fatal("torn write damaged the caller's block")
+			}
+			buf := make([]byte, 64)
+			if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
+				t.Fatalf("read of torn block = %v, want ErrBlockCorrupt", err)
+			}
+			if err := d.WriteBlock(id, sortedBlock(6, 48)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ReadBlock(id, buf); err != nil {
+				t.Fatalf("read after clean rewrite: %v", err)
+			}
+		})
 	})
 
 	t.Run("transient retried", func(t *testing.T) {
-		d := newDisk(t, FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTransient}}})
-		id := d.Alloc()
-		if err := d.WriteBlock(id, sortedBlock(7, 48)); err != nil {
-			t.Fatalf("write through transient fault: %v", err)
-		}
-		if fs := d.FaultStats(); fs.WriteRetries != 1 {
-			t.Fatalf("WriteRetries=%d, want 1", fs.WriteRetries)
-		}
+		plan := FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTransient}}}
+		forEachStore(t, plan, func(t *testing.T, d *Disk) {
+			id := d.Alloc()
+			if err := d.WriteBlock(id, sortedBlock(7, 48)); err != nil {
+				t.Fatalf("write through transient fault: %v", err)
+			}
+			if fs := d.FaultStats(); fs.WriteRetries != 1 {
+				t.Fatalf("WriteRetries=%d, want 1", fs.WriteRetries)
+			}
+		})
 	})
 }
 
 // TestStoreMediaCorruptionCaught flips a persisted payload byte under
 // the injector-free store: the slot's own CRC32C must refuse to decode
-// silently even with Disk checksums off.
+// silently, and the failure must count in FaultStats.
 func TestStoreMediaCorruptionCaught(t *testing.T) {
 	d, err := NewStoreDisk(t.TempDir(), 64, StoreMem, codec.DeltaFamily())
 	if err != nil {
@@ -298,6 +329,9 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("read of damaged slot = %v, want ErrBlockCorrupt", err)
 	}
+	if fs := d.FaultStats(); fs.ChecksumFailures != 1 {
+		t.Fatalf("ChecksumFailures = %d after one corrupt read, want 1", fs.ChecksumFailures)
+	}
 	// Unknown codec ids are corruption, not a crash.
 	if err := d.WriteBlock(id, sortedBlock(8, 64)); err != nil {
 		t.Fatal(err)
@@ -306,6 +340,48 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("read with unknown codec id = %v, want ErrBlockCorrupt", err)
 	}
+}
+
+// FuzzSlotRead plants arbitrary header and payload bytes in an in-memory
+// slot — the slot header check plus codec decode on arbitrary bytes, the
+// one integrity path every block read takes. A read must succeed or fail
+// with ErrBlockCorrupt; it must never panic or fail otherwise.
+func FuzzSlotRead(f *testing.F) {
+	const blockSize = 64
+	// Seed with genuine slots (raw, compressed, partial, empty) so the
+	// fuzzer starts from headers that pass the length checks.
+	seed, err := NewStoreDisk("", blockSize, StoreMem, codec.DeltaFamily())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ms := seed.store.store.(*memSlots)
+	for _, src := range [][]byte{sortedBlock(13, blockSize), sortedBlock(14, 40), bytes.Repeat([]byte{0x5A}, blockSize), nil} {
+		id := seed.Alloc()
+		if err := seed.WriteBlock(id, src); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ms.hdrs[id][:], bytes.Clone(ms.payloads[id]))
+	}
+	f.Add(make([]byte, slotHeaderSize), []byte{0xFF, 0xFF, 0xFF})
+
+	f.Fuzz(func(t *testing.T, hdr, payload []byte) {
+		if len(payload) > blockSize {
+			payload = payload[:blockSize] // a slot never holds more than a block
+		}
+		d, err := NewStoreDisk("", blockSize, StoreMem, codec.DeltaFamily())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := d.Alloc()
+		ms := d.store.store.(*memSlots)
+		copy(ms.hdrs[id][:], hdr)
+		ms.payloads[id] = bytes.Clone(payload)
+		d.store.sizes[id] = uint32(len(payload)) + 1
+		buf := make([]byte, blockSize)
+		if err := d.ReadBlock(id, buf); err != nil && !errors.Is(err, ErrBlockCorrupt) {
+			t.Fatalf("read of planted slot = %v, want nil or ErrBlockCorrupt", err)
+		}
+	})
 }
 
 // TestMmapStoreGrowRemap forces several geometric remaps and checks

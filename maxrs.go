@@ -316,18 +316,13 @@ type Options struct {
 	// ExactMaxRS).
 	Shards int
 	// Retry is the policy for transient storage faults and checksum
-	// mismatches on block transfers (DESIGN.md §11). The zero value never
-	// retries. Retries respect the query context and count in
+	// mismatches on block transfers (DESIGN.md §11): every block read
+	// verifies the CRC32C in its slot header, and a mismatch is retried
+	// before surfacing as ErrBlockCorrupt. The zero value never retries. Retries respect the query context and count in
 	// Engine.FaultStats, never in the I/O metric: a fault-free run's
 	// counted transfer schedule is bit-identical with any policy. Applies
 	// to the primary disk and to every shard disk.
 	Retry RetryPolicy
-	// Checksums enables per-block CRC32C verification: every block write
-	// records a checksum in disk metadata, every read verifies it, and a
-	// mismatch (torn write, bit rot) is retried under Retry before
-	// surfacing as ErrBlockCorrupt. Checksums change no transfer counts
-	// (DESIGN.md §11). Applies to the primary disk and every shard disk.
-	Checksums bool
 	// Dist enables distributed execution (DESIGN.md §13): sharded
 	// queries plan and route locally, then fan each halo-extended shard
 	// out to a worker maxrsd over HTTP and merge replies with the same
@@ -462,7 +457,6 @@ func NewEngine(opts *Options) (*Engine, error) {
 		return nil, errors.Join(err, d.Close())
 	}
 	env.Disk.SetRetryPolicy(o.Retry.em())
-	env.Disk.SetChecksums(o.Checksums)
 	solver, err := core.NewSolver(env, core.Config{Fanout: o.Fanout, Parallelism: o.Parallelism, Unfused: o.Unfused})
 	if err != nil {
 		return nil, errors.Join(err, env.Disk.Close())
@@ -1124,7 +1118,6 @@ func (e *Engine) newShardDisk() (*em.Disk, error) {
 		return nil, err
 	}
 	d.SetRetryPolicy(e.opts.Retry.em())
-	d.SetChecksums(e.opts.Checksums)
 	if p := e.faultPlan.Load(); p != nil {
 		d.InjectFaults(*p)
 	}
