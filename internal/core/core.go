@@ -53,7 +53,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"maxrs/internal/em"
@@ -362,16 +361,18 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 // baseCaseResident handles a root problem that fits in memory. The event
 // run buffer cannot have spilled (capacity equals the events-per-run
 // bound, and the edge buffer is strictly smaller than its own), so the
-// resident events are sorted in place — the same stable sort, comparator
-// and input order as the run the unfused path would spill — and swept
-// without any event, edge, or sorted file ever touching the disk.
+// resident events are swept without any event, edge, or sorted file ever
+// touching the disk. Only the bottom events are kept, then stable-sorted
+// by Y1. A stable sort keeps the bottoms' relative order whether the tops
+// are dropped before or after it, so the sweep sees the rectangles in
+// exactly the order of the run the unfused path would spill and sort, at
+// half the sort length.
 func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
 	events, err := evb.Take()
 	if err != nil {
 		return nil, err
 	}
 	edb.Discard()
-	sort.SliceStable(events, func(i, j int) bool { return lessEventY(events[i], events[j]) })
 	rects := make([]rec.WRect, 0, len(events)/2)
 	for _, e := range events {
 		if e.Top {
@@ -379,6 +380,7 @@ func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *ex
 		}
 		rects = append(rects, e.R)
 	}
+	extsort.SortStable(rects, func(a, b rec.WRect) bool { return a.Y1 < b.Y1 })
 	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	return s.writeSlab(sweep.Slab(rects, slab))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -99,38 +100,71 @@ func TestFusionEquivalence(t *testing.T) {
 
 // TestFusionEquivalenceSmall covers the resident base case and near-
 // capacity boundaries, where the fused path skips the disk entirely:
-// results must still match the unfused pipeline exactly.
+// results must still match the unfused pipeline exactly. The float variant
+// is mostly resident (n ≤ 40) and uses non-integer weights of mixed
+// magnitude and crowded x and coarse-grid y coordinates, so many events
+// share a y and their sort order decides the order of the float additions
+// in the sweep: the resident sort must reproduce the unfused pipeline's
+// event order for Region and Sum to match bit for bit.
 func TestFusionEquivalenceSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 30; trial++ {
-		blockSize := 64 * (rng.Intn(4) + 1)
-		memBlocks := rng.Intn(12) + 6
-		n := rng.Intn(250) + 1
-		coord := float64(rng.Intn(300) + 40)
-		objs := randObjects(rng, n, coord)
-		w := float64(rng.Intn(30) + 2)
-		h := float64(rng.Intn(30) + 2)
+	variants := []struct {
+		name    string
+		seed    int64
+		maxN    int
+		objects func(rng *rand.Rand, n int, coord float64) []geom.Object
+	}{
+		{"integer", 19, 250, randObjects},
+		{"float", 23, 40, randFloatObjects},
+	}
+	for _, v := range variants {
+		rng := rand.New(rand.NewSource(v.seed))
+		for trial := 0; trial < 30; trial++ {
+			blockSize := 64 * (rng.Intn(4) + 1)
+			memBlocks := rng.Intn(12) + 6
+			n := rng.Intn(v.maxN) + 1
+			coord := float64(rng.Intn(300) + 40)
+			objs := v.objects(rng, n, coord)
+			w := float64(rng.Intn(30) + 2)
+			h := float64(rng.Intn(30) + 2)
 
-		run := func(unfused bool) (geom.Rect, float64) {
-			env := em.MustNewEnv(blockSize, blockSize*memBlocks)
-			f := writeObjects(t, env, objs)
-			s := mustSolver(t, env, Config{Unfused: unfused})
-			res, err := s.SolveObjects(f, w, h)
-			if err != nil {
-				t.Fatalf("trial %d (unfused=%v): %v", trial, unfused, err)
+			run := func(unfused bool) (geom.Rect, float64) {
+				env := em.MustNewEnv(blockSize, blockSize*memBlocks)
+				f := writeObjects(t, env, objs)
+				s := mustSolver(t, env, Config{Unfused: unfused})
+				res, err := s.SolveObjects(f, w, h)
+				if err != nil {
+					t.Fatalf("%s trial %d (unfused=%v): %v", v.name, trial, unfused, err)
+				}
+				if got, want := env.Disk.InUse(), f.Blocks(); got != want {
+					t.Fatalf("%s trial %d (unfused=%v): %d blocks in use, want %d", v.name, trial, unfused, got, want)
+				}
+				return res.Region, res.Sum
 			}
-			if got, want := env.Disk.InUse(), f.Blocks(); got != want {
-				t.Fatalf("trial %d (unfused=%v): %d blocks in use, want %d", trial, unfused, got, want)
+			fr, fs := run(false)
+			ur, us := run(true)
+			if fr != ur || math.Float64bits(fs) != math.Float64bits(us) {
+				t.Fatalf("%s trial %d (B=%d M/B=%d n=%d): fused %+v/%g != unfused %+v/%g",
+					v.name, trial, blockSize, memBlocks, n, fr, fs, ur, us)
 			}
-			return res.Region, res.Sum
-		}
-		fr, fs := run(false)
-		ur, us := run(true)
-		if fr != ur || fs != us {
-			t.Fatalf("trial %d (B=%d M/B=%d n=%d): fused %+v/%g != unfused %+v/%g",
-				trial, blockSize, memBlocks, n, fr, fs, ur, us)
 		}
 	}
+}
+
+// randFloatObjects draws non-integer weights of either sign spanning six
+// decades, x from [0, coord/8) so rectangles overlap heavily, and y on a
+// grid of step 5, so the transformed rectangles' edges tie.
+func randFloatObjects(rng *rand.Rand, n int, coord float64) []geom.Object {
+	objs := make([]geom.Object, n)
+	for i := range objs {
+		objs[i] = geom.Object{
+			Point: geom.Point{
+				X: math.Floor(rng.Float64() * coord / 8),
+				Y: 5 * math.Floor(rng.Float64()*coord/40),
+			},
+			W: (rng.Float64()*9 - 2) * math.Pow(10, float64(rng.Intn(7)-3)),
+		}
+	}
+	return objs
 }
 
 // TestFusedEmptyAndDegenerate pins the fused edge cases: empty input and

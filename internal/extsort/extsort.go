@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"maxrs/internal/conc"
@@ -67,15 +67,54 @@ func fanInOf(env em.Env) int {
 	return fanIn
 }
 
-// sortAndSpill sorts one run buffer and writes it out as a run file. The
-// cancellation check runs before the in-memory sort — the one long
-// CPU-only stretch of run formation — and the spill writes themselves
-// abort at block granularity through the env-carried context.
+// SortStable sorts buf by less, keeping equal records in input order: the
+// unique stable order, the same as sort.SliceStable's. It pdqsorts an
+// index permutation with the original index as the final tie-break, then
+// applies the permutation in place one cycle at a time, so the only extra
+// memory is the index slice. The indices are ints, not int32s: a run
+// buffer holds M bytes of records, and nothing caps M.
+func SortStable[T any](buf []T, less func(a, b T) bool) {
+	perm := make([]int, len(buf))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(i, j int) int {
+		switch {
+		case less(buf[i], buf[j]):
+			return -1
+		case less(buf[j], buf[i]):
+			return 1
+		}
+		return i - j
+	})
+	// Position i receives buf[perm[i]]. Follow each cycle from its first
+	// position, marking every filled position done (perm[j] = j).
+	for i := range perm {
+		if perm[i] == i {
+			continue
+		}
+		v := buf[i]
+		j := i
+		for perm[j] != i {
+			k := perm[j]
+			buf[j] = buf[k]
+			perm[j] = j
+			j = k
+		}
+		buf[j] = v
+		perm[j] = j
+	}
+}
+
+// sortAndSpill sorts one run buffer with SortStable and writes it out as a
+// run file. The cancellation check runs before the in-memory sort — the
+// one long CPU-only stretch of run formation — and the spill writes
+// themselves abort at block granularity through the env-carried context.
 func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, buf []T) (*em.File, error) {
 	if err := env.Err(); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+	SortStable(buf, less)
 	return em.WriteAllEnv(env, codec, buf)
 }
 

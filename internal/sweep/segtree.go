@@ -1,6 +1,6 @@
 package sweep
 
-import "math"
+import "math/bits"
 
 // segTree is a segment tree over n cells (contiguous half-open x-ranges)
 // supporting range-add of weights and O(log n) extraction of a maximal run
@@ -12,23 +12,26 @@ import "math"
 // Lazy adds are kept per node; node aggregates (min/max) include the node's
 // own pending add, so queries accumulate ancestor adds on the way down and
 // never need to materialize them.
+//
+// Nodes are one array of structs, heap-indexed from 1 over the recursive
+// midpoint split, so 2·2^⌈log₂ n⌉ slots hold every node. Aggregates use
+// plain comparisons, not math.Min/math.Max: the weights are never NaN,
+// and no node value is ever −0 (every value starts at +0, and a sum is −0
+// only when both operands are), so the two agree bit for bit.
 type segTree struct {
-	n    int
-	minv []float64
-	maxv []float64
-	add  []float64
+	n     int
+	nodes []segNode
+}
+
+type segNode struct {
+	min, max, add float64
 }
 
 func newSegTree(n int) *segTree {
 	if n < 1 {
 		n = 1
 	}
-	return &segTree{
-		n:    n,
-		minv: make([]float64, 4*n),
-		maxv: make([]float64, 4*n),
-		add:  make([]float64, 4*n),
-	}
+	return &segTree{n: n, nodes: make([]segNode, 2<<bits.Len(uint(n-1)))}
 }
 
 // Update adds delta to every cell in [l, r). Out-of-range bounds are clamped.
@@ -46,10 +49,11 @@ func (t *segTree) Update(l, r int, delta float64) {
 }
 
 func (t *segTree) update(node, lo, hi, l, r int, delta float64) {
+	nd := &t.nodes[node]
 	if l <= lo && hi <= r {
-		t.add[node] += delta
-		t.minv[node] += delta
-		t.maxv[node] += delta
+		nd.add += delta
+		nd.min += delta
+		nd.max += delta
 		return
 	}
 	mid := (lo + hi) / 2
@@ -59,47 +63,59 @@ func (t *segTree) update(node, lo, hi, l, r int, delta float64) {
 	if r > mid {
 		t.update(2*node+1, mid, hi, l, r, delta)
 	}
-	t.minv[node] = math.Min(t.minv[2*node], t.minv[2*node+1]) + t.add[node]
-	t.maxv[node] = math.Max(t.maxv[2*node], t.maxv[2*node+1]) + t.add[node]
+	a, b := &t.nodes[2*node], &t.nodes[2*node+1]
+	mn, mx := a.min, a.max
+	if b.min < mn {
+		mn = b.min
+	}
+	if b.max > mx {
+		mx = b.max
+	}
+	nd.min = mn + nd.add
+	nd.max = mx + nd.add
 }
 
 // Max returns the maximum cell value.
-func (t *segTree) Max() float64 { return t.maxv[1] }
+func (t *segTree) Max() float64 { return t.nodes[1].max }
 
 // MaxRun returns a maximal run [l, r) of cells whose value equals Max():
 // the leftmost cell attaining the maximum, extended right as far as the
 // value stays at the maximum. Cost O(log n).
 func (t *segTree) MaxRun() (l, r int) {
-	m := t.maxv[1]
-	l = t.leftmostAt(1, 0, t.n, 0, m)
+	m := t.nodes[1].max
+	l = t.leftmostAt(m)
 	r = t.nextBelow(1, 0, t.n, l+1, 0, m)
 	return l, r
 }
 
-// leftmostAt returns the index of the leftmost leaf whose value equals v.
-// Caller guarantees such a leaf exists (v is the subtree max).
-func (t *segTree) leftmostAt(node, lo, hi int, acc, v float64) int {
-	if hi-lo == 1 {
-		return lo
+// leftmostAt returns the index of the leftmost leaf whose value equals v,
+// the root max: each step descends into the left child if its max, plus
+// the adds accumulated above it, still reaches v.
+func (t *segTree) leftmostAt(v float64) int {
+	node, lo, hi := 1, 0, t.n
+	var acc float64
+	for hi-lo > 1 {
+		acc += t.nodes[node].add
+		mid := (lo + hi) / 2
+		if t.nodes[2*node].max+acc == v {
+			node, hi = 2*node, mid
+		} else {
+			node, lo = 2*node+1, mid
+		}
 	}
-	acc += t.add[node]
-	mid := (lo + hi) / 2
-	if t.maxv[2*node]+acc == v {
-		return t.leftmostAt(2*node, lo, mid, acc, v)
-	}
-	return t.leftmostAt(2*node+1, mid, hi, acc, v)
+	return lo
 }
 
 // nextBelow returns the index of the first leaf ≥ from whose value is < v,
 // or n if every leaf from `from` on has value ≥ v.
 func (t *segTree) nextBelow(node, lo, hi, from int, acc, v float64) int {
-	if hi <= from || t.minv[node]+acc >= v {
+	if hi <= from || t.nodes[node].min+acc >= v {
 		return t.n
 	}
 	if hi-lo == 1 {
-		return lo // minv < v and this is a single leaf ≥ from
+		return lo // min < v and this is a single leaf ≥ from
 	}
-	acc += t.add[node]
+	acc += t.nodes[node].add
 	mid := (lo + hi) / 2
 	if got := t.nextBelow(2*node, lo, mid, from, acc, v); got < t.n {
 		return got
@@ -112,7 +128,7 @@ func (t *segTree) CellValue(i int) float64 {
 	node, lo, hi := 1, 0, t.n
 	var acc float64
 	for hi-lo > 1 {
-		acc += t.add[node]
+		acc += t.nodes[node].add
 		mid := (lo + hi) / 2
 		if i < mid {
 			node, hi = 2*node, mid
@@ -120,5 +136,5 @@ func (t *segTree) CellValue(i int) float64 {
 			node, lo = 2*node+1, mid
 		}
 	}
-	return t.maxv[node] + acc
+	return t.nodes[node].max + acc
 }

@@ -17,6 +17,7 @@ package sweep
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"maxrs/internal/geom"
@@ -34,58 +35,69 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	if slabX.Empty() {
 		return nil
 	}
-	// Collect clipped rectangles and their vertical edges.
-	type clipped struct {
-		x1, x2, y1, y2, w float64
+	clip := func(r rec.WRect) (x1, x2 float64, ok bool) {
+		x1 = math.Max(r.X1, slabX.Lo)
+		x2 = math.Min(r.X2, slabX.Hi)
+		return x1, x2, x1 < x2 && r.Y1 < r.Y2
 	}
-	cs := make([]clipped, 0, len(rects))
 	xs := make([]float64, 0, 2*len(rects)+2)
 	xs = append(xs, slabX.Lo, slabX.Hi)
+	kept := 0
 	for _, r := range rects {
-		x1 := math.Max(r.X1, slabX.Lo)
-		x2 := math.Min(r.X2, slabX.Hi)
-		if x1 >= x2 || r.Y1 >= r.Y2 {
-			continue
+		if x1, x2, ok := clip(r); ok {
+			xs = append(xs, x1, x2)
+			kept++
 		}
-		cs = append(cs, clipped{x1, x2, r.Y1, r.Y2, r.W})
-		xs = append(xs, x1, x2)
 	}
-	if len(cs) == 0 {
+	if kept == 0 {
 		return nil
 	}
 	xs = dedupSorted(xs)
-	cellOf := func(x float64) int { return sort.SearchFloat64s(xs, x) }
 	nCells := len(xs) - 1
 
-	// Events: tops (removals) before bottoms (additions) at equal y, so a
-	// rectangle half-open in y never coexists with one starting at its top.
+	// Events carry the rectangle's cell range [l, r), found once per
+	// rectangle, and its signed weight: +W at the bottom, −W at the top.
+	// The range is two ints, not int32s: nothing caps the cell count.
+	// Tops (removals) sort before bottoms (additions) at equal y, so a
+	// rectangle half-open in y never coexists with one starting at its
+	// top. slices.SortFunc is the same pdqsort as sort.Slice, so equal
+	// events — and with them the order of the float additions below —
+	// land exactly where the reflection sort put them.
 	type event struct {
-		y   float64
-		top bool
-		c   clipped
+		y, w float64
+		l, r int
+		top  bool
 	}
-	evs := make([]event, 0, 2*len(cs))
-	for _, c := range cs {
-		evs = append(evs, event{c.y1, false, c}, event{c.y2, true, c})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].y != evs[j].y {
-			return evs[i].y < evs[j].y
+	evs := make([]event, 0, 2*kept)
+	for _, r := range rects {
+		x1, x2, ok := clip(r)
+		if !ok {
+			continue
 		}
-		return evs[i].top && !evs[j].top
+		l := sort.SearchFloat64s(xs, x1)
+		h := sort.SearchFloat64s(xs, x2)
+		evs = append(evs, event{r.Y1, r.W, l, h, false}, event{r.Y2, -r.W, l, h, true})
+	}
+	slices.SortFunc(evs, func(a, b event) int {
+		switch {
+		case a.y < b.y:
+			return -1
+		case a.y > b.y:
+			return 1
+		case a.top && !b.top:
+			return -1
+		case b.top && !a.top:
+			return 1
+		}
+		return 0
 	})
 
 	tree := newSegTree(nCells)
-	tuples := make([]rec.Tuple, 0, 2*len(cs))
+	tuples := make([]rec.Tuple, 0, 2*kept)
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for ; i < len(evs) && evs[i].y == y; i++ {
-			e := evs[i]
-			d := e.c.w
-			if e.top {
-				d = -d
-			}
-			tree.Update(cellOf(e.c.x1), cellOf(e.c.x2), d)
+			tree.Update(evs[i].l, evs[i].r, evs[i].w)
 		}
 		l, r := tree.MaxRun()
 		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: tree.Max()})

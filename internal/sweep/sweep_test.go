@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -351,5 +352,19 @@ func TestBestRegionEmpty(t *testing.T) {
 	}
 	if !math.IsInf(res.Region.X.Lo, -1) || !math.IsInf(res.Region.Y.Hi, 1) {
 		t.Fatalf("empty BestRegion should be the whole plane, got %v", res.Region)
+	}
+}
+
+// BenchmarkSlab sweeps random rectangles over the whole plane: 10k, the
+// size of a resident base case, and 40, the size of a deep leaf.
+func BenchmarkSlab(b *testing.B) {
+	for _, n := range []int{40, 10_000} {
+		rects := randRects(rand.New(rand.NewSource(int64(n))), n, 4*float64(n), 100)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Slab(rects, fullSlab())
+			}
+		})
 	}
 }
