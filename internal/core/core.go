@@ -362,25 +362,30 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 // run buffer cannot have spilled (capacity equals the events-per-run
 // bound, and the edge buffer is strictly smaller than its own), so the
 // resident events are swept without any event, edge, or sorted file ever
-// touching the disk. Only the bottom events are kept, then stable-sorted
-// by Y1. A stable sort keeps the bottoms' relative order whether the tops
-// are dropped before or after it, so the sweep sees the rectangles in
-// exactly the order of the run the unfused path would spill and sort, at
-// half the sort length.
+// touching the disk. Only the bottom events are kept: they are compacted
+// to the front of the buffer, in order, and stable-sorted by Y1 with the
+// back half (the tops' old slots) as the sort's scratch. A stable sort
+// keeps the bottoms' relative order whether the tops are dropped before or
+// after it, so the sweep sees the rectangles in exactly the order of the
+// run the unfused path would spill and sort, at half the sort length.
 func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
 	events, err := evb.Take()
 	if err != nil {
 		return nil, err
 	}
 	edb.Discard()
-	rects := make([]rec.WRect, 0, len(events)/2)
+	n := 0
 	for _, e := range events {
-		if e.Top {
-			continue // the bottom event carries the full geometry
+		if !e.Top { // the bottom event carries the full geometry
+			events[n] = e
+			n++
 		}
-		rects = append(rects, e.R)
 	}
-	extsort.SortStable(rects, func(a, b rec.WRect) bool { return a.Y1 < b.Y1 })
+	extsort.SortStableScratch(events[:n], events[n:], func(a, b rec.PieceEvent) bool { return a.R.Y1 < b.R.Y1 })
+	rects := make([]rec.WRect, n)
+	for i, e := range events[:n] {
+		rects[i] = e.R
+	}
 	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	return s.writeSlab(sweep.Slab(rects, slab))
 }

@@ -22,11 +22,9 @@
 package extsort
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 
 	"maxrs/internal/conc"
@@ -67,54 +65,100 @@ func fanInOf(env em.Env) int {
 	return fanIn
 }
 
+// insertionRun is the length of the blocks SortStableScratch
+// insertion-sorts before its first merge pass.
+const insertionRun = 16
+
 // SortStable sorts buf by less, keeping equal records in input order: the
-// unique stable order, the same as sort.SliceStable's. It pdqsorts an
-// index permutation with the original index as the final tie-break, then
-// applies the permutation in place one cycle at a time, so the only extra
-// memory is the index slice. The indices are ints, not int32s: a run
-// buffer holds M bytes of records, and nothing caps M.
+// unique stable order, the same as sort.SliceStable's. It is
+// SortStableScratch with a fresh scratch slice of len(buf) records (none
+// when buf is at most one insertion block).
 func SortStable[T any](buf []T, less func(a, b T) bool) {
-	perm := make([]int, len(buf))
-	for i := range perm {
-		perm[i] = i
+	var scratch []T
+	if len(buf) > insertionRun {
+		scratch = make([]T, len(buf))
 	}
-	slices.SortFunc(perm, func(i, j int) int {
-		switch {
-		case less(buf[i], buf[j]):
-			return -1
-		case less(buf[j], buf[i]):
-			return 1
+	SortStableScratch(buf, scratch, less)
+}
+
+// SortStableScratch stable-sorts buf by less with a bottom-up merge sort:
+// it insertion-sorts blocks of insertionRun records, then merges runs of
+// doubling width back and forth between buf and scratch. A merge takes
+// from the right run only when its head is strictly less, so ties keep
+// input order and every comparison is one less call. scratch must hold
+// len(buf) records when len(buf) > insertionRun; its contents are
+// overwritten, and callers that sort many buffers keep one scratch.
+func SortStableScratch[T any](buf, scratch []T, less func(a, b T) bool) {
+	n := len(buf)
+	for lo := 0; lo < n; lo += insertionRun {
+		insertionSort(buf[lo:min(lo+insertionRun, n)], less)
+	}
+	if n <= insertionRun {
+		return
+	}
+	src, dst := buf, scratch[:n]
+	for width := insertionRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			mergeTwo(dst[lo:hi], src[lo:mid], src[mid:hi], less)
 		}
-		return i - j
-	})
-	// Position i receives buf[perm[i]]. Follow each cycle from its first
-	// position, marking every filled position done (perm[j] = j).
-	for i := range perm {
-		if perm[i] == i {
-			continue
-		}
-		v := buf[i]
-		j := i
-		for perm[j] != i {
-			k := perm[j]
-			buf[j] = buf[k]
-			perm[j] = j
-			j = k
-		}
-		buf[j] = v
-		perm[j] = j
+		src, dst = dst, src
+	}
+	if &src[0] != &buf[0] {
+		copy(buf, src)
 	}
 }
 
-// sortAndSpill sorts one run buffer with SortStable and writes it out as a
-// run file. The cancellation check runs before the in-memory sort — the
-// one long CPU-only stretch of run formation — and the spill writes
-// themselves abort at block granularity through the env-carried context.
-func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, buf []T) (*em.File, error) {
+// insertionSort stable-sorts a: a record moves left only past strictly
+// greater ones.
+func insertionSort[T any](a []T, less func(a, b T) bool) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i
+		for ; j > 0 && less(v, a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
+	}
+}
+
+// mergeTwo merges the sorted, non-empty a and the sorted b into dst, which
+// holds exactly len(a)+len(b) records. Ties take a's record first. Runs
+// already in order cost one comparison.
+func mergeTwo[T any](dst, a, b []T, less func(a, b T) bool) {
+	if len(b) == 0 || !less(b[0], a[len(a)-1]) {
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if less(b[j], a[i]) {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// sortAndSpill sorts one run buffer with SortStableScratch and writes it
+// out as a run file. *scratch is the caller's sort scratch, grown here
+// when a buffer outgrows it. The cancellation check runs before the
+// in-memory sort — the one long CPU-only stretch of run formation — and
+// the spill writes themselves abort at block granularity through the
+// env-carried context.
+func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, buf []T, scratch *[]T) (*em.File, error) {
 	if err := env.Err(); err != nil {
 		return nil, err
 	}
-	SortStable(buf, less)
+	if len(*scratch) < len(buf) {
+		*scratch = make([]T, len(buf))
+	}
+	SortStableScratch(buf, *scratch, less)
 	return em.WriteAllEnv(env, codec, buf)
 }
 
@@ -135,6 +179,8 @@ type spiller[T any] struct {
 	mu       sync.Mutex
 	runs     []*em.File
 	firstErr error
+
+	scratch []T // the inline path's sort scratch, kept across its runs
 }
 
 type spillJob[T any] struct {
@@ -166,10 +212,11 @@ func (sp *spiller[T]) place(idx int, f *em.File, err error) {
 // the error surfaces at finish. Workers are started lazily so builders
 // that never spill cost no goroutines. An unbuffered channel with p
 // workers bounds in-flight run buffers to p+1 (p sorting/spilling + 1
-// filling): the PEM budget of DESIGN.md §6.
+// filling): the PEM budget of DESIGN.md §6. Each worker, like the inline
+// path, keeps one sort scratch across the runs it sorts.
 func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 	if sp.workers <= 1 {
-		f, err := sortAndSpill(sp.env, sp.codec, sp.less, buf)
+		f, err := sortAndSpill(sp.env, sp.codec, sp.less, buf, &sp.scratch)
 		sp.place(idx, f, err)
 		return err
 	}
@@ -180,8 +227,9 @@ func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 			sp.wg.Add(1)
 			go func() {
 				defer sp.wg.Done()
+				var scratch []T
 				for j := range sp.jobs {
-					f, err := sortAndSpill(sp.env, sp.codec, sp.less, j.buf)
+					f, err := sortAndSpill(sp.env, sp.codec, sp.less, j.buf, &scratch)
 					sp.place(j.idx, f, err)
 				}
 			}()
@@ -203,6 +251,7 @@ func (sp *spiller[T]) finish() ([]*em.File, error) {
 		sp.started = false
 		sp.jobs = nil
 	}
+	sp.scratch = nil
 	if sp.firstErr != nil {
 		sp.releaseAll()
 		return nil, sp.firstErr
@@ -554,75 +603,118 @@ func mergeOnce[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(
 }
 
 // mergeInto k-way merges the given sorted runs, emitting every record to
-// sink in sorted order (stable across runs by run index).
+// sink in sorted order; equal records leave in run-index order, so the
+// merge is stable across runs. Each run is read front to back exactly
+// once, through a cursor that decodes up to one block's worth of records
+// per ReadBatch, and a loser tree over the cursors picks every output
+// record with one less call per tree level.
 func mergeInto[T any](runs []*em.File, codec em.Codec[T], less func(a, b T) bool, sink func(T) error) error {
-	h := &mergeHeap[T]{less: less}
+	k := len(runs)
+	if k == 0 {
+		return nil
+	}
+	per := max(1, runs[0].Disk().BlockSize()/codec.Size())
+	backing := make([]T, k*per)
+	cur := make([]cursor[T], k)
 	for i, r := range runs {
 		rr, err := em.NewRecordReader(r, codec)
 		if err != nil {
 			return err
 		}
-		v, err := rr.Read()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
+		cur[i] = cursor[T]{rr: rr, buf: backing[i*per : (i+1)*per]}
+		if err := cur[i].refill(); err != nil {
 			return err
 		}
-		h.items = append(h.items, mergeItem[T]{v: v, src: rr, idx: i})
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		top := h.items[0]
-		if err := sink(top.v); err != nil {
+	t := newLoserTree(cur, less)
+	for {
+		w := t.node[0]
+		c := &cur[w]
+		if len(c.vals) == 0 {
+			return nil // the winner is exhausted, so every run is
+		}
+		if err := sink(c.vals[0]); err != nil {
 			return err
 		}
-		v, err := top.src.Read()
-		if err == io.EOF {
-			heap.Pop(h)
-			continue
+		if c.vals = c.vals[1:]; len(c.vals) == 0 {
+			if err := c.refill(); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		h.items[0].v = v
-		heap.Fix(h, 0)
+		t.replay(w)
 	}
-	return nil
 }
 
-type mergeItem[T any] struct {
-	v   T
-	src *em.RecordReader[T]
-	idx int // run index, tiebreak for stability
+// cursor is one run's read position in a merge: the decoded records of
+// its current batch not yet emitted. vals is empty once the run is
+// exhausted.
+type cursor[T any] struct {
+	rr   *em.RecordReader[T]
+	buf  []T
+	vals []T
 }
 
-type mergeHeap[T any] struct {
-	items []mergeItem[T]
-	less  func(a, b T) bool
+// refill decodes the run's next batch into buf.
+func (c *cursor[T]) refill() error {
+	n, err := c.rr.ReadBatch(c.buf)
+	c.vals = c.buf[:n]
+	if err == io.EOF {
+		return nil
+	}
+	return err
 }
 
-func (h *mergeHeap[T]) Len() int { return len(h.items) }
+// loserTree is a tournament over the merge cursors. Leaf i sits at
+// position k+i of an implicit complete binary tree; node[n], for
+// 1 ≤ n < k, holds the loser of the match played at internal position n,
+// and node[0] holds the overall winner.
+type loserTree[T any] struct {
+	cur  []cursor[T]
+	less func(a, b T) bool
+	node []int
+}
 
-func (h *mergeHeap[T]) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.less(a.v, b.v) {
+func newLoserTree[T any](cur []cursor[T], less func(a, b T) bool) *loserTree[T] {
+	k := len(cur)
+	t := &loserTree[T]{cur: cur, less: less, node: make([]int, k)}
+	win := make([]int, 2*k) // win[n]: the winner of the subtree at position n
+	for i := range k {
+		win[k+i] = i
+	}
+	for n := k - 1; n >= 1; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if !t.beats(a, b) {
+			a, b = b, a
+		}
+		win[n], t.node[n] = a, b
+	}
+	t.node[0] = win[1] // for k == 1, position 1 is the lone leaf
+	return t
+}
+
+// beats reports whether leaf a wins its match against leaf b. The smaller
+// head wins, ties go to the lower run index, and an exhausted leaf loses
+// to every live one — one less call per match between live leaves.
+func (t *loserTree[T]) beats(a, b int) bool {
+	va, vb := t.cur[a].vals, t.cur[b].vals
+	switch {
+	case len(vb) == 0:
 		return true
-	}
-	if h.less(b.v, a.v) {
+	case len(va) == 0:
 		return false
+	case a < b:
+		return !t.less(vb[0], va[0])
 	}
-	return a.idx < b.idx // stable across runs
+	return t.less(va[0], vb[0])
 }
 
-func (h *mergeHeap[T]) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *mergeHeap[T]) Push(x any) { h.items = append(h.items, x.(mergeItem[T])) }
-
-func (h *mergeHeap[T]) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+// replay replays the matches on leaf w's path to the root after its head
+// changed, leaving the new overall winner in node[0].
+func (t *loserTree[T]) replay(w int) {
+	for n := (len(t.node) + w) / 2; n > 0; n /= 2 {
+		if l := t.node[n]; t.beats(l, w) {
+			t.node[n], w = w, l
+		}
+	}
+	t.node[0] = w
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"maxrs/internal/em"
@@ -76,14 +77,28 @@ func checkStable(t *testing.T, what string, in, got []keyed) {
 // TestSortStableKeepsTies sorts records whose ties are distinguishable
 // through every stable path of the package: SortStable itself, SortP at
 // several parallelism values, and RunBuilder + Merger.MergeInto.
+// SortStable runs at the merge sort's block edges — one insertion block,
+// two, and powers of two, each ±1 — and must match sort.SliceStable bit
+// for bit.
 func TestSortStableKeepsTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	sizes := []int{0, 1, 2, 1000}
+	for _, edge := range []int{insertionRun, 2 * insertionRun, 64, 1024, 4096} {
+		sizes = append(sizes, edge-1, edge, edge+1)
+	}
 	for _, signedZero := range []bool{false, true} {
-		for _, n := range []int{0, 1, 2, 1000} {
+		for _, n := range sizes {
 			in := keyedInput(rng, n, signedZero)
 			got := append([]keyed(nil), in...)
 			SortStable(got, lessKey)
 			checkStable(t, "SortStable", in, got)
+			want := append([]keyed(nil), in...)
+			sort.SliceStable(want, func(i, j int) bool { return lessKey(want[i], want[j]) })
+			for i := range want {
+				if math.Float64bits(got[i].key) != math.Float64bits(want[i].key) || got[i].seq != want[i].seq {
+					t.Fatalf("SortStable n=%d: record %d = %+v, sort.SliceStable %+v", n, i, got[i], want[i])
+				}
+			}
 		}
 	}
 
