@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"maxrs"
 	"maxrs/internal/experiments"
@@ -17,15 +16,13 @@ import (
 // a regression gate: it asserts bit-identical results and bit-identical
 // counted transfer schedules across every stack (the codecs and the mmap
 // path live below the transfer counters), and a strict physical-byte win
-// for the delta codec over the fixed layout. It then reports io/op,
-// wall-clock ns/op and physical bytes moved so `-json=BENCH_10.json`
-// leaves a machine-readable record. Only the "(block transfers)" series
-// is baseline-gated; wall-clock and physical bytes are recorded, never
-// gated — real hardware is allowed to be noisy, the in-run gates above
-// are not.
+// for the delta codec over the fixed layout. It then reports io/op and
+// physical bytes moved so `-json=BENCH_10.json` leaves a machine-readable
+// record. Only the "(block transfers)" series is baseline-gated; physical
+// bytes are recorded, never gated. Wall-clock is bench/e2e's to measure
+// (its disk-codec workload), over repeated runs.
 type codecBenchConfig struct {
 	objects int
-	iters   int // timing iterations per variant (best-of)
 	seed    int64
 	memory  int // EM budget M in bytes
 	par     int
@@ -64,20 +61,16 @@ func codecObjects(seed int64, n int) []maxrs.Object {
 
 // runCodec measures every storage stack and returns the metric series.
 func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
 	objs := codecObjects(cfg.seed, cfg.objects)
 	queryEdge := 4 * float64(cfg.objects) / 1000
 
-	fmt.Fprintf(cfg.out, "codec: %d uniform objects, M=%dKB, B=%d, query %gx%g, %d iterations, parallelism %d\n",
-		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.iters, cfg.par)
-	fmt.Fprintf(cfg.out, "%-16s %-12s %10s %12s %14s %8s\n",
-		"variant", "resolved", "io/op", "best ns/op", "phys bytes/op", "ratio")
+	fmt.Fprintf(cfg.out, "codec: %d uniform objects, M=%dKB, B=%d, query %gx%g, parallelism %d\n",
+		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.par)
+	fmt.Fprintf(cfg.out, "%-16s %-12s %10s %14s %8s\n",
+		"variant", "resolved", "io/op", "phys bytes/op", "ratio")
 
 	type measured struct {
 		io         uint64
-		ns         int64
 		physBytes  uint64
 		compressed uint64
 		measured   bool
@@ -87,57 +80,48 @@ func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
 	results := make([]measured, len(codecBenchVariants))
 
 	for vi, v := range codecBenchVariants {
-		var m measured
-		m.ns = int64(1) << 62
-		for it := 0; it < cfg.iters; it++ {
-			e, err := maxrs.NewEngine(&maxrs.Options{
-				BlockSize:   experiments.DefaultBlockSize,
-				Memory:      cfg.memory,
-				Parallelism: cfg.par,
-				OnDisk:      true,
-				Backend:     v.backend,
-				Codec:       v.codec,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("codec: %s: %w", v.name, err)
-			}
-			d, err := e.Load(context.Background(), objs)
-			if err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("codec: %s: %w", v.name, err)
-			}
-			e.ResetStats() // scope counted and physical I/O to the query
-			start := time.Now()
-			res, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge)
-			elapsed := time.Since(start)
-			if err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("codec: %s: %w", v.name, err)
-			}
-			stats := e.Stats()
-			phys := e.PhysIO()
-			info := e.StorageInfo()
-			if err := d.Release(); err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("codec: %s: %w", v.name, err)
-			}
-			if err := e.Close(); err != nil {
-				return nil, fmt.Errorf("codec: %s: %w", v.name, err)
-			}
-			m.io = stats.Total()
-			if ns := elapsed.Nanoseconds(); ns < m.ns {
-				m.ns = ns
-			}
-			m.physBytes = phys.Bytes()
-			m.compressed = phys.BlocksCompressed
-			m.measured = phys.Measured
-			m.backend = info.Backend
-			m.result = res
+		e, err := maxrs.NewEngine(&maxrs.Options{
+			BlockSize:   experiments.DefaultBlockSize,
+			Memory:      cfg.memory,
+			Parallelism: cfg.par,
+			OnDisk:      true,
+			Backend:     v.backend,
+			Codec:       v.codec,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("codec: %s: %w", v.name, err)
+		}
+		d, err := e.Load(context.Background(), objs)
+		if err != nil {
+			_ = e.Close()
+			return nil, fmt.Errorf("codec: %s: %w", v.name, err)
+		}
+		e.ResetStats() // scope counted and physical I/O to the query
+		res, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge)
+		if err != nil {
+			_ = e.Close()
+			return nil, fmt.Errorf("codec: %s: %w", v.name, err)
+		}
+		phys := e.PhysIO()
+		m := measured{
+			io:         e.Stats().Total(),
+			physBytes:  phys.Bytes(),
+			compressed: phys.BlocksCompressed,
+			measured:   phys.Measured,
+			backend:    e.StorageInfo().Backend,
+			result:     res,
+		}
+		if err := d.Release(); err != nil {
+			_ = e.Close()
+			return nil, fmt.Errorf("codec: %s: %w", v.name, err)
+		}
+		if err := e.Close(); err != nil {
+			return nil, fmt.Errorf("codec: %s: %w", v.name, err)
 		}
 		results[vi] = m
 		fixed := m.io * uint64(experiments.DefaultBlockSize)
-		fmt.Fprintf(cfg.out, "%-16s %-12s %10d %12d %14d %7.1f%%\n",
-			v.name, m.backend, m.io, m.ns, m.physBytes, 100*float64(m.physBytes)/float64(fixed))
+		fmt.Fprintf(cfg.out, "%-16s %-12s %10d %14d %7.1f%%\n",
+			v.name, m.backend, m.io, m.physBytes, 100*float64(m.physBytes)/float64(fixed))
 	}
 
 	// Invariants (DESIGN.md §15). 1: every stack returns the same answer.
@@ -204,9 +188,8 @@ func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
 	return []experiments.Series{
 		// Gated by the committed baseline: deterministic transfer counts.
 		mkSeries("codec: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
-		// Recorded, never gated: wall-clock and physical bytes vary with
-		// the hardware; the in-run gates above hold the compression win.
-		mkSeries("codec: best wall-clock per query (ns)", func(m measured) float64 { return float64(m.ns) }),
+		// Recorded, never gated: the in-run gates above hold the
+		// compression win.
 		mkSeries("codec: physical bytes per query", func(m measured) float64 { return float64(m.physBytes) }),
 		mkSeries("codec: blocks compressed per query", func(m measured) float64 { return float64(m.compressed) }),
 	}, nil

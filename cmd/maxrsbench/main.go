@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -48,39 +47,16 @@ type jsonSummary struct {
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
-// parseLevels parses the -loadlevels list of goroutine counts.
-func parseLevels(s string) ([]int, error) {
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad goroutine count %q", part)
-		}
-		levels = append(levels, n)
-	}
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("no levels in %q", s)
-	}
-	return levels, nil
-}
-
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "comma-separated: table2,table3,fig12,fig13,fig14,fig15,fig16,fig17,all,load,fusion,shard,fault,plan,dist,incr,codec (load, fusion, shard, fault, plan, dist, incr and codec are never part of all)")
-		scale      = flag.Float64("scale", 1.0, "cardinality scale factor (1 = paper scale)")
-		bufscale   = flag.Float64("bufscale", 0, "buffer scale factor (default: same as -scale)")
-		seed       = flag.Int64("seed", 2012, "data generation seed")
-		oracleCap  = flag.Int("oraclecap", 50000, "max points fed to the exact MaxCRS oracle (fig17)")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for panel points and the solver (0 = GOMAXPROCS, 1 = sequential)")
-		jsonPath   = flag.String("json", "", "also write a BENCH_*.json summary to this path")
-		baseline   = flag.String("baseline", "", "compare this run's I/O metrics against a committed BENCH summary and exit 1 on any increase (the CI perf-regression gate)")
-		loadObjs   = flag.Int("loadobjs", 20000, "load mode: dataset cardinality")
-		loadQuery  = flag.Int("loadqueries", 64, "load mode: queries per concurrency level")
-		loadLevels = flag.String("loadlevels", "1,2,4,8", "load mode: comma-separated query-goroutine counts")
+		exp       = flag.String("exp", "all", "comma-separated: table2,table3,fig12,fig13,fig14,fig15,fig16,fig17,all,fusion,shard,fault,plan,dist,incr,codec (fusion, shard, fault, plan, dist, incr and codec are never part of all)")
+		scale     = flag.Float64("scale", 1.0, "cardinality scale factor (1 = paper scale)")
+		bufscale  = flag.Float64("bufscale", 0, "buffer scale factor (default: same as -scale)")
+		seed      = flag.Int64("seed", 2012, "data generation seed")
+		oracleCap = flag.Int("oraclecap", 50000, "max points fed to the exact MaxCRS oracle (fig17)")
+		parallel  = flag.Int("parallel", 0, "worker goroutines for panel points and the solver (0 = GOMAXPROCS, 1 = sequential)")
+		jsonPath  = flag.String("json", "", "also write a BENCH_*.json summary to this path")
+		baseline  = flag.String("baseline", "", "compare this run's I/O metrics against a committed BENCH summary and exit 1 on any increase (the CI perf-regression gate)")
 	)
 	flag.Parse()
 	if *parallel < 0 {
@@ -100,7 +76,7 @@ func main() {
 
 	registered := []string{
 		"all", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"load", "fusion", "shard", "fault", "plan", "dist", "incr", "codec",
+		"fusion", "shard", "fault", "plan", "dist", "incr", "codec",
 	}
 	known := map[string]bool{}
 	for _, name := range registered {
@@ -308,7 +284,6 @@ func main() {
 		start := time.Now()
 		series, err := runCodec(codecBenchConfig{
 			objects: n,
-			iters:   3,
 			seed:    *seed,
 			memory:  mem,
 			par:     *parallel,
@@ -351,37 +326,6 @@ func main() {
 			Series:    series,
 		})
 		delete(want, "fusion")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["load"] {
-		levels, err := parseLevels(*loadLevels)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "maxrsbench: -loadlevels: %v\n", err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		series, err := runLoad(loadConfig{
-			objects: *loadObjs,
-			queries: *loadQuery,
-			levels:  levels,
-			seed:    *seed,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "load",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    []experiments.Series{series},
-		})
-		delete(want, "load")
 		if len(want) == 0 {
 			finish()
 			return

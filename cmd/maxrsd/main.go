@@ -107,8 +107,8 @@ func main() {
 		shards       = flag.Int("shards", 0, "default shard count for object queries (0 = unsharded; PUT ?shards=K overrides per dataset)")
 		onDisk       = flag.Bool("ondisk", false, "back blocks with a temp file instead of process memory")
 		onDiskDir    = flag.String("ondiskdir", "", "directory for the -ondisk backing file (default: system temp)")
-		backendName  = flag.String("backend", "auto", "physical storage under -ondisk: auto, file, or mmap (mmap falls back to file when mapping is unavailable; counted transfers identical)")
-		codecName    = flag.String("codec", "none", "physical block codec: none or delta (per-block column-split delta/varint compression; counted transfers identical, physical bytes shrink)")
+		backendName  = flag.String("backend", "auto", "physical storage: auto (memory, or a file with -ondisk), file, or mmap (file and mmap store blocks under -ondiskdir without -ondisk; mmap falls back to file when mapping is unavailable; counted transfers identical)")
+		codecName    = flag.String("codec", "none", "physical block codec: none or delta (column-split delta/varint compression by record layout; counted transfers identical, physical bytes shrink)")
 		dataDir      = flag.String("datadir", "", "directory PUT /datasets/{name}?path= may read CSV files from (empty disables server-local loads)")
 		drain        = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline: in-flight queries get this long to finish before they are cancelled")
 		timeout      = flag.Duration("timeout", 0, "per-query deadline ceiling (0 = none; ?timeout= may tighten but not exceed it)")

@@ -45,32 +45,39 @@ func testDataset(t *testing.T, e *Engine, n int) *Dataset {
 }
 
 // mixedQuery runs the i-th query of the deterministic mixed workload and
-// returns a comparable fingerprint of its results.
-func mixedQuery(e *Engine, d *Dataset, i int) (string, error) {
+// returns a comparable fingerprint of its results and the query's block
+// transfers (for TopK, the sum over its rounds).
+func mixedQuery(e *Engine, d *Dataset, i int) (string, uint64, error) {
 	size := float64(50 * (1 + i%5))
 	switch i % 5 {
 	case 0:
 		r, err := e.MaxRS(context.Background(), d, size, size)
-		return fmt.Sprintf("maxrs %+v", r), err
+		return fmt.Sprintf("maxrs %+v", r), r.Stats.Total(), err
 	case 1:
 		rs, err := e.TopK(context.Background(), d, size, size, 3)
-		return fmt.Sprintf("topk %+v", rs), err
+		var total uint64
+		for _, r := range rs {
+			total += r.Stats.Total()
+		}
+		return fmt.Sprintf("topk %+v", rs), total, err
 	case 2:
 		r, err := e.MinRS(context.Background(), d, size, size)
-		return fmt.Sprintf("minrs %+v", r), err
+		return fmt.Sprintf("minrs %+v", r), r.Stats.Total(), err
 	case 3:
 		r, err := e.CountRS(context.Background(), d, size, size)
-		return fmt.Sprintf("countrs %+v", r), err
+		return fmt.Sprintf("countrs %+v", r), r.Stats.Total(), err
 	default:
 		r, err := e.MaxCRS(context.Background(), d, size)
-		return fmt.Sprintf("maxcrs %+v", r), err
+		return fmt.Sprintf("maxcrs %+v", r), r.Stats.Total(), err
 	}
 }
 
 // TestConcurrentQueriesMatchSequential drives N goroutines of mixed
 // MaxRS/TopK/MinRS/CountRS/MaxCRS queries against one shared engine and
 // dataset and requires bit-identical results — including the per-query
-// Stats — versus sequential execution. Run under -race in CI.
+// Stats — versus sequential execution, and per-query Stats that sum to
+// the engine's global transfer delta under concurrency (DESIGN.md §7.2).
+// Run under -race in CI.
 func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	e, err := NewEngine(&Options{BlockSize: 512, Memory: 8192})
 	if err != nil {
@@ -82,7 +89,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	const queries = 20
 	want := make([]string, queries)
 	for i := range want {
-		s, err := mixedQuery(e, d, i)
+		s, _, err := mixedQuery(e, d, i)
 		if err != nil {
 			t.Fatalf("sequential query %d: %v", i, err)
 		}
@@ -91,7 +98,9 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 
 	const goroutines = 10
 	got := make([][]string, goroutines)
+	ios := make([]uint64, goroutines)
 	errs := make([]error, goroutines)
+	before := e.Stats().Total()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -101,20 +110,27 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			// Each goroutine runs the full mix in a different order.
 			for k := 0; k < queries; k++ {
 				i := (k + g) % queries
-				s, err := mixedQuery(e, d, i)
+				s, io, err := mixedQuery(e, d, i)
 				if err != nil {
 					errs[g] = fmt.Errorf("query %d: %w", i, err)
 					return
 				}
 				got[g][i] = s
+				ios[g] += io
 			}
 		}(g)
 	}
 	wg.Wait()
+	var sum uint64
 	for g, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
+		sum += ios[g]
+	}
+	// Attribution is exact: no transfer is lost or charged to two queries.
+	if delta := e.Stats().Total() - before; sum != delta {
+		t.Fatalf("concurrent per-query transfers sum to %d, global delta is %d", sum, delta)
 	}
 	for g := range got {
 		for i := range want {

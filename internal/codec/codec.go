@@ -28,9 +28,10 @@
 // merely shift which column a field lands in, leaving correctness (and
 // most of the ratio) intact.
 //
-// The Encoder tries a candidate family per block and keeps the smallest
-// strictly-compressing encoding, falling back to the raw layout (id 0)
-// for incompressible blocks, so compression never inflates a block
+// DeltaFamily holds one codec per record layout the engine writes; the
+// store encodes each block with the member matching its stream's record
+// size and falls back to the raw layout (id 0) when that does not
+// strictly shrink the block, so compression never inflates a block
 // beyond its fixed layout plus the store's constant header.
 package codec
 
@@ -46,14 +47,16 @@ const RawID uint8 = 0
 // BlockCodec is one reversible block encoding. Implementations must be
 // stateless and safe for concurrent use.
 type BlockCodec interface {
-	// ID is the codec's registry id, recorded in the per-block header so
-	// readers can decode blocks written under any selection policy.
+	// ID is the codec's id, recorded in the per-block header so readers
+	// know how to decode the block.
 	ID() uint8
 	// Name identifies the codec in stats and logs.
 	Name() string
+	// RecordSize is the size in bytes of the records the codec targets.
+	RecordSize() int
 	// AppendEncode appends the encoded form of src to dst and returns
 	// the extended slice. It never fails: every input has an encoding
-	// (possibly longer than src — the Encoder discards those).
+	// (possibly longer than src — the store keeps src raw then).
 	AppendEncode(dst, src []byte) []byte
 	// Decode reconstructs exactly len(dst) logical bytes from payload.
 	// It fails on truncated or inconsistent payloads instead of reading
@@ -61,74 +64,40 @@ type BlockCodec interface {
 	Decode(dst, payload []byte) error
 }
 
-// registry maps codec ids to decoders. Populated at init with the
-// built-in families; Register extends it (tests, future codecs).
-var registry [256]BlockCodec
-
-// Register adds c to the decoder registry. Registering id 0 or an id
-// already taken by a different codec panics — block headers reference
-// ids forever, so collisions are corruption waiting to happen.
-func Register(c BlockCodec) {
-	id := c.ID()
-	if id == RawID {
-		panic("codec: id 0 is reserved for the raw layout")
-	}
-	if prev := registry[id]; prev != nil && prev.Name() != c.Name() {
-		panic(fmt.Sprintf("codec: id %d already registered to %s", id, prev.Name()))
-	}
-	registry[id] = c
+// family is one codec per record layout the engine writes, ascending by
+// record size: float64 (8), NaiveSweep breakpoint (16), Object (24),
+// Tuple (32), Event (33), WRect (40) and PieceEvent (41).
+var family = [...]BlockCodec{
+	WordDelta{Stride: 1},
+	WordDelta{Stride: 2},
+	WordDelta{Stride: 3},
+	WordDelta{Stride: 4},
+	ByteDelta{Stride: 33},
+	WordDelta{Stride: 5},
+	ByteDelta{Stride: 41},
 }
 
-// Lookup returns the codec registered under id. RawID has no codec (the
-// payload is the block); unknown ids return nil.
+// DeltaFamily returns the delta codecs, one per record layout the engine
+// writes: word strides for the 8-byte-aligned layouts, byte strides for
+// the unaligned event records.
+func DeltaFamily() []BlockCodec { return append([]BlockCodec(nil), family[:]...) }
+
+// Lookup returns the DeltaFamily member with the given id, or nil. RawID
+// has no codec (the payload is the block).
 func Lookup(id uint8) BlockCodec {
-	return registry[id]
-}
-
-// Registered returns every registered codec, ascending by id — the
-// domain of the round-trip property tests.
-func Registered() []BlockCodec {
-	var out []BlockCodec
-	for _, c := range registry {
-		if c != nil {
-			out = append(out, c)
+	for _, c := range family {
+		if c.ID() == id {
+			return c
 		}
 	}
-	return out
+	return nil
 }
 
-func init() {
-	// Word-stride deltas for every aligned record period up to 8 words.
-	for s := 1; s <= 8; s++ {
-		Register(WordDelta{Stride: s})
-	}
-	// Byte-stride deltas for the repo's record sizes (aligned ones too —
-	// on some blocks the byte form wins) — ids 9–255 are byte strides.
-	for _, s := range []int{24, 32, 33, 40, 41} {
-		Register(ByteDelta{Stride: s})
-	}
-}
-
-// DeltaFamily returns the default encode-side candidate set: the word
-// strides matching the repo's aligned record layouts (1 = float64,
-// 3 = Object, 4 = Tuple, 5 = WRect) and the byte strides matching the
-// unaligned event records (33 = Event, 41 = PieceEvent). The Encoder
-// tries each per block and keeps the smallest, so one family serves
-// every file of a disk without per-file configuration.
-func DeltaFamily() []BlockCodec {
-	return []BlockCodec{
-		WordDelta{Stride: 1},
-		WordDelta{Stride: 3},
-		WordDelta{Stride: 4},
-		WordDelta{Stride: 5},
-		ByteDelta{Stride: 33},
-		ByteDelta{Stride: 41},
-	}
-}
-
-// Encoder picks the best candidate encoding per block. Not safe for
-// concurrent use — callers pool Encoders (the scratch buffers are the
-// point: per-block encoding allocates nothing in steady state).
+// Encoder trial-encodes each block with every candidate and keeps the
+// smallest. The store does not use it — it encodes each block with the
+// one codec matching its record layout — so it serves as the reference
+// the layout choice is tested against, and as the benchmark tracer's
+// codec twin. Not safe for concurrent use.
 type Encoder struct {
 	cands []BlockCodec
 	a, b  []byte
@@ -180,6 +149,9 @@ func (w WordDelta) ID() uint8 { return uint8(w.Stride) }
 
 // Name implements BlockCodec.
 func (w WordDelta) Name() string { return fmt.Sprintf("word-delta/%d", w.Stride) }
+
+// RecordSize implements BlockCodec: Stride words of 8 bytes.
+func (w WordDelta) RecordSize() int { return 8 * w.Stride }
 
 // AppendEncode implements BlockCodec.
 func (w WordDelta) AppendEncode(dst, src []byte) []byte {
@@ -237,6 +209,9 @@ func (b ByteDelta) ID() uint8 { return uint8(b.Stride) }
 // Name implements BlockCodec.
 func (b ByteDelta) Name() string { return fmt.Sprintf("byte-delta/%d", b.Stride) }
 
+// RecordSize implements BlockCodec: Stride bytes.
+func (b ByteDelta) RecordSize() int { return b.Stride }
+
 // AppendEncode implements BlockCodec.
 func (b ByteDelta) AppendEncode(dst, src []byte) []byte {
 	var tmp [binary.MaxVarintLen64]byte
@@ -293,7 +268,10 @@ func (b ByteDelta) Decode(dst, payload []byte) error {
 			return fmt.Errorf("codec: %s: truncated literal token at byte %d", b.Name(), i)
 		}
 		payload = payload[n:]
-		if run+lit > uint64(len(dst)-i) || lit > uint64(len(payload)) {
+		// Bound each token on its own: run+lit can wrap around to a small
+		// sum when run is near 2⁶⁴.
+		rem := uint64(len(dst) - i)
+		if run > rem || lit > rem-run || lit > uint64(len(payload)) {
 			return fmt.Errorf("codec: %s: run %d+%d overflows block at byte %d", b.Name(), run, lit, i)
 		}
 		for ; run > 0; run-- {

@@ -50,13 +50,13 @@ func block(rng *rand.Rand, recSize, blockLen int) []byte {
 }
 
 // TestRoundTripAllCodecs is the core property test: random event/edge
-// record batches encode→decode bit-identical across every registered
+// record batches encode→decode bit-identical across every family
 // codec, including empty and single-record blocks and blocks whose last
 // record is truncated at the block boundary.
 func TestRoundTripAllCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	recSizes := []int{8, 24, 32, 33, 40, 41} // Float64, Object, Tuple, Event, WRect, PieceEvent
-	for _, c := range Registered() {
+	recSizes := []int{8, 16, 24, 32, 33, 40, 41} // Float64, breakpoint, Object, Tuple, Event, WRect, PieceEvent
+	for _, c := range DeltaFamily() {
 		for _, rs := range recSizes {
 			// Empty block.
 			roundTrip(t, c, nil)
@@ -85,7 +85,7 @@ func TestRoundTripAdversarial(t *testing.T) {
 			alt[i] = 0xFF
 		}
 	}
-	for _, c := range Registered() {
+	for _, c := range DeltaFamily() {
 		for _, src := range [][]byte{noise, zero, ff, alt, noise[:1], noise[:7], noise[:9]} {
 			roundTrip(t, c, src)
 		}
@@ -153,11 +153,12 @@ func TestEncoderScratchReuse(t *testing.T) {
 }
 
 // TestDecodeRejectsCorruptPayloads checks decoders fail cleanly (no
-// panic, no out-of-bounds) on truncated and bit-flipped payloads.
+// panic, no out-of-bounds) on truncated and bit-flipped payloads, and
+// reject token lengths whose sum wraps around.
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	src := block(rng, 40, 4096)
-	for _, c := range Registered() {
+	for _, c := range DeltaFamily() {
 		payload := c.AppendEncode(nil, src)
 		dst := make([]byte, len(src))
 		for cut := 0; cut < len(payload); cut += 1 + len(payload)/17 {
@@ -169,6 +170,87 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 			mut := append([]byte(nil), payload...)
 			mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
 			_ = c.Decode(dst, mut)
+		}
+		// A zero run of 2⁶⁴−1 bytes, then one literal byte: run+lit wraps
+		// to 0 and would pass a bound on the sum.
+		wrap := binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 1)
+		if err := c.Decode(make([]byte, 64), append(wrap, 0x01)); err == nil {
+			t.Fatalf("%s: decoded a zero run of 2⁶⁴−1 bytes", c.Name())
+		}
+	}
+}
+
+// layoutStream returns n bytes of a sorted stream of recSize-byte
+// records shaped like the engine's record of that size (package rec):
+// a sorted key, other coordinates spread over the data extent, interval
+// ends a fixed extent past their starts, unit weights (every workload's
+// objects weigh 1), location-weight sums that move by one between
+// neighbors, and a top/bottom flag in the event records' last byte.
+func layoutStream(rng *rand.Rand, recSize, n int) []byte {
+	const extent, side = 1e5, 500.0
+	var buf []byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	slabs := make([]float64, 9) // slab boundaries shared by tuples
+	for i := range slabs {
+		slabs[i] = rng.Float64() * extent
+	}
+	sort.Float64s(slabs)
+	key, sum := rng.Float64()*1e3, 1.0
+	for len(buf) < n {
+		key += rng.Float64() * 10
+		sum = max(1, sum+float64(rng.Intn(3)-1))
+		x := rng.Float64() * extent
+		top := rng.Intn(2)
+		switch recSize {
+		case 8: // Float64: sorted edge x
+			put(key)
+		case 16: // NaiveSweep breakpoint {X, Sum}
+			put(key, sum)
+		case 24: // Object {X, Y, W}, sorted by X
+			put(key, x, 1)
+		case 32: // Tuple {Y, X1, X2, Sum}, sorted by Y
+			s := rng.Intn(len(slabs) - 1)
+			put(key, slabs[s], slabs[s+1], sum)
+		case 33: // Event {Y, X1, X2, W, Top}, sorted by Y
+			put(key, x, x+side, 1)
+			buf = append(buf, byte(top))
+		case 40: // WRect {X1, X2, Y1, Y2, W}, sorted by X1
+			put(key, key+side, x, x+side, 1)
+		case 41: // PieceEvent {WRect, Top}, sorted by the event's edge
+			y1 := key - float64(top)*side
+			put(x, x+side, y1, y1+side, 1)
+			buf = append(buf, byte(top))
+		default:
+			panic("no record layout of this size")
+		}
+	}
+	return buf[:n]
+}
+
+// TestLayoutCodecMatchesTrial checks that encoding a block with the one
+// codec matching its record size (raw when that does not shrink it)
+// costs within 1% of the bytes of trying every family member per block.
+func TestLayoutCodecMatchesTrial(t *testing.T) {
+	const blockSize = 4096
+	for _, c := range DeltaFamily() {
+		rng := rand.New(rand.NewSource(17))
+		stream := layoutStream(rng, c.RecordSize(), 64*blockSize)
+		enc := NewEncoder(DeltaFamily())
+		layout, trial := 0, 0
+		for off := 0; off < len(stream); off += blockSize {
+			src := stream[off : off+blockSize]
+			layout += min(len(c.AppendEncode(nil, src)), len(src))
+			_, p := enc.Encode(src)
+			trial += len(p)
+		}
+		t.Logf("%s: layout %d bytes, trial %d", c.Name(), layout, trial)
+		if float64(layout) > 1.01*float64(trial) {
+			t.Errorf("%s: layout codec %d bytes, trial %d (+%.2f%%)",
+				c.Name(), layout, trial, 100*(float64(layout)/float64(trial)-1))
 		}
 	}
 }
@@ -206,24 +288,33 @@ func c8(src []byte, t *testing.T) int {
 	return len(payload)
 }
 
-// TestRegisterRejectsCollisions pins the registry's safety rails.
-func TestRegisterRejectsCollisions(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
+// TestLookupFamilyOnly pins Lookup to the family: every member by its
+// id and record size, and nil for the raw id and every id the family
+// cannot emit.
+func TestLookupFamilyOnly(t *testing.T) {
+	sizes := map[int]bool{}
+	for _, c := range DeltaFamily() {
+		if got := Lookup(c.ID()); got != c {
+			t.Fatalf("Lookup(%d) = %v, want %s", c.ID(), got, c.Name())
+		}
+		if sizes[c.RecordSize()] {
+			t.Fatalf("two family codecs for %d-byte records", c.RecordSize())
+		}
+		sizes[c.RecordSize()] = true
 	}
-	mustPanic("id 0", func() { Register(ByteDelta{Stride: 256}) }) // uint8(256) == 0
-	mustPanic("collision", func() { Register(WordDelta{Stride: 33}) })
-	// Re-registering the identical codec is idempotent, not a panic.
-	Register(WordDelta{Stride: 3})
+	for _, rs := range []int{8, 16, 24, 32, 33, 40, 41} {
+		if !sizes[rs] {
+			t.Fatalf("no family codec for %d-byte records", rs)
+		}
+	}
+	for _, id := range []uint8{RawID, 6, 7, 8, 9, 24, 32, 40, 254} {
+		if c := Lookup(id); c != nil {
+			t.Fatalf("Lookup(%d) = %s, want nil", id, c.Name())
+		}
+	}
 }
 
-// FuzzRoundTrip drives every registered codec over arbitrary blocks.
+// FuzzRoundTrip drives every family codec over arbitrary blocks.
 func FuzzRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(16))
 	f.Add([]byte{})
@@ -231,7 +322,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(block(rng, 33, 512))
 	f.Add(block(rng, 41, 300))
 	f.Fuzz(func(t *testing.T, src []byte) {
-		for _, c := range Registered() {
+		for _, c := range DeltaFamily() {
 			payload := c.AppendEncode(nil, src)
 			got := make([]byte, len(src))
 			if err := c.Decode(got, payload); err != nil {

@@ -251,18 +251,20 @@ func (d *Disk) readBlockOnce(id BlockID, dst []byte) error {
 
 // WriteBlock copies src (at most BlockSize bytes) into block id and charges
 // one write transfer. Transient faults are retried per the disk's
-// RetryPolicy; permanent faults surface wrapping ErrIOFault.
+// RetryPolicy; permanent faults surface wrapping ErrIOFault. The page has
+// no record layout, so it is stored uncompressed under any codec family.
 func (d *Disk) WriteBlock(id BlockID, src []byte) error {
-	return d.writeBlockCtx(nil, id, src)
+	return d.writeBlockCtx(nil, id, src, 0)
 }
 
 // writeBlockCtx is WriteBlock with the retry backoff bound to ctx (see
-// readBlockCtx).
-func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte) error {
+// readBlockCtx) and the record size of the stream writing src, which
+// picks the block's codec (0 = no record layout).
+func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte, recSize int) error {
 	p := d.retryPolicy()
 	bo := p.Backoff(d.jitter.Load())
 	for attempt := 0; ; attempt++ {
-		err := d.writeBlockOnce(id, src)
+		err := d.writeBlockOnce(id, src, recSize)
 		if err == nil {
 			return nil
 		}
@@ -280,7 +282,7 @@ func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte) error 
 // CRC32C of the content the caller intended — a torn write that persists
 // damaged bytes is caught by the next read's verification, which is the
 // point.
-func (d *Disk) writeBlockOnce(id BlockID, src []byte) error {
+func (d *Disk) writeBlockOnce(id BlockID, src []byte, recSize int) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if err := d.checkLocked(id); err != nil {
@@ -289,7 +291,7 @@ func (d *Disk) writeBlockOnce(id BlockID, src []byte) error {
 	if len(src) > d.blockSize {
 		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
 	}
-	if err := d.store.write(id, src); err != nil {
+	if err := d.store.write(id, src, recSize); err != nil {
 		return err
 	}
 	d.writes.Add(1)
@@ -370,11 +372,11 @@ func (d *Disk) allocGen() (BlockID, uint32) {
 // under the same read lock that excludes Free, so it can never land on
 // another file's data. Retries follow the disk's policy, with the
 // generation revalidated on every attempt.
-func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []byte) error {
+func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []byte, recSize int) error {
 	p := d.retryPolicy()
 	bo := p.Backoff(d.jitter.Load())
 	for attempt := 0; ; attempt++ {
-		err := d.writeBlockGenOnce(id, g, src)
+		err := d.writeBlockGenOnce(id, g, src, recSize)
 		if err == nil {
 			return nil
 		}
@@ -388,7 +390,7 @@ func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []by
 	}
 }
 
-func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte) error {
+func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte, recSize int) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if err := d.checkLocked(id); err != nil {
@@ -400,7 +402,7 @@ func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte) error {
 	if len(src) > d.blockSize {
 		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
 	}
-	if err := d.store.write(id, src); err != nil {
+	if err := d.store.write(id, src, recSize); err != nil {
 		return err
 	}
 	d.writes.Add(1)

@@ -74,13 +74,14 @@ func (f *File) Release() error {
 // surfaces on the next flush or at Close. The double buffer costs one
 // extra block of the writer's memory budget.
 type Writer struct {
-	file   *File
-	scope  *ScopeStats
-	ctx    context.Context // abort before the next block write once cancelled
-	buf    []byte
-	n      int // bytes buffered
-	closed bool
-	wb     *writeBehind
+	file    *File
+	scope   *ScopeStats
+	ctx     context.Context // abort before the next block write once cancelled
+	recSize int             // record size of the stream, picks the block codec (0 = none)
+	buf     []byte
+	n       int // bytes buffered
+	closed  bool
+	wb      *writeBehind
 }
 
 // writeBehind is the write-behind state: the spare buffer the caller fills
@@ -141,7 +142,7 @@ func (w *Writer) flush() error {
 	}
 	if w.wb == nil {
 		id := w.file.disk.Alloc()
-		if err := w.file.disk.writeBlockCtx(w.ctx, id, w.buf[:w.n]); err != nil {
+		if err := w.file.disk.writeBlockCtx(w.ctx, id, w.buf[:w.n], w.recSize); err != nil {
 			// The block is not yet part of the file — freeing it here is
 			// the only chance to reclaim it (Release won't see it).
 			return errors.Join(err, w.file.disk.Free(id))
@@ -156,7 +157,7 @@ func (w *Writer) flush() error {
 	full := w.buf[:w.n]
 	w.buf, w.wb.spare = w.wb.spare, w.buf
 	w.wb.inflight = true
-	go writeBehindBlock(w.ctx, w.file, id, gen, full, w.scope, w.wb.ch)
+	go writeBehindBlock(w.ctx, w.file, id, gen, full, w.recSize, w.scope, w.wb.ch)
 	w.file.blocks = append(w.file.blocks, id)
 	w.file.size += int64(w.n)
 	w.n = 0
@@ -178,8 +179,8 @@ func (w *Writer) awaitWrite() error {
 // block generation captured at allocation (writeBlockGen), so if the
 // abandoned writer's file was already released — and the block handed to
 // a new owner — the stale write is rejected instead of corrupting it.
-func writeBehindBlock(ctx context.Context, f *File, id BlockID, gen uint32, src []byte, sc *ScopeStats, ch chan<- error) {
-	err := f.disk.writeBlockGen(ctx, id, gen, src)
+func writeBehindBlock(ctx context.Context, f *File, id BlockID, gen uint32, src []byte, recSize int, sc *ScopeStats, ch chan<- error) {
+	err := f.disk.writeBlockGen(ctx, id, gen, src, recSize)
 	if err == nil {
 		sc.addWrite()
 		f.disk.pipeWrites.Add(1)
@@ -343,12 +344,15 @@ type RecordWriter[T any] struct {
 	count int64
 }
 
-// NewRecordWriter returns a RecordWriter appending to f with codec c.
+// NewRecordWriter returns a RecordWriter appending to f with codec c. Its
+// blocks are stored under the disk's block codec for c's record size.
 func NewRecordWriter[T any](f *File, c Codec[T]) (*RecordWriter[T], error) {
 	if c.Size() <= 0 || c.Size() > f.disk.blockSize {
 		return nil, fmt.Errorf("%w: record %dB, block %dB", ErrRecordSize, c.Size(), f.disk.blockSize)
 	}
-	return &RecordWriter[T]{w: f.NewWriter(), codec: c, buf: make([]byte, c.Size())}, nil
+	w := f.NewWriter()
+	w.recSize = c.Size()
+	return &RecordWriter[T]{w: w, codec: c, buf: make([]byte, c.Size())}, nil
 }
 
 // OpenRecordWriter returns a writer appending to f charging transfers to

@@ -225,7 +225,7 @@ func TestStaleWriteBehindRejected(t *testing.T) {
 	}
 	// The stale write must be rejected...
 	stale := make([]byte, 64)
-	if err := d.writeBlockGen(nil, id, gen, stale); err == nil {
+	if err := d.writeBlockGen(nil, id, gen, stale, 0); err == nil {
 		t.Fatal("stale background write landed on a reallocated block")
 	}
 	// ...leaving the new owner's data intact, while the current
@@ -240,7 +240,7 @@ func TestStaleWriteBehindRejected(t *testing.T) {
 		}
 	}
 	id3, gen3 := d.allocGen()
-	if err := d.writeBlockGen(nil, id3, gen3, owner); err != nil {
+	if err := d.writeBlockGen(nil, id3, gen3, owner, 0); err != nil {
 		t.Fatalf("current-generation write rejected: %v", err)
 	}
 }

@@ -14,10 +14,10 @@ import (
 // This file implements the slot store (DESIGN.md §15), the one physical
 // backend under every Disk. Each logical block persists as a *slot*: a
 // self-describing header followed by the block's physical payload, which
-// a per-block codec may have shrunk below the fixed layout. Without a
-// codec every payload is the block's written bytes — the fixed layout.
-// The raw codec (id 0) always fits, so compression can only save bytes,
-// never spill.
+// the codec matching the block's record layout may have shrunk below the
+// fixed layout. Without a codec every payload is the block's written
+// bytes — the fixed layout. The raw codec (id 0) always fits, so
+// compression can only save bytes, never spill.
 //
 // The store sits strictly below the Disk's transfer counters: one
 // logical ReadBlock/WriteBlock is one counted transfer whatever the
@@ -159,14 +159,21 @@ const (
 )
 
 // storeBackend is a Disk's block layer: it frames each block as a slot
-// (header with CRC32C, then the payload a codec candidate family shrank)
-// over a slotStore, and verifies the slot on every read. An empty family
-// stores every block raw — the fixed layout.
+// (header with CRC32C, then the payload) over a slotStore, and verifies
+// the slot on every read. A block written by a record stream is encoded
+// with the family codec for its record size, and kept raw when that does
+// not strictly shrink it; a block with no record layout, and every block
+// under an empty family, is stored raw — the fixed layout.
 type storeBackend struct {
 	blockSize int
 	store     slotStore // swapped by Disk.InjectFaults under the Disk's write lock
 	name      string    // actual store in use: "file", "mmap", "mem"
-	cands     []codec.BlockCodec
+
+	// layouts maps a record size to the family codec that encodes its
+	// streams' blocks, and ids maps a slot header's codec id back to that
+	// codec; a read of any other id is corruption. Fixed at construction.
+	layouts map[int]codec.BlockCodec
+	ids     map[uint8]codec.BlockCodec
 
 	// sizes caches each block's slot payload length + 1; 0 means the
 	// block was never written since its last grow, so reads zero-fill
@@ -175,8 +182,8 @@ type storeBackend struct {
 	// semantics.
 	sizes []uint32
 
-	encoders sync.Pool // of *codec.Encoder
-	bufs     sync.Pool // of *[]byte, slot-sized bounce buffers
+	encoded sync.Pool // of *[]byte, encode output keeping its grown capacity
+	bufs    sync.Pool // of *[]byte, slot-sized bounce buffers
 
 	// Physical-byte counters, kept only when a codec is armed (without
 	// one every transfer moves exactly one fixed-layout block).
@@ -186,9 +193,20 @@ type storeBackend struct {
 	rawBlocks  atomic.Uint64 // block writes stored in the fixed layout
 }
 
-func newStoreBackend(store slotStore, name string, blockSize int, cands []codec.BlockCodec) *storeBackend {
-	sb := &storeBackend{blockSize: blockSize, store: store, name: name, cands: cands}
-	sb.encoders.New = func() any { return codec.NewEncoder(sb.cands) }
+func newStoreBackend(store slotStore, name string, blockSize int, family []codec.BlockCodec) *storeBackend {
+	sb := &storeBackend{
+		blockSize: blockSize, store: store, name: name,
+		layouts: make(map[int]codec.BlockCodec, len(family)),
+		ids:     make(map[uint8]codec.BlockCodec, len(family)),
+	}
+	for _, c := range family {
+		sb.layouts[c.RecordSize()] = c
+		sb.ids[c.ID()] = c
+	}
+	sb.encoded.New = func() any {
+		b := make([]byte, 0, blockSize)
+		return &b
+	}
 	sb.bufs.New = func() any {
 		b := make([]byte, slotHeaderSize+blockSize)
 		return &b
@@ -211,14 +229,19 @@ func (sb *storeBackend) free(id BlockID) {
 	sb.store.free(id)
 }
 
-func (sb *storeBackend) hasCodec() bool { return len(sb.cands) > 0 }
+func (sb *storeBackend) hasCodec() bool { return len(sb.ids) > 0 }
 
-func (sb *storeBackend) write(id BlockID, src []byte) error {
+// write stores src as block id. recSize is the record size of the stream
+// that wrote it, or 0 for a page with no record layout.
+func (sb *storeBackend) write(id BlockID, src []byte, recSize int) error {
 	cid, payload := codec.RawID, src
-	if sb.hasCodec() {
-		enc := sb.encoders.Get().(*codec.Encoder)
-		defer sb.encoders.Put(enc) // payload may alias the encoder's buffer
-		cid, payload = enc.Encode(src)
+	if c := sb.layouts[recSize]; c != nil {
+		ep := sb.encoded.Get().(*[]byte)
+		defer sb.encoded.Put(ep) // payload may alias the encode output
+		*ep = c.AppendEncode((*ep)[:0], src)
+		if len(*ep) < len(src) {
+			cid, payload = c.ID(), *ep
+		}
 	}
 	bp := sb.bufs.Get().(*[]byte)
 	defer sb.bufs.Put(bp)
@@ -275,9 +298,9 @@ func (sb *storeBackend) read(id BlockID, dst []byte) error {
 		}
 		copy(dst, payload)
 	} else {
-		c := codec.Lookup(cid)
+		c := sb.ids[cid]
 		if c == nil {
-			return fmt.Errorf("%w: block %d references unknown codec %d", ErrBlockCorrupt, id, cid)
+			return fmt.Errorf("%w: block %d names codec %d, which this store never writes", ErrBlockCorrupt, id, cid)
 		}
 		if err := c.Decode(dst[:uncomp], payload); err != nil {
 			return fmt.Errorf("%w: block %d: %v", ErrBlockCorrupt, id, err)
@@ -334,10 +357,12 @@ type StorageInfo struct {
 
 // NewStoreDisk returns a Disk whose blocks live in a slot store
 // (DESIGN.md §15): kind selects the medium — StoreMmap falls back to a
-// plain temp file when mapping is unavailable — and cands is the codec
-// candidate family tried per block (nil stores every block in the fixed
-// layout). dir is the directory for the backing file ("" = the OS temp
-// directory; ignored by StoreMem).
+// plain temp file when mapping is unavailable — and family holds at most
+// one codec per record size: a RecordWriter's blocks are encoded with
+// the member matching its record size, while WriteBlock pages and
+// streams of other sizes stay in the fixed layout (nil stores every
+// block in the fixed layout). dir is the directory for the backing file
+// ("" = the OS temp directory; ignored by StoreMem).
 //
 // Transfer counts are bit-identical across kinds and codecs by
 // construction: the store sits below the counters, so codecs and the
@@ -346,7 +371,7 @@ type StorageInfo struct {
 // and write-behind, DESIGN.md §8) to overlap storage latency with CPU;
 // in memory there is no latency to hide, so they run synchronously.
 // Call Close when done to remove the backing file.
-func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.BlockCodec) (*Disk, error) {
+func NewStoreDisk(dir string, blockSize int, kind StoreKind, family []codec.BlockCodec) (*Disk, error) {
 	if blockSize <= 0 {
 		return nil, ErrBlockSize
 	}
@@ -375,7 +400,7 @@ func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.Block
 	if err != nil {
 		return nil, err
 	}
-	sb := newStoreBackend(store, name, blockSize, cands)
+	sb := newStoreBackend(store, name, blockSize, family)
 	return &Disk{blockSize: blockSize, store: sb, pipelined: kind != StoreMem}, nil
 }
 

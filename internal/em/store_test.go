@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -23,19 +24,51 @@ var storeKinds = []struct {
 	{"mmap", StoreMmap},
 }
 
-// sortedBlock returns n bytes of sorted 3-word records — the
+// sortedBlock returns n bytes of sorted 3-word (24-byte) records — the
 // compressible shape the delta family targets.
-func sortedBlock(seed int64, n int) []byte {
+func sortedBlock(seed int64, n int) []byte { return sortedRecords(seed, 24, n) }
+
+// sortedRecords returns n bytes of sorted recSize-byte records: each
+// word of a record is the record's sorted key plus the word's index, and
+// any sub-word tail is zero. Keys start at 1024, so the float exponents
+// rarely change, as with real coordinates, and every block compresses.
+func sortedRecords(seed int64, recSize, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, 0, n+24)
-	x := rng.Float64()
+	buf := make([]byte, 0, n+recSize)
+	x := 1024 + rng.Float64()
 	for len(buf) < n {
 		x += rng.Float64()
-		for w := 0; w < 3; w++ {
+		for w := 0; w < recSize/8; w++ {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x+float64(w)))
 		}
+		buf = append(buf, make([]byte, recSize%8)...)
 	}
 	return buf[:n]
+}
+
+// rawCodec passes recSize-byte records through as bytes, so a test can
+// write any byte image as a record stream of that layout.
+type rawCodec int
+
+func (c rawCodec) Size() int                   { return int(c) }
+func (c rawCodec) Encode(dst []byte, v []byte) { copy(dst, v) }
+func (c rawCodec) Decode(src []byte) []byte    { return bytes.Clone(src) }
+
+// layoutWriter returns the byte Writer of a RecordWriter for recSize-byte
+// records on f: its blocks are encoded as that layout's blocks are.
+func layoutWriter(t testing.TB, f *File, recSize int) *Writer {
+	t.Helper()
+	rw, err := NewRecordWriter(f, rawCodec(recSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rw.w
+}
+
+// writeLayoutBlock writes src to block id as a block of a 24-byte record
+// stream, the way a RecordWriter's flush does.
+func writeLayoutBlock(d *Disk, id BlockID, src []byte) error {
+	return d.writeBlockCtx(nil, id, src, 24)
 }
 
 func TestStoreDiskRoundTrip(t *testing.T) {
@@ -54,7 +87,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 			ids := make([]BlockID, len(payloads))
 			for i, p := range payloads {
 				ids[i] = d.Alloc()
-				if err := d.WriteBlock(ids[i], p); err != nil {
+				if err := writeLayoutBlock(d, ids[i], p); err != nil {
 					t.Fatalf("%s: write %d: %v", sk.name, i, err)
 				}
 			}
@@ -109,7 +142,7 @@ func TestStoreDiskTransferInvariance(t *testing.T) {
 		}
 		buf := make([]byte, 128)
 		for i, id := range ids {
-			if err := d.WriteBlock(id, sortedBlock(int64(i), 32+i*16)); err != nil {
+			if err := writeLayoutBlock(d, id, sortedBlock(int64(i), 32+i*16)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -122,7 +155,7 @@ func TestStoreDiskTransferInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := d.Alloc()
-		if err := d.WriteBlock(id, sortedBlock(9, 128)); err != nil {
+		if err := writeLayoutBlock(d, id, sortedBlock(9, 128)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.ReadBlock(id, buf); err != nil {
@@ -166,17 +199,18 @@ func TestStorePhysBytesCompressed(t *testing.T) {
 	}
 	defer d.Close()
 	const n = 32
-	block := sortedBlock(3, blockSize)
-	buf := make([]byte, blockSize)
-	for i := 0; i < n; i++ {
-		id := d.Alloc()
-		if err := d.WriteBlock(id, block); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.ReadBlock(id, buf); err != nil {
-			t.Fatal(err)
-		}
+	f := NewFile(d)
+	w := layoutWriter(t, f, 24)
+	if _, err := w.Write(sortedBlock(3, n*blockSize)); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, f.NewReader()); err != nil {
+		t.Fatal(err)
+	}
+	block := sortedBlock(3, blockSize)
 	p := d.PhysIO()
 	if !p.Measured {
 		t.Fatal("store disk did not measure physical bytes")
@@ -244,7 +278,7 @@ func TestStoreDiskFaultComposition(t *testing.T) {
 		forEachStore(t, plan, func(t *testing.T, d *Disk) {
 			id := d.Alloc()
 			src := sortedBlock(4, 48)
-			if err := d.WriteBlock(id, src); err != nil {
+			if err := writeLayoutBlock(d, id, src); err != nil {
 				t.Fatal(err)
 			}
 			buf := make([]byte, 64)
@@ -277,7 +311,7 @@ func TestStoreDiskFaultComposition(t *testing.T) {
 		forEachStore(t, plan, func(t *testing.T, d *Disk) {
 			id := d.Alloc()
 			src := sortedBlock(5, 48)
-			if err := d.WriteBlock(id, src); err != nil {
+			if err := writeLayoutBlock(d, id, src); err != nil {
 				t.Fatalf("torn write should report success: %v", err)
 			}
 			if !bytes.Equal(src, sortedBlock(5, 48)) {
@@ -287,7 +321,7 @@ func TestStoreDiskFaultComposition(t *testing.T) {
 			if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 				t.Fatalf("read of torn block = %v, want ErrBlockCorrupt", err)
 			}
-			if err := d.WriteBlock(id, sortedBlock(6, 48)); err != nil {
+			if err := writeLayoutBlock(d, id, sortedBlock(6, 48)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.ReadBlock(id, buf); err != nil {
@@ -300,7 +334,7 @@ func TestStoreDiskFaultComposition(t *testing.T) {
 		plan := FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: 1, Kind: FaultTransient}}}
 		forEachStore(t, plan, func(t *testing.T, d *Disk) {
 			id := d.Alloc()
-			if err := d.WriteBlock(id, sortedBlock(7, 48)); err != nil {
+			if err := writeLayoutBlock(d, id, sortedBlock(7, 48)); err != nil {
 				t.Fatalf("write through transient fault: %v", err)
 			}
 			if fs := d.FaultStats(); fs.WriteRetries != 1 {
@@ -320,7 +354,7 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 	}
 	defer d.Close()
 	id := d.Alloc()
-	if err := d.WriteBlock(id, sortedBlock(8, 64)); err != nil {
+	if err := writeLayoutBlock(d, id, sortedBlock(8, 64)); err != nil {
 		t.Fatal(err)
 	}
 	ms := d.store.store.(*memSlots)
@@ -333,12 +367,90 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 		t.Fatalf("ChecksumFailures = %d after one corrupt read, want 1", fs.ChecksumFailures)
 	}
 	// Unknown codec ids are corruption, not a crash.
-	if err := d.WriteBlock(id, sortedBlock(8, 64)); err != nil {
+	if err := writeLayoutBlock(d, id, sortedBlock(8, 64)); err != nil {
 		t.Fatal(err)
 	}
-	ms.hdrs[id][0] = 0xFE // no codec registered at 254
+	ms.hdrs[id][0] = 0xFE // no codec has id 254
 	if err := d.ReadBlock(id, buf); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("read with unknown codec id = %v, want ErrBlockCorrupt", err)
+	}
+}
+
+// TestStoreRejectsCodecOutsideFamily plants a well-formed slot encoded by
+// a codec the family does not hold (word stride 6, a 48-byte layout the
+// engine never writes): its payload and CRC are consistent, yet the read
+// must fail as corruption, because the store never writes that id.
+func TestStoreRejectsCodecOutsideFamily(t *testing.T) {
+	d, err := NewStoreDisk("", 64, StoreMem, codec.DeltaFamily())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	src := sortedRecords(15, 48, 64)
+	stride6 := codec.WordDelta{Stride: 6}
+	payload := stride6.AppendEncode(nil, src)
+	got := make([]byte, len(src))
+	if err := stride6.Decode(got, payload); err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("word-delta/6 round trip: %v", err)
+	}
+	id := d.Alloc()
+	ms := d.store.store.(*memSlots)
+	hdr := &ms.hdrs[id]
+	hdr[0] = stride6.ID()
+	putU32(hdr[4:], uint32(len(payload)))
+	putU32(hdr[8:], uint32(len(src)))
+	putU32(hdr[12:], crc32.Checksum(src, castagnoli))
+	ms.payloads[id] = payload
+	d.store.sizes[id] = uint32(len(payload)) + 1
+	if err := d.ReadBlock(id, make([]byte, 64)); !errors.Is(err, ErrBlockCorrupt) {
+		t.Fatalf("read of a word-delta/6 slot = %v, want ErrBlockCorrupt", err)
+	}
+}
+
+// TestRecordWriterBlocksCarryLayoutCodec checks that each block a
+// RecordWriter writes on a delta disk names its layout's family codec in
+// the slot header, and that a WriteBlock page of the same bytes stays
+// raw.
+func TestRecordWriterBlocksCarryLayoutCodec(t *testing.T) {
+	const blockSize = 512
+	d, err := NewStoreDisk("", blockSize, StoreMem, codec.DeltaFamily())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ms := d.store.store.(*memSlots)
+	for _, c := range codec.DeltaFamily() {
+		f := NewFile(d)
+		w := layoutWriter(t, f, c.RecordSize())
+		data := sortedRecords(16, c.RecordSize(), 4*blockSize)
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.blocks) != 4 {
+			t.Fatalf("%s: %d blocks, want 4", c.Name(), len(f.blocks))
+		}
+		for i, id := range f.blocks {
+			if got := ms.hdrs[id][0]; got != c.ID() {
+				t.Errorf("%s: block %d stored under codec %d, want %d", c.Name(), i, got, c.ID())
+			}
+		}
+		got, err := io.ReadAll(f.NewReader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: stream round trip mismatch", c.Name())
+		}
+		id := d.Alloc()
+		if err := d.WriteBlock(id, data[:blockSize]); err != nil {
+			t.Fatal(err)
+		}
+		if got := ms.hdrs[id][0]; got != codec.RawID {
+			t.Errorf("%s: WriteBlock page stored under codec %d, want raw", c.Name(), got)
+		}
 	}
 }
 
@@ -357,12 +469,20 @@ func FuzzSlotRead(f *testing.F) {
 	ms := seed.store.store.(*memSlots)
 	for _, src := range [][]byte{sortedBlock(13, blockSize), sortedBlock(14, 40), bytes.Repeat([]byte{0x5A}, blockSize), nil} {
 		id := seed.Alloc()
-		if err := seed.WriteBlock(id, src); err != nil {
+		if err := writeLayoutBlock(seed, id, src); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(ms.hdrs[id][:], bytes.Clone(ms.payloads[id]))
 	}
 	f.Add(make([]byte, slotHeaderSize), []byte{0xFF, 0xFF, 0xFF})
+	// A byte-delta/33 payload whose zero run of 2⁶⁴−1 bytes plus one
+	// literal wraps to 0, under a header that passes the length checks.
+	wrap := append(binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 1), 0x01)
+	hdr := make([]byte, slotHeaderSize)
+	hdr[0] = codec.ByteDelta{Stride: 33}.ID()
+	putU32(hdr[4:], uint32(len(wrap)))
+	putU32(hdr[8:], blockSize)
+	f.Add(hdr, wrap)
 
 	f.Fuzz(func(t *testing.T, hdr, payload []byte) {
 		if len(payload) > blockSize {
@@ -398,7 +518,7 @@ func TestMmapStoreGrowRemap(t *testing.T) {
 	ids := make([]BlockID, n)
 	for i := range ids {
 		ids[i] = d.Alloc()
-		if err := d.WriteBlock(ids[i], sortedBlock(int64(i), blockSize)); err != nil {
+		if err := writeLayoutBlock(d, ids[i], sortedBlock(int64(i), blockSize)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -423,7 +543,7 @@ func TestStoreDiskStreams(t *testing.T) {
 		t.Helper()
 		defer d.Close()
 		f := NewFile(d)
-		w := f.NewWriter()
+		w := layoutWriter(t, f, 24)
 		if _, err := w.Write(payload); err != nil {
 			t.Fatal(err)
 		}

@@ -271,23 +271,24 @@ type Options struct {
 	// fetched yet.
 	OnDisk    bool
 	OnDiskDir string
-	// Backend selects the store under an OnDisk engine (DESIGN.md §15).
-	// BackendAuto (the default) and BackendFile use the portable
-	// positioned-I/O temp file; BackendMmap memory-maps the backing file
-	// — page-cache reads, batched write-behind submission — and falls
-	// back to the file store when mapping is unavailable. Counted
-	// transfers are bit-identical across stores; only wall-clock changes.
-	// Non-Auto values require OnDisk. Shard disks mirror the selection.
+	// Backend selects the on-disk store (DESIGN.md §15). BackendAuto (the
+	// default) follows OnDisk: process memory, or the portable
+	// positioned-I/O temp file. BackendFile and BackendMmap store blocks
+	// on disk under OnDiskDir whatever OnDisk says; BackendMmap
+	// memory-maps the backing file — page-cache reads, batched
+	// write-behind submission — and falls back to the file store when
+	// mapping is unavailable. Counted transfers are bit-identical across
+	// stores; only wall-clock changes. Shard disks mirror the selection.
 	Backend BackendKind
 	// Codec selects the physical block codec family (DESIGN.md §15).
 	// CodecNone (the default) stores blocks in the fixed layout;
-	// CodecDelta column-splits and delta/varint-compresses each block,
-	// choosing the smallest encoding per block with a raw fallback, so a
-	// counted transfer never moves more than the fixed layout plus a
-	// constant header — and on sorted record streams moves far less
-	// (Engine.PhysIO). Counted transfers are bit-identical across
-	// codecs. Works with OnDisk and in-memory engines alike; shard disks
-	// mirror the selection.
+	// CodecDelta column-splits and delta/varint-compresses each block
+	// with the codec for its stream's record layout, keeping a block raw
+	// when that does not shrink it, so a counted transfer never moves
+	// more than the fixed layout plus a constant header — and on sorted
+	// record streams moves far less (Engine.PhysIO). Counted transfers
+	// are bit-identical across codecs. Works with on-disk and in-memory
+	// engines alike; shard disks mirror the selection.
 	Codec CodecKind
 	// Unfused disables ExactMaxRS's root pass fusion (DESIGN.md §8),
 	// restoring the materialize-sort-reread pipeline. Kept for ablation

@@ -7,14 +7,15 @@ import (
 	"maxrs/internal/em"
 )
 
-// BackendKind selects the store under an OnDisk engine (see
+// BackendKind selects the on-disk store of an engine (see
 // Options.Backend). Every kind counts the bit-identical transfer
 // schedule; kinds differ only in how each counted transfer touches the
 // hardware.
 type BackendKind int
 
 const (
-	// BackendAuto lets the engine pick: the portable file store.
+	// BackendAuto lets the engine pick: process memory, or the portable
+	// file store under OnDisk.
 	BackendAuto BackendKind = iota
 	// BackendFile forces the portable positioned-I/O temp-file store.
 	BackendFile
@@ -47,11 +48,12 @@ type CodecKind int
 const (
 	// CodecNone stores every block in its fixed layout.
 	CodecNone CodecKind = iota
-	// CodecDelta stores each block under the smallest of the
-	// column-split delta/varint codecs (word-stride deltas with zigzag
-	// varints for the aligned record layouts, byte-stride delta + zero
-	// RLE for the unaligned event records), falling back to the fixed
-	// layout per block when nothing compresses (DESIGN.md §15).
+	// CodecDelta stores each block of a record stream under the
+	// column-split delta/varint codec for the stream's record layout
+	// (word-stride deltas with zigzag varints for the aligned layouts,
+	// byte-stride delta + zero RLE for the unaligned event records),
+	// falling back to the fixed layout for a block it does not shrink
+	// (DESIGN.md §15).
 	CodecDelta
 )
 
@@ -73,27 +75,26 @@ func (c CodecKind) String() string {
 func (o *Options) newDisk() (*em.Disk, error) {
 	kind := em.StoreMem
 	switch o.Backend {
-	case BackendAuto, BackendFile:
+	case BackendAuto:
 		if o.OnDisk {
 			kind = em.StoreFile
 		}
+	case BackendFile:
+		kind = em.StoreFile
 	case BackendMmap:
 		kind = em.StoreMmap
 	default:
 		return nil, fmt.Errorf("maxrs: unknown backend kind %d", o.Backend)
 	}
-	if o.Backend != BackendAuto && !o.OnDisk {
-		return nil, fmt.Errorf("maxrs: Options.Backend %v requires OnDisk", o.Backend)
-	}
-	var cands []codec.BlockCodec
+	var family []codec.BlockCodec
 	switch o.Codec {
 	case CodecNone:
 	case CodecDelta:
-		cands = codec.DeltaFamily()
+		family = codec.DeltaFamily()
 	default:
 		return nil, fmt.Errorf("maxrs: unknown codec kind %d", o.Codec)
 	}
-	return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, kind, cands)
+	return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, kind, family)
 }
 
 // PhysIO counts the physical bytes moved below the counted block

@@ -3,6 +3,7 @@ package maxrs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -91,11 +92,25 @@ func TestStorageInvarianceMatrix(t *testing.T) {
 	}
 }
 
-// TestStorageOptionValidation pins NewEngine's rejection of
-// misconfigured storage selections.
+// TestStorageOptionValidation pins NewEngine's storage selection: an
+// explicit file or mmap backend stores blocks on disk without OnDisk,
+// and unknown kinds are rejected.
 func TestStorageOptionValidation(t *testing.T) {
-	if _, err := NewEngine(&Options{Backend: BackendMmap}); err == nil {
-		t.Fatal("in-memory engine with BackendMmap must be rejected")
+	for k, want := range map[BackendKind][]string{
+		BackendAuto: {"mem"},
+		BackendFile: {"file"},
+		BackendMmap: {"mmap", "file"}, // file where mapping is unavailable
+	} {
+		e, err := NewEngine(&Options{Backend: k, OnDiskDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("backend %v without OnDisk: %v", k, err)
+		}
+		if got := e.StorageInfo().Backend; !slices.Contains(want, got) {
+			t.Errorf("backend %v without OnDisk is served by %q, want one of %v", k, got, want)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := NewEngine(&Options{Backend: BackendKind(42), OnDisk: true}); err == nil {
 		t.Fatal("bogus backend kind must be rejected")
