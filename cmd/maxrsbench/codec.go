@@ -3,31 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"maxrs"
 	"maxrs/internal/experiments"
 )
-
-// codecBenchConfig parameterizes the -exp=codec mode: the storage-stack
-// grid of DESIGN.md §15 — file vs mmap backend, fixed vs delta-compressed
-// block layout — on a Fig. 12-style uniform workload. The run doubles as
-// a regression gate: it asserts bit-identical results and bit-identical
-// counted transfer schedules across every stack (the codecs and the mmap
-// path live below the transfer counters), and a strict physical-byte win
-// for the delta codec over the fixed layout. It then reports io/op and
-// physical bytes moved so `-json=BENCH_10.json` leaves a machine-readable
-// record. Only the "(block transfers)" series is baseline-gated; physical
-// bytes are recorded, never gated. Wall-clock is bench/e2e's to measure
-// (its disk-codec workload), over repeated runs.
-type codecBenchConfig struct {
-	objects int
-	seed    int64
-	memory  int // EM budget M in bytes
-	par     int
-	out     io.Writer
-}
 
 // codecBenchVariant is one measured storage stack.
 type codecBenchVariant struct {
@@ -59,8 +39,15 @@ func codecObjects(seed int64, n int) []maxrs.Object {
 	return objs
 }
 
-// runCodec measures every storage stack and returns the metric series.
-func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
+// runCodec is the -exp=codec mode: the storage-stack grid of DESIGN.md
+// §15 — file vs mmap backend, fixed vs delta-compressed block layout — on
+// a Fig. 12-style uniform workload. It asserts bit-identical results and
+// bit-identical counted transfer schedules across every stack (the codecs
+// and the mmap path live below the transfer counters), and a strict
+// physical-byte win for the delta codec over the fixed layout. Only the
+// "(block transfers)" series is baseline-gated; physical bytes are
+// recorded, never gated.
+func runCodec(cfg gridConfig) ([]experiments.Series, error) {
 	objs := codecObjects(cfg.seed, cfg.objects)
 	queryEdge := 4 * float64(cfg.objects) / 1000
 
@@ -172,25 +159,9 @@ func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
 	for i, v := range codecBenchVariants {
 		names[i] = v.name
 	}
-	mkSeries := func(title string, val func(measured) float64) experiments.Series {
-		s := experiments.Series{
-			Title:  title,
-			XLabel: "variant",
-			X:      []float64{1},
-			Order:  names,
-			Values: map[string][]float64{},
-		}
-		for i, v := range codecBenchVariants {
-			s.Values[v.name] = []float64{val(results[i])}
-		}
-		return s
-	}
 	return []experiments.Series{
-		// Gated by the committed baseline: deterministic transfer counts.
-		mkSeries("codec: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
-		// Recorded, never gated: the in-run gates above hold the
-		// compression win.
-		mkSeries("codec: physical bytes per query", func(m measured) float64 { return float64(m.physBytes) }),
-		mkSeries("codec: blocks compressed per query", func(m measured) float64 { return float64(m.compressed) }),
+		variantSeries("codec: I/O per query (block transfers)", names, results, func(m measured) float64 { return float64(m.io) }),
+		variantSeries("codec: physical bytes per query", names, results, func(m measured) float64 { return float64(m.physBytes) }),
+		variantSeries("codec: blocks compressed per query", names, results, func(m measured) float64 { return float64(m.compressed) }),
 	}, nil
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"time"
@@ -15,46 +14,24 @@ import (
 	"maxrs/internal/workload"
 )
 
-// distBenchConfig parameterizes the -exp=dist mode: the distributed
-// fan-out record (DESIGN.md §13). It answers two questions with one run.
-// First, what does shipping shards to workers cost over solving the same
-// shards in process — coordinator-side block transfers (gated by the
-// -baseline comparator) and wall-clock (ungated). Second, what does
-// recovery cost when the network misbehaves: deterministic exact-call
-// faults (a refused connection, a corrupted reply) must be retried into
-// the bit-identical answer, and a seeded random fault mix must too.
-type distBenchConfig struct {
-	objects int
-	iters   int // timing iterations per variant (best-of)
-	seed    int64
-	memory  int // EM budget M in bytes
-	par     int
-	out     io.Writer
-}
-
-// distVariant is one measured configuration.
+// distVariant is one measured configuration. A variant with an exact
+// fault schedule is a recovery drill: its fault must fire and be retried
+// into the bit-identical answer.
 type distVariant struct {
 	name        string
 	distributed bool
 	faults      maxrs.NetFaultPlan
-	// wantInjected requires the plan to have actually fired ≥ 1 fault —
-	// the recovery-exercised invariant for the exact-schedule variants.
-	wantInjected bool
 }
 
 const distShards = 4
 
-func distVariants(seed int64) []distVariant {
-	return []distVariant{
-		{name: "inprocess"},
-		{name: "dist/clean", distributed: true},
-		{name: "dist/conn@1", distributed: true, wantInjected: true,
-			faults: maxrs.NetFaultPlan{At: []maxrs.NetFaultAt{{Call: 1, Kind: maxrs.NetFaultConn}}}},
-		{name: "dist/corrupt@2", distributed: true, wantInjected: true,
-			faults: maxrs.NetFaultPlan{At: []maxrs.NetFaultAt{{Call: 2, Kind: maxrs.NetFaultCorrupt}}}},
-		{name: "dist/mixed-1%", distributed: true,
-			faults: maxrs.NetFaultPlan{Seed: seed, ConnRate: 0.005, CorruptRate: 0.005}},
-	}
+var distVariants = []distVariant{
+	{name: "inprocess"},
+	{name: "dist/clean", distributed: true},
+	{name: "dist/conn@1", distributed: true,
+		faults: maxrs.NetFaultPlan{At: []maxrs.NetFaultAt{{Call: 1, Kind: maxrs.NetFaultConn}}}},
+	{name: "dist/corrupt@2", distributed: true,
+		faults: maxrs.NetFaultPlan{At: []maxrs.NetFaultAt{{Call: 2, Kind: maxrs.NetFaultCorrupt}}}},
 }
 
 // startBenchWorker runs a worker over its own engine and disk — the
@@ -109,11 +86,14 @@ func startBenchWorker(memory, par int) (*httptest.Server, *maxrs.Engine, error) 
 	return ts, eng, nil
 }
 
-// runDist measures every variant and returns the metric series.
-func runDist(cfg distBenchConfig) ([]experiments.Series, error) {
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
+// runDist is the -exp=dist mode: the distributed fan-out record
+// (DESIGN.md §13). It answers two questions with one run. First, what does
+// shipping shards to workers cost the coordinator over solving the same
+// shards in process, in block transfers (gated by the -baseline
+// comparator). Second, does recovery hold when the network misbehaves:
+// exact-call faults (a refused connection, a corrupted reply) must be
+// retried into the bit-identical answer.
+func runDist(cfg gridConfig) ([]experiments.Series, error) {
 	gobjs := workload.Uniform(cfg.seed, cfg.objects, 4*float64(cfg.objects))
 	objs := make([]maxrs.Object, len(gobjs))
 	for i, o := range gobjs {
@@ -135,83 +115,72 @@ func runDist(cfg distBenchConfig) ([]experiments.Series, error) {
 		workers = append(workers, maxrs.WorkerAddr{Name: fmt.Sprintf("w%d", i), URL: ts.URL})
 	}
 
-	variants := distVariants(cfg.seed)
-	fmt.Fprintf(cfg.out, "dist: %d uniform objects, M=%dKB, B=%d, query %gx%g, K=%d over %d workers, %d iterations\n",
-		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, distShards, len(workers), cfg.iters)
-	fmt.Fprintf(cfg.out, "%-16s %12s %12s %9s %9s %9s\n", "variant", "coord io/op", "best ns/op", "netcalls", "injected", "fellback")
+	fmt.Fprintf(cfg.out, "dist: %d uniform objects, M=%dKB, B=%d, query %gx%g, K=%d over %d workers\n",
+		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, distShards, len(workers))
+	fmt.Fprintf(cfg.out, "%-16s %12s %9s %9s %9s\n", "variant", "coord io/op", "netcalls", "injected", "fellback")
 
 	type measured struct {
 		io       uint64
-		ns       int64
 		calls    uint64
 		injected uint64
 		fellback int
 		region   maxrs.Rect
 		score    float64
 	}
-	results := make([]measured, len(variants))
+	results := make([]measured, len(distVariants))
 
-	for vi, v := range variants {
-		var m measured
-		m.ns = int64(1) << 62
-		for it := 0; it < cfg.iters; it++ {
-			// A fresh engine per iteration restarts the fault plan's call
-			// counter, so exact-At schedules fire every iteration and the
-			// per-query counters are iteration-invariant.
-			opts := &maxrs.Options{
-				BlockSize:   experiments.DefaultBlockSize,
-				Memory:      cfg.memory,
-				Parallelism: cfg.par,
-				Shards:      distShards,
-			}
-			if v.distributed {
-				opts.Dist = &maxrs.DistOptions{
-					Workers: workers,
-					Retry: maxrs.RetryPolicy{
-						MaxRetries: 4,
-						BaseDelay:  200 * time.Microsecond,
-						MaxDelay:   2 * time.Millisecond,
-						JitterSeed: cfg.seed,
-					},
-					NetFaults: v.faults,
-				}
-			}
-			eng, err := maxrs.NewEngine(opts)
-			if err != nil {
-				return nil, err
-			}
-			ds, err := eng.Load(context.Background(), objs)
-			if err != nil {
-				return nil, errJoinClose(eng, err)
-			}
-			start := time.Now()
-			res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, errJoinClose(eng, fmt.Errorf("dist: %s: %w", v.name, err))
-			}
-			ns := eng.NetFaultStats()
-			m.io = res.Stats.Total()
-			if e := elapsed.Nanoseconds(); e < m.ns {
-				m.ns = e
-			}
-			m.calls = ns.Calls
-			m.injected = ns.InjectedConn + ns.InjectedDisconnect + ns.InjectedCorrupt + ns.InjectedLatency
-			m.fellback = 0
-			for _, sh := range res.ShardStats {
-				if sh.FellBack {
-					m.fellback++
-				}
-			}
-			m.region = res.Region
-			m.score = res.Score
-			if err := eng.Close(); err != nil {
-				return nil, err
+	for vi, v := range distVariants {
+		// A fresh engine per variant starts the fault plan's call counter
+		// at zero, so each exact-At schedule fires where it says.
+		opts := &maxrs.Options{
+			BlockSize:   experiments.DefaultBlockSize,
+			Memory:      cfg.memory,
+			Parallelism: cfg.par,
+			Shards:      distShards,
+		}
+		if v.distributed {
+			opts.Dist = &maxrs.DistOptions{
+				Workers: workers,
+				Retry: maxrs.RetryPolicy{
+					MaxRetries: 4,
+					BaseDelay:  200 * time.Microsecond,
+					MaxDelay:   2 * time.Millisecond,
+					JitterSeed: cfg.seed,
+				},
+				NetFaults: v.faults,
 			}
 		}
+		eng, err := maxrs.NewEngine(opts)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := eng.Load(context.Background(), objs)
+		if err != nil {
+			return nil, errJoinClose(eng, err)
+		}
+		res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
+		if err != nil {
+			return nil, errJoinClose(eng, fmt.Errorf("dist: %s: %w", v.name, err))
+		}
+		ns := eng.NetFaultStats()
+		m := measured{
+			io:       res.Stats.Total(),
+			calls:    ns.Calls,
+			injected: ns.InjectedConn + ns.InjectedDisconnect + ns.InjectedCorrupt + ns.InjectedLatency,
+			region:   res.Region,
+			score:    res.Score,
+		}
+		for _, sh := range res.ShardStats {
+			if sh.FellBack {
+				m.fellback++
+			}
+		}
+		if err := eng.Close(); err != nil {
+			return nil, err
+		}
 		results[vi] = m
-		fmt.Fprintf(cfg.out, "%-16s %12d %12d %9d %9d %9d\n",
-			v.name, m.io, m.ns, m.calls, m.injected, m.fellback)
+		fmt.Fprintf(cfg.out, "%-16s %12d %9d %9d %9d\n",
+			v.name, m.io, m.calls, m.injected, m.fellback)
 	}
 
 	// Invariants (DESIGN.md §13). 1: every variant — in-process, clean
@@ -220,18 +189,21 @@ func runDist(cfg distBenchConfig) ([]experiments.Series, error) {
 	for vi := 1; vi < len(results); vi++ {
 		if results[vi].region != results[0].region || results[vi].score != results[0].score {
 			return nil, fmt.Errorf("dist: %s result (%v, %g) differs from %s (%v, %g)",
-				variants[vi].name, results[vi].region, results[vi].score,
-				variants[0].name, results[0].region, results[0].score)
+				distVariants[vi].name, results[vi].region, results[vi].score,
+				distVariants[0].name, results[0].region, results[0].score)
 		}
 	}
 	// 2: the exact-schedule drills exercised recovery — their fault fired
 	// and the query still succeeded (checked above) without falling back
 	// to a local solve (retries, not degradation, absorbed it).
-	for vi, v := range variants {
-		if v.wantInjected && results[vi].injected == 0 {
+	for vi, v := range distVariants {
+		if len(v.faults.At) == 0 {
+			continue
+		}
+		if results[vi].injected == 0 {
 			return nil, fmt.Errorf("dist: %s fired no faults", v.name)
 		}
-		if v.wantInjected && results[vi].fellback != 0 {
+		if results[vi].fellback != 0 {
 			return nil, fmt.Errorf("dist: %s fell back on %d shards; retries should have recovered",
 				v.name, results[vi].fellback)
 		}
@@ -245,44 +217,14 @@ func runDist(cfg distBenchConfig) ([]experiments.Series, error) {
 	}
 	fmt.Fprintf(cfg.out, "results bit-identical across all variants, recovery exercised ✓\n")
 
-	names := make([]string, len(variants))
-	for i, v := range variants {
+	names := make([]string, len(distVariants))
+	for i, v := range distVariants {
 		names[i] = v.name
 	}
-	mkSeries := func(title string, include func(distVariant) bool, val func(measured) float64) experiments.Series {
-		s := experiments.Series{
-			Title:  title,
-			XLabel: "variant",
-			X:      []float64{1},
-			Values: map[string][]float64{},
-		}
-		for i, v := range variants {
-			if !include(v) {
-				continue
-			}
-			s.Order = append(s.Order, names[i])
-			s.Values[v.name] = []float64{val(results[i])}
-		}
-		return s
-	}
-	all := func(distVariant) bool { return true }
-	// Only the deterministic variants join the gated transfer-count
-	// series: the rate-driven mix could (with vanishing probability)
-	// exhaust a shard's retries and fall back, which adds local-solve
-	// reads. Everything else is ungated.
-	deterministic := func(v distVariant) bool {
-		f := v.faults
-		return f.ConnRate == 0 && f.DisconnectRate == 0 && f.CorruptRate == 0 && f.LatencyRate == 0
-	}
 	return []experiments.Series{
-		mkSeries("dist: coordinator I/O per query (block transfers)", deterministic,
-			func(m measured) float64 { return float64(m.io) }),
-		mkSeries("dist: best wall-clock per query (ns)", all,
-			func(m measured) float64 { return float64(m.ns) }),
-		mkSeries("dist: worker calls per query", all,
-			func(m measured) float64 { return float64(m.calls) }),
-		mkSeries("dist: injected faults per query", all,
-			func(m measured) float64 { return float64(m.injected) }),
+		variantSeries("dist: coordinator I/O per query (block transfers)", names, results, func(m measured) float64 { return float64(m.io) }),
+		variantSeries("dist: worker calls per query", names, results, func(m measured) float64 { return float64(m.calls) }),
+		variantSeries("dist: injected faults per query", names, results, func(m measured) float64 { return float64(m.injected) }),
 	}, nil
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"maxrs/internal/core"
@@ -11,24 +10,6 @@ import (
 	"maxrs/internal/experiments"
 	"maxrs/internal/workload"
 )
-
-// faultConfig parameterizes the -exp=fault mode: the hardening-overhead and
-// fault-recovery record (DESIGN.md §11). It answers two questions with one
-// run. First, what do a retry policy and an armed-but-silent fault
-// injector cost at zero fault rate — the answer must be zero block
-// transfers, asserted internally and gated by the -baseline comparator via
-// the "(block transfers)" series. Second, how does the hardened stack
-// behave at 0.1% and 1% transient fault rates — recovery wall-clock and
-// retry counts, reported as ungated series since they are probabilistic
-// and time-based.
-type faultConfig struct {
-	objects int
-	iters   int // timing iterations per variant (best-of)
-	seed    int64
-	memory  int // EM budget M in bytes
-	par     int
-	out     io.Writer
-}
 
 // faultVariant is one measured configuration.
 type faultVariant struct {
@@ -46,7 +27,7 @@ var faultVariants = []faultVariant{
 }
 
 // faultRetryPolicy is the hardened variants' policy. The backoff is kept
-// short so the recovery series measures the retry machinery, not sleep.
+// short so recovery costs the run little sleep.
 var faultRetryPolicy = em.RetryPolicy{
 	MaxRetries: 8,
 	BaseDelay:  50 * time.Microsecond,
@@ -58,79 +39,77 @@ func closeJoin(d *em.Disk, err error) error {
 	return errors.Join(err, d.Close())
 }
 
-// runFault measures every variant and returns the metric series.
-func runFault(cfg faultConfig) ([]experiments.Series, error) {
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
+// runFault is the -exp=fault mode: the hardening-overhead and
+// fault-recovery record (DESIGN.md §11). It answers two questions with one
+// run. First, what do a retry policy and an armed-but-silent fault
+// injector cost at zero fault rate — the answer must be zero block
+// transfers, asserted internally and gated by the -baseline comparator via
+// the "(block transfers)" series. Second, does the hardened stack recover
+// at 0.1% and 1% transient fault rates — faults must fire, every one must
+// be retried into success, and the answer and transfer count must not
+// move. The injected and retry counts are recorded as ungated series: they
+// describe the fault plan, not the paper's metric.
+func runFault(cfg gridConfig) ([]experiments.Series, error) {
 	objs := workload.Uniform(cfg.seed, cfg.objects, 4*float64(cfg.objects))
 	queryEdge := 4 * float64(cfg.objects) / 1000
 
-	fmt.Fprintf(cfg.out, "fault: %d uniform objects, M=%dKB, B=%d, query %gx%g, %d iterations, parallelism %d\n",
-		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.iters, cfg.par)
-	fmt.Fprintf(cfg.out, "%-16s %12s %12s %10s %10s\n", "variant", "io/op", "best ns/op", "injected", "retries")
+	fmt.Fprintf(cfg.out, "fault: %d uniform objects, M=%dKB, B=%d, query %gx%g, parallelism %d\n",
+		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.par)
+	fmt.Fprintf(cfg.out, "%-16s %12s %10s %10s\n", "variant", "io/op", "injected", "retries")
 
 	type measured struct {
 		io       uint64
-		ns       int64
-		injected uint64 // transients fired by the injector (last iteration)
-		retries  uint64 // read+write retry attempts (last iteration)
+		injected uint64 // transients fired by the injector
+		retries  uint64 // read+write retry attempts
 		region   [4]float64
 		sum      float64
 	}
 	results := make([]measured, len(faultVariants))
 
 	for vi, v := range faultVariants {
-		var m measured
-		m.ns = int64(1) << 62
-		for it := 0; it < cfg.iters; it++ {
-			d, err := em.NewDisk(experiments.DefaultBlockSize)
-			if err != nil {
-				return nil, err
-			}
-			if v.retry {
-				d.SetRetryPolicy(faultRetryPolicy)
-			}
-			if v.armed {
-				d.InjectFaults(em.FaultPlan{
-					Seed:               cfg.seed + int64(it),
-					TransientReadRate:  v.rate,
-					TransientWriteRate: v.rate,
-				})
-			}
-			env := em.Env{Disk: d, M: cfg.memory}
-			f, err := workload.Write(d, objs)
-			if err != nil {
-				return nil, closeJoin(d, err)
-			}
-			solver, err := core.NewSolver(env, core.Config{Parallelism: cfg.par})
-			if err != nil {
-				return nil, closeJoin(d, err)
-			}
-			d.ResetStats()
-			start := time.Now()
-			res, err := solver.SolveObjects(f, queryEdge, queryEdge)
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, closeJoin(d, fmt.Errorf("fault: %s: %w", v.name, err))
-			}
-			stats := d.Stats()
-			fs := d.FaultStats()
-			if err := d.Close(); err != nil {
-				return nil, err
-			}
-			m.io = stats.Total()
-			if ns := elapsed.Nanoseconds(); ns < m.ns {
-				m.ns = ns
-			}
-			m.injected = fs.InjectedTransient
-			m.retries = fs.ReadRetries + fs.WriteRetries
-			m.region = [4]float64{res.Region.X.Lo, res.Region.X.Hi, res.Region.Y.Lo, res.Region.Y.Hi}
-			m.sum = res.Sum
+		d, err := em.NewDisk(experiments.DefaultBlockSize)
+		if err != nil {
+			return nil, err
+		}
+		if v.retry {
+			d.SetRetryPolicy(faultRetryPolicy)
+		}
+		if v.armed {
+			d.InjectFaults(em.FaultPlan{
+				Seed:               cfg.seed,
+				TransientReadRate:  v.rate,
+				TransientWriteRate: v.rate,
+			})
+		}
+		env := em.Env{Disk: d, M: cfg.memory}
+		f, err := workload.Write(d, objs)
+		if err != nil {
+			return nil, closeJoin(d, err)
+		}
+		solver, err := core.NewSolver(env, core.Config{Parallelism: cfg.par})
+		if err != nil {
+			return nil, closeJoin(d, err)
+		}
+		d.ResetStats()
+		res, err := solver.SolveObjects(f, queryEdge, queryEdge)
+		if err != nil {
+			return nil, closeJoin(d, fmt.Errorf("fault: %s: %w", v.name, err))
+		}
+		stats := d.Stats()
+		fs := d.FaultStats()
+		if err := d.Close(); err != nil {
+			return nil, err
+		}
+		m := measured{
+			io:       stats.Total(),
+			injected: fs.InjectedTransient,
+			retries:  fs.ReadRetries + fs.WriteRetries,
+			region:   [4]float64{res.Region.X.Lo, res.Region.X.Hi, res.Region.Y.Lo, res.Region.Y.Hi},
+			sum:      res.Sum,
 		}
 		results[vi] = m
-		fmt.Fprintf(cfg.out, "%-16s %12d %12d %10d %10d\n",
-			v.name, m.io, m.ns, m.injected, m.retries)
+		fmt.Fprintf(cfg.out, "%-16s %12d %10d %10d\n",
+			v.name, m.io, m.injected, m.retries)
 	}
 
 	// Invariants (DESIGN.md §11). 1: every variant — including those that
@@ -174,26 +153,11 @@ func runFault(cfg faultConfig) ([]experiments.Series, error) {
 	for i, v := range faultVariants {
 		names[i] = v.name
 	}
-	mkSeries := func(title string, val func(measured) float64) experiments.Series {
-		s := experiments.Series{
-			Title:  title,
-			XLabel: "variant",
-			X:      []float64{1},
-			Order:  names,
-			Values: map[string][]float64{},
-		}
-		for i, v := range faultVariants {
-			s.Values[v.name] = []float64{val(results[i])}
-		}
-		return s
-	}
 	// Only the transfer-count series carries the "(block transfers)"
-	// marker: it is deterministic and the -baseline comparator gates it.
-	// Wall-clock and retry counts vary run to run and stay ungated.
+	// marker, so only it is gated by the -baseline comparator.
 	return []experiments.Series{
-		mkSeries("fault: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
-		mkSeries("fault: best wall-clock per query (ns)", func(m measured) float64 { return float64(m.ns) }),
-		mkSeries("fault: injected transients per query", func(m measured) float64 { return float64(m.injected) }),
-		mkSeries("fault: retries per query", func(m measured) float64 { return float64(m.retries) }),
+		variantSeries("fault: I/O per query (block transfers)", names, results, func(m measured) float64 { return float64(m.io) }),
+		variantSeries("fault: injected transients per query", names, results, func(m measured) float64 { return float64(m.injected) }),
+		variantSeries("fault: retries per query", names, results, func(m measured) float64 { return float64(m.retries) }),
 	}, nil
 }

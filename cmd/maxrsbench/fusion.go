@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"maxrs/internal/core"
 	"maxrs/internal/em"
@@ -11,24 +9,6 @@ import (
 	"maxrs/internal/rec"
 	"maxrs/internal/workload"
 )
-
-// fusionConfig parameterizes the -exp=fusion mode: a head-to-head of the
-// fused root pipeline (DESIGN.md §8) against the materializing one, on the
-// in-memory disk and the file-backed disk (whose streams pipeline). The
-// run doubles as a regression gate: it asserts bit-identical results
-// across all four variants, the golden transfer-saving floor of the
-// fusion, and count-invariance of the storage medium and its
-// prefetch/write-behind — then reports io/op, ns/op and pipeline coverage
-// so `-json=BENCH_3.json` leaves a machine-readable perf-trajectory
-// record.
-type fusionConfig struct {
-	objects int
-	iters   int // timing iterations per variant (best-of)
-	seed    int64
-	memory  int // EM budget M in bytes
-	par     int
-	out     io.Writer
-}
 
 // fusionVariant is one measured configuration.
 type fusionVariant struct {
@@ -44,21 +24,23 @@ var fusionVariants = []fusionVariant{
 	{name: "disk/fused", fileBacked: true},
 }
 
-// runFusion measures every variant and returns the three metric series.
-func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
+// runFusion is the -exp=fusion mode: a head-to-head of the fused root
+// pipeline (DESIGN.md §8) against the materializing one, on the in-memory
+// disk and the file-backed disk (whose streams pipeline). It asserts
+// bit-identical results across all four variants, the golden
+// transfer-saving floor of the fusion, and count-invariance of the storage
+// medium and its prefetch/write-behind, then reports io/op and pipeline
+// coverage.
+func runFusion(cfg gridConfig) ([]experiments.Series, error) {
 	objs := workload.Uniform(cfg.seed, cfg.objects, 4*float64(cfg.objects))
 	queryEdge := 4 * float64(cfg.objects) / 1000
 
-	fmt.Fprintf(cfg.out, "fusion: %d uniform objects, M=%dKB, B=%d, query %gx%g, %d iterations, parallelism %d\n",
-		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.iters, cfg.par)
-	fmt.Fprintf(cfg.out, "%-24s %12s %12s %12s %12s\n", "variant", "io/op", "best ns/op", "pre-reads", "wb-writes")
+	fmt.Fprintf(cfg.out, "fusion: %d uniform objects, M=%dKB, B=%d, query %gx%g, parallelism %d\n",
+		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.par)
+	fmt.Fprintf(cfg.out, "%-24s %12s %12s %12s\n", "variant", "io/op", "pre-reads", "wb-writes")
 
 	type measured struct {
 		io       uint64
-		ns       int64
 		preReads float64 // prefetched reads / total reads
 		wbWrites float64 // write-behind writes / total writes
 		region   [4]float64
@@ -67,64 +49,51 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 	results := make([]measured, len(fusionVariants))
 
 	for vi, v := range fusionVariants {
-		var m measured
-		m.ns = int64(1) << 62
-		for it := 0; it < cfg.iters; it++ {
-			var (
-				d   *em.Disk
-				err error
-			)
-			if v.fileBacked {
-				d, err = em.NewFileBackedDisk("", experiments.DefaultBlockSize)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				d, err = em.NewDisk(experiments.DefaultBlockSize)
-				if err != nil {
-					return nil, err
-				}
-			}
-			env := em.Env{Disk: d, M: cfg.memory}
-			f, err := workload.Write(d, objs)
-			if err != nil {
-				_ = d.Close()
-				return nil, err
-			}
-			solver, err := core.NewSolver(env, core.Config{Parallelism: cfg.par, Unfused: v.unfused})
-			if err != nil {
-				_ = d.Close()
-				return nil, err
-			}
-			d.ResetStats()
-			start := time.Now()
-			res, err := solver.SolveObjects(f, queryEdge, queryEdge)
-			elapsed := time.Since(start)
-			if err != nil {
-				_ = d.Close()
-				return nil, fmt.Errorf("fusion: %s: %w", v.name, err)
-			}
-			stats := d.Stats()
-			pr, pw := d.PipelineStats()
-			if err := d.Close(); err != nil {
-				return nil, err
-			}
-			m.io = stats.Total()
-			if ns := elapsed.Nanoseconds(); ns < m.ns {
-				m.ns = ns
-			}
-			if stats.Reads > 0 {
-				m.preReads = float64(pr) / float64(stats.Reads)
-			}
-			if stats.Writes > 0 {
-				m.wbWrites = float64(pw) / float64(stats.Writes)
-			}
-			m.region = [4]float64{res.Region.X.Lo, res.Region.X.Hi, res.Region.Y.Lo, res.Region.Y.Hi}
-			m.sum = res.Sum
+		var (
+			d   *em.Disk
+			err error
+		)
+		if v.fileBacked {
+			d, err = em.NewFileBackedDisk("", experiments.DefaultBlockSize)
+		} else {
+			d, err = em.NewDisk(experiments.DefaultBlockSize)
+		}
+		if err != nil {
+			return nil, err
+		}
+		env := em.Env{Disk: d, M: cfg.memory}
+		f, err := workload.Write(d, objs)
+		if err != nil {
+			return nil, closeJoin(d, err)
+		}
+		solver, err := core.NewSolver(env, core.Config{Parallelism: cfg.par, Unfused: v.unfused})
+		if err != nil {
+			return nil, closeJoin(d, err)
+		}
+		d.ResetStats()
+		res, err := solver.SolveObjects(f, queryEdge, queryEdge)
+		if err != nil {
+			return nil, closeJoin(d, fmt.Errorf("fusion: %s: %w", v.name, err))
+		}
+		stats := d.Stats()
+		pr, pw := d.PipelineStats()
+		if err := d.Close(); err != nil {
+			return nil, err
+		}
+		m := measured{
+			io:     stats.Total(),
+			region: [4]float64{res.Region.X.Lo, res.Region.X.Hi, res.Region.Y.Lo, res.Region.Y.Hi},
+			sum:    res.Sum,
+		}
+		if stats.Reads > 0 {
+			m.preReads = float64(pr) / float64(stats.Reads)
+		}
+		if stats.Writes > 0 {
+			m.wbWrites = float64(pw) / float64(stats.Writes)
 		}
 		results[vi] = m
-		fmt.Fprintf(cfg.out, "%-24s %12d %12d %11.1f%% %11.1f%%\n",
-			v.name, m.io, m.ns, 100*m.preReads, 100*m.wbWrites)
+		fmt.Fprintf(cfg.out, "%-24s %12d %11.1f%% %11.1f%%\n",
+			v.name, m.io, 100*m.preReads, 100*m.wbWrites)
 	}
 
 	// Invariants (DESIGN.md §8). 1: every variant returns the same answer.
@@ -172,23 +141,9 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 	for i, v := range fusionVariants {
 		names[i] = v.name
 	}
-	mkSeries := func(title string, val func(measured) float64) experiments.Series {
-		s := experiments.Series{
-			Title:  title,
-			XLabel: "variant",
-			X:      []float64{1},
-			Order:  names,
-			Values: map[string][]float64{},
-		}
-		for i, v := range fusionVariants {
-			s.Values[v.name] = []float64{val(results[i])}
-		}
-		return s
-	}
 	return []experiments.Series{
-		mkSeries("fusion: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
-		mkSeries("fusion: best wall-clock per query (ns)", func(m measured) float64 { return float64(m.ns) }),
-		mkSeries("fusion: prefetch coverage (reads via read-ahead)", func(m measured) float64 { return m.preReads }),
-		mkSeries("fusion: write-behind coverage (writes via background)", func(m measured) float64 { return m.wbWrites }),
+		variantSeries("fusion: I/O per query (block transfers)", names, results, func(m measured) float64 { return float64(m.io) }),
+		variantSeries("fusion: prefetch coverage (reads via read-ahead)", names, results, func(m measured) float64 { return m.preReads }),
+		variantSeries("fusion: write-behind coverage (writes via background)", names, results, func(m measured) float64 { return m.wbWrites }),
 	}, nil
 }

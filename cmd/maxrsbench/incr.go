@@ -3,30 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"time"
 
 	"maxrs"
 	"maxrs/internal/experiments"
 )
-
-// incrConfig parameterizes the -exp=incr mode: the incremental-
-// maintenance benchmark of the mutable-dataset layer (DESIGN.md §14).
-// For each insert-batch size it interleaves mutation rounds with
-// queries on one long-lived dataset and measures the transfers each
-// query costs, next to the reload-from-scratch alternative (load the
-// effective objects into a fresh engine, solve once). The run doubles
-// as a regression gate: after every round the mutated dataset's answer
-// must be bit-identical to the reload's (weights are dyadic, so the
-// sweep sums are exact and bit-identity is well-defined).
-type incrConfig struct {
-	objects int
-	seed    int64
-	memory  int // EM budget M in bytes
-	par     int
-	out     io.Writer
-}
 
 // incrBatches is the mutation-rate axis: objects inserted per round.
 var incrBatches = []int{1, 16, 128}
@@ -36,9 +17,15 @@ const (
 	incrQueries = 3 // queries after each round
 )
 
-// runIncr measures the delta path against the reload alternative and
-// returns the metric series.
-func runIncr(cfg incrConfig) ([]experiments.Series, error) {
+// runIncr is the -exp=incr mode: the incremental-maintenance benchmark of
+// the mutable-dataset layer (DESIGN.md §14). For each insert-batch size it
+// interleaves mutation rounds with queries on one long-lived dataset and
+// measures the transfers each query costs, next to the reload-from-scratch
+// alternative (load the effective objects into a fresh engine, solve
+// once). After every round the mutated dataset's answer must be
+// bit-identical to the reload's (weights are dyadic, so the sweep sums are
+// exact and bit-identity is well-defined).
+func runIncr(cfg gridConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	opts := &maxrs.Options{
@@ -49,13 +36,12 @@ func runIncr(cfg incrConfig) ([]experiments.Series, error) {
 	fmt.Fprintf(cfg.out, "incr: %d uniform objects, M=%dKB, B=%d, query %gx%g, %d rounds x %d queries, parallelism %d\n",
 		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge,
 		incrRounds, incrQueries, cfg.par)
-	fmt.Fprintf(cfg.out, "%-12s %14s %14s %12s %12s\n",
-		"batch", "delta io/q", "reload io/q", "combined", "best ns/q")
+	fmt.Fprintf(cfg.out, "%-12s %14s %14s %12s\n",
+		"batch", "delta io/q", "reload io/q", "combined")
 
 	deltaIO := make([]float64, len(incrBatches))
 	reloadIO := make([]float64, len(incrBatches))
 	combined := make([]float64, len(incrBatches))
-	bestNS := make([]float64, len(incrBatches))
 
 	for bi, batch := range incrBatches {
 		rng := rand.New(rand.NewSource(cfg.seed + int64(bi)))
@@ -84,7 +70,6 @@ func runIncr(cfg incrConfig) ([]experiments.Series, error) {
 		var (
 			qIO, rIO   uint64
 			nCombined  int
-			minNS      = int64(1) << 62
 			queriesRun int
 		)
 		for round := 0; round < incrRounds; round++ {
@@ -100,17 +85,12 @@ func runIncr(cfg incrConfig) ([]experiments.Series, error) {
 
 			var last maxrs.Result
 			for q := 0; q < incrQueries; q++ {
-				start := time.Now()
 				res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
-				elapsed := time.Since(start).Nanoseconds()
 				if err != nil {
 					_ = eng.Close()
 					return nil, fmt.Errorf("incr: batch %d round %d query %d: %w", batch, round, q, err)
 				}
 				qIO += res.Stats.Total()
-				if elapsed < minNS {
-					minNS = elapsed
-				}
 				if res.Plan.Delta != nil && res.Plan.Delta.Path == "combined" {
 					nCombined++
 				}
@@ -154,17 +134,14 @@ func runIncr(cfg incrConfig) ([]experiments.Series, error) {
 		deltaIO[bi] = float64(qIO) / float64(queriesRun)
 		reloadIO[bi] = float64(rIO) / float64(incrRounds)
 		combined[bi] = float64(nCombined) / float64(queriesRun)
-		bestNS[bi] = float64(minNS)
-		fmt.Fprintf(cfg.out, "%-12d %14.1f %14.1f %11.1f%% %12.0f\n",
-			batch, deltaIO[bi], reloadIO[bi], 100*combined[bi], bestNS[bi])
+		fmt.Fprintf(cfg.out, "%-12d %14.1f %14.1f %11.1f%%\n",
+			batch, deltaIO[bi], reloadIO[bi], 100*combined[bi])
 	}
 	fmt.Fprintf(cfg.out, "every round bit-identical to reload ✓\n")
 
 	x := make([]float64, len(incrBatches))
-	order := make([]string, len(incrBatches))
 	for i, b := range incrBatches {
 		x[i] = float64(b)
-		order[i] = fmt.Sprintf("batch=%d", b)
 	}
 	mkSeries := func(title string, vals map[string][]float64) experiments.Series {
 		return experiments.Series{
@@ -182,9 +159,6 @@ func runIncr(cfg incrConfig) ([]experiments.Series, error) {
 		}),
 		mkSeries("incr: combined-path share of queries", map[string][]float64{
 			"delta": combined,
-		}),
-		mkSeries("incr: best wall-clock per query (ns)", map[string][]float64{
-			"delta": bestNS,
 		}),
 	}, nil
 }

@@ -9,7 +9,14 @@
 //	maxrsbench -exp=fig13,fig17
 //	maxrsbench -exp=all -parallel=8     # panel points on 8 goroutines
 //	maxrsbench -exp=fig12 -json=BENCH_fig12.json
-//	maxrsbench -exp=fusion -json=BENCH_3.json   # fused-vs-unfused record
+//	maxrsbench -exp=fusion,shard,fault,plan,dist,incr,codec -scale=0.05 \
+//	    -json=BENCH_grid.json -baseline=bench/baseline.json
+//
+// The last form runs the transfer-count grid: seven experiments outside
+// the paper's set, each asserting its own invariants, whose series are
+// deterministic counts. Their "(block transfers)" series are compared
+// against the committed baseline (the CI perf gate). Wall-clock belongs
+// to bench/e2e, which takes medians over repeated runs.
 //
 // At -scale below 1 the buffer sizes shrink with the data (-bufscale
 // defaults to -scale) so the baselines stay on their external paths.
@@ -21,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -30,21 +38,76 @@ import (
 
 // jsonExperiment is one experiment's entry in the -json summary.
 type jsonExperiment struct {
-	Name      string               `json:"name"`
-	ElapsedMS int64                `json:"elapsed_ms"`
-	Series    []experiments.Series `json:"series,omitempty"`
+	Name   string               `json:"name"`
+	Series []experiments.Series `json:"series,omitempty"`
 }
 
-// jsonSummary is the BENCH_*.json payload: enough to track the perf and
-// I/O trajectory across revisions without re-parsing the text tables.
+// jsonSummary is the BENCH_*.json payload: the run's configuration and
+// every experiment's series, so the transfer counts can be tracked across
+// revisions without re-parsing the text tables. It records no wall-clock,
+// so re-running at the same configuration rewrites it byte for byte.
 type jsonSummary struct {
 	Bench       string           `json:"bench"`
 	Scale       float64          `json:"scale"`
 	BufScale    float64          `json:"bufscale"`
 	Seed        int64            `json:"seed"`
 	Parallelism int              `json:"parallelism"`
-	TotalMS     int64            `json:"total_ms"`
 	Experiments []jsonExperiment `json:"experiments"`
+}
+
+// gridConfig sizes one grid experiment; every experiment gets the same
+// one, so their baselines stay comparable.
+type gridConfig struct {
+	objects int
+	seed    int64
+	memory  int // EM budget M in bytes, per engine
+	par     int
+	out     io.Writer
+}
+
+// grid is the transfer-count grid, in run order. These experiments are
+// never part of -exp=all.
+var grid = []struct {
+	name string
+	run  func(gridConfig) ([]experiments.Series, error)
+}{
+	{"shard", runShard},
+	{"fault", runFault},
+	{"dist", runDist},
+	{"plan", runPlan},
+	{"incr", runIncr},
+	{"codec", runCodec},
+	{"fusion", runFusion},
+}
+
+// validateFlags rejects flag values that would otherwise be silently
+// replaced by defaults or clamped.
+func validateFlags(scale, bufscale float64, parallel int) error {
+	switch {
+	case !(scale > 0):
+		return fmt.Errorf("-scale=%g must be > 0", scale)
+	case !(bufscale >= 0):
+		return fmt.Errorf("-bufscale=%g must be ≥ 0 (0 = same as -scale)", bufscale)
+	case parallel < 0:
+		return fmt.Errorf("-parallel=%d must be ≥ 0 (0 = GOMAXPROCS)", parallel)
+	}
+	return nil
+}
+
+// variantSeries is a series with one point per variant: names[i] is a
+// label whose single value is val(results[i]).
+func variantSeries[M any](title string, names []string, results []M, val func(M) float64) experiments.Series {
+	s := experiments.Series{
+		Title:  title,
+		XLabel: "variant",
+		X:      []float64{1},
+		Order:  names,
+		Values: map[string][]float64{},
+	}
+	for i, name := range names {
+		s.Values[name] = []float64{val(results[i])}
+	}
+	return s
 }
 
 func main() {
@@ -59,8 +122,8 @@ func main() {
 		baseline  = flag.String("baseline", "", "compare this run's I/O metrics against a committed BENCH summary and exit 1 on any increase (the CI perf-regression gate)")
 	)
 	flag.Parse()
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "maxrsbench: -parallel=%d must be ≥ 0 (0 = GOMAXPROCS)\n", *parallel)
+	if err := validateFlags(*scale, *bufscale, *parallel); err != nil {
+		fmt.Fprintf(os.Stderr, "maxrsbench: %v\n", err)
 		os.Exit(2)
 	}
 	if *bufscale == 0 {
@@ -74,9 +137,9 @@ func main() {
 		Parallelism: *parallel,
 	}
 
-	registered := []string{
-		"all", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"fusion", "shard", "fault", "plan", "dist", "incr", "codec",
+	registered := []string{"all", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"}
+	for _, g := range grid {
+		registered = append(registered, g.name)
 	}
 	known := map[string]bool{}
 	for _, name := range registered {
@@ -103,38 +166,21 @@ func main() {
 		Seed:        *seed,
 		Parallelism: *parallel,
 	}
-	started := time.Now()
-	writeSummary := func() {
-		if *jsonPath == "" {
-			return
-		}
-		summary.TotalMS = time.Since(started).Milliseconds()
-		data, err := json.MarshalIndent(summary, "", "  ")
+	run := func(name string, fn func() ([]experiments.Series, error)) {
+		start := time.Now()
+		series, err := fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[json summary written to %s]\n", *jsonPath)
+		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		summary.Experiments = append(summary.Experiments, jsonExperiment{Name: name, Series: series})
 	}
-	// finish ends the run: write the JSON summary, then gate on the
-	// committed baseline (deterministic transfer counts only — see
-	// compareBaseline) when -baseline is set.
-	finish := func() {
-		writeSummary()
-		if *baseline != "" {
-			if err := compareBaseline(os.Stdout, *baseline, summary); err != nil {
-				fmt.Fprintf(os.Stderr, "maxrsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	// scaledWorkload sizes the fusion and shard gate workloads from the
-	// shared flags — one definition, so the two experiments' baselines
-	// stay comparable.
+
+	fmt.Printf("maxrsbench: scale=%g bufscale=%g seed=%d parallel=%d\n\n",
+		*scale, *bufscale, *seed, *parallel)
+
+	// scaledWorkload sizes every grid experiment from the shared flags.
 	scaledWorkload := func() (n, mem int) {
 		n = int(float64(experiments.DefaultCardinality) * *scale)
 		if n < 2000 {
@@ -146,215 +192,21 @@ func main() {
 		}
 		return n, mem
 	}
-	if want["shard"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runShard(shardBenchConfig{
-			objects: n,
-			iters:   3,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
-			os.Exit(1)
+	n, mem := scaledWorkload()
+	gcfg := gridConfig{objects: n, seed: *seed, memory: mem, par: *parallel, out: os.Stdout}
+	for _, g := range grid {
+		if want[g.name] {
+			run(g.name, func() ([]experiments.Series, error) { return g.run(gcfg) })
 		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "shard",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "shard")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["fault"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runFault(faultConfig{
-			objects: n,
-			iters:   3,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "fault",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "fault")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["dist"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runDist(distBenchConfig{
-			objects: n,
-			iters:   3,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dist: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "dist",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "dist")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["plan"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runPlan(planConfig{
-			objects: n,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plan: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "plan",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "plan")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["incr"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runIncr(incrConfig{
-			objects: n,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "incr: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "incr",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "incr")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["codec"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runCodec(codecBenchConfig{
-			objects: n,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "codec: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "codec",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "codec")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	if want["fusion"] {
-		n, mem := scaledWorkload()
-		start := time.Now()
-		series, err := runFusion(fusionConfig{
-			objects: n,
-			iters:   3,
-			seed:    *seed,
-			memory:  mem,
-			par:     *parallel,
-			out:     os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fusion: %v\n", err)
-			os.Exit(1)
-		}
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      "fusion",
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Series:    series,
-		})
-		delete(want, "fusion")
-		if len(want) == 0 {
-			finish()
-			return
-		}
-		fmt.Println()
-	}
-	run := func(name string, fn func() ([]experiments.Series, error)) {
-		if !all && !want[name] {
-			return
-		}
-		start := time.Now()
-		series, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("[%s done in %v]\n\n", name, elapsed.Round(time.Millisecond))
-		summary.Experiments = append(summary.Experiments, jsonExperiment{
-			Name:      name,
-			ElapsedMS: elapsed.Milliseconds(),
-			Series:    series,
-		})
 	}
 
-	fmt.Printf("maxrsbench: scale=%g bufscale=%g seed=%d parallel=%d\n\n",
-		*scale, *bufscale, *seed, *parallel)
-	run("table2", func() ([]experiments.Series, error) { experiments.Table2(os.Stdout, cfg); return nil, nil })
-	run("table3", func() ([]experiments.Series, error) { experiments.Table3(os.Stdout); return nil, nil })
+	paper := func(name string, fn func() ([]experiments.Series, error)) {
+		if all || want[name] {
+			run(name, fn)
+		}
+	}
+	paper("table2", func() ([]experiments.Series, error) { experiments.Table2(os.Stdout, cfg); return nil, nil })
+	paper("table3", func() ([]experiments.Series, error) { experiments.Table3(os.Stdout); return nil, nil })
 	multi := func(fn func(experiments.Config) ([]experiments.Series, error)) func() ([]experiments.Series, error) {
 		return func() ([]experiments.Series, error) {
 			series, err := fn(cfg)
@@ -367,12 +219,12 @@ func main() {
 			return series, nil
 		}
 	}
-	run("fig12", multi(experiments.Fig12))
-	run("fig13", multi(experiments.Fig13))
-	run("fig14", multi(experiments.Fig14))
-	run("fig15", multi(experiments.Fig15))
-	run("fig16", multi(experiments.Fig16))
-	run("fig17", func() ([]experiments.Series, error) {
+	paper("fig12", multi(experiments.Fig12))
+	paper("fig13", multi(experiments.Fig13))
+	paper("fig14", multi(experiments.Fig14))
+	paper("fig15", multi(experiments.Fig15))
+	paper("fig16", multi(experiments.Fig16))
+	paper("fig17", func() ([]experiments.Series, error) {
 		s, err := experiments.Fig17(cfg)
 		if err != nil {
 			return nil, err
@@ -381,5 +233,24 @@ func main() {
 		return []experiments.Series{s}, nil
 	})
 
-	finish()
+	if *jsonPath != "" {
+		data, err := json.MarshalIndent(summary, "", "  ")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "json: %v\n", err)
+			os.Exit(1)
+		}
+		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "json: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("[json summary written to %s]\n", *jsonPath)
+	}
+	// The gate compares deterministic transfer counts only; see
+	// compareBaseline.
+	if *baseline != "" {
+		if err := compareBaseline(os.Stdout, *baseline, summary); err != nil {
+			fmt.Fprintf(os.Stderr, "maxrsbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }

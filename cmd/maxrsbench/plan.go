@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"maxrs"
@@ -12,25 +11,15 @@ import (
 	"maxrs/internal/workload"
 )
 
-// planConfig parameterizes the -exp=plan mode: the cost model's
-// calibration grid (DESIGN.md §12.4). For every (workload, strategy)
-// point it runs one real query, records the measured block transfers
-// next to the model's prediction, and prints the error. Both counts are
-// deterministic at a fixed seed/scale, so `-baseline` gates them: a
-// regression in either the engine's schedules or the model's fidelity
-// fails CI.
-type planConfig struct {
-	objects int
-	seed    int64
-	memory  int // per-engine EM budget M in bytes
-	par     int
-	out     io.Writer
-}
-
-// runPlan measures predicted vs actual transfers over the shard grid
-// (fused), the unfused ablation, and the planner's own AlgorithmAuto
-// pick, on the Uniform and Gaussian workloads.
-func runPlan(cfg planConfig) ([]experiments.Series, error) {
+// runPlan is the -exp=plan mode: the cost model's calibration grid
+// (DESIGN.md §12.4). For every (workload, strategy) point — the shard grid
+// (fused), the unfused ablation, and the planner's own AlgorithmAuto pick,
+// on the Uniform and Gaussian workloads — it runs one real query, records
+// the measured block transfers next to the model's prediction, and prints
+// the error. Both counts are deterministic at a fixed seed/scale, so
+// `-baseline` gates them: a regression in either the engine's schedules or
+// the model's fidelity fails CI.
+func runPlan(cfg gridConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	loads := []struct {

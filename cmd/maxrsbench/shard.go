@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
 
 	"maxrs"
 	"maxrs/internal/experiments"
@@ -12,35 +10,18 @@ import (
 	"maxrs/internal/workload"
 )
 
-// shardBenchConfig parameterizes the -exp=shard mode: the sharded engine
-// (DESIGN.md §9) against the unsharded reference on the paper's Uniform
-// and Gaussian workloads. The run is a regression gate first and a
-// benchmark second: it asserts bit-identical best scores for K = 1, 2,
-// 4, 8 versus the unsharded engine (unit weights make every partial sum
-// exact, so "identical" means identical to the last bit), and that each
-// sharded query's per-shard stats add up to its reported total. It then
-// reports io/op (deterministic block transfers — the baseline-gated
-// metric), best wall-clock, and halo duplication, so `-json=BENCH_4.json`
-// leaves a machine-readable perf-trajectory record.
-type shardBenchConfig struct {
-	objects int
-	iters   int // timing iterations per point (best-of)
-	seed    int64
-	memory  int // per-engine EM budget M in bytes
-	par     int
-	out     io.Writer
-}
-
 // shardCounts are the measured shard counts; 0 is the unsharded
 // reference engine.
 var shardCounts = []int{0, 1, 2, 4, 8}
 
-// runShard measures every (workload, K) point and returns the metric
-// series.
-func runShard(cfg shardBenchConfig) ([]experiments.Series, error) {
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
+// runShard is the -exp=shard mode: the sharded engine (DESIGN.md §9)
+// against the unsharded reference on the paper's Uniform and Gaussian
+// workloads. It asserts bit-identical best scores for K = 1, 2, 4, 8
+// versus the unsharded engine (unit weights make every partial sum exact,
+// so "identical" means identical to the last bit), and that each sharded
+// query's per-shard stats add up to its reported total. It then reports
+// io/op and halo duplication for every (workload, K) point.
+func runShard(cfg gridConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	loads := []struct {
@@ -51,14 +32,13 @@ func runShard(cfg shardBenchConfig) ([]experiments.Series, error) {
 		{"gaussian", workload.Gaussian(cfg.seed, cfg.objects, extent)},
 	}
 
-	fmt.Fprintf(cfg.out, "shard: %d objects per workload, M=%dKB, B=%d, query %gx%g, %d iterations, parallelism %d\n",
-		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.iters, cfg.par)
-	fmt.Fprintf(cfg.out, "%-10s %8s %12s %12s %12s %10s\n",
-		"workload", "K", "io/op", "best ns/op", "routed", "score")
+	fmt.Fprintf(cfg.out, "shard: %d objects per workload, M=%dKB, B=%d, query %gx%g, parallelism %d\n",
+		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.par)
+	fmt.Fprintf(cfg.out, "%-10s %8s %12s %12s %10s\n",
+		"workload", "K", "io/op", "routed", "score")
 
 	type measured struct {
 		io     uint64
-		ns     int64
 		routed int64 // objects across all shards, halo copies included
 		score  float64
 	}
@@ -71,58 +51,47 @@ func runShard(cfg shardBenchConfig) ([]experiments.Series, error) {
 		}
 		points := make([]measured, 0, len(shardCounts))
 		for _, k := range shardCounts {
-			var m measured
-			m.ns = int64(1) << 62
-			for it := 0; it < cfg.iters; it++ {
-				eng, err := maxrs.NewEngine(&maxrs.Options{
-					BlockSize:   experiments.DefaultBlockSize,
-					Memory:      cfg.memory,
-					Parallelism: cfg.par,
-					Shards:      k,
-				})
-				if err != nil {
-					return nil, err
+			eng, err := maxrs.NewEngine(&maxrs.Options{
+				BlockSize:   experiments.DefaultBlockSize,
+				Memory:      cfg.memory,
+				Parallelism: cfg.par,
+				Shards:      k,
+			})
+			if err != nil {
+				return nil, err
+			}
+			ds, err := eng.Load(context.Background(), objs)
+			if err != nil {
+				_ = eng.Close()
+				return nil, err
+			}
+			eng.ResetStats()
+			res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
+			if err != nil {
+				_ = eng.Close()
+				return nil, fmt.Errorf("shard: %s K=%d: %w", load.name, k, err)
+			}
+			// Aggregation invariant: with a single query since
+			// ResetStats, the engine-global total (primary disk +
+			// shard-disk traffic) must equal the per-query total.
+			if g, q := eng.Stats().Total(), res.Stats.Total(); g != q {
+				_ = eng.Close()
+				return nil, fmt.Errorf("shard: %s K=%d: engine total %d != query total %d",
+					load.name, k, g, q)
+			}
+			if err := eng.Close(); err != nil {
+				return nil, err
+			}
+			m := measured{io: res.Stats.Total(), routed: int64(len(objs)), score: res.Score}
+			if k >= 1 {
+				m.routed = 0
+				for _, s := range res.ShardStats {
+					m.routed += s.Objects
 				}
-				ds, err := eng.Load(context.Background(), objs)
-				if err != nil {
-					_ = eng.Close()
-					return nil, err
-				}
-				eng.ResetStats()
-				start := time.Now()
-				res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
-				elapsed := time.Since(start)
-				if err != nil {
-					_ = eng.Close()
-					return nil, fmt.Errorf("shard: %s K=%d: %w", load.name, k, err)
-				}
-				// Aggregation invariant: with a single query since
-				// ResetStats, the engine-global total (primary disk +
-				// shard-disk traffic) must equal the per-query total.
-				if g, q := eng.Stats().Total(), res.Stats.Total(); g != q {
-					_ = eng.Close()
-					return nil, fmt.Errorf("shard: %s K=%d: engine total %d != query total %d",
-						load.name, k, g, q)
-				}
-				if err := eng.Close(); err != nil {
-					return nil, err
-				}
-				m.io = res.Stats.Total()
-				if ns := elapsed.Nanoseconds(); ns < m.ns {
-					m.ns = ns
-				}
-				m.routed = int64(len(objs))
-				if k >= 1 {
-					m.routed = 0
-					for _, s := range res.ShardStats {
-						m.routed += s.Objects
-					}
-				}
-				m.score = res.Score
 			}
 			points = append(points, m)
-			fmt.Fprintf(cfg.out, "%-10s %8d %12d %12d %12d %10.0f\n",
-				load.name, k, m.io, m.ns, m.routed, m.score)
+			fmt.Fprintf(cfg.out, "%-10s %8d %12d %12d %10.0f\n",
+				load.name, k, m.io, m.routed, m.score)
 		}
 		// The gate: every shard count returns the unsharded score, bit
 		// for bit.
@@ -163,7 +132,6 @@ func runShard(cfg shardBenchConfig) ([]experiments.Series, error) {
 	}
 	return []experiments.Series{
 		mkSeries("shard: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
-		mkSeries("shard: best wall-clock per query (ns)", func(m measured) float64 { return float64(m.ns) }),
 		mkSeries("shard: halo duplication (routed objects / input objects)", func(m measured) float64 {
 			return float64(m.routed) / float64(cfg.objects)
 		}),
