@@ -3,8 +3,6 @@ package main
 import (
 	"container/list"
 	"sync"
-
-	"maxrs"
 )
 
 // resultCache is a concurrency-safe LRU of solved query responses keyed by
@@ -21,24 +19,23 @@ import (
 // larger k too. Generations partition families, so reuse never crosses a
 // dataset reload; failed queries are never stored at all.
 //
-// Mutable datasets add a second freshness axis: every entry records the
-// dataset's mutation sequence number at solve time, and lookups (exact and
-// containment alike) hit only at the same sequence — a mutated dataset is
-// never answered from a pre-mutation result, even when the mutation could
-// not have changed it (the optimum may have MOVED somewhere the cached
-// regions never saw; only the engine's delta path can prove it didn't).
-// Mutations additionally invalidate subtractively: entries whose recorded
-// optimal regions closed-intersect a changed point's influence rectangle
-// are provably wrong and dropped outright; the rest survive in the LRU to
-// be revalidated (re-executed — cheap through the engine's combined
-// base+delta path — and re-put) on their next access.
+// Mutable datasets add a second freshness axis, the sequence fence:
+// every entry records the dataset's mutation sequence number at solve
+// time, and lookups (exact and containment alike) hit only at the same
+// sequence — a mutated dataset is never answered from a pre-mutation
+// result, even when the mutation could not have changed it (the optimum
+// may have MOVED somewhere the cached regions never saw; only the
+// engine's delta path can prove it didn't). A stale entry stays in the
+// LRU until its next access re-executes it (cheap through the engine's
+// combined base+delta path) and re-puts it fresh, or until it ages out.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used; values are *cacheEntry
 	byKey map[string]*list.Element
 	// families indexes the best donor entry per (generation, w, h)
-	// family: the exhausted donor if any, else the largest-k one.
+	// family: among those solved at the latest mutation sequence, the
+	// exhausted donor if any, else the largest-k one.
 	families map[string]*list.Element
 
 	hits, misses, reuseHits uint64
@@ -56,39 +53,8 @@ type cacheEntry struct {
 	family    string
 	k         int
 	exhausted bool
-	meta      entryMeta
-}
-
-// entryMeta is the freshness record of one cached response: which
-// dataset registration and mutation sequence it was solved at, and —
-// for the rectangle ops — the query shape and the optimal regions of
-// its results, the inputs of subtractive invalidation.
-type entryMeta struct {
-	gen, seq uint64
-	op       string
-	w, h     float64
-	regions  []maxrs.Rect
-}
-
-// affected reports whether a mutation at the given points can falsify
-// this entry's recorded results: some point's influence rectangle (the
-// w×h neighborhood within which a query rectangle can cover it)
-// closed-intersects a recorded optimal region. Ops without recorded
-// regions (maxcrs; defensive empty results) are always affected.
-func (m entryMeta) affected(pts []maxrs.Point) bool {
-	if (m.op != "maxrs" && m.op != "topk") || len(m.regions) == 0 {
-		return true
-	}
-	hw, hh := m.w/2, m.h/2
-	for _, p := range pts {
-		for _, r := range m.regions {
-			if p.X >= r.MinX-hw && p.X <= r.MaxX+hw &&
-				p.Y >= r.MinY-hh && p.Y <= r.MaxY+hh {
-				return true
-			}
-		}
-	}
-	return false
+	// seq is the dataset's mutation sequence the entry was solved at.
+	seq uint64
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -109,7 +75,7 @@ func (c *resultCache) get(key string, seq uint64) (queryResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok || el.Value.(*cacheEntry).meta.seq != seq {
+	if !ok || el.Value.(*cacheEntry).seq != seq {
 		c.misses++
 		return queryResponse{}, false
 	}
@@ -136,7 +102,7 @@ func (c *resultCache) reuse(family string, k int, seq uint64) (queryResponse, bo
 		return queryResponse{}, false
 	}
 	e := el.Value.(*cacheEntry)
-	if e.meta.seq != seq {
+	if e.seq != seq {
 		return queryResponse{}, false
 	}
 	if k > e.k && !e.exhausted {
@@ -147,11 +113,10 @@ func (c *resultCache) reuse(family string, k int, seq uint64) (queryResponse, bo
 	return e.val, true
 }
 
-// put stores a solved response. A non-empty family registers the entry
-// as a containment donor for its (generation, w, h) family, displacing
-// the current donor only when it covers strictly more (exhausted beats
-// bounded; larger k beats smaller).
-func (c *resultCache) put(key string, val queryResponse, family string, k int, exhausted bool, meta entryMeta) {
+// put stores a response solved at mutation sequence seq. A non-empty
+// family registers the entry as a containment donor for its
+// (generation, w, h) family (see promote).
+func (c *resultCache) put(key string, val queryResponse, family string, k int, exhausted bool, seq uint64) {
 	if c.cap <= 0 {
 		return
 	}
@@ -162,7 +127,7 @@ func (c *resultCache) put(key string, val queryResponse, family string, k int, e
 		if c.families[e.family] == el {
 			delete(c.families, e.family)
 		}
-		*e = cacheEntry{key: key, val: val, family: family, k: k, exhausted: exhausted, meta: meta}
+		*e = cacheEntry{key: key, val: val, family: family, k: k, exhausted: exhausted, seq: seq}
 		c.ll.MoveToFront(el)
 		c.promote(el)
 		return
@@ -170,7 +135,7 @@ func (c *resultCache) put(key string, val queryResponse, family string, k int, e
 	for c.ll.Len() >= c.cap {
 		c.drop(c.ll.Back())
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, val: val, family: family, k: k, exhausted: exhausted, meta: meta})
+	el := c.ll.PushFront(&cacheEntry{key: key, val: val, family: family, k: k, exhausted: exhausted, seq: seq})
 	c.byKey[key] = el
 	c.promote(el)
 }
@@ -185,29 +150,11 @@ func (c *resultCache) drop(el *list.Element) {
 	c.ll.Remove(el)
 }
 
-// invalidate applies one mutation's influence to the generation's
-// entries: entries whose recorded regions closed-intersect any changed
-// point's influence rectangle are dropped (their recorded optimum is
-// provably stale); the rest survive for revalidation. Walking the whole
-// LRU is fine — it is bounded by the configured capacity.
-func (c *resultCache) invalidate(gen uint64, pts []maxrs.Point) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.meta.gen == gen && e.meta.affected(pts) {
-			c.drop(el)
-		}
-	}
-}
-
-// promote makes el its family's donor if it covers more than the current
-// one. Caller holds c.mu.
+// promote makes el its family's donor if it was solved at a later
+// mutation sequence than the current one — a donor from an older
+// sequence can never serve again — or, at the same sequence, if it
+// covers at least as much (exhausted beats bounded; larger k beats
+// smaller). Caller holds c.mu.
 func (c *resultCache) promote(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	if e.family == "" {
@@ -219,7 +166,8 @@ func (c *resultCache) promote(el *list.Element) {
 		return
 	}
 	ce := cur.Value.(*cacheEntry)
-	if (e.exhausted && !ce.exhausted) || (e.exhausted == ce.exhausted && e.k >= ce.k) {
+	covers := (e.exhausted && !ce.exhausted) || (e.exhausted == ce.exhausted && e.k >= ce.k)
+	if e.seq > ce.seq || (e.seq == ce.seq && covers) {
 		c.families[e.family] = el
 	}
 }

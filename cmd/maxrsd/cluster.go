@@ -34,22 +34,11 @@ const maxShardBody = maxUpload
 // retry layer reroutes them, rather than queueing unboundedly under a
 // coordinator's fan-out.
 func (s *server) handleShardSolve(w http.ResponseWriter, r *http.Request) {
-	if !s.admit() {
-		s.shed(w)
+	ctx, leave, ok := s.enter(w, r, s.timeout)
+	if !ok {
 		return
 	}
-	defer s.done()
-	ctx, stop := s.queryContext(r, s.timeout)
-	defer stop()
-	if err := s.acquire(ctx); err != nil {
-		status, code := http.StatusServiceUnavailable, codeUnavailable
-		if errors.Is(err, context.DeadlineExceeded) {
-			status, code = http.StatusGatewayTimeout, codeTimeout
-		}
-		httpError(w, status, code, "queue wait: %v", err)
-		return
-	}
-	defer s.release()
+	defer leave()
 	r.Body = http.MaxBytesReader(w, r.Body, maxShardBody)
 	req, err := dist.DecodeRequest(r)
 	if err != nil {

@@ -65,8 +65,9 @@
 // responses carry plan.delta.path "combined" and count into /v1/stats
 // delta_hits), and the background compactor folds deltas into the base
 // once they reach -deltacompact. Cached results are fenced on the
-// dataset's mutation sequence and invalidated subtractively: a mutation
-// drops only the entries whose optimal regions it could have changed.
+// dataset's mutation sequence: a response solved before a mutation is
+// never served after it — the next access re-solves (cheaply, through
+// the delta path) and caches the fresh response.
 //
 // Under overload the server degrades instead of queueing unboundedly:
 // once -workers queries execute and -queue more wait, further cache

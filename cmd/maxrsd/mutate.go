@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"log"
@@ -58,17 +59,15 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	objs := make([]maxrs.Object, len(req.Objects))
-	pts := make([]maxrs.Point, len(req.Objects))
 	for i, o := range req.Objects {
 		objs[i] = maxrs.Object{X: o.X, Y: o.Y, Weight: o.W}
-		pts[i] = maxrs.Point{X: o.X, Y: o.Y}
 	}
-	s.mutate(w, r, func(ds *maxrs.Dataset) (any, []maxrs.Point, error) {
-		ids, err := ds.Insert(r.Context(), objs)
+	s.mutate(w, r, func(ctx context.Context, ds *maxrs.Dataset) (any, error) {
+		ids, err := ds.Insert(ctx, objs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return insertResponse{IDs: ids, Pending: ds.Pending()}, pts, nil
+		return insertResponse{IDs: ids, Pending: ds.Pending()}, nil
 	})
 }
 
@@ -85,53 +84,37 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeInvalidArgument, "delete needs at least one id")
 		return
 	}
-	s.mutate(w, r, func(ds *maxrs.Dataset) (any, []maxrs.Point, error) {
-		removed, err := ds.Delete(r.Context(), req.IDs)
+	s.mutate(w, r, func(ctx context.Context, ds *maxrs.Dataset) (any, error) {
+		removed, err := ds.Delete(ctx, req.IDs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pts := make([]maxrs.Point, len(removed))
-		for i, o := range removed {
-			pts[i] = maxrs.Point{X: o.X, Y: o.Y}
-		}
-		return deleteResponse{Removed: len(removed), Pending: ds.Pending()}, pts, nil
+		return deleteResponse{Removed: len(removed), Pending: ds.Pending()}, nil
 	})
 }
 
 // mutate runs one mutation against the named dataset under admission
-// control, then applies its influence to the result cache: entries whose
-// recorded optimal regions a changed point could reach are dropped, the
-// rest survive for revalidation (DESIGN.md §14).
-func (s *server) mutate(w http.ResponseWriter, r *http.Request, fn func(*maxrs.Dataset) (any, []maxrs.Point, error)) {
+// control. Cached results need no invalidation: the mutation bumps the
+// dataset's sequence, and the cache fences every lookup on it
+// (DESIGN.md §14.5).
+func (s *server) mutate(w http.ResponseWriter, r *http.Request, fn func(context.Context, *maxrs.Dataset) (any, error)) {
 	name := r.PathValue("name")
 	entry, ok := s.lookup(name)
 	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no dataset %q", name)
 		return
 	}
-	if !s.admit() {
-		s.shed(w)
+	ctx, leave, ok := s.enter(w, r, s.timeout)
+	if !ok {
 		return
 	}
-	defer s.done()
-	ctx, stop := s.queryContext(r, s.timeout)
-	defer stop()
-	if err := s.acquire(ctx); err != nil {
-		status, code := http.StatusServiceUnavailable, codeUnavailable
-		if err == ctx.Err() && ctx.Err() != nil {
-			status, code = errStatus(err)
-		}
-		httpError(w, status, code, "queue wait: %v", err)
-		return
-	}
-	defer s.release()
-	resp, pts, err := fn(entry.ds)
+	defer leave()
+	resp, err := fn(ctx, entry.ds)
 	if err != nil {
 		status, code := errStatus(err)
 		httpError(w, status, code, "mutate: %v", err)
 		return
 	}
-	s.cache.invalidate(entry.gen, pts)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"maxrs"
 )
 
 // invCSV is a heavy cluster near the origin plus one light outlier: the
@@ -108,19 +112,21 @@ func uintList(ids []uint64) string {
 	return string(b[1 : len(b)-1])
 }
 
-// TestSubtractiveInvalidation pins the cache's mutation behavior: a
-// mutation far from every cached optimal region leaves the entries in
-// the cache (they revalidate on next access — a miss, then a re-put),
-// while a mutation inside a recorded region drops the affected entries
-// outright.
-func TestSubtractiveInvalidation(t *testing.T) {
+// TestCacheFenceAndPromotion pins the cache's mutation behavior: the
+// sequence fence is the only freshness rule. After a mutation a cached
+// entry is never served — the next query computes fresh and re-puts, the
+// one after hits — and a donor solved at the new sequence takes over its
+// family even when an older donor covers more, so containment reuse
+// resumes right away.
+func TestCacheFenceAndPromotion(t *testing.T) {
 	srv, ts := newTestServer(t)
 	putDataset(t, ts, "inv", invCSV)
 
-	// Two cached entries, both with optimal regions at the origin cluster.
+	// Warm: a MaxRS and an exhausted TopK(3) donor (the data runs dry
+	// after two rounds).
 	for _, q := range []string{
 		`{"dataset":"inv","op":"maxrs","w":4,"h":4}`,
-		`{"dataset":"inv","op":"topk","w":6,"h":6,"k":1}`,
+		`{"dataset":"inv","op":"topk","w":6,"h":6,"k":3}`,
 	} {
 		if code, _ := query(t, ts, q); code != http.StatusOK {
 			t.Fatalf("warm query: status %d", code)
@@ -130,30 +136,30 @@ func TestSubtractiveInvalidation(t *testing.T) {
 		t.Fatalf("cache size %d after warmup, want 2", size)
 	}
 
-	// Far light insert: influence rectangle nowhere near the recorded
-	// regions — both entries survive subtractive invalidation.
+	// A far light insert: nothing cached is served any more.
 	insertObjects(t, ts, "inv", `{"objects":[{"x":500,"y":500,"w":1}]}`)
-	if _, _, _, size := srv.cache.stats(); size != 2 {
-		t.Fatalf("cache size %d after far insert, want 2 survivors", size)
-	}
-	// The surviving entry is stale by sequence: the next query
-	// revalidates (fresh compute) and re-puts; the one after hits.
 	code, qr := query(t, ts, `{"dataset":"inv","op":"maxrs","w":4,"h":4}`)
 	if code != http.StatusOK || qr.Cached {
-		t.Fatalf("revalidation query: status %d cached %v, want fresh", code, qr.Cached)
+		t.Fatalf("post-mutation query: status %d cached %v, want fresh", code, qr.Cached)
 	}
 	if code, qr = query(t, ts, `{"dataset":"inv","op":"maxrs","w":4,"h":4}`); code != http.StatusOK || !qr.Cached {
-		t.Fatalf("post-revalidation query: status %d cached %v, want cache hit", code, qr.Cached)
+		t.Fatalf("repeat query: status %d cached %v, want cache hit", code, qr.Cached)
 	}
 
-	// Insert inside the recorded regions: every affected entry is dropped.
-	insertObjects(t, ts, "inv", `{"objects":[{"x":1,"y":1,"w":5}]}`)
-	if _, _, _, size := srv.cache.stats(); size != 0 {
-		t.Fatalf("cache size %d after near insert, want 0", size)
+	// TopK(2) at the new sequence is fresh (the TopK(3) donor is stale)
+	// and becomes the family's donor although it covers less ...
+	code, qr = query(t, ts, `{"dataset":"inv","op":"topk","w":6,"h":6,"k":2}`)
+	if code != http.StatusOK || qr.Cached || qr.Reused {
+		t.Fatalf("post-mutation topk: status %d cached %v reused %v, want fresh", code, qr.Cached, qr.Reused)
+	}
+	// ... so MaxRS at the same size is answered from it.
+	code, qr = query(t, ts, `{"dataset":"inv","op":"maxrs","w":6,"h":6}`)
+	if code != http.StatusOK || !qr.Cached || !qr.Reused {
+		t.Fatalf("maxrs after fresh donor: status %d cached %v reused %v, want a reuse hit", code, qr.Cached, qr.Reused)
 	}
 
-	// The far insert earlier was answered by the engine's combined
-	// base+delta path at least once; the counter is exported.
+	// The post-mutation MaxRS was answered by the engine's combined
+	// base+delta path; the counter is exported.
 	resp, b := do(t, http.MethodGet, ts.URL+"/v1/stats", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d", resp.StatusCode)
@@ -182,8 +188,67 @@ func TestSubtractiveInvalidation(t *testing.T) {
 	if err := json.Unmarshal(b, &dl); err != nil || len(dl.Datasets) != 1 {
 		t.Fatalf("datasets body %s: %v", b, err)
 	}
-	if d := dl.Datasets[0]; d.Pending != 2 || d.Mutations != 2 {
-		t.Fatalf("dataset info %+v, want pending 2 mutations 2", d)
+	if d := dl.Datasets[0]; d.Pending != 1 || d.Mutations != 1 {
+		t.Fatalf("dataset info %+v, want pending 1 mutations 1", d)
+	}
+}
+
+// TestQueuedMutationCancelled: a mutation cancelled while it waits for a
+// worker slot (shutdown's straggler cancel) answers like a cancelled
+// queued query — 503 unavailable, retryable — not 500 internal.
+func TestQueuedMutationCancelled(t *testing.T) {
+	eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv := newServer(eng, 1, 0)
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	putDataset(t, ts, "q", invCSV)
+
+	srv.sem <- struct{}{} // hold the only worker slot
+	defer srv.release()
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/datasets/q/insert", "application/json",
+			strings.NewReader(`{"objects":[{"x":9,"y":9,"w":1}]}`))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, b, err}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.inflight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("mutation never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.cancelQueries()
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	var env struct {
+		Error errorJSON `json:"error"`
+	}
+	if err := json.Unmarshal(got.body, &env); err != nil {
+		t.Fatalf("body %s: %v", got.body, err)
+	}
+	if got.status != http.StatusServiceUnavailable || env.Error.Code != codeUnavailable || !env.Error.Retryable {
+		t.Fatalf("cancelled queued mutation: status %d body %s, want 503 %q retryable", got.status, got.body, codeUnavailable)
+	}
+	if entry, _ := srv.lookup("q"); entry.ds.Pending() != 0 {
+		t.Fatalf("cancelled mutation applied: %d pending", entry.ds.Pending())
 	}
 }
 

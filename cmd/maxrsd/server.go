@@ -693,7 +693,7 @@ type queryResult struct {
 	Location pointJSON `json:"location"`
 	Score    float64   `json:"score"`
 	// Region is the full set of optimal center positions (rectangle ops
-	// only); it also drives the cache's subtractive invalidation.
+	// only).
 	Region *rectJSON `json:"region,omitempty"`
 	Stats  statsJSON `json:"stats"`
 	// Plan is the execution decision the query ran under, with its
@@ -778,6 +778,41 @@ func (s *server) acquire(ctx context.Context) error {
 }
 
 func (s *server) release() { <-s.sem }
+
+// enter is the admission path of every handler that runs engine work
+// (queries, mutations, shipped shards). Beyond the worker pool plus the
+// bounded queue a request is shed at once — a saturated server answers
+// 429 in microseconds instead of letting every queued request pin a
+// connection until its client gives up. An admitted request gets one
+// context for the queue wait and the work itself: a client that
+// disconnects while queued never occupies a worker, and one that
+// disconnects mid-solve stops burning the engine within one
+// block-transfer's work (DESIGN.md §10). A failed queue wait answers 504
+// timeout past the deadline and 503 unavailable otherwise (drain,
+// disconnect, shutdown cancel). ok = false means the response is
+// written; otherwise the caller must call leave when the work is done.
+func (s *server) enter(w http.ResponseWriter, r *http.Request, timeout time.Duration) (ctx context.Context, leave func(), ok bool) {
+	if !s.admit() {
+		s.shed(w)
+		return nil, nil, false
+	}
+	ctx, stop := s.queryContext(r, timeout)
+	if err := s.acquire(ctx); err != nil {
+		stop()
+		s.done()
+		status, code := http.StatusServiceUnavailable, codeUnavailable
+		if errors.Is(err, context.DeadlineExceeded) {
+			status, code = http.StatusGatewayTimeout, codeTimeout
+		}
+		httpError(w, status, code, "queue wait: %v", err)
+		return nil, nil, false
+	}
+	return ctx, func() {
+		s.release()
+		stop()
+		s.done()
+	}, true
+}
 
 // maxQueryBody bounds a /query request body; real queries are a few
 // hundred bytes.
@@ -896,32 +931,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Admission control: cache misses beyond the worker pool plus the
-	// bounded queue are shed immediately — a saturated server answers
-	// 429 in microseconds instead of letting every queued request pin a
-	// connection until its client gives up. Cache hits (above) bypass
-	// admission; serving them costs no engine work.
-	if !s.admit() {
-		s.shed(w)
+	// bounded queue are shed immediately (see enter). Cache hits (above)
+	// bypass admission; serving them costs no engine work. The per-query
+	// timeout covers the queue wait too: time spent queued is time the
+	// client is already waiting.
+	ctx, leave, ok := s.enter(w, r, timeout)
+	if !ok {
 		return
 	}
-	defer s.done()
-	// One context for the queue wait and the query itself: a client that
-	// disconnects while queued never occupies a worker, and one that
-	// disconnects mid-solve stops burning the engine within one
-	// block-transfer's work (the ctx is threaded through every layer of
-	// the solve — DESIGN.md §10). The per-query timeout covers the queue
-	// wait too: time spent queued is time the client is already waiting.
-	ctx, stop := s.queryContext(r, timeout)
-	defer stop()
-	if err := s.acquire(ctx); err != nil {
-		status, code := http.StatusServiceUnavailable, codeUnavailable
-		if errors.Is(err, context.DeadlineExceeded) {
-			status, code = http.StatusGatewayTimeout, codeTimeout
-		}
-		httpError(w, status, code, "queue wait: %v", err)
-		return
-	}
-	defer s.release()
+	defer leave()
 	// Re-resolve after the queue wait: the dataset may have been replaced
 	// (PUT over the same name) while this request was queued, and the new
 	// entry — not a released old one — must serve it.
@@ -961,7 +979,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countDeltaHits(resp)
 	family, k, exhausted := donorInfo(entry.gen, req, resp)
-	s.cache.put(cacheKey(entry.gen, req), resp, family, k, exhausted, entryMetaOf(entry.gen, seq, req, resp))
+	s.cache.put(cacheKey(entry.gen, req), resp, family, k, exhausted, seq)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -974,22 +992,6 @@ func (s *server) countDeltaHits(resp queryResponse) {
 			return
 		}
 	}
-}
-
-// entryMetaOf builds one cached response's freshness record: generation,
-// solve-time mutation sequence, query shape, and the optimal regions of
-// its results (the inputs of subtractive invalidation).
-func entryMetaOf(gen, seq uint64, req queryRequest, resp queryResponse) entryMeta {
-	m := entryMeta{gen: gen, seq: seq, op: req.Op, w: req.W, h: req.H}
-	for _, qr := range resp.Results {
-		if qr.Region != nil {
-			m.regions = append(m.regions, maxrs.Rect{
-				MinX: qr.Region.MinX, MinY: qr.Region.MinY,
-				MaxX: qr.Region.MaxX, MaxY: qr.Region.MaxY,
-			})
-		}
-	}
-	return m
 }
 
 // explainResponse is the ?explain=1 answer: the plan the query would

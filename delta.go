@@ -638,7 +638,7 @@ func (q *query) effFile(fn func(rec.Object) rec.Object) (*em.File, bool, error) 
 // effective set, with the shard guard evaluated on its exact statistics
 // so the execution (and the answer) matches a reload bit for bit.
 func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err error) {
-	if q.requestedShards() == 0 {
+	if q.set.shards == 0 {
 		res, ok, err := q.tryCombined(w, h)
 		if err != nil || ok {
 			return res, nil, err
@@ -653,19 +653,8 @@ func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err err
 			err = errors.Join(err, rerr)
 		}
 	}()
-	k := 0
-	if st.MinW >= 0 {
-		k = q.requestedShards()
-		if k > 0 && q.effSt.MinW < 0 {
-			// The conservative merged statistics flagged a negative weight
-			// the effective set no longer holds (it was deleted): the solve
-			// shards exactly like a reload would, and the begin-time
-			// fallback note no longer applies.
-			q.fallback = ""
-			q.plan.Shards = k
-		}
-	}
-	return q.solveObjects(f, w, h, k)
+	q.reshard(st)
+	return q.solveObjects(f, w, h)
 }
 
 // tryCombined attempts the combined base+delta answer (DESIGN.md §14.3):

@@ -2,14 +2,11 @@ package maxrs
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"time"
 
-	"maxrs/internal/conc"
 	"maxrs/internal/core"
 	"maxrs/internal/dist"
-	"maxrs/internal/em"
 	"maxrs/internal/shard"
 	"maxrs/internal/sweep"
 )
@@ -224,123 +221,40 @@ func (e *Engine) ProbeWorkers(ctx context.Context) {
 	e.coord.Members().ProbeAll(ctx)
 }
 
-// solveDistributed fans one sharded ExactMaxRS solve out to the
-// engine's workers: plan and route locally with the exact shard seams
-// (so shard boundaries and halos are bit-identical to the in-process
-// path), ship each partition's objects over POST /shard/solve, and
-// merge replies with the same exact K-way merge. The partition files
-// stay alive until the query ends — they are the halo replicas that
-// make resends, hedges, and the local fallback possible.
-func (q *query) solveDistributed(f *em.File, w, h float64, k int) (sweep.Result, []ShardStat, error) {
-	env := q.e.env.WithScope(q.sc).WithContext(q.ctx)
-	bounds, err := shard.PlanBounds(env, f, k)
-	if err != nil {
-		return sweep.Result{}, nil, err
+// noWorkers handles a distributed query that found no ready worker:
+// graceful degradation to the in-process solve (noted in the
+// FallbackReason), or ErrNoWorkers when the local fallback is disabled.
+func (q *query) noWorkers() error {
+	if q.e.opts.Dist.DisableLocalFallback {
+		return ErrNoWorkers
 	}
-	parts, err := shard.PartitionObjects(env, f, bounds, w/2, shard.Config{NewDisk: q.e.newShardDisk})
-	if err != nil {
-		return sweep.Result{}, nil, err
-	}
-	defer func() {
-		// Fold the partition disks' traffic into the query scope and the
-		// engine totals (the in-process accounting contract), then drop
-		// the disks — replicas live exactly as long as the query.
-		var ext em.Stats
-		for _, p := range parts {
-			s := p.Stats()
-			ext.Reads += s.Reads
-			ext.Writes += s.Writes
-			_ = p.Close()
-		}
-		q.sc.Add(ext)
-		q.e.shardReads.Add(ext.Reads)
-		q.e.shardWrites.Add(ext.Writes)
-	}()
-	coreCfg := core.Config{Fanout: q.e.opts.Fanout, Unfused: q.set.unfused}
-	if coreCfg.Parallelism = q.par / len(parts); coreCfg.Parallelism < 1 {
-		coreCfg.Parallelism = 1
-	}
+	q.noteFallback("no ready workers; distributed query solved in process")
+	return nil
+}
+
+// fanOut ships each routed partition to the engine's workers over POST
+// /shard/solve and returns the coordinator's per-shard answers and
+// attribution reports. The partition files stay alive until the query
+// ends: they are the halo replicas that make resends, hedges, and the
+// per-shard local fallback (Partition.Solve) possible.
+func (q *query) fanOut(parts []*shard.Partition, w, h float64, cfg core.Config) ([]sweep.Result, []dist.ShardReport, error) {
 	jobs := make([]dist.ShardJob, len(parts))
 	for i, p := range parts {
 		objs, err := p.ReadObjects(q.ctx)
 		if err != nil {
-			return sweep.Result{}, nil, err
+			return nil, nil, err
 		}
 		jobs[i] = dist.ShardJob{
 			Index: i,
 			Req:   dist.SolveRequest{W: w, H: h, Unfused: q.set.unfused, Objects: objs},
 		}
 		if !q.e.opts.Dist.DisableLocalFallback {
-			part := p
 			jobs[i].Fallback = func(ctx context.Context) (sweep.Result, error) {
-				return part.Solve(ctx, w, h, coreCfg)
+				return p.Solve(ctx, w, h, cfg)
 			}
 		}
 	}
-	results, reports, err := q.e.coord.Solve(q.ctx, jobs)
-	if errors.Is(err, ErrNoWorkers) {
-		if q.e.opts.Dist.DisableLocalFallback {
-			return sweep.Result{}, nil, err
-		}
-		// Graceful degradation: an empty (or fully demoted) membership
-		// never fails a query that can still be answered — the replicas
-		// are right here.
-		q.noteFallback("no ready workers; distributed query solved in process")
-		return q.solvePartitions(parts, w, h, coreCfg)
-	}
-	q.distributedRan = true
-	stats := make([]ShardStat, len(parts))
-	for i, p := range parts {
-		s := p.Stats()
-		stats[i] = ShardStat{
-			Objects: p.Objects(),
-			Stats:   QueryStats{Reads: s.Reads, Writes: s.Writes},
-		}
-		if i < len(reports) {
-			r := reports[i]
-			stats[i].Worker = r.Worker
-			stats[i].Attempts = r.Attempts
-			stats[i].Hedged = r.Hedged
-			stats[i].FellBack = r.FellBack
-			stats[i].RemoteStats = QueryStats{Reads: r.Reads, Writes: r.Writes}
-			stats[i].Err = r.Err
-		}
-	}
-	if err != nil {
-		if cerr := q.ctx.Err(); cerr != nil {
-			// A cancelled fan-out is a cancelled query, not a lost shard.
-			return sweep.Result{}, nil, cerr
-		}
-		return sweep.Result{}, stats, err
-	}
-	win := shard.Merge(results)
-	return results[win], stats, nil
-}
-
-// solvePartitions solves already-routed partitions in process — the
-// degraded path when no workers are ready. Results are bit-identical to
-// both the distributed and the plain in-process sharded paths: same
-// partitions, same solver, same merge.
-func (q *query) solvePartitions(parts []*shard.Partition, w, h float64, coreCfg core.Config) (sweep.Result, []ShardStat, error) {
-	results := make([]sweep.Result, len(parts))
-	err := conc.ForEachIndexed(len(parts), q.par, func(i int) error {
-		res, err := parts[i].Solve(q.ctx, w, h, coreCfg)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return sweep.Result{}, nil, err
-	}
-	stats := make([]ShardStat, len(parts))
-	for i, p := range parts {
-		s := p.Stats()
-		stats[i] = ShardStat{Objects: p.Objects(), Stats: QueryStats{Reads: s.Reads, Writes: s.Writes}}
-	}
-	win := shard.Merge(results)
-	return results[win], stats, nil
+	return q.e.coord.Solve(q.ctx, jobs)
 }
 
 // NetFaultStats returns the worker-call and injected-network-fault

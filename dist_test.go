@@ -345,6 +345,45 @@ func TestDistributedNoWorkersDegrades(t *testing.T) {
 	}
 }
 
+// TestDistributedNoWorkersCostsInProcess: a query that degrades because
+// no worker is ready is exactly the in-process query — the decision is
+// made before routing, so no partition is read for requests that are
+// never sent. Its Stats and every shard's Stats equal a
+// WithDistributed(false) run's.
+func TestDistributedNoWorkersCostsInProcess(t *testing.T) {
+	e := distTestEngine(t, 2, nil, nil)
+	d := testDataset(t, e, 400)
+	defer func() { _ = d.Release() }()
+	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.MaxRS(context.Background(), d, 300, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameResult(t, got, want)
+	if got.Stats.Reads != want.Stats.Reads || got.Stats.Writes != want.Stats.Writes {
+		t.Errorf("degraded query cost %+v, in-process %+v", got.Stats, want.Stats)
+	}
+	if len(got.ShardStats) != len(want.ShardStats) || len(got.ShardStats) == 0 {
+		t.Fatalf("degraded query has %d shards, in-process %d", len(got.ShardStats), len(want.ShardStats))
+	}
+	for i := range got.ShardStats {
+		if g, w := got.ShardStats[i], want.ShardStats[i]; g.Stats != w.Stats || g.Objects != w.Objects {
+			t.Errorf("shard %d: degraded %+v, in-process %+v", i, g, w)
+		}
+	}
+	// TopK notes the degradation once, however many rounds it ran.
+	rounds, err := e.TopK(context.Background(), d, 300, 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rounds[len(rounds)-1].FallbackReason; strings.Count(r, "no ready workers") != 1 {
+		t.Errorf("TopK FallbackReason = %q, want the degradation named exactly once", r)
+	}
+}
+
 // TestDistributedHedgeStraggler: a straggling worker is hedged to the
 // next ready one after the hedge delay; the fast duplicate wins, the
 // answer is bit-identical, and the report says the shard was hedged.

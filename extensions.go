@@ -51,7 +51,6 @@ func (e *Engine) TopK(ctx context.Context, d *Dataset, w, h float64, k int, opts
 			_ = cur.Release()
 		}
 	}()
-	shards := q.shardsFor() // resolved once; every round solves alike
 	if q.delta != nil {
 		// Pending mutations: every round solves the materialized
 		// effective set (and its filtrates), with the shard guard on its
@@ -61,17 +60,14 @@ func (e *Engine) TopK(ctx context.Context, d *Dataset, w, h float64, k int, opts
 			return nil, err
 		}
 		cur, owned = f, true
-		shards = 0
-		if st.MinW >= 0 {
-			shards = q.requestedShards()
-		}
+		q.reshard(st)
 	}
 	var prev QueryStats // scope snapshot at the start of the round
 	for round := 0; round < k; round++ {
 		if cur.Size() == 0 {
 			break
 		}
-		res, shardStats, err := q.solveObjects(cur, w, h, shards)
+		res, shardStats, err := q.solveObjects(cur, w, h)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +137,7 @@ func mapObjects(env em.Env, in *em.File, f func(rec.Object) rec.Object) (*em.Fil
 // which may emit zero or more records per input. On error no blocks of
 // the partial output stay allocated.
 func transformObjects(env em.Env, in *em.File, fn func(o rec.Object, emit func(rec.Object) error) error) (_ *em.File, err error) {
-	rr, err := em.NewRecordReaderScoped(in, rec.ObjectCodec{}, env.Scope)
+	rr, err := em.OpenRecordReader(env, in, rec.ObjectCodec{})
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +203,7 @@ func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64, opts ...
 }
 
 // solveMapped runs ExactMaxRS on a weight-transformed copy of the dataset
-// with the shard count the kind allows (MinRS never shards — the mapped
+// with the shard count the Plan allows the kind (MinRS never shards — the mapped
 // weights are negative; CountRS shards on the requested count regardless
 // of the dataset's own weights — the mapped weights are all 1), releasing
 // the intermediate file on every path (solve errors and cancellation
@@ -233,11 +229,7 @@ func (e *Engine) solveMapped(ctx context.Context, d *Dataset, w, h float64, opts
 			err = rerr
 		}
 	}()
-	shards := 0
-	if kind == kindCountRS {
-		shards = q.requestedShards()
-	}
-	res, shardStats, err := q.solveObjects(mapped, w, h, shards)
+	res, shardStats, err := q.solveObjects(mapped, w, h)
 	if err != nil {
 		return Result{}, err
 	}

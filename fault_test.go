@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -241,5 +243,52 @@ func TestChecksumRetryInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardDiskFaultChargesEngine: a sharded query that fails on a shard
+// disk — while routing (write #5) or while solving (write #50), in
+// process or distributed — still charges every transfer the shard disks
+// made before the fault to Engine.Stats, as the engine promises for any
+// abandoned query, and leaves only the dataset's blocks allocated.
+func TestShardDiskFaultChargesEngine(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "no", http.StatusNotFound) // permanent: every shard falls back locally
+	}))
+	t.Cleanup(dead.Close)
+	for _, distributed := range []bool{false, true} {
+		for _, write := range []uint64{5, 50} {
+			t.Run(fmt.Sprintf("distributed=%v/write=%d", distributed, write), func(t *testing.T) {
+				var e *Engine
+				if distributed {
+					// The dead worker makes every shard solve through the
+					// local halo-replica fallback, so a solve-time fault
+					// reaches a shard disk on this path too.
+					e = distTestEngine(t, 2, []string{dead.URL}, nil)
+				} else {
+					var err error
+					if e, err = NewEngine(&Options{BlockSize: 512, Memory: 8192, Shards: 2}); err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { e.Close() })
+				}
+				d := testDataset(t, e, 500)
+				defer func() { _ = d.Release() }()
+				// A sharded query writes nothing to the primary disk, so
+				// the indexed write fault lands on each shard disk alone.
+				e.InjectFaults(FaultPlan{At: []FaultAt{{Op: OpWrite, Transfer: write, Kind: FaultPermanent}}})
+				before := e.Stats()
+				if _, err := e.MaxRS(context.Background(), d, 300, 300); err == nil {
+					t.Fatalf("query survived a permanent fault at shard-disk write #%d", write)
+				}
+				after := e.Stats()
+				if after.Writes <= before.Writes {
+					t.Errorf("engine writes %d -> %d: the failed shard disks' transfers were lost", before.Writes, after.Writes)
+				}
+				if in, blocks := e.BlocksInUse(), d.Blocks(); in != blocks {
+					t.Errorf("BlocksInUse = %d after the failed query, want the dataset's %d", in, blocks)
+				}
+			})
+		}
 	}
 }

@@ -243,15 +243,6 @@ func (f *File) NewReader() *Reader {
 	return r
 }
 
-// NewReaderScoped is NewReader with the transfer attribution overridden to
-// sc — used to read a shared input file (e.g. a loaded dataset) on behalf
-// of one query.
-func (f *File) NewReaderScoped(sc *ScopeStats) *Reader {
-	r := f.NewReader()
-	r.scope = sc
-	return r
-}
-
 // Read fills p from the stream, returning io.EOF at end of file.
 func (r *Reader) Read(p []byte) (int, error) {
 	total := 0
@@ -435,17 +426,6 @@ func NewRecordReader[T any](f *File, c Codec[T]) (*RecordReader[T], error) {
 	return &RecordReader[T]{r: f.NewReader(), codec: c, buf: make([]byte, c.Size())}, nil
 }
 
-// NewRecordReaderScoped is NewRecordReader with the transfer attribution
-// overridden to sc (see File.NewReaderScoped).
-func NewRecordReaderScoped[T any](f *File, c Codec[T], sc *ScopeStats) (*RecordReader[T], error) {
-	rr, err := NewRecordReader(f, c)
-	if err != nil {
-		return nil, err
-	}
-	rr.r.scope = sc
-	return rr, nil
-}
-
 // OpenRecordReader returns a reader on f charging transfers to env's scope
 // and aborting at block-transfer granularity once env's context is
 // cancelled. It is the way to read a pre-existing shared file (a loaded
@@ -528,12 +508,6 @@ func WriteAll[T any](d *Disk, c Codec[T], vs []T) (*File, error) {
 	return writeAll(&File{disk: d}, c, vs)
 }
 
-// WriteAllScoped is WriteAll with the transfers (and those of future
-// streams on the returned file) charged to sc.
-func WriteAllScoped[T any](d *Disk, sc *ScopeStats, c Codec[T], vs []T) (*File, error) {
-	return writeAll(NewFileScoped(d, sc), c, vs)
-}
-
 // WriteAllEnv is WriteAll on a file created through env, so the transfers
 // charge env's scope and the writes abort once env's context is cancelled.
 func WriteAllEnv[T any](env Env, c Codec[T], vs []T) (*File, error) {
@@ -580,10 +554,11 @@ func ReadAllEnv[T any](env Env, f *File, c Codec[T]) ([]T, error) {
 
 // ReadAllScoped is ReadAll with the read transfers charged to sc.
 func ReadAllScoped[T any](f *File, c Codec[T], sc *ScopeStats) ([]T, error) {
-	rr, err := NewRecordReaderScoped(f, c, sc)
+	rr, err := NewRecordReader(f, c)
 	if err != nil {
 		return nil, err
 	}
+	rr.r.scope = sc
 	return readAll(rr, f, c)
 }
 

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // ScopeStats tallies the block transfers of one logical unit of work — a
 // query — on top of the disk-global Stats. A scope is attached to an Env
-// (Env.WithScope) or to individual streams (NewFileScoped,
-// NewRecordReaderScoped); every transfer performed through a scoped stream
+// (Env.WithScope; OpenRecordReader reads shared files under it) or to one
+// file (NewFileScoped); every transfer performed through a scoped stream
 // is charged both to the disk's global counters and to the scope. Safe for
 // concurrent use; a nil *ScopeStats is valid and charges nothing, so
 // unscoped code paths pay only a nil check.

@@ -45,7 +45,8 @@ func TestScopeStatsAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := new(ScopeStats)
-	or := plain.NewReaderScoped(other)
+	or := plain.NewReader()
+	or.scope = other
 	if _, err := or.Read(make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}

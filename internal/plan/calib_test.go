@@ -27,17 +27,25 @@ func measure(t *testing.T, objs []geom.Object, blockSize, memory int, w, h float
 	env := em.Env{Disk: d, M: memory}
 	sc := &em.ScopeStats{}
 	if shards > 0 {
-		res, err := shard.SolveObjects(context.Background(), env.WithScope(sc), f, w, h, shard.Config{
-			Shards: shards,
-			Core:   core.Config{Unfused: unfused},
-			NewDisk: func() (*em.Disk, error) {
-				return em.NewDisk(blockSize)
-			},
-		})
+		// The engine's sharded executor, step by step: plan and route on
+		// the primary disk's scope, solve each partition on its own disk,
+		// then fold the shard disks' traffic into the scope.
+		bounds, err := shard.PlanBounds(env.WithScope(sc), f, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.Add(res.Stats())
+		parts, err := shard.PartitionObjects(env.WithScope(sc), f, bounds, w/2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = shard.SolveAll(context.Background(), parts, w, h, core.Config{Unfused: unfused}, 0)
+		for _, p := range parts {
+			sc.Add(p.Stats())
+			_ = p.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	} else {
 		s, err := core.NewSolver(env, core.Config{Unfused: unfused})
 		if err != nil {

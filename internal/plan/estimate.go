@@ -255,7 +255,8 @@ func (s *sim) sortFile(records float64, recSize int, inBlocks int64) {
 // sharded models the full query: the shard planner's scan, the
 // partition pass with halo-duplicated routing, then one complete solve
 // per shard on its private disk — or the plain unsharded solve when
-// k ≤ 0. Mirrors shard.SolveObjects.
+// k ≤ 0. Mirrors the engine's sharded executor over the internal/shard
+// primitives (PlanBounds, PartitionObjects, SolveAll).
 func (s *sim) sharded(st Stats, k int, unfused bool) {
 	if k <= 0 || len(s.xs) == 0 {
 		s.solve(s.xs, float64(st.N), st.Blocks, unfused)
@@ -283,7 +284,7 @@ func (s *sim) sharded(st Stats, k int, unfused bool) {
 	}
 }
 
-// shardBounds mirrors shard.planBounds' quantile selection over the
+// shardBounds mirrors shard.PlanBounds' quantile selection over the
 // sorted sample: up to k−1 strictly increasing boundaries, each
 // strictly above the minimum x.
 func (s *sim) shardBounds(k int) []float64 {

@@ -74,145 +74,11 @@ const maxPlanSample = 1 << 15
 // scan loops, amortizing the per-record reader round-trip.
 const objectBatch = 256
 
-// Config parameterizes one sharded solve.
-type Config struct {
-	// Shards is the requested shard count K (≥ 1). The effective count
-	// can be lower when the data has fewer distinct x-coordinates than
-	// requested — boundaries are deduplicated, never degenerate.
-	Shards int
-
-	// Workers bounds how many shards are solved concurrently (0 = all of
-	// them at once). Worker scheduling never changes results or counted
-	// transfers; it trades wall-clock only.
-	Workers int
-
-	// Core configures the per-shard ExactMaxRS solver. Leave
-	// Core.Parallelism zero to have the worker budget split evenly
-	// across the *effective* shard count (which the planner may have
-	// deduplicated below Shards): shard-level fan-out then replaces
-	// slab-level fan-out, so a sharded solve never runs more workers
-	// than Workers. A non-zero value is taken as an explicit per-shard
-	// setting.
-	Core core.Config
-
-	// NewDisk allocates one shard's private disk. nil defaults to an
-	// in-memory disk with the caller's block size. Every disk obtained
-	// through NewDisk is closed before SolveObjects returns, on success
-	// and on error alike. Each shard solver runs under the caller
-	// environment's full memory budget M: sharding scales out aggregate
-	// memory and disk, K budgets instead of one.
-	NewDisk func() (*em.Disk, error)
-}
-
-// Info describes one shard of a completed solve.
-type Info struct {
-	// Slab is the half-open center interval [Lo, Hi) the shard owns.
-	Slab geom.Interval
-	// Objects is the number of objects routed to the shard, halo copies
-	// included.
-	Objects int64
-	// Stats is the I/O charged to the shard's private disk: its
-	// partition writes plus its full ExactMaxRS solve.
-	Stats em.Stats
-}
-
-// Result is a sharded solve: the merged answer plus the per-shard
-// breakdown.
-type Result struct {
-	// Res is the merged (globally optimal) sweep result.
-	Res sweep.Result
-	// Winner is the index into Shards of the shard whose candidate won.
-	Winner int
-	// Shards describes the effective shards in slab order.
-	Shards []Info
-}
-
-// Stats sums the per-shard I/O (the traffic on the private disks; the
-// caller's scope separately carries the planner's and router's scans of
-// the object file).
-func (r Result) Stats() em.Stats {
-	var total em.Stats
-	for _, s := range r.Shards {
-		total.Reads += s.Stats.Reads
-		total.Writes += s.Stats.Writes
-	}
-	return total
-}
-
-// SolveObjects answers MaxRS for the objects in objFile with a w×h query
-// rectangle by sharding the dataset into cfg.Shards halo-extended
-// vertical shards, solving each independently, and merging. Reads of
-// objFile are charged to env (and its scope, if any); each shard's
-// partition writes and solve are charged to its own disk and reported in
-// Result.Shards. The object file is not modified.
-//
-// Cancelling ctx fans out to every layer of the solve: the planner's and
-// router's scans, each shard's partition writes, and all in-flight
-// per-shard ExactMaxRS solves abort within one block-transfer's work, and
-// every shard's private disk is closed (removing its backing temp file)
-// before SolveObjects returns ctx.Err(). A nil ctx never cancels.
-func SolveObjects(ctx context.Context, env em.Env, objFile *em.File, w, h float64, cfg Config) (Result, error) {
-	if err := env.Validate(); err != nil {
-		return Result{}, err
-	}
-	if w <= 0 || h <= 0 {
-		return Result{}, fmt.Errorf("shard: query size %gx%g must be positive", w, h)
-	}
-	if cfg.Shards < 1 {
-		return Result{}, fmt.Errorf("shard: shard count %d must be ≥ 1", cfg.Shards)
-	}
-	if ctx != nil {
-		env = env.WithContext(ctx)
-	}
-	bounds, err := PlanBounds(env, objFile, cfg.Shards)
-	if err != nil {
-		return Result{}, err
-	}
-	shards, err := PartitionObjects(env, objFile, bounds, w/2, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	// Shard disks are ephemeral: whatever happens below — success, error,
-	// or a cancelled ctx — close them all before returning.
-	defer func() {
-		for _, sh := range shards {
-			_ = sh.Close()
-		}
-	}()
-	results := make([]sweep.Result, len(shards))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = len(shards)
-	}
-	coreCfg := cfg.Core
-	if coreCfg.Parallelism == 0 && cfg.Workers > 0 {
-		// Split the worker budget over the effective shard count, not
-		// the requested one — a deduplicated plan must not idle workers.
-		coreCfg.Parallelism = workers / len(shards)
-		if coreCfg.Parallelism < 1 {
-			coreCfg.Parallelism = 1
-		}
-	}
-	err = conc.ForEachIndexed(len(shards), workers, func(i int) error {
-		return shards[i].solveAndRelease(ctx, w, h, coreCfg, &results[i])
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{Shards: make([]Info, len(shards))}
-	for i, sh := range shards {
-		out.Shards[i] = Info{Slab: sh.slab, Objects: sh.count, Stats: sh.Stats()}
-	}
-	out.Winner = Merge(results)
-	out.Res = results[out.Winner]
-	return out, nil
-}
-
 // Merge picks the winning candidate of a sharded solve: the highest
 // score, lowest shard index on ties, so the merged answer is
 // deterministic. It is the exact K-way merge argued in the package
-// comment, shared by the in-process path and the distributed
-// coordinator so both produce bit-identical answers.
+// comment, applied to local and remote shard answers alike so both
+// produce bit-identical results.
 func Merge(results []sweep.Result) int {
 	best := 0
 	for i := 1; i < len(results); i++ {
@@ -226,10 +92,10 @@ func Merge(results []sweep.Result) int {
 // Partition is one halo-extended shard of a partitioned dataset: its
 // private disk, the partition file routed onto it, and the center slab
 // it owns. PartitionObjects creates them; the caller must Close every
-// partition it receives. Unlike the one-shot SolveObjects path, a
-// Partition keeps its file until Close, so it can be read (to ship the
-// shard to a remote worker) and solved locally (halo-replica failover)
-// any number of times — the file doubles as the shard's replica.
+// partition it receives. Until SolveAll releases it, a Partition keeps
+// its file, so it can be read (to ship the shard to a remote worker) and
+// solved locally (halo-replica failover) any number of times — the file
+// doubles as the shard's replica.
 type Partition struct {
 	env   em.Env
 	file  *em.File
@@ -297,20 +163,34 @@ func (p *Partition) ReadObjects(ctx context.Context) ([]geom.Object, error) {
 	}
 }
 
-// solveAndRelease is the one-shot SolveObjects path: solve, then release
-// the partition file eagerly (the blocks are dead weight once the shard
-// has its candidate) rather than waiting for Close.
-func (p *Partition) solveAndRelease(ctx context.Context, w, h float64, cfg core.Config, out *sweep.Result) error {
-	defer p.file.Release()
-	res, err := p.Solve(ctx, w, h, cfg)
+// SolveAll solves every partition in process, at most workers at a time
+// (≤ 0 = all at once), and returns the per-partition answers in slab
+// order for Merge. Each partition's file is released as soon as its
+// shard is solved — its blocks are dead weight once the shard has its
+// candidate — so a sharded solve never holds more blocks than the
+// routed partitions plus one solve's intermediates per worker. The
+// partitions keep their slab, object count and disk Stats; the caller
+// still closes every one. Cancelling ctx aborts every in-flight solve
+// within one block-transfer's work.
+func SolveAll(ctx context.Context, parts []*Partition, w, h float64, cfg core.Config, workers int) ([]sweep.Result, error) {
+	if workers <= 0 {
+		workers = len(parts)
+	}
+	results := make([]sweep.Result, len(parts))
+	err := conc.ForEachIndexed(len(parts), workers, func(i int) error {
+		p := parts[i]
+		defer p.file.Release()
+		res, err := p.Solve(ctx, w, h, cfg)
+		if err != nil {
+			return err
+		}
+		results[i] = res
+		return p.file.Release()
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := p.file.Release(); err != nil {
-		return err
-	}
-	*out = res
-	return nil
+	return results, nil
 }
 
 // PlanBounds scans objFile once and returns up to k−1 strictly increasing
@@ -371,13 +251,15 @@ func PlanBounds(env em.Env, objFile *em.File, k int) ([]float64, error) {
 // objects with x ∈ [b_i − halfWidth, b_{i+1} + halfWidth] (closed on
 // both ends — one float of slack beyond the half-open need never hurts
 // correctness, only duplicates a boundary object once more). bounds
-// come from PlanBounds; halfWidth is half the query width a/2. On error
-// every already-created shard disk is closed and nothing stays
-// allocated; on success the caller owns the partitions and must Close
-// each one.
-func PartitionObjects(env em.Env, objFile *em.File, bounds []float64, halfWidth float64, cfg Config) (_ []*Partition, err error) {
+// come from PlanBounds; halfWidth is half the query width a/2. newDisk
+// allocates one shard's private disk (nil = an in-memory disk with the
+// caller's block size); each shard solver later runs under the caller
+// environment's full memory budget M, so sharding scales aggregate
+// memory and disk K-fold. On error every already-created shard disk is
+// closed and nothing stays allocated; on success the caller owns the
+// partitions and must Close each one.
+func PartitionObjects(env em.Env, objFile *em.File, bounds []float64, halfWidth float64, newDisk func() (*em.Disk, error)) (_ []*Partition, err error) {
 	k := len(bounds) + 1
-	newDisk := cfg.NewDisk
 	if newDisk == nil {
 		blockSize := env.B()
 		newDisk = func() (*em.Disk, error) { return em.NewDisk(blockSize) }

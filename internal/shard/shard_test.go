@@ -9,6 +9,7 @@ import (
 	"maxrs/internal/core"
 	"maxrs/internal/em"
 	"maxrs/internal/geom"
+	"maxrs/internal/sweep"
 	"maxrs/internal/workload"
 )
 
@@ -34,6 +35,51 @@ func solveUnsharded(t *testing.T, env em.Env, f *em.File, w, h float64) (res str
 	res.Sum = r.Sum
 	res.Region = r.Region
 	return res
+}
+
+// sharded is one end-to-end sharded solve: the merged answer, the
+// winning shard's index, and the (closed) partitions, whose slab, object
+// count and disk Stats outlive Close.
+type sharded struct {
+	Res    sweep.Result
+	Winner int
+	Shards []*Partition
+}
+
+// Stats sums the partitions' private-disk traffic.
+func (s sharded) Stats() em.Stats {
+	var total em.Stats
+	for _, p := range s.Shards {
+		st := p.Stats()
+		total.Reads += st.Reads
+		total.Writes += st.Writes
+	}
+	return total
+}
+
+// solveSharded chains the primitives the way the engine's sharded
+// executor does — plan, route, solve in process, merge — and closes
+// every partition before returning.
+func solveSharded(env em.Env, f *em.File, w, h float64, k int) (sharded, error) {
+	bounds, err := PlanBounds(env, f, k)
+	if err != nil {
+		return sharded{}, err
+	}
+	parts, err := PartitionObjects(env, f, bounds, w/2, nil)
+	if err != nil {
+		return sharded{}, err
+	}
+	defer func() {
+		for _, p := range parts {
+			_ = p.Close()
+		}
+	}()
+	results, err := SolveAll(context.Background(), parts, w, h, core.Config{}, 0)
+	if err != nil {
+		return sharded{}, err
+	}
+	win := Merge(results)
+	return sharded{Res: results[win], Winner: win, Shards: parts}, nil
 }
 
 func writeObjects(t *testing.T, env em.Env, objs []geom.Object) *em.File {
@@ -67,7 +113,7 @@ func TestEquivalenceAcrossShardCounts(t *testing.T) {
 				t.Fatalf("degenerate reference score %g", want.Sum)
 			}
 			for _, k := range []int{1, 2, 4, 8} {
-				res, err := SolveObjects(context.Background(), env, f, edge, edge, Config{Shards: k})
+				res, err := solveSharded(env, f, edge, edge, k)
 				if err != nil {
 					t.Fatalf("K=%d: %v", k, err)
 				}
@@ -79,7 +125,7 @@ func TestEquivalenceAcrossShardCounts(t *testing.T) {
 				}
 				var routed int64
 				for _, sh := range res.Shards {
-					routed += sh.Objects
+					routed += sh.Objects()
 				}
 				if routed < int64(len(objs)) {
 					t.Errorf("K=%d: only %d of %d objects routed", k, routed, len(objs))
@@ -99,7 +145,7 @@ func TestSingleShardBitIdentical(t *testing.T) {
 	f := writeObjects(t, env, objs)
 	defer f.Release()
 	want := solveUnsharded(t, env, f, 300, 300)
-	res, err := SolveObjects(context.Background(), env, f, 300, 300, Config{Shards: 1})
+	res, err := solveSharded(env, f, 300, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +156,8 @@ func TestSingleShardBitIdentical(t *testing.T) {
 	if len(res.Shards) != 1 || res.Winner != 0 {
 		t.Fatalf("K=1: %d shards, winner %d", len(res.Shards), res.Winner)
 	}
-	if res.Shards[0].Objects != int64(len(objs)) {
-		t.Fatalf("K=1 shard holds %d objects, want %d", res.Shards[0].Objects, len(objs))
+	if res.Shards[0].Objects() != int64(len(objs)) {
+		t.Fatalf("K=1 shard holds %d objects, want %d", res.Shards[0].Objects(), len(objs))
 	}
 }
 
@@ -145,7 +191,7 @@ func TestStraddlingOptimum(t *testing.T) {
 		t.Fatalf("reference score %g, want the full 20-point cluster", want.Sum)
 	}
 	for _, k := range []int{2, 3, 5, 8} {
-		res, err := SolveObjects(context.Background(), env, f, 30, 30, Config{Shards: k})
+		res, err := solveSharded(env, f, 30, 30, k)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -176,7 +222,7 @@ func TestMoreShardsThanDistinctX(t *testing.T) {
 	defer f.Release()
 	want := solveUnsharded(t, env, f, 25, 8)
 	for _, k := range []int{4, 8, 16} {
-		res, err := SolveObjects(context.Background(), env, f, 25, 8, Config{Shards: k})
+		res, err := solveSharded(env, f, 25, 8, k)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -203,7 +249,7 @@ func TestWeightedEquivalence(t *testing.T) {
 	defer f.Release()
 	want := solveUnsharded(t, env, f, 400, 400)
 	for _, k := range []int{2, 4, 8} {
-		res, err := SolveObjects(context.Background(), env, f, 400, 400, Config{Shards: k})
+		res, err := solveSharded(env, f, 400, 400, k)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -222,7 +268,7 @@ func TestWideQueryReplicatesEverywhere(t *testing.T) {
 	defer env.Disk.Close()
 	f := writeObjects(t, env, objs)
 	defer f.Release()
-	res, err := SolveObjects(context.Background(), env, f, 1000, 1000, Config{Shards: 4})
+	res, err := solveSharded(env, f, 1000, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +276,8 @@ func TestWideQueryReplicatesEverywhere(t *testing.T) {
 		t.Fatalf("score %g, want all %d objects covered", res.Res.Sum, len(objs))
 	}
 	for i, sh := range res.Shards {
-		if sh.Objects != int64(len(objs)) {
-			t.Errorf("shard %d holds %d objects, want all %d (halo spans the space)", i, sh.Objects, len(objs))
+		if sh.Objects() != int64(len(objs)) {
+			t.Errorf("shard %d holds %d objects, want all %d (halo spans the space)", i, sh.Objects(), len(objs))
 		}
 	}
 }
@@ -243,7 +289,7 @@ func TestEmptyDataset(t *testing.T) {
 	defer env.Disk.Close()
 	f := writeObjects(t, env, nil)
 	defer f.Release()
-	res, err := SolveObjects(context.Background(), env, f, 10, 10, Config{Shards: 4})
+	res, err := solveSharded(env, f, 10, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +310,7 @@ func TestNoLeaksOnPrimaryDisk(t *testing.T) {
 	f := writeObjects(t, env, objs)
 	defer f.Release()
 	before := env.Disk.InUse()
-	if _, err := SolveObjects(context.Background(), env, f, 200, 200, Config{Shards: 4}); err != nil {
+	if _, err := solveSharded(env, f, 200, 200, 4); err != nil {
 		t.Fatal(err)
 	}
 	if after := env.Disk.InUse(); after != before {
@@ -282,7 +328,7 @@ func TestScopeChargesPrimaryScans(t *testing.T) {
 	f := writeObjects(t, env, objs)
 	defer f.Release()
 	sc := new(em.ScopeStats)
-	res, err := SolveObjects(context.Background(), env.WithScope(sc), f, 250, 250, Config{Shards: 3})
+	res, err := solveSharded(env.WithScope(sc), f, 250, 250, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,38 +379,21 @@ func TestSlabsPartitionCenterSpace(t *testing.T) {
 	objs := workload.Gaussian(37, 2000, 10000)
 	f := writeObjects(t, env, objs)
 	defer f.Release()
-	res, err := SolveObjects(context.Background(), env, f, 100, 100, Config{Shards: 5})
+	res, err := solveSharded(env, f, 100, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slabs := res.Shards
-	if !math.IsInf(slabs[0].Slab.Lo, -1) || !math.IsInf(slabs[len(slabs)-1].Slab.Hi, 1) {
-		t.Fatalf("outer slabs not unbounded: %v .. %v", slabs[0].Slab, slabs[len(slabs)-1].Slab)
+	if !math.IsInf(slabs[0].Slab().Lo, -1) || !math.IsInf(slabs[len(slabs)-1].Slab().Hi, 1) {
+		t.Fatalf("outer slabs not unbounded: %v .. %v", slabs[0].Slab(), slabs[len(slabs)-1].Slab())
 	}
 	for i := 1; i < len(slabs); i++ {
-		if slabs[i].Slab.Lo != slabs[i-1].Slab.Hi {
-			t.Errorf("gap between slab %d and %d: %v vs %v", i-1, i, slabs[i-1].Slab, slabs[i].Slab)
+		if slabs[i].Slab().Lo != slabs[i-1].Slab().Hi {
+			t.Errorf("gap between slab %d and %d: %v vs %v", i-1, i, slabs[i-1].Slab(), slabs[i].Slab())
 		}
-		if slabs[i].Slab.Lo >= slabs[i].Slab.Hi && !math.IsInf(slabs[i].Slab.Hi, 1) {
-			t.Errorf("degenerate slab %d: %v", i, slabs[i].Slab)
+		if slabs[i].Slab().Lo >= slabs[i].Slab().Hi && !math.IsInf(slabs[i].Slab().Hi, 1) {
+			t.Errorf("degenerate slab %d: %v", i, slabs[i].Slab())
 		}
-	}
-}
-
-// TestConfigValidation: rejects bad shapes without leaking.
-func TestConfigValidation(t *testing.T) {
-	env := em.MustNewEnv(testBlock, testMem)
-	defer env.Disk.Close()
-	f := writeObjects(t, env, workload.Uniform(41, 50, 100))
-	defer f.Release()
-	if _, err := SolveObjects(context.Background(), env, f, 10, 10, Config{Shards: 0}); err == nil {
-		t.Error("Shards=0 accepted")
-	}
-	if _, err := SolveObjects(context.Background(), env, f, 0, 10, Config{Shards: 2}); err == nil {
-		t.Error("zero-width query accepted")
-	}
-	if before := env.Disk.InUse(); before != f.Blocks() {
-		t.Errorf("validation errors leaked blocks: %d in use", before)
 	}
 }
 
@@ -378,11 +407,47 @@ func TestNegativeWeightRejected(t *testing.T) {
 	f := writeObjects(t, env, objs)
 	defer f.Release()
 	before := env.Disk.InUse()
-	_, err := SolveObjects(context.Background(), env, f, 50, 50, Config{Shards: 3})
+	_, err := solveSharded(env, f, 50, 50, 3)
 	if !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("err = %v, want ErrNegativeWeight", err)
 	}
 	if after := env.Disk.InUse(); after != before {
 		t.Fatalf("rejection leaked primary blocks: %d -> %d", before, after)
+	}
+}
+
+// TestSolveAllReleasesPartitions: the local solver frees each partition
+// file once its shard is solved, so the shard disks hold nothing when
+// SolveAll returns — only Close is left to the caller.
+func TestSolveAllReleasesPartitions(t *testing.T) {
+	env := em.MustNewEnv(testBlock, testMem)
+	defer env.Disk.Close()
+	f := writeObjects(t, env, workload.Uniform(47, 1500, 6000))
+	defer f.Release()
+	bounds, err := PlanBounds(env, f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := PartitionObjects(env, f, bounds, 100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, p := range parts {
+			_ = p.Close()
+		}
+	}()
+	for i, p := range parts {
+		if p.env.Disk.InUse() == 0 {
+			t.Fatalf("shard %d: routed partition holds no blocks", i)
+		}
+	}
+	if _, err := SolveAll(context.Background(), parts, 200, 200, core.Config{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts {
+		if n := p.env.Disk.InUse(); n != 0 {
+			t.Errorf("shard %d: %d blocks in use after SolveAll, want 0", i, n)
+		}
 	}
 }

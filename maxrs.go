@@ -46,6 +46,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -818,6 +819,7 @@ type query struct {
 	e      *Engine
 	ctx    context.Context
 	d      *Dataset
+	kind   queryKind
 	set    querySettings
 	sc     *em.ScopeStats
 	solver *core.Solver
@@ -827,10 +829,9 @@ type query struct {
 	// delta is the immutable snapshot of the pending mutations (nil when
 	// the dataset is clean — the overwhelmingly common case, whose
 	// execution and transfer schedule are bit-identical to pre-delta
-	// builds); effSt are the effective statistics both merged.
+	// builds).
 	base  *baseRef
 	delta *deltaSnap
-	effSt plan.Stats
 
 	// deltaPath records how a delta-carrying solve answered ("combined":
 	// cached base solution survived the influence-bound check; "fused":
@@ -868,13 +869,15 @@ func (q *query) distribute() bool {
 	return true
 }
 
-// noteFallback appends one reason to the query's FallbackReason.
+// noteFallback appends one reason to the query's FallbackReason, once
+// (every TopK round runs the same sharded path).
 func (q *query) noteFallback(reason string) {
-	if q.fallback == "" {
+	switch {
+	case q.fallback == "":
 		q.fallback = reason
-		return
+	case !strings.Contains(q.fallback, reason):
+		q.fallback += "; " + reason
 	}
-	q.fallback += "; " + reason
 }
 
 // begin opens the unified request path: it resolves the call's options
@@ -888,7 +891,7 @@ func (e *Engine) begin(ctx context.Context, d *Dataset, kind queryKind, w, h flo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	set, err := e.resolveQuery(opts)
+	set, err := e.resolveQuery(d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -899,15 +902,15 @@ func (e *Engine) begin(ctx context.Context, d *Dataset, kind queryKind, w, h flo
 	if err != nil {
 		return nil, err
 	}
-	pl, fallback, _ := e.planQuery(d, effSt, snap.pending(), kind, w, h, &set, false)
+	pl, fallback, _ := e.planQuery(effSt, snap.pending(), kind, w, h, &set, false)
 	solver, par, err := e.solverFor(set)
 	if err != nil {
 		return nil, errors.Join(err, base.release())
 	}
 	pl.Parallelism = par
 	return &query{
-		e: e, ctx: ctx, d: d, set: set, sc: new(em.ScopeStats),
-		base: base, delta: snap, effSt: effSt,
+		e: e, ctx: ctx, d: d, kind: kind, set: set, sc: new(em.ScopeStats),
+		base: base, delta: snap,
 		solver: solver, par: par, plan: pl, fallback: fallback,
 	}, nil
 }
@@ -1011,7 +1014,7 @@ func (q *query) maxRS(w, h float64) (sweep.Result, []ShardStat, Algorithm, error
 			r, shards, err := q.solveDelta(w, h)
 			return r, shards, ExactMaxRS, err
 		}
-		r, shards, err := q.solveObjects(q.base.f, w, h, q.shardsFor())
+		r, shards, err := q.solveObjects(q.base.f, w, h)
 		return r, shards, ExactMaxRS, err
 	case NaiveSweep:
 		res, err = q.solveBaseline(baseline.NaiveSweep, w, h)
@@ -1047,68 +1050,124 @@ func (q *query) solveBaseline(fn func(em.Env, *em.File, float64, float64) (sweep
 	return res, err
 }
 
-// shardsFor resolves the shard count for this query: WithShards when
-// given, else the dataset's override, else the engine's Options.Shards.
-// Datasets holding any negative weight always resolve to 0 (unsharded): a
-// shard's unrestricted optimum can land outside its slab, where missing
-// negative-weight objects beyond the halo would inflate its local score
-// — the merge is only exact for nonnegative weights (DESIGN.md §9.3).
-// The guard reads the effective statistics, so a buffered insert with a
-// negative weight disables sharding exactly like a loaded one.
-func (q *query) shardsFor() int {
-	if q.effSt.MinW < 0 {
-		return 0
+// solveObjects runs one ExactMaxRS object solve, sharded Plan.Shards
+// ways when that is ≥ 1 (0 = the plain single-solver path). The Plan is
+// the only shard decision: execution reads it and never re-derives it.
+func (q *query) solveObjects(f *em.File, w, h float64) (sweep.Result, []ShardStat, error) {
+	if k := q.plan.Shards; k > 0 {
+		return q.solveSharded(f, w, h, k)
 	}
-	return q.requestedShards()
+	res, err := q.solver.SolveObjectsScoped(q.ctx, f, w, h, q.sc)
+	return res, nil, err
 }
 
-// requestedShards is the resolution step alone — query option, dataset
-// override, engine default — without the weight-sign guard, for solves on
-// a weight-mapped copy whose shardability does not depend on the
-// dataset's own weights (CountRS).
-func (q *query) requestedShards() int {
-	return q.e.requestedShardsFor(q.d, q.set)
-}
-
-// solveObjects runs one ExactMaxRS object solve, sharded K ways when
-// k ≥ 1 (0 = the plain single-solver path). All transfers — the primary
-// disk's and, for sharded solves, the ephemeral shard disks' — are
-// charged to the query scope and to the engine-global totals, keeping
-// both accounting contracts intact (DESIGN.md §7.2, §9).
-func (q *query) solveObjects(f *em.File, w, h float64, k int) (sweep.Result, []ShardStat, error) {
-	if k < 1 {
-		res, err := q.solver.SolveObjectsScoped(q.ctx, f, w, h, q.sc)
-		return res, nil, err
+// solveSharded is the one sharded ExactMaxRS executor (DESIGN.md §9):
+// plan boundaries, route the halo-extended partitions onto private shard
+// disks, solve them — fanned out to the engine's workers when the query
+// distributes and a worker is ready, in process otherwise — and merge.
+// In-process, distributed and degraded queries differ only in where the
+// shards solve, so their answers and shard-disk schedules coincide.
+// Every shard disk's transfers are charged to the query scope and the
+// engine totals on every path: success, routing or solve failure, and
+// cancellation (DESIGN.md §7.2, §9.4).
+func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []ShardStat, error) {
+	remote := q.distribute()
+	if remote && len(q.e.coord.Members().Ready()) == 0 {
+		// Decided before routing, so the degraded query is exactly the
+		// in-process one: no partition is read for requests never sent.
+		if err := q.noWorkers(); err != nil {
+			return sweep.Result{}, nil, err
+		}
+		remote = false
 	}
-	if q.distribute() {
-		return q.solveDistributed(f, w, h, k)
+	var disks []*em.Disk
+	defer func() {
+		var ext em.Stats
+		for _, d := range disks {
+			s := d.Stats()
+			ext.Reads += s.Reads
+			ext.Writes += s.Writes
+		}
+		q.sc.Add(ext)
+		q.e.shardReads.Add(ext.Reads)
+		q.e.shardWrites.Add(ext.Writes)
+	}()
+	newDisk := func() (*em.Disk, error) {
+		d, err := q.e.newShardDisk()
+		if err == nil {
+			disks = append(disks, d)
+		}
+		return d, err
 	}
-	// Shard-level fan-out replaces slab-level fan-out as the outer
-	// parallelism: the shard pool is bounded by the query's resolved
-	// parallelism, and the shard layer splits that budget evenly over
-	// the effective shard count (Core.Parallelism left zero), so a
-	// sharded query never runs more workers than an unsharded one.
-	r, err := shard.SolveObjects(q.ctx, q.e.env.WithScope(q.sc), f, w, h, shard.Config{
-		Shards:  k,
-		Workers: q.par,
-		Core:    core.Config{Fanout: q.e.opts.Fanout, Unfused: q.set.unfused},
-		NewDisk: q.e.newShardDisk,
-	})
+	env := q.env()
+	bounds, err := shard.PlanBounds(env, f, k)
 	if err != nil {
 		return sweep.Result{}, nil, err
 	}
-	stats := make([]ShardStat, len(r.Shards))
-	for i, si := range r.Shards {
-		stats[i] = ShardStat{
-			Objects: si.Objects,
-			Stats:   QueryStats{Reads: si.Stats.Reads, Writes: si.Stats.Writes},
+	parts, err := shard.PartitionObjects(env, f, bounds, w/2, newDisk)
+	if err != nil {
+		return sweep.Result{}, nil, err
+	}
+	defer func() {
+		for _, p := range parts {
+			_ = p.Close()
+		}
+	}()
+	// Shard-level fan-out replaces slab-level fan-out: the query's
+	// parallelism budget is split evenly over the effective shard count,
+	// so a sharded query never runs more workers than an unsharded one.
+	cfg := core.Config{Fanout: q.e.opts.Fanout, Unfused: q.set.unfused, Parallelism: max(1, q.par/len(parts))}
+	var (
+		results []sweep.Result
+		reports []dist.ShardReport
+	)
+	if remote {
+		results, reports, err = q.fanOut(parts, w, h, cfg)
+		if errors.Is(err, ErrNoWorkers) {
+			// The membership emptied after the pre-routing check: solve
+			// the partitions already routed right here.
+			if err := q.noWorkers(); err != nil {
+				return sweep.Result{}, nil, err
+			}
+			remote = false
 		}
 	}
-	ext := r.Stats()
-	q.sc.Add(ext)
-	q.e.shardReads.Add(ext.Reads)
-	q.e.shardWrites.Add(ext.Writes)
-	return r.Res, stats, nil
+	if remote {
+		q.distributedRan = true
+	} else {
+		results, err = shard.SolveAll(q.ctx, parts, w, h, cfg, q.par)
+	}
+	stats := shardStats(parts, reports)
+	if err != nil {
+		if cerr := q.ctx.Err(); cerr != nil {
+			// A cancelled solve is a cancelled query, not a lost shard.
+			return sweep.Result{}, nil, cerr
+		}
+		return sweep.Result{}, stats, err
+	}
+	win := shard.Merge(results)
+	return results[win], stats, nil
+}
+
+// shardStats attributes a sharded solve per shard: each partition's
+// routed objects and private-disk transfers, plus — for a fanned-out
+// solve — the coordinator's report of the workers involved.
+func shardStats(parts []*shard.Partition, reports []dist.ShardReport) []ShardStat {
+	stats := make([]ShardStat, len(parts))
+	for i, p := range parts {
+		s := p.Stats()
+		stats[i] = ShardStat{Objects: p.Objects(), Stats: QueryStats{Reads: s.Reads, Writes: s.Writes}}
+		if i < len(reports) {
+			r := reports[i]
+			stats[i].Worker = r.Worker
+			stats[i].Attempts = r.Attempts
+			stats[i].Hedged = r.Hedged
+			stats[i].FellBack = r.FellBack
+			stats[i].RemoteStats = QueryStats{Reads: r.Reads, Writes: r.Writes}
+			stats[i].Err = r.Err
+		}
+	}
+	return stats
 }
 
 // newShardDisk allocates one shard's private disk, mirroring the

@@ -100,8 +100,11 @@ func WithDistributed(on bool) QueryOption {
 // querySettings is the per-query resolution of the engine Options and the
 // call's QueryOptions.
 type querySettings struct {
-	algorithm      Algorithm
-	shards         int  // meaningful only when shardsSet
+	algorithm Algorithm
+	// shards is the requested shard count, resolved once per query:
+	// WithShards, else the dataset's override, else Options.Shards. The
+	// Plan applies the exactness guards to it (effectiveStrategy).
+	shards         int
 	shardsSet      bool // WithShards given: overrides dataset and engine
 	unfused        bool
 	parallelism    int // unresolved (0 = GOMAXPROCS), as in Options
@@ -119,8 +122,9 @@ func validAlgorithm(a Algorithm) bool {
 	return false
 }
 
-// resolveQuery folds the call's options over the engine defaults.
-func (e *Engine) resolveQuery(opts []QueryOption) (querySettings, error) {
+// resolveQuery folds the call's options over the engine defaults and
+// the dataset's shard override.
+func (e *Engine) resolveQuery(d *Dataset, opts []QueryOption) (querySettings, error) {
 	set := querySettings{
 		algorithm:   e.opts.Algorithm,
 		unfused:     e.opts.Unfused,
@@ -130,6 +134,11 @@ func (e *Engine) resolveQuery(opts []QueryOption) (querySettings, error) {
 	for _, opt := range opts {
 		if err := opt(&set); err != nil {
 			return querySettings{}, err
+		}
+	}
+	if !set.shardsSet {
+		if set.shards = d.Shards(); set.shards == 0 {
+			set.shards = e.opts.Shards
 		}
 	}
 	return set, nil

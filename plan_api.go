@@ -152,7 +152,7 @@ func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...
 	if err := checkQuery(w, h); err != nil {
 		return Explanation{}, err
 	}
-	set, err := e.resolveQuery(opts)
+	set, err := e.resolveQuery(d, opts)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -164,7 +164,7 @@ func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...
 		return Explanation{}, err
 	}
 	defer func() { _ = base.release() }()
-	pl, fallback, cands := e.planQuery(d, effSt, snap.pending(), kindMaxRS, w, h, &set, true)
+	pl, fallback, cands := e.planQuery(effSt, snap.pending(), kindMaxRS, w, h, &set, true)
 	out := Explanation{
 		Plan:           pl,
 		FallbackReason: fallback,
@@ -257,7 +257,7 @@ func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) pl
 // settings); otherwise set passes through untouched and only the
 // prediction is computed. The candidate table is built when wantCands
 // (Explain); begin skips it.
-func (e *Engine) planQuery(d *Dataset, st plan.Stats, pending int64, kind queryKind, w, h float64, set *querySettings, wantCands bool) (Plan, string, []plan.Candidate) {
+func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h float64, set *querySettings, wantCands bool) (Plan, string, []plan.Candidate) {
 	pst := planStatsFor(st, kind)
 	pset := e.planSettingsFor(st, kind, w, h)
 	pset.DeltaPending = pending
@@ -267,12 +267,12 @@ func (e *Engine) planQuery(d *Dataset, st plan.Stats, pending int64, kind queryK
 		var strat plan.Strategy
 		strat, cands = plan.Choose(pst, pset)
 		set.algorithm = Algorithm(strat.Algorithm)
-		set.shards, set.shardsSet = strat.Shards, true
+		set.shards = strat.Shards
 		set.unfused = strat.Unfused
 	} else if wantCands {
 		cands = plan.Candidates(pst, pset)
 	}
-	eff := e.effectiveStrategy(d, kind, *set, st)
+	eff := effectiveStrategy(kind, *set, st)
 	cost := plan.Estimate(pst, pset, eff)
 	if pending > 0 {
 		// A pending delta adds data-dependent work (the base incumbent,
@@ -306,15 +306,16 @@ func (e *Engine) planQuery(d *Dataset, st plan.Stats, pending int64, kind queryK
 	if !wantCands {
 		cands = nil
 	}
-	return pl, e.fallbackReason(d, kind, *set, st), cands
+	return pl, fallbackReason(set.shards, eff, kind), cands
 }
 
 // effectiveStrategy applies the kind's execution rules to the resolved
-// settings, yielding the strategy that will actually run — the one the
-// prediction must be for. It mirrors the dispatch in maxRS/TopK/
-// solveMapped/MaxCRS exactly. st are the effective statistics the
-// query's shard guard reads.
-func (e *Engine) effectiveStrategy(d *Dataset, kind queryKind, set querySettings, st plan.Stats) plan.Strategy {
+// settings, yielding the strategy the query runs: execution reads the
+// Plan built from it, so these guards are the only shard decision. st
+// are the statistics the negative-weight guard reads — the effective
+// statistics at begin, the materialized set's exact ones on the delta
+// paths (reshard).
+func effectiveStrategy(kind queryKind, set querySettings, st plan.Stats) plan.Strategy {
 	alg := set.algorithm
 	if kind != kindMaxRS {
 		alg = ExactMaxRS // TopK, MinRS, CountRS and MaxCRS only ever solve with ExactMaxRS
@@ -323,45 +324,40 @@ func (e *Engine) effectiveStrategy(d *Dataset, kind queryKind, set querySettings
 	switch kind {
 	case kindMaxRS, kindTopK:
 		if alg == ExactMaxRS && st.MinW >= 0 {
-			k = e.requestedShardsFor(d, set)
+			k = set.shards
 		}
 	case kindCountRS:
-		k = e.requestedShardsFor(d, set)
+		k = set.shards // COUNT weights are all 1: the merge stays exact
 	}
 	return plan.Strategy{Algorithm: plan.Algorithm(alg), Shards: k, Unfused: set.unfused}
 }
 
-// requestedShardsFor is the shard-count resolution chain — query option,
-// dataset override, engine default — without the exactness guards.
-func (e *Engine) requestedShardsFor(d *Dataset, set querySettings) int {
-	if set.shardsSet {
-		return set.shards
-	}
-	if k := d.Shards(); k > 0 {
-		return k
-	}
-	return e.opts.Shards
-}
-
 // fallbackReason explains — in Result.FallbackReason — why a query that
-// requested sharding ran unsharded. Empty when nothing was overridden.
-func (e *Engine) fallbackReason(d *Dataset, kind queryKind, set querySettings, st plan.Stats) string {
-	if e.requestedShardsFor(d, set) <= 0 {
+// requested sharding runs unsharded. It reads the decision instead of
+// restating it: the requested count, the strategy that runs, and the
+// query kind. Empty when nothing was overridden.
+func fallbackReason(requested int, eff plan.Strategy, kind queryKind) string {
+	if requested <= 0 || eff.Shards > 0 {
 		return ""
 	}
-	switch kind {
-	case kindMinRS:
+	switch {
+	case kind == kindMinRS:
 		return "MinRS never shards: weight negation produces negative weights, for which the shard merge is not exact (DESIGN.md §9.3)"
-	case kindMaxCRS:
+	case kind == kindMaxCRS:
 		return "MaxCRS never shards: the rectangle transform runs unsharded by construction"
-	case kindCountRS:
-		return "" // COUNT weights are all 1; sharding proceeds
+	case eff.Algorithm != plan.ExactMaxRS:
+		return fmt.Sprintf("algorithm %v ignores sharding: only ExactMaxRS shards", Algorithm(eff.Algorithm))
 	}
-	if set.algorithm != ExactMaxRS {
-		return fmt.Sprintf("algorithm %v ignores sharding: only ExactMaxRS shards", set.algorithm)
-	}
-	if st.MinW < 0 {
-		return "dataset holds negative weights: the shard merge is only exact for nonnegative weights (DESIGN.md §9.3); ran unsharded"
-	}
-	return ""
+	return "dataset holds negative weights: the shard merge is only exact for nonnegative weights (DESIGN.md §9.3); ran unsharded"
+}
+
+// reshard re-decides the shard count on a delta path from the exact
+// statistics of the materialized effective set: the begin-time decision
+// read the conservatively merged statistics, whose MinW may remember a
+// deleted negative weight. Plan.Shards and the fallback reason move
+// together, so the Result reports what ran.
+func (q *query) reshard(st plan.Stats) {
+	eff := effectiveStrategy(q.kind, q.set, st)
+	q.plan.Shards = eff.Shards
+	q.fallback = fallbackReason(q.set.shards, eff, q.kind)
 }

@@ -222,3 +222,69 @@ func TestAutoOnResident(t *testing.T) {
 		t.Fatalf("engine-default auto result = alg %v plan %+v", res2.Algorithm, res2.Plan)
 	}
 }
+
+// TestTopKShardPlanUnderBaselineDefault: TopK always solves with
+// ExactMaxRS, so an engine-default baseline algorithm does not stop it
+// sharding — and the Result must not claim it did.
+func TestTopKShardPlanUnderBaselineDefault(t *testing.T) {
+	eng, d := planTestEngine(t, &maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.NaiveSweep, Shards: 2})
+	res, err := eng.TopK(context.Background(), d, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Later rounds solve smaller filtrates, whose boundaries may
+	// deduplicate to one shard; every round still runs sharded.
+	for i, r := range res {
+		if r.Plan.Shards != 2 || r.Shards < 1 || r.FallbackReason != "" {
+			t.Errorf("round %d: Plan.Shards %d, Shards %d, FallbackReason %q; want 2, ≥ 1 and none",
+				i, r.Plan.Shards, r.Shards, r.FallbackReason)
+		}
+	}
+}
+
+// TestTopKReshardsOnExactStats: on a dataset whose only negative weight
+// has a delete pending, the conservative merged statistics still show
+// MinW < 0, but the materialized set is nonnegative and shards. TopK
+// must report the plan that ran, exactly like MaxRS.
+func TestTopKReshardsOnExactStats(t *testing.T) {
+	ctx := context.Background()
+	eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: 8192, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	objs := make([]maxrs.Object, 450)
+	for i := range objs {
+		objs[i] = maxrs.Object{X: float64(i * 37 % 1000), Y: float64(i * 91 % 1000), Weight: 1}
+	}
+	objs[17].Weight = -3
+	d, err := eng.Load(ctx, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Delete(ctx, []uint64{17}); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.MinW >= 0 {
+		t.Fatalf("merged MinW = %g: the test needs the conservative negative bound", st.MinW)
+	}
+	check := func(kind string, r maxrs.Result) {
+		t.Helper()
+		if r.Shards != 2 || r.Plan.Shards != 2 || r.FallbackReason != "" {
+			t.Errorf("%s: Shards %d, Plan.Shards %d, FallbackReason %q; want 2, 2 and none",
+				kind, r.Shards, r.Plan.Shards, r.FallbackReason)
+		}
+	}
+	res, err := eng.MaxRS(ctx, d, 60, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MaxRS", res)
+	rounds, err := eng.TopK(ctx, d, 60, 60, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rounds {
+		check("TopK", r)
+	}
+}
