@@ -422,7 +422,7 @@ func (s *task) slabFileOf(events, edges *em.File, count int64) (*em.File, error)
 		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
 		count:  count,
 	}
-	return s.solve(root, 0)
+	return s.solve(root, 0, new(scratchList))
 }
 
 // forEachRect drains next() until io.EOF, passing every non-degenerate
@@ -508,8 +508,10 @@ func (n node) release() {
 
 // solve is Algorithm 2: recursive divide, conquer, MergeSweep. The node's
 // input files are consumed on every path — success or error — as are all
-// intermediates, so a failed solve leaves no blocks allocated.
-func (s *task) solve(n node, depth int) (*em.File, error) {
+// intermediates, so a failed solve leaves no blocks allocated. A base
+// case draws its memory from scratch, the free list of the conquer that
+// spawned the node.
+func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) {
 	if depth > maxDepth {
 		n.release()
 		return nil, fmt.Errorf("%w: depth %d exceeded", ErrNoProgress, depth)
@@ -522,7 +524,7 @@ func (s *task) solve(n node, depth int) (*em.File, error) {
 		return nil, err
 	}
 	if n.count <= s.capacity() {
-		return s.baseCase(n)
+		return s.baseCase(n, scratch)
 	}
 	bounds, err := s.chooseBounds(n)
 	if err != nil {
@@ -580,26 +582,7 @@ func (s *task) conquer(children []node, spanning *em.File, bounds []float64, sla
 			return nil, fmt.Errorf("%w: child %d kept all %d events", ErrNoProgress, i, parentCount)
 		}
 	}
-	// Child slabs are fully independent sub-problems (they share only the
-	// concurrency-safe Disk), so they run on the solver's worker pool. A
-	// free slot spawns a goroutine; otherwise the child is solved inline —
-	// Parallelism=1 reproduces the sequential schedule exactly.
-	slabFiles := make([]*em.File, len(children))
-	childErrs := make([]error, len(children))
-	var wg sync.WaitGroup
-	for i, c := range children {
-		if s.tryAcquire() {
-			wg.Add(1)
-			go func(i int, c node) {
-				defer wg.Done()
-				defer s.release()
-				slabFiles[i], childErrs[i] = s.solve(c, depth+1)
-			}(i, c)
-		} else {
-			slabFiles[i], childErrs[i] = s.solve(c, depth+1)
-		}
-	}
-	wg.Wait()
+	slabFiles, childErrs := s.solveChildren(children, depth)
 	releaseSlabs := func() {
 		for _, sf := range slabFiles {
 			if sf != nil {
@@ -635,11 +618,76 @@ func (s *task) conquer(children []node, spanning *em.File, bounds []float64, sla
 	return out, nil
 }
 
+// solveChildren solves the children of one node and returns their slab
+// files and errors by child index. Child slabs are fully independent
+// sub-problems (they share only the concurrency-safe Disk), so they run on
+// the solver's worker pool. A free slot spawns a goroutine; otherwise the
+// child is solved inline — Parallelism=1 reproduces the sequential
+// schedule exactly. Children that are base cases share one scratch list,
+// which holds at most one scratch per child running at once and dies when
+// this returns, before the parent's merge.
+func (s *task) solveChildren(children []node, depth int) ([]*em.File, []error) {
+	slabFiles := make([]*em.File, len(children))
+	childErrs := make([]error, len(children))
+	scratch := new(scratchList)
+	var wg sync.WaitGroup
+	for i, c := range children {
+		if s.tryAcquire() {
+			wg.Add(1)
+			go func(i int, c node) {
+				defer wg.Done()
+				defer s.release()
+				slabFiles[i], childErrs[i] = s.solve(c, depth+1, scratch)
+			}(i, c)
+		} else {
+			slabFiles[i], childErrs[i] = s.solve(c, depth+1, scratch)
+		}
+	}
+	wg.Wait()
+	return slabFiles, childErrs
+}
+
+// baseScratch is the memory of one base case: the rectangle array, the
+// read batch and the sweep's buffers. Sibling base cases reuse it in turn.
+type baseScratch struct {
+	rects []rec.WRect
+	batch []rec.PieceEvent
+	sw    sweep.Sweeper
+}
+
+// scratchList is one conquer's free list of base-case scratch. A base case
+// takes a scratch and puts it back when its slab file is written, so the
+// list never holds more scratches than the conquer has children running
+// at once (≤ p), and all of them are garbage once the conquer's children
+// finish.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*baseScratch
+}
+
+func (l *scratchList) get() *baseScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if k := len(l.free); k > 0 {
+		b := l.free[k-1]
+		l.free = l.free[:k-1]
+		return b
+	}
+	return &baseScratch{batch: make([]rec.PieceEvent, eventBatch)}
+}
+
+func (l *scratchList) put(b *baseScratch) {
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
+}
+
 // baseCase loads a memory-sized node and runs the in-memory plane sweep
-// (Algorithm 2 line 9), writing the node's slab file. The node's input
-// files are consumed on every path; on error the partial output is
-// released too.
-func (s *task) baseCase(n node) (_ *em.File, err error) {
+// (Algorithm 2 line 9), writing the node's slab file. Its rectangles,
+// read batch and sweep buffers come from scratch and go back to it once
+// the slab file is written. The node's input files are consumed on every
+// path; on error the partial output is released too.
+func (s *task) baseCase(n node, scratch *scratchList) (_ *em.File, err error) {
 	defer func() {
 		if err != nil {
 			n.release()
@@ -649,11 +697,15 @@ func (s *task) baseCase(n node) (_ *em.File, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rects := make([]rec.WRect, 0, n.count/2)
-	batch := make([]rec.PieceEvent, eventBatch)
+	b := scratch.get()
+	defer scratch.put(b)
+	if need := int(n.count / 2); cap(b.rects) < need {
+		b.rects = make([]rec.WRect, 0, need)
+	}
+	rects := b.rects[:0]
 	for {
-		k, err := rr.ReadBatch(batch)
-		for _, e := range batch[:k] {
+		k, err := rr.ReadBatch(b.batch)
+		for _, e := range b.batch[:k] {
 			if e.Top {
 				continue // the bottom event carries the full geometry
 			}
@@ -666,7 +718,7 @@ func (s *task) baseCase(n node) (_ *em.File, err error) {
 			return nil, err
 		}
 	}
-	out, err := s.writeSlab(sweep.Slab(rects, n.slab))
+	out, err := s.writeSlab(b.sw.Slab(rects, n.slab))
 	if err != nil {
 		return nil, err
 	}

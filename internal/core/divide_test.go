@@ -269,7 +269,7 @@ func TestNoProgressTripwire(t *testing.T) {
 	s := mustSolver(t, env, Config{})
 	n := node{events: em.NewFile(env.Disk), edges: em.NewFile(env.Disk),
 		slab: geom.Interval{Lo: 0, Hi: 1}, count: 1 << 40}
-	if _, err := s.task(nil, nil).solve(n, maxDepth+1); !errors.Is(err, ErrNoProgress) {
+	if _, err := s.task(nil, nil).solve(n, maxDepth+1, nil); !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("want ErrNoProgress, got %v", err)
 	}
 }

@@ -165,7 +165,9 @@ func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, 
 // spiller owns the sort-and-spill worker pool shared by formRuns and
 // RunBuilder: full run buffers are handed to dispatch in input order, and
 // run i lands in slot i of the result regardless of which worker spilled
-// it — the PEM invariant that keeps run boundaries worker-count-free.
+// it — the PEM invariant that keeps run boundaries worker-count-free. A
+// buffer whose run is on disk goes on the free list, and the builder
+// refills it instead of allocating the next one.
 type spiller[T any] struct {
 	env     em.Env
 	codec   em.Codec[T]
@@ -179,6 +181,7 @@ type spiller[T any] struct {
 	mu       sync.Mutex
 	runs     []*em.File
 	firstErr error
+	free     [][]T // spilled run buffers, at most workers+1, guarded by mu
 
 	scratch []T // the inline path's sort scratch, kept across its runs
 }
@@ -190,6 +193,30 @@ type spillJob[T any] struct {
 
 func newSpiller[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, parallelism int) *spiller[T] {
 	return &spiller[T]{env: env, codec: codec, less: less, workers: parallelism}
+}
+
+// recycle puts a buffer whose run has been written on the free list. At
+// most workers+1 run buffers exist at once (see dispatch), so the cap is
+// never reached; it only keeps the bound explicit.
+func (sp *spiller[T]) recycle(buf []T) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if len(sp.free) <= sp.workers {
+		sp.free = append(sp.free, buf[:0])
+	}
+}
+
+// buffer returns an empty run buffer of capacity n: a recycled one when
+// the free list has one, else a fresh one.
+func (sp *spiller[T]) buffer(n int) []T {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if k := len(sp.free); k > 0 {
+		buf := sp.free[k-1]
+		sp.free = sp.free[:k-1]
+		return buf
+	}
+	return make([]T, 0, n)
 }
 
 func (sp *spiller[T]) place(idx int, f *em.File, err error) {
@@ -212,12 +239,15 @@ func (sp *spiller[T]) place(idx int, f *em.File, err error) {
 // the error surfaces at finish. Workers are started lazily so builders
 // that never spill cost no goroutines. An unbuffered channel with p
 // workers bounds in-flight run buffers to p+1 (p sorting/spilling + 1
-// filling): the PEM budget of DESIGN.md §6. Each worker, like the inline
-// path, keeps one sort scratch across the runs it sorts.
+// filling): the PEM budget of DESIGN.md §6. A buffer is recycled once
+// its run is written, and a new one is made only when none is free, so
+// the builder never holds more than those p+1. Each worker, like the
+// inline path, keeps one sort scratch across the runs it sorts.
 func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 	if sp.workers <= 1 {
 		f, err := sortAndSpill(sp.env, sp.codec, sp.less, buf, &sp.scratch)
 		sp.place(idx, f, err)
+		sp.recycle(buf)
 		return err
 	}
 	if !sp.started {
@@ -231,6 +261,7 @@ func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 				for j := range sp.jobs {
 					f, err := sortAndSpill(sp.env, sp.codec, sp.less, j.buf, &scratch)
 					sp.place(j.idx, f, err)
+					sp.recycle(j.buf)
 				}
 			}()
 		}
@@ -243,7 +274,10 @@ func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 }
 
 // finish drains the workers and returns the spilled runs in input order,
-// releasing everything on error.
+// releasing everything on error. It drops the sort scratch and the free
+// list: a finished builder often stays reachable for the rest of its
+// query (core's solveFused holds both root builders), and buffers it kept
+// would count toward the query's peak memory.
 func (sp *spiller[T]) finish() ([]*em.File, error) {
 	if sp.started {
 		close(sp.jobs)
@@ -252,6 +286,7 @@ func (sp *spiller[T]) finish() ([]*em.File, error) {
 		sp.jobs = nil
 	}
 	sp.scratch = nil
+	sp.free = nil
 	if sp.firstErr != nil {
 		sp.releaseAll()
 		return nil, sp.firstErr
@@ -313,7 +348,9 @@ func NewRunBuilder[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool,
 // spillIfFull spills the buffer as the next run when — and only when — it
 // holds exactly perRun records. Every spill goes through here, which is
 // what keeps run boundaries identical between Add- and fill-driven
-// builders and preserves the lazy-spill invariant Take depends on.
+// builders and preserves the lazy-spill invariant Take depends on. The
+// next buffer is one the spiller has recycled when one is free, so a
+// builder allocates at most p+1 run buffers however many runs it spills.
 func (rb *RunBuilder[T]) spillIfFull() error {
 	if len(rb.buf) < rb.perRun {
 		return nil
@@ -322,7 +359,7 @@ func (rb *RunBuilder[T]) spillIfFull() error {
 		return err
 	}
 	rb.idx++
-	rb.buf = make([]T, 0, rb.perRun)
+	rb.buf = rb.sp.buffer(rb.perRun)
 	return nil
 }
 

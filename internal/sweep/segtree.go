@@ -27,11 +27,21 @@ type segNode struct {
 	min, max, add float64
 }
 
-func newSegTree(n int) *segTree {
+// reset makes t an all-zero tree over n cells, reusing its node array when
+// that is large enough. Every node is cleared to +0, the value a fresh
+// tree starts from, so a reused tree sums bit for bit like a new one.
+func (t *segTree) reset(n int) {
 	if n < 1 {
 		n = 1
 	}
-	return &segTree{n: n, nodes: make([]segNode, 2<<bits.Len(uint(n-1)))}
+	t.n = n
+	size := 2 << bits.Len(uint(n-1))
+	if cap(t.nodes) < size {
+		t.nodes = make([]segNode, size)
+		return
+	}
+	t.nodes = t.nodes[:size]
+	clear(t.nodes)
 }
 
 // Update adds delta to every cell in [l, r). Out-of-range bounds are clamped.

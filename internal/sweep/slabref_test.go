@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -152,51 +153,67 @@ func TestSlabMatchesReference(t *testing.T) {
 		if trial%10 != 0 {
 			n = rng.Intn(120) + 1
 		}
-		grid := []float64{1, 0.5, 0.1}[rng.Intn(3)] // coarse grids tie edges
-		span := float64(rng.Intn(40) + 2)
-		coord := func() float64 { return math.Floor(rng.Float64()*span) * grid }
-		rects := make([]rec.WRect, n)
+		rects, slab := tieCase(rng, n, trial)
+		sameTuples(t, fmt.Sprintf("trial %d", trial), Slab(rects, slab), slabReference(rects, slab))
+	}
+}
+
+// tieCase draws n rectangles on a coarse grid (heavy x and y ties) with
+// weights that are non-integer, negative, zero or large, and the slab to
+// sweep them in: the whole plane when trial%3 == 0, else a finite slab,
+// with about half the rectangles moved wholly outside it when
+// trial%7 == 0.
+func tieCase(rng *rand.Rand, n, trial int) ([]rec.WRect, geom.Interval) {
+	grid := []float64{1, 0.5, 0.1}[rng.Intn(3)] // coarse grids tie edges
+	span := float64(rng.Intn(40) + 2)
+	coord := func() float64 { return math.Floor(rng.Float64()*span) * grid }
+	rects := make([]rec.WRect, n)
+	for i := range rects {
+		x, y := coord(), coord()
+		var w float64
+		switch rng.Intn(4) {
+		case 0:
+			w = rng.Float64()*10 - 3 // non-integer, either sign
+		case 1:
+			w = float64(rng.Intn(7) - 3) // small integers, zero included
+		case 2:
+			w = 0.1 * float64(rng.Intn(30)-10) // inexact decimals
+		default:
+			w = rng.NormFloat64() * 1e3
+		}
+		rects[i] = rec.WRect{
+			X1: x, X2: x + float64(rng.Intn(8)+1)*grid,
+			Y1: y, Y2: y + float64(rng.Intn(8)+1)*grid,
+			W: w,
+		}
+	}
+	slab := fullSlab()
+	if trial%3 != 0 {
+		lo := coord()
+		slab = geom.Interval{Lo: lo, Hi: lo + float64(rng.Intn(20)+1)*grid}
+	}
+	if trial%7 == 0 { // rectangles wholly outside the slab
 		for i := range rects {
-			x, y := coord(), coord()
-			var w float64
-			switch rng.Intn(4) {
-			case 0:
-				w = rng.Float64()*10 - 3 // non-integer, either sign
-			case 1:
-				w = float64(rng.Intn(7) - 3) // small integers, zero included
-			case 2:
-				w = 0.1 * float64(rng.Intn(30)-10) // inexact decimals
-			default:
-				w = rng.NormFloat64() * 1e3
-			}
-			rects[i] = rec.WRect{
-				X1: x, X2: x + float64(rng.Intn(8)+1)*grid,
-				Y1: y, Y2: y + float64(rng.Intn(8)+1)*grid,
-				W: w,
+			if rng.Intn(2) == 0 {
+				rects[i].X1, rects[i].X2 = slab.Hi+1, slab.Hi+2
 			}
 		}
-		slab := fullSlab()
-		if trial%3 != 0 {
-			lo := coord()
-			slab = geom.Interval{Lo: lo, Hi: lo + float64(rng.Intn(20)+1)*grid}
-		}
-		if trial%7 == 0 { // rectangles wholly outside the slab
-			for i := range rects {
-				if rng.Intn(2) == 0 {
-					rects[i].X1, rects[i].X2 = slab.Hi+1, slab.Hi+2
-				}
-			}
-		}
-		got, want := Slab(rects, slab), slabReference(rects, slab)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d tuples, reference %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			g, w := got[i], want[i]
-			for _, f := range [][2]float64{{g.Y, w.Y}, {g.X1, w.X1}, {g.X2, w.X2}, {g.Sum, w.Sum}} {
-				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
-					t.Fatalf("trial %d tuple %d: got %+v, reference %+v", trial, i, g, w)
-				}
+	}
+	return rects, slab
+}
+
+// sameTuples fails t unless got and want match tuple for tuple, every
+// field compared by math.Float64bits.
+func sameTuples(t *testing.T, what string, got, want []rec.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tuples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		for _, f := range [][2]float64{{g.Y, w.Y}, {g.X1, w.X1}, {g.X2, w.X2}, {g.Sum, w.Sum}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("%s tuple %d: got %+v, want %+v", what, i, g, w)
 			}
 		}
 	}

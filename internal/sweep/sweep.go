@@ -31,7 +31,42 @@ import (
 // describes the strip from y up to the next event (Definition 6): its
 // interval is a maximal run of cells attaining the strip's maximum
 // location-weight, and its Sum is that maximum.
+//
+// Slab is the one-shot form of (*Sweeper).Slab: every buffer is fresh,
+// sized to this sweep, and the returned tuples are the caller's. Callers
+// that sweep many slabs in turn keep one Sweeper instead.
 func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
+	var sw Sweeper
+	return sw.Slab(rects, slabX)
+}
+
+// Sweeper runs Slab sweeps one after another over the same buffers: the
+// x coordinates, the events, the segment-tree nodes and the output
+// tuples. A buffer is reallocated, at exactly the size the sweep needs,
+// only when it is too small, so a sequence of sweeps allocates about what
+// its largest one needs. The zero value is ready to use; a Sweeper is not
+// safe for concurrent use.
+type Sweeper struct {
+	xs     []float64
+	evs    []event
+	tree   segTree
+	tuples []rec.Tuple
+}
+
+// event is one horizontal rectangle edge. It carries the rectangle's cell
+// range [l, r), found once per rectangle, and its signed weight: +W at
+// the bottom, −W at the top. The range is two ints, not int32s: nothing
+// caps the cell count.
+type event struct {
+	y, w float64
+	l, r int
+	top  bool
+}
+
+// Slab is the package-level Slab on the Sweeper's buffers. The tuples are
+// bit-identical to a fresh Slab's, and they stay valid only until the
+// next call.
+func (sw *Sweeper) Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	if slabX.Empty() {
 		return nil
 	}
@@ -40,7 +75,7 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		x2 = math.Min(r.X2, slabX.Hi)
 		return x1, x2, x1 < x2 && r.Y1 < r.Y2
 	}
-	xs := make([]float64, 0, 2*len(rects)+2)
+	xs := resize(sw.xs, 2*len(rects)+2)
 	xs = append(xs, slabX.Lo, slabX.Hi)
 	kept := 0
 	for _, r := range rects {
@@ -49,26 +84,19 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 			kept++
 		}
 	}
+	sw.xs = xs
 	if kept == 0 {
 		return nil
 	}
 	xs = dedupSorted(xs)
 	nCells := len(xs) - 1
 
-	// Events carry the rectangle's cell range [l, r), found once per
-	// rectangle, and its signed weight: +W at the bottom, −W at the top.
-	// The range is two ints, not int32s: nothing caps the cell count.
 	// Tops (removals) sort before bottoms (additions) at equal y, so a
 	// rectangle half-open in y never coexists with one starting at its
 	// top. slices.SortFunc is the same pdqsort as sort.Slice, so equal
 	// events — and with them the order of the float additions below —
 	// land exactly where the reflection sort put them.
-	type event struct {
-		y, w float64
-		l, r int
-		top  bool
-	}
-	evs := make([]event, 0, 2*kept)
+	evs := resize(sw.evs, 2*kept)
 	for _, r := range rects {
 		x1, x2, ok := clip(r)
 		if !ok {
@@ -78,6 +106,7 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		h := sort.SearchFloat64s(xs, x2)
 		evs = append(evs, event{r.Y1, r.W, l, h, false}, event{r.Y2, -r.W, l, h, true})
 	}
+	sw.evs = evs
 	slices.SortFunc(evs, func(a, b event) int {
 		switch {
 		case a.y < b.y:
@@ -92,8 +121,9 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		return 0
 	})
 
-	tree := newSegTree(nCells)
-	tuples := make([]rec.Tuple, 0, 2*kept)
+	tree := &sw.tree
+	tree.reset(nCells)
+	tuples := resize(sw.tuples, 2*kept)
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for ; i < len(evs) && evs[i].y == y; i++ {
@@ -102,7 +132,18 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		l, r := tree.MaxRun()
 		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: tree.Max()})
 	}
+	sw.tuples = tuples
 	return tuples
+}
+
+// resize returns s emptied, with room for n elements: s itself when it
+// has the capacity, else a fresh slice of exactly n, so no sweep's
+// buffer outgrows what the largest sweep so far needed.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 func dedupSorted(xs []float64) []float64 {

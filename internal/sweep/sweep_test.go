@@ -11,6 +11,12 @@ import (
 	"maxrs/internal/rec"
 )
 
+func newSegTree(n int) *segTree {
+	t := &segTree{}
+	t.reset(n)
+	return t
+}
+
 func TestSegTreeBasics(t *testing.T) {
 	tr := newSegTree(8)
 	if tr.Max() != 0 {
@@ -356,7 +362,9 @@ func TestBestRegionEmpty(t *testing.T) {
 }
 
 // BenchmarkSlab sweeps random rectangles over the whole plane: 10k, the
-// size of a resident base case, and 40, the size of a deep leaf.
+// size of a resident base case, and 40, the size of a deep leaf. The
+// n=… sub-benchmarks are one-shot Slab calls; reused/n=… sweep the same
+// input with one Sweeper, as sibling base cases of one recursion node do.
 func BenchmarkSlab(b *testing.B) {
 	for _, n := range []int{40, 10_000} {
 		rects := randRects(rand.New(rand.NewSource(int64(n))), n, 4*float64(n), 100)
@@ -364,6 +372,13 @@ func BenchmarkSlab(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Slab(rects, fullSlab())
+			}
+		})
+		b.Run(fmt.Sprintf("reused/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var sw Sweeper
+			for i := 0; i < b.N; i++ {
+				sw.Slab(rects, fullSlab())
 			}
 		})
 	}
