@@ -25,7 +25,7 @@ func writeObjects(t *testing.T, env em.Env, objs []geom.Object) *em.File {
 	return f
 }
 
-func mustSolver(t *testing.T, env em.Env, cfg Config) *Solver {
+func mustSolver(t testing.TB, env em.Env, cfg Config) *Solver {
 	t.Helper()
 	s, err := NewSolver(env, cfg)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,70 +10,6 @@ import (
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
 )
-
-// buildNode creates a root-style node from rectangles for direct testing
-// of the division machinery.
-func buildNode(t *testing.T, s *Solver, rects []rec.WRect) node {
-	t.Helper()
-	i := 0
-	events, edges, count, err := s.task(nil, nil).buildInput(func() (rec.WRect, error) {
-		if i == len(rects) {
-			return rec.WRect{}, io.EOF
-		}
-		r := rects[i]
-		i++
-		return r, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortedEvents, err := sortEventsForTest(s, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortedEdges, err := sortEdgesForTest(s, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node{
-		events: sortedEvents,
-		edges:  sortedEdges,
-		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-		count:  count,
-	}
-}
-
-func sortEventsForTest(s *Solver, f *em.File) (*em.File, error) {
-	evs, err := em.ReadAll(f, rec.PieceEventCodec{})
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Y() < evs[j-1].Y(); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	if err := f.Release(); err != nil {
-		return nil, err
-	}
-	return em.WriteAll(s.env.Disk, rec.PieceEventCodec{}, evs)
-}
-
-func sortEdgesForTest(s *Solver, f *em.File) (*em.File, error) {
-	xs, err := em.ReadAll(f, rec.Float64Codec{})
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	if err := f.Release(); err != nil {
-		return nil, err
-	}
-	return em.WriteAll(s.env.Disk, rec.Float64Codec{}, xs)
-}
 
 func randRectsForDivide(rng *rand.Rand, n int) []rec.WRect {
 	rects := make([]rec.WRect, n)
@@ -92,7 +27,7 @@ func TestChooseBoundsProperties(t *testing.T) {
 	env := em.MustNewEnv(128, 1024)
 	s := mustSolver(t, env, Config{})
 	rng := rand.New(rand.NewSource(50))
-	n := buildNode(t, s, randRectsForDivide(rng, 100))
+	n := sortedRoot(t, s.task(nil, nil), randRectsForDivide(rng, 100))
 	bounds, err := s.task(nil, nil).chooseBounds(n)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +74,7 @@ func TestRouteInvariants(t *testing.T) {
 	s := mustSolver(t, env, Config{})
 	rng := rand.New(rand.NewSource(51))
 	rects := randRectsForDivide(rng, 200)
-	n := buildNode(t, s, rects)
+	n := sortedRoot(t, s.task(nil, nil), rects)
 	bounds, err := s.task(nil, nil).chooseBounds(n)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"maxrs/internal/baseline"
 	"maxrs/internal/conc"
@@ -98,13 +99,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// buf scales a buffer size in bytes, keeping at least 4 blocks.
-func (c Config) buf(bytes int) int {
-	b := int(float64(bytes) * c.BufScale)
+// buf scales a buffer size in bytes, keeping at least 4 blocks; clamped
+// reports that the scaled size fell below that floor.
+func (c Config) buf(bytes int) (b int, clamped bool) {
+	b = int(float64(bytes) * c.BufScale)
 	if min := 4 * c.BlockSize; b < min {
-		b = min
+		return min, true
 	}
-	return b
+	return b, false
 }
 
 func (c Config) n(base int) int {
@@ -123,6 +125,10 @@ type Series struct {
 	X      []float64            `json:"x"`
 	Order  []string             `json:"order"`
 	Values map[string][]float64 `json:"values"`
+	// Clamped[i] marks a point whose scaled buffer fell below the 4-block
+	// floor, so it ran at the floor: adjacent clamped points of a buffer
+	// sweep are one run. Nil for series without a scaled buffer.
+	Clamped []bool `json:"clamped,omitempty"`
 }
 
 // runAlgo executes one algorithm over objs with the given EM parameters
@@ -163,22 +169,25 @@ func forEachCell(n, par int, fn func(i int) error) error {
 	return conc.ForEachIndexed(n, par, fn)
 }
 
-// ioSweep builds a Series by running every algorithm at every x. Panel
-// points run concurrently (each on its own simulated disk); results land
-// in their cells by index, so the Series is identical at any parallelism.
+// ioSweep builds a Series by running every algorithm at every x, with the
+// paper's buffer of buffer(x) bytes scaled by cfg.buf. Panel points run
+// concurrently (each on its own simulated disk); results land in their
+// cells by index, so the Series is identical at any parallelism.
 func ioSweep(cfg Config, title, xlabel string, xs []float64, gen func(x float64) []geom.Object,
-	em func(x float64) (blockSize, mem int), rng func(x float64) (w, h float64)) (Series, error) {
-	s := Series{Title: title, XLabel: xlabel, X: xs, Order: Algos, Values: map[string][]float64{}}
+	buffer func(x float64) int, rng func(x float64) (w, h float64)) (Series, error) {
+	s := Series{Title: title, XLabel: xlabel, X: xs, Order: Algos, Values: map[string][]float64{},
+		Clamped: make([]bool, len(xs))}
 	for _, algo := range Algos {
 		s.Values[algo] = make([]float64, len(xs))
 	}
 	err := forEachCell(len(xs), cfg.par(), func(xi int) error {
 		x := xs[xi]
 		objs := gen(x)
-		bs, mem := em(x)
+		mem, clamped := cfg.buf(buffer(x))
+		s.Clamped[xi] = clamped
 		w, h := rng(x)
 		for _, algo := range Algos {
-			io, err := runAlgo(algo, objs, bs, mem, cfg.Parallelism, w, h)
+			io, err := runAlgo(algo, objs, cfg.BlockSize, mem, cfg.Parallelism, w, h)
 			if err != nil {
 				return fmt.Errorf("%s at %g: %w", algo, x, err)
 			}
@@ -214,7 +223,7 @@ func Fig12(cfg Config) ([]Series, error) {
 			cfg,
 			fmt.Sprintf("Fig 12 (%s): I/O vs cardinality", dist), "N",
 			xs, gen,
-			func(float64) (int, int) { return cfg.BlockSize, cfg.buf(DefaultBufSynthetic) },
+			func(float64) int { return DefaultBufSynthetic },
 			func(x float64) (float64, float64) {
 				// Keep the query/space ratio of the paper's defaults
 				// (1k range in a 1M space at N=250k → range = 4N/1000).
@@ -251,7 +260,7 @@ func Fig13(cfg Config) ([]Series, error) {
 			fmt.Sprintf("Fig 13 (%s): I/O vs buffer size", dist), "buffer KB",
 			buffers,
 			func(float64) []geom.Object { return objs },
-			func(x float64) (int, int) { return cfg.BlockSize, cfg.buf(int(x) * 1024) },
+			func(x float64) int { return int(x) * 1024 },
 			func(float64) (float64, float64) { return r, r },
 		)
 		if err != nil {
@@ -283,7 +292,7 @@ func Fig14(cfg Config) ([]Series, error) {
 			fmt.Sprintf("Fig 14 (%s): I/O vs range size", dist), "range",
 			ranges,
 			func(float64) []geom.Object { return objs },
-			func(float64) (int, int) { return cfg.BlockSize, cfg.buf(DefaultBufSynthetic) },
+			func(float64) int { return DefaultBufSynthetic },
 			func(x float64) (float64, float64) { return x * scaleR, x * scaleR },
 		)
 		if err != nil {
@@ -322,7 +331,7 @@ func Fig15(cfg Config) ([]Series, error) {
 			fmt.Sprintf("Fig 15 (%s): I/O vs buffer size", name), "buffer KB",
 			buffers,
 			func(float64) []geom.Object { return objs },
-			func(x float64) (int, int) { return cfg.BlockSize, cfg.buf(int(x) * 1024) },
+			func(x float64) int { return int(x) * 1024 },
 			func(float64) (float64, float64) { return DefaultRange, DefaultRange },
 		)
 		if err != nil {
@@ -346,7 +355,7 @@ func Fig16(cfg Config) ([]Series, error) {
 			fmt.Sprintf("Fig 16 (%s): I/O vs range size", name), "range",
 			ranges,
 			func(float64) []geom.Object { return objs },
-			func(float64) (int, int) { return cfg.BlockSize, cfg.buf(DefaultBufReal) },
+			func(float64) int { return DefaultBufReal },
 			func(x float64) (float64, float64) { return x, x },
 		)
 		if err != nil {
@@ -380,6 +389,8 @@ func Fig17(cfg Config) (Series, error) {
 		Order:  order,
 		Values: map[string][]float64{},
 	}
+	mem, clamped := cfg.buf(DefaultBufSynthetic)
+	s.Clamped = slices.Repeat([]bool{clamped}, len(diameters))
 	samples := map[string][]geom.Object{}
 	for _, name := range order {
 		s.Values[name] = make([]float64, len(diameters))
@@ -389,7 +400,7 @@ func Fig17(cfg Config) (Series, error) {
 		name := order[cell/len(diameters)]
 		d := diameters[cell%len(diameters)]
 		objs := samples[name]
-		env := em.MustNewEnv(cfg.BlockSize, cfg.buf(DefaultBufSynthetic))
+		env := em.MustNewEnv(cfg.BlockSize, mem)
 		f, err := workload.Write(env.Disk, objs)
 		if err != nil {
 			return err
@@ -446,7 +457,11 @@ func Render(w io.Writer, s Series) {
 	}
 	fmt.Fprintln(w)
 	for i, x := range s.X {
-		fmt.Fprintf(w, "  %-12.4g", x)
+		label := fmt.Sprintf("%.4g", x)
+		if s.Clamped != nil && s.Clamped[i] {
+			label += "*"
+		}
+		fmt.Fprintf(w, "  %-12s", label)
 		for _, name := range s.Order {
 			v := s.Values[name][i]
 			if v == math.Trunc(v) && math.Abs(v) < 1e15 {
@@ -456,6 +471,9 @@ func Render(w io.Writer, s Series) {
 			}
 		}
 		fmt.Fprintln(w)
+	}
+	if slices.Contains(s.Clamped, true) {
+		fmt.Fprintln(w, "  * buffer scaled below the 4-block floor ran at the floor; a buffer sweep's starred rows are one run")
 	}
 	fmt.Fprintln(w)
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,5 +145,40 @@ func TestTablesRender(t *testing.T) {
 	Render(&buf, series[0])
 	if !strings.Contains(buf.String(), "ExactMaxRS") {
 		t.Fatalf("render missing algorithm column:\n%s", buf.String())
+	}
+}
+
+// TestClampedBufferPointsMarked runs the buffer sweeps at scale 0.05
+// (B = 4 KB, so the floor is 16 KB): Fig. 13's 128 and 256 KB points and
+// Fig. 15's 64, 128 and 256 KB points ran at the floor and are marked,
+// in the Series and the rendered table; every other point is not.
+func TestClampedBufferPointsMarked(t *testing.T) {
+	cfg := Config{Scale: 0.05, BufScale: 0.05, Seed: 2012}
+	want := map[string][]bool{
+		"Fig 13 (Gaussian): I/O vs buffer size": {true, true, false, false, false},
+		"Fig 13 (Uniform): I/O vs buffer size":  {true, true, false, false, false},
+		"Fig 15 (UX): I/O vs buffer size":       {true, true, true, false, false},
+		"Fig 15 (NE): I/O vs buffer size":       {true, true, true, false, false},
+	}
+	var series []Series
+	for _, fig := range []func(Config) ([]Series, error){Fig13, Fig15} {
+		s, err := fig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series = append(series, s...)
+	}
+	for _, s := range series {
+		if !slices.Equal(s.Clamped, want[s.Title]) {
+			t.Errorf("%s: clamped %v, want %v", s.Title, s.Clamped, want[s.Title])
+		}
+		var buf bytes.Buffer
+		Render(&buf, s)
+		for i, x := range s.X {
+			starred := strings.Contains(buf.String(), fmt.Sprintf("  %-12s", fmt.Sprintf("%.4g*", x)))
+			if starred != s.Clamped[i] {
+				t.Errorf("%s: row %g starred %v, clamped %v", s.Title, x, starred, s.Clamped[i])
+			}
+		}
 	}
 }
