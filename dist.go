@@ -127,10 +127,13 @@ type NetFaultAt struct {
 }
 
 // NetFaultPlan configures deterministic network-fault injection on the
-// engine's worker calls, mirroring FaultPlan one layer up: exact
-// per-call schedules (At) compose with seed-driven per-call rates. A
-// zero plan injects nothing, and an armed plan that fires nothing
-// leaves distributed results bit-identical.
+// engine's worker calls, mirroring FaultPlan one layer up and decided
+// the same way: exact per-call schedules (At) compose with seed-driven
+// per-call rates, whether the n-th call faults being a keyed draw on
+// (Seed, n). Fault counts thus reproduce at any parallelism; which
+// shard's call is the n-th does not. A zero plan injects nothing, and
+// an armed plan that fires nothing leaves distributed results
+// bit-identical.
 type NetFaultPlan struct {
 	// Seed seeds the rate-driven draws (used only when a rate is > 0).
 	Seed int64

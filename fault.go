@@ -44,10 +44,12 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 	// JitterSeed, when non-zero, replaces the deterministic doubling with
 	// seeded decorrelated jitter: each retry sleeps a duration drawn
-	// uniformly from [BaseDelay, min(3·previous, MaxDelay)]. Without it,
-	// parallel workers tripping over the same transient fault retry in
-	// lockstep and collide again; with it their backoffs spread out, while
-	// a fixed seed keeps serial retry schedules exactly reproducible.
+	// uniformly from [BaseDelay, min(3·previous, MaxDelay)], the draw
+	// keyed by (JitterSeed, the retried block or shard, the retry
+	// number). Without it, parallel workers tripping over the same
+	// transient fault retry in lockstep and collide again; with it their
+	// backoffs spread out, while every delay stays a pure function of the
+	// seed and what is being retried — reproducible at any parallelism.
 	JitterSeed int64
 }
 
@@ -104,7 +106,11 @@ type FaultAt struct {
 
 // FaultPlan configures deterministic storage-fault injection
 // (Engine.InjectFaults): exact per-transfer schedules (At) compose with
-// seed-driven per-transfer fault rates. A zero plan injects nothing, and
+// seed-driven per-transfer fault rates, whether the n-th read or write
+// attempt faults being a keyed draw on (Seed, direction, n). The fault
+// and retry counts of a run are thus a pure function of the plan at any
+// parallelism; which block takes each fault still depends on goroutine
+// interleaving. A zero plan injects nothing, and
 // an installed plan that fires nothing leaves the counted transfer
 // schedule bit-identical to an uninstrumented engine. The chaos hook for
 // tests and benchmarks — not meant for production configuration.

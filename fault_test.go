@@ -152,20 +152,16 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestTransientFaultRecovery is the 1%-rate acceptance check: with a 1%
-// transient fault rate on both transfer directions, queries succeed with
-// bit-identical results and the recoveries show up in FaultStats.
-//
-// Concurrent transfers share the injector's seeded rand stream, so which
-// transfer draws a fault depends on goroutine interleaving, and the
-// stream holds clusters of three faulting draws a few draws apart: one
-// transfer may take a whole cluster. The retry budget is sized so that
-// no such cluster can exhaust it.
-func TestTransientFaultRecovery(t *testing.T) {
+// transientRuns builds TestTransientFaultRecovery's engine at the given
+// parallelism, arms its 1% transient plan after a clean query, and runs
+// five faulted queries, each of which must answer like the clean one.
+func transientRuns(t *testing.T, par int) (*Engine, *Dataset) {
+	t.Helper()
 	e, err := NewEngine(&Options{
-		BlockSize: 512,
-		Memory:    4096,
-		Retry:     RetryPolicy{MaxRetries: 8, BaseDelay: time.Microsecond},
+		BlockSize:   512,
+		Memory:      4096,
+		Parallelism: par,
+		Retry:       RetryPolicy{MaxRetries: 8, BaseDelay: time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,12 +180,27 @@ func TestTransientFaultRecovery(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		got, err := e.MaxRS(context.Background(), d, 200, 200)
 		if err != nil {
-			t.Fatalf("run %d under 1%% transient faults: %v", i, err)
+			t.Fatalf("p=%d run %d under 1%% transient faults: %v", par, i, err)
 		}
 		if !sameResult(got, want) {
-			t.Fatalf("run %d: result under transient faults = %+v, want %+v", i, got, want)
+			t.Fatalf("p=%d run %d: result under transient faults = %+v, want %+v", par, i, got, want)
 		}
 	}
+	return e, d
+}
+
+// TestTransientFaultRecovery is the 1%-rate acceptance check: with a 1%
+// transient fault rate on both transfer directions, queries succeed with
+// bit-identical results and the recoveries show up in FaultStats.
+//
+// Whether the n-th read or write attempt faults is a keyed draw on
+// (seed, direction, n), but which transfer takes a faulting index still
+// depends on goroutine interleaving, and the draws hold clusters of
+// faulting indices a few attempts apart: one transfer may take a whole
+// cluster. The retry budget is sized so that no such cluster can exhaust
+// it.
+func TestTransientFaultRecovery(t *testing.T) {
+	e, d := transientRuns(t, 0)
 	fs := e.FaultStats()
 	if fs.InjectedTransient == 0 {
 		t.Fatal("1% rate fired no transient faults across 5 runs")
@@ -202,6 +213,26 @@ func TestTransientFaultRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantInUse(t, e, 0, "after release")
+}
+
+// TestTransientFaultCountsParallelismInvariant pins what the keyed fault
+// draws buy: TestTransientFaultRecovery's engine and plan give the same
+// FaultStats, field by field, at every parallelism — every count is a
+// pure function of the plan, though which block takes each fault is not.
+func TestTransientFaultCountsParallelismInvariant(t *testing.T) {
+	var ref FaultStats
+	for _, par := range []int{1, 2, 4} {
+		e, _ := transientRuns(t, par)
+		fs := e.FaultStats()
+		if fs.InjectedTransient == 0 {
+			t.Fatalf("p=%d: 1%% rate fired no transient faults", par)
+		}
+		if par == 1 {
+			ref = fs
+		} else if fs != ref {
+			t.Fatalf("p=%d fault stats %+v, p=1 %+v", par, fs, ref)
+		}
+	}
 }
 
 // TestChecksumRetryInvariance extends the count-invariance contract to

@@ -48,7 +48,8 @@ type Config struct {
 	Client *http.Client
 	// Retry caps per-shard worker-call retries, with the same jittered
 	// capped-exponential backoff the storage layer uses (JitterSeed
-	// decorrelates parallel shard loops).
+	// decorrelates parallel shard loops: the draws are keyed by shard
+	// index).
 	Retry em.RetryPolicy
 	// Hedge budgets straggler duplicates.
 	Hedge HedgePolicy
@@ -96,7 +97,6 @@ type ShardReport struct {
 type Coordinator struct {
 	cfg     Config
 	members *Membership
-	jitter  *em.JitterSource
 }
 
 // NewCoordinator builds a coordinator over a membership table.
@@ -104,11 +104,7 @@ func NewCoordinator(members *Membership, cfg Config) *Coordinator {
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
-	c := &Coordinator{cfg: cfg, members: members}
-	if cfg.Retry.JitterSeed != 0 {
-		c.jitter = em.NewJitterSource(cfg.Retry.JitterSeed)
-	}
-	return c
+	return &Coordinator{cfg: cfg, members: members}
 }
 
 // Members exposes the coordinator's membership table.
@@ -159,7 +155,7 @@ func (c *Coordinator) solveJob(ctx context.Context, job ShardJob, ready []Worker
 		rep.Err = fmt.Errorf("shard %d: %w: %v", job.Index, ErrShardUnavailable, err)
 		return
 	}
-	bo := c.cfg.Retry.Backoff(c.jitter)
+	bo := c.cfg.Retry.Backoff(uint64(job.Index))
 	var lastErr error
 	for try := 0; try <= c.cfg.Retry.MaxRetries; try++ {
 		w := ready[(job.Index+try)%len(ready)]
@@ -180,7 +176,7 @@ func (c *Coordinator) solveJob(ctx context.Context, job ShardJob, ready []Worker
 		if retryAfter > delay {
 			delay = retryAfter
 		}
-		if serr := sleepCtx(ctx, delay); serr != nil {
+		if serr := em.SleepCtx(ctx, delay); serr != nil {
 			lastErr = serr
 			break
 		}
@@ -331,22 +327,4 @@ func firstLine(body []byte) string {
 		body = body[:max]
 	}
 	return string(body)
-}
-
-// sleepCtx sleeps for d, aborting with the context's error on cancel.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

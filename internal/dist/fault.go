@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"maxrs/internal/em"
@@ -53,10 +51,12 @@ type FaultAt struct {
 }
 
 // FaultPlan configures deterministic network-fault injection on a
-// Transport, mirroring em.FaultPlan: exact per-call schedules (At)
-// compose with seed-driven per-call rates, each undecided call drawing
-// once from a rand.Rand seeded with Seed and subdivided into cumulative
-// bands. A zero plan injects nothing.
+// Transport, mirroring em.FaultPlan and run on the same em.FaultSchedule:
+// exact per-call schedules (At) compose with seed-driven per-call rates,
+// the n-th call not claimed by At taking the fault whose cumulative rate
+// band the keyed draw (Seed, n) lands in. Whether the n-th call faults is
+// a pure function of the plan; which shard's call is the n-th depends on
+// interleaving. A zero plan injects nothing.
 type FaultPlan struct {
 	// Seed seeds the rate-driven draws (used only when a rate is > 0).
 	Seed int64
@@ -96,18 +96,9 @@ type FaultStats struct {
 // Transport with a zero plan forwards calls untouched (it still counts
 // them).
 type Transport struct {
-	inner http.RoundTripper
-	plan  FaultPlan
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	calls uint64
-	at    map[uint64]FaultKind
-
-	injConn       uint64
-	injDisconnect uint64
-	injCorrupt    uint64
-	injLatency    uint64
+	inner   http.RoundTripper
+	latency time.Duration
+	sched   *em.FaultSchedule[FaultKind] // one op: the call
 }
 
 // NewTransport wraps inner (nil = http.DefaultTransport) with fault
@@ -116,72 +107,31 @@ func NewTransport(inner http.RoundTripper, plan FaultPlan) *Transport {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	t := &Transport{inner: inner, plan: plan, at: make(map[uint64]FaultKind)}
-	if plan.ConnRate > 0 || plan.DisconnectRate > 0 || plan.CorruptRate > 0 || plan.LatencyRate > 0 {
-		t.rng = rand.New(rand.NewSource(plan.Seed))
-	}
+	sched := em.NewFaultSchedule(plan.Seed, []em.FaultBand[FaultKind]{
+		{Kind: FaultConn, Rate: plan.ConnRate},
+		{Kind: FaultDisconnect, Rate: plan.DisconnectRate},
+		{Kind: FaultCorrupt, Rate: plan.CorruptRate},
+		{Kind: FaultLatency, Rate: plan.LatencyRate},
+	})
 	for _, at := range plan.At {
-		t.at[at.Call] = at.Kind
+		sched.Pin(0, at.Call, at.Kind)
 	}
-	return t
+	return &Transport{inner: inner, latency: plan.Latency, sched: sched}
 }
 
-// noFault is the sentinel "inject nothing" decision.
-const noFault FaultKind = -1
-
-// decide advances the call counter and returns the fault to inject for
-// this attempt, mirroring the em injector's decide: exact schedule first,
-// then a single uniform draw subdivided into cumulative rate bands.
-func (t *Transport) decide() FaultKind {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.calls++
-	k, ok := t.at[t.calls]
-	if !ok {
-		k = t.draw()
-	}
-	switch k {
-	case FaultConn:
-		t.injConn++
-	case FaultDisconnect:
-		t.injDisconnect++
-	case FaultCorrupt:
-		t.injCorrupt++
-	case FaultLatency:
-		t.injLatency++
-	}
-	return k
-}
-
-func (t *Transport) draw() FaultKind {
-	if t.rng == nil {
-		return noFault
-	}
-	r := t.rng.Float64()
-	p := t.plan
-	switch {
-	case r < p.ConnRate:
-		return FaultConn
-	case r < p.ConnRate+p.DisconnectRate:
-		return FaultDisconnect
-	case r < p.ConnRate+p.DisconnectRate+p.CorruptRate:
-		return FaultCorrupt
-	case r < p.ConnRate+p.DisconnectRate+p.CorruptRate+p.LatencyRate:
-		return FaultLatency
-	}
-	return noFault
-}
+// decide counts one call and returns the fault to inject for it (-1 =
+// none).
+func (t *Transport) decide() FaultKind { return t.sched.Fire(0, t.sched.Attempt(0)) }
 
 // Stats snapshots the transport's call and fired-fault counters.
 func (t *Transport) Stats() FaultStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	s := t.sched
 	return FaultStats{
-		Calls:              t.calls,
-		InjectedConn:       t.injConn,
-		InjectedDisconnect: t.injDisconnect,
-		InjectedCorrupt:    t.injCorrupt,
-		InjectedLatency:    t.injLatency,
+		Calls:              s.Attempts(0),
+		InjectedConn:       s.Fired(FaultConn),
+		InjectedDisconnect: s.Fired(FaultDisconnect),
+		InjectedCorrupt:    s.Fired(FaultCorrupt),
+		InjectedLatency:    s.Fired(FaultLatency),
 	}
 }
 
@@ -196,7 +146,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, markTransient(fmt.Errorf("%w: injected connection fault (%s %s)",
 			ErrNetFault, req.Method, req.URL.Path))
 	case FaultLatency:
-		timer := time.NewTimer(t.plan.Latency)
+		timer := time.NewTimer(t.latency)
 		select {
 		case <-timer.C:
 		case <-req.Context().Done():

@@ -7,14 +7,13 @@ import (
 
 // TestBackoffJitterBounds pins the decorrelated-jitter contract: every
 // delay lies in [BaseDelay, MaxDelay], the sequence is a pure function of
-// the seed for a serial retry loop, and different seeds decorrelate.
+// the seed and the loop's key, and different seeds decorrelate.
 func TestBackoffJitterBounds(t *testing.T) {
 	p := RetryPolicy{MaxRetries: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, JitterSeed: 42}
 	draw := func(seed int64, n int) []time.Duration {
 		pp := p
 		pp.JitterSeed = seed
-		src := NewJitterSource(seed)
-		bo := pp.Backoff(src)
+		bo := pp.Backoff(3)
 		out := make([]time.Duration, n)
 		for i := range out {
 			out[i] = bo.Next()
@@ -46,12 +45,12 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 // TestBackoffJitterSharedSourceDecorrelates models two parallel retry
-// loops sharing one disk's jitter stream: interleaved loops must not see
-// identical delay sequences (the lockstep problem jitter exists to fix).
+// loops under one disk's policy, retrying different blocks: their keyed
+// draws must not give identical delay sequences (the lockstep problem
+// jitter exists to fix).
 func TestBackoffJitterSharedSourceDecorrelates(t *testing.T) {
 	p := RetryPolicy{MaxRetries: 8, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterSeed: 99}
-	src := NewJitterSource(p.JitterSeed)
-	b1, b2 := p.Backoff(src), p.Backoff(src)
+	b1, b2 := p.Backoff(1), p.Backoff(2)
 	same := 0
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -70,17 +69,17 @@ func TestBackoffJitterSharedSourceDecorrelates(t *testing.T) {
 
 // TestBackoffNoJitterKeepsDoubling pins backward compatibility: with
 // JitterSeed zero, the per-loop backoff reproduces the original capped
-// doubling schedule exactly, even when a jitter source is offered.
+// doubling schedule exactly, whatever the loop's key.
 func TestBackoffNoJitterKeepsDoubling(t *testing.T) {
 	p := RetryPolicy{MaxRetries: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	bo := p.Backoff(NewJitterSource(1)) // ignored: JitterSeed == 0
+	bo := p.Backoff(1) // ignored: JitterSeed == 0
 	for attempt := 0; attempt < 10; attempt++ {
 		if got, want := bo.Next(), p.delay(attempt); got != want {
 			t.Fatalf("attempt %d: next() = %v, delay() = %v", attempt, got, want)
 		}
 	}
 	zero := RetryPolicy{MaxRetries: 2}
-	bz := zero.Backoff(nil)
+	bz := zero.Backoff(0)
 	if d := bz.Next(); d != 0 {
 		t.Fatalf("zero BaseDelay: delay %v, want 0", d)
 	}

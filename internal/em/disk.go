@@ -101,7 +101,6 @@ type Disk struct {
 	// bit-identical with any policy. checksumFails counts read attempts
 	// whose slot failed verification (ErrBlockCorrupt).
 	retry         atomic.Pointer[RetryPolicy]
-	jitter        atomic.Pointer[JitterSource]
 	readRetries   atomic.Uint64
 	writeRetries  atomic.Uint64
 	checksumFails atomic.Uint64
@@ -206,19 +205,31 @@ func (d *Disk) ReadBlock(id BlockID, dst []byte) error {
 // is cancelled, the retry loop aborts with the context error instead of
 // sleeping out its backoff. A nil ctx never cancels.
 func (d *Disk) readBlockCtx(ctx context.Context, id BlockID, dst []byte) error {
+	err := d.readBlockOnce(id, dst)
+	if err == nil {
+		return nil
+	}
+	return d.retrySlow(ctx, id, &d.readRetries, err, func() error { return d.readBlockOnce(id, dst) })
+}
+
+// retrySlow is the one retry loop behind every block transfer, entered
+// only after the first attempt failed with err: while the failure is
+// retryable and the disk's policy allows, it counts a retry in retries,
+// backs off (jitter keyed by the block id) and runs once again. A clean
+// transfer never gets here, so it builds no policy snapshot or Backoff.
+func (d *Disk) retrySlow(ctx context.Context, id BlockID, retries *atomic.Uint64, err error, once func() error) error {
 	p := d.retryPolicy()
-	bo := p.Backoff(d.jitter.Load())
+	bo := p.Backoff(uint64(id))
 	for attempt := 0; ; attempt++ {
-		err := d.readBlockOnce(id, dst)
-		if err == nil {
-			return nil
-		}
 		if attempt >= p.MaxRetries || !retryable(err) {
 			return err
 		}
-		d.readRetries.Add(1)
-		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
+		retries.Add(1)
+		if serr := SleepCtx(ctx, bo.Next()); serr != nil {
 			return serr
+		}
+		if err = once(); err == nil {
+			return nil
 		}
 	}
 }
@@ -261,21 +272,11 @@ func (d *Disk) WriteBlock(id BlockID, src []byte) error {
 // readBlockCtx) and the record size of the stream writing src, which
 // picks the block's codec (0 = no record layout).
 func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte, recSize int) error {
-	p := d.retryPolicy()
-	bo := p.Backoff(d.jitter.Load())
-	for attempt := 0; ; attempt++ {
-		err := d.writeBlockOnce(id, src, recSize)
-		if err == nil {
-			return nil
-		}
-		if attempt >= p.MaxRetries || !retryable(err) {
-			return err
-		}
-		d.writeRetries.Add(1)
-		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
-			return serr
-		}
+	err := d.writeBlockOnce(id, src, recSize)
+	if err == nil {
+		return nil
 	}
+	return d.retrySlow(ctx, id, &d.writeRetries, err, func() error { return d.writeBlockOnce(id, src, recSize) })
 }
 
 // writeBlockOnce performs one write attempt. The slot header records the
@@ -308,15 +309,8 @@ func (d *Disk) retryPolicy() RetryPolicy {
 
 // SetRetryPolicy installs the retry policy for transient faults and
 // checksum mismatches on this disk's transfers. Safe to call at any time;
-// in-flight transfers keep the policy they started with. A non-zero
-// JitterSeed installs a fresh jitter stream seeded from it, shared by all
-// of the disk's retry loops (RetryPolicy.JitterSeed).
+// in-flight retries keep the policy they started with.
 func (d *Disk) SetRetryPolicy(p RetryPolicy) {
-	if p.JitterSeed != 0 {
-		d.jitter.Store(NewJitterSource(p.JitterSeed))
-	} else {
-		d.jitter.Store(nil)
-	}
 	d.retry.Store(&p)
 }
 
@@ -351,7 +345,9 @@ func (d *Disk) FaultStats() FaultStats {
 	inj, ok := d.store.store.(*faultSlots)
 	d.mu.RUnlock()
 	if ok {
-		fs.InjectedTransient, fs.InjectedPermanent, fs.InjectedCorrupt, fs.InjectedTorn, fs.InjectedLatency = inj.stats()
+		s := inj.sched
+		fs.InjectedTransient, fs.InjectedPermanent = s.Fired(FaultTransient), s.Fired(FaultPermanent)
+		fs.InjectedCorrupt, fs.InjectedTorn, fs.InjectedLatency = s.Fired(FaultCorrupt), s.Fired(FaultTorn), s.Fired(FaultLatency)
 	}
 	return fs
 }
@@ -373,21 +369,11 @@ func (d *Disk) allocGen() (BlockID, uint32) {
 // another file's data. Retries follow the disk's policy, with the
 // generation revalidated on every attempt.
 func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []byte, recSize int) error {
-	p := d.retryPolicy()
-	bo := p.Backoff(d.jitter.Load())
-	for attempt := 0; ; attempt++ {
-		err := d.writeBlockGenOnce(id, g, src, recSize)
-		if err == nil {
-			return nil
-		}
-		if attempt >= p.MaxRetries || !retryable(err) {
-			return err
-		}
-		d.writeRetries.Add(1)
-		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
-			return serr
-		}
+	err := d.writeBlockGenOnce(id, g, src, recSize)
+	if err == nil {
+		return nil
 	}
+	return d.retrySlow(ctx, id, &d.writeRetries, err, func() error { return d.writeBlockGenOnce(id, g, src, recSize) })
 }
 
 func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte, recSize int) error {

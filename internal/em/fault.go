@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -76,13 +75,12 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 	// JitterSeed, when non-zero, switches the backoff to seeded
 	// decorrelated jitter: each retry sleeps a duration drawn uniformly
-	// from [BaseDelay, min(3·previous, MaxDelay)], with the draws coming
-	// from one rand.Rand seeded with JitterSeed per policy installation.
-	// Deterministic under a fixed seed for a serial retry sequence (the
-	// fault-matrix tests stay exact); under concurrency the interleaving
-	// shuffles which loop draws which number, but every delay stays within
-	// the same bounds — and concurrent loops no longer back off in
-	// lockstep, which is the point. 0 keeps the plain doubling backoff.
+	// from [BaseDelay, min(3·previous, MaxDelay)]. The draw is keyed by
+	// (JitterSeed, the retried block's id or shard's index, the retry
+	// number), so every delay is a pure function of where and how often
+	// the loop retried — reproducible at any parallelism — while loops
+	// retrying different blocks or shards no longer back off in lockstep,
+	// which is the point. 0 keeps the plain doubling backoff.
 	JitterSeed int64
 }
 
@@ -105,54 +103,32 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 	return d
 }
 
-// JitterSource is the seeded random stream behind a policy's decorrelated
-// jitter, shared by every retry loop on one Disk so that concurrent loops
-// draw different numbers (sharing is what decorrelates them) while a
-// serial sequence of retries stays a pure function of the seed.
-type JitterSource struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func NewJitterSource(seed int64) *JitterSource {
-	return &JitterSource{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (j *JitterSource) float64() float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rng.Float64()
-}
-
 // Backoff tracks one retry loop's delay state. Next returns the sleep
-// before the loop's next retry: plain capped doubling without a jitter
-// source, decorrelated jitter with one. Shared by the storage retry
-// loops (Disk) and the distributed coordinator's worker-call retries.
+// before the loop's next retry: plain capped doubling with a zero
+// JitterSeed, decorrelated jitter otherwise. Shared by the storage retry
+// loop (Disk) and the distributed coordinator's worker-call retries.
 type Backoff struct {
 	p       RetryPolicy
-	src     *JitterSource
+	key     uint64
 	attempt int
 	prev    time.Duration
 }
 
-// Backoff returns the delay state for one retry loop. src supplies the
-// jitter draws and may be nil (or the policy's JitterSeed zero), in which
-// case the loop keeps the deterministic doubling schedule.
-func (p RetryPolicy) Backoff(src *JitterSource) Backoff {
-	if p.JitterSeed == 0 {
-		src = nil
-	}
-	return Backoff{p: p, src: src, prev: p.BaseDelay}
+// Backoff returns the delay state for one retry loop. key names what the
+// loop retries — a block id, a shard index — and keys its jitter draws;
+// without a JitterSeed it is unused.
+func (p RetryPolicy) Backoff(key uint64) Backoff {
+	return Backoff{p: p, key: key, prev: p.BaseDelay}
 }
 
 func (b *Backoff) Next() time.Duration {
 	if b.p.BaseDelay <= 0 {
 		return 0
 	}
-	if b.src == nil {
-		d := b.p.delay(b.attempt)
-		b.attempt++
-		return d
+	n := b.attempt
+	b.attempt++
+	if b.p.JitterSeed == 0 {
+		return b.p.delay(n)
 	}
 	// Decorrelated jitter: draw from [base, 3·prev], capped at MaxDelay.
 	// Every delay is ≥ BaseDelay and ≤ max(BaseDelay, MaxDelay) — the
@@ -164,14 +140,15 @@ func (b *Backoff) Next() time.Duration {
 	if hi < b.p.BaseDelay {
 		hi = b.p.BaseDelay
 	}
-	d := b.p.BaseDelay + time.Duration(b.src.float64()*float64(hi-b.p.BaseDelay))
+	r := draw(b.p.JitterSeed, jitterSite, b.key, uint64(n))
+	d := b.p.BaseDelay + time.Duration(r*float64(hi-b.p.BaseDelay))
 	b.prev = d
 	return d
 }
 
-// sleepCtx sleeps for d, aborting early with the context's error once ctx
+// SleepCtx sleeps for d, aborting early with the context's error once ctx
 // is cancelled. A nil ctx never cancels.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
@@ -246,15 +223,16 @@ type FaultAt struct {
 }
 
 // FaultPlan configures deterministic storage-fault injection on a Disk
-// (Disk.InjectFaults). Faults come from two sources that compose:
+// (Disk.InjectFaults). Faults come from two sources that compose, both
+// evaluated by one FaultSchedule:
 //
 //   - At: exact per-transfer schedules (FaultAt), reproducible bit-for-bit.
-//   - Seed-driven rates: each transfer not claimed by At draws once from a
-//     rand.Rand seeded with Seed; the cumulative rate bands decide the
-//     fault. For a fixed serial transfer sequence the outcome is a pure
-//     function of Seed; under concurrency the interleaving shuffles which
-//     transfer draws which number, but the fault *rate* and the total
-//     fault count distribution are reproducible.
+//   - Seed-driven rates: the n-th attempt of a direction not claimed by At
+//     takes the fault whose cumulative rate band the keyed draw
+//     (Seed, direction, n) lands in. Whether the n-th read or write
+//     faults is a pure function of the plan, so the fault and retry
+//     counts of a run reproduce at any parallelism; only which block
+//     takes a faulting index depends on goroutine interleaving.
 //
 // A zero plan injects nothing, and an installed injector that injects
 // nothing leaves the counted transfer schedule bit-identical to an
@@ -303,116 +281,46 @@ type FaultStats struct {
 // faultSlots is the fault injector: a slotStore decorator that
 // Disk.InjectFaults installs under the storeBackend, so every fault lands
 // on slot bytes below the header check, where real media damage would.
-// The scheduling state (transfer counters, rng, bad-block set) is mutex-
-// guarded; the wrapped transfer itself runs outside the lock, so injection
-// adds no serialization to concurrent clean transfers beyond the counter
-// bump.
+// The plan runs on a FaultSchedule over ops OpRead and OpWrite, whose
+// counters are atomic; only the bad-block set of permanent faults is
+// mutex-guarded, and the wrapped transfer runs outside that lock.
 type faultSlots struct {
-	inner slotStore
-	plan  FaultPlan
+	inner   slotStore
+	latency time.Duration
+	sched   *FaultSchedule[FaultKind]
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	reads   uint64
-	writes  uint64
-	readAt  map[uint64]FaultKind
-	writeAt map[uint64]FaultKind
-	bad     map[BlockID]struct{}
-
-	injTransient uint64
-	injPermanent uint64
-	injCorrupt   uint64
-	injTorn      uint64
-	injLatency   uint64
+	mu  sync.Mutex
+	bad map[BlockID]struct{}
 }
 
 func newFaultSlots(inner slotStore, plan FaultPlan) *faultSlots {
-	fs := &faultSlots{
-		inner:   inner,
-		plan:    plan,
-		readAt:  make(map[uint64]FaultKind),
-		writeAt: make(map[uint64]FaultKind),
-		bad:     make(map[BlockID]struct{}),
-	}
-	if plan.TransientReadRate > 0 || plan.TransientWriteRate > 0 ||
-		plan.CorruptReadRate > 0 || plan.LatencyRate > 0 {
-		fs.rng = rand.New(rand.NewSource(plan.Seed))
-	}
+	latency := FaultBand[FaultKind]{FaultLatency, plan.LatencyRate}
+	sched := NewFaultSchedule(plan.Seed,
+		[]FaultBand[FaultKind]{ // OpRead
+			{FaultTransient, plan.TransientReadRate}, {FaultCorrupt, plan.CorruptReadRate}, latency},
+		[]FaultBand[FaultKind]{ // OpWrite
+			{FaultTransient, plan.TransientWriteRate}, latency})
 	for _, at := range plan.At {
-		if at.Op == OpRead {
-			fs.readAt[at.Transfer] = at.Kind
-		} else {
-			fs.writeAt[at.Transfer] = at.Kind
-		}
+		sched.Pin(int(at.Op), at.Transfer, at.Kind)
 	}
-	return fs
+	return &faultSlots{inner: inner, latency: plan.Latency, sched: sched, bad: make(map[BlockID]struct{})}
 }
 
-// noFault is the sentinel "inject nothing" decision.
-const noFault FaultKind = -1
-
-// decide advances the op's transfer counter and returns the fault to
-// inject for this attempt (noFault = none). A block already marked bad
-// fails as FaultPermanent again without counting a new fault.
+// decide counts one attempt of op and returns the fault to inject for it
+// (-1 = none). A block already marked bad fails as FaultPermanent again
+// without counting a new fault.
 func (fs *faultSlots) decide(op FaultOp, id BlockID) FaultKind {
+	n := fs.sched.Attempt(int(op))
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var n uint64
-	exact := fs.readAt
-	if op == OpRead {
-		fs.reads++
-		n = fs.reads
-	} else {
-		fs.writes++
-		n = fs.writes
-		exact = fs.writeAt
-	}
 	if _, isBad := fs.bad[id]; isBad {
 		return FaultPermanent
 	}
-	k, ok := exact[n]
-	if !ok {
-		k = fs.draw(op)
-	}
-	switch k {
-	case FaultTransient:
-		fs.injTransient++
-	case FaultPermanent:
-		fs.injPermanent++
+	k := fs.sched.Fire(int(op), n)
+	if k == FaultPermanent {
 		fs.bad[id] = struct{}{}
-	case FaultCorrupt:
-		fs.injCorrupt++
-	case FaultTorn:
-		fs.injTorn++
-	case FaultLatency:
-		fs.injLatency++
 	}
 	return k
-}
-
-// draw makes the rate-driven decision for one transfer: a single uniform
-// draw, subdivided into cumulative bands so each transfer consumes exactly
-// one random number (keeping serial schedules a pure function of the seed).
-func (fs *faultSlots) draw(op FaultOp) FaultKind {
-	if fs.rng == nil {
-		return noFault
-	}
-	r := fs.rng.Float64()
-	transient := fs.plan.TransientWriteRate
-	corrupt := 0.0
-	if op == OpRead {
-		transient = fs.plan.TransientReadRate
-		corrupt = fs.plan.CorruptReadRate
-	}
-	switch {
-	case r < transient:
-		return FaultTransient
-	case r < transient+corrupt:
-		return FaultCorrupt
-	case r < transient+corrupt+fs.plan.LatencyRate:
-		return FaultLatency
-	}
-	return noFault
 }
 
 // corruptByte is XORed into the first payload byte of a corrupted or torn
@@ -448,7 +356,7 @@ func (fs *faultSlots) readSlot(id BlockID, n int, buf []byte) (hdr, payload []by
 		damage(slot)
 		return slot[:slotHeaderSize], slot[slotHeaderSize:], nil
 	case FaultLatency:
-		time.Sleep(fs.plan.Latency)
+		time.Sleep(fs.latency)
 	}
 	return fs.inner.readSlot(id, n, buf)
 }
@@ -468,7 +376,7 @@ func (fs *faultSlots) writeSlot(id BlockID, buf, payload []byte) error {
 		damage(slot)
 		return fs.inner.writeSlot(id, slot, slot[slotHeaderSize:])
 	case FaultLatency:
-		time.Sleep(fs.plan.Latency)
+		time.Sleep(fs.latency)
 	}
 	return fs.inner.writeSlot(id, buf, payload)
 }
@@ -489,10 +397,3 @@ func (fs *faultSlots) free(id BlockID) {
 }
 
 func (fs *faultSlots) Close() error { return fs.inner.Close() }
-
-// stats snapshots the injector's fired-fault counters.
-func (fs *faultSlots) stats() (transient, permanent, corrupt, torn, latency uint64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.injTransient, fs.injPermanent, fs.injCorrupt, fs.injTorn, fs.injLatency
-}

@@ -156,15 +156,9 @@ func (s *sim) fanIn() int {
 func (s *sim) capacity() float64 { return float64(s.m / eventSize) }
 
 func (s *sim) divisionFanout() int {
-	m := s.set.Fanout
-	if m <= 1 {
-		m = s.memBlocks() - 2
-		if m < 2 {
-			m = 2
-		}
-		if m < 4 && s.set.Fanout == 0 {
-			m = 4
-		}
+	m := s.memBlocks() - 2
+	if m < 4 {
+		m = 4
 	}
 	return m
 }

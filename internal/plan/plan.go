@@ -164,10 +164,9 @@ func (a Algorithm) String() string {
 // strategy's transfer count: the EM geometry, the solver configuration
 // and the query rectangle.
 type Settings struct {
-	B      int     // block size
-	M      int     // memory budget
-	Fanout int     // explicit division fan-out (0 = auto)
-	W, H   float64 // query rectangle (W doubles as the MaxCRS diameter)
+	B    int     // block size
+	M    int     // memory budget
+	W, H float64 // query rectangle (W doubles as the MaxCRS diameter)
 
 	// NoShards excludes sharded candidates (MinRS, MaxCRS — kinds whose
 	// execution path never shards).

@@ -248,9 +248,6 @@ type Options struct {
 	Memory int
 	// Algorithm selects the solver (default ExactMaxRS).
 	Algorithm Algorithm
-	// Fanout overrides the recursion fan-in m of ExactMaxRS (0 = the
-	// paper's Θ(M/B)); exposed for ablation studies.
-	Fanout int
 	// Parallelism bounds the worker goroutines ExactMaxRS uses for
 	// independent child slabs, sort-run formation, and merge groups
 	// (0 = GOMAXPROCS, 1 = sequential). The pool is shared by all
@@ -459,7 +456,7 @@ func NewEngine(opts *Options) (*Engine, error) {
 		return nil, errors.Join(err, d.Close())
 	}
 	env.Disk.SetRetryPolicy(o.Retry.em())
-	solver, err := core.NewSolver(env, core.Config{Fanout: o.Fanout, Parallelism: o.Parallelism, Unfused: o.Unfused})
+	solver, err := core.NewSolver(env, core.Config{Parallelism: o.Parallelism, Unfused: o.Unfused})
 	if err != nil {
 		return nil, errors.Join(err, env.Disk.Close())
 	}
@@ -1116,7 +1113,7 @@ func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []S
 	// Shard-level fan-out replaces slab-level fan-out: the query's
 	// parallelism budget is split evenly over the effective shard count,
 	// so a sharded query never runs more workers than an unsharded one.
-	cfg := core.Config{Fanout: q.e.opts.Fanout, Unfused: q.set.unfused, Parallelism: max(1, q.par/len(parts))}
+	cfg := core.Config{Unfused: q.set.unfused, Parallelism: max(1, q.par/len(parts))}
 	var (
 		results []sweep.Result
 		reports []dist.ShardReport

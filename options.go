@@ -155,7 +155,6 @@ func (e *Engine) solverFor(set querySettings) (*core.Solver, int, error) {
 		return e.solver, e.par, nil
 	}
 	s, err := core.NewSolver(e.env, core.Config{
-		Fanout:      e.opts.Fanout,
 		Parallelism: set.parallelism,
 		Unfused:     set.unfused,
 	})

@@ -227,7 +227,7 @@ func planStatsFor(st plan.Stats, kind queryKind) plan.Stats {
 // restrictions, and its extra passes (charged to every candidate alike,
 // so they never change the ranking — only the absolute prediction).
 func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) plan.Settings {
-	set := plan.Settings{B: e.opts.BlockSize, M: e.opts.Memory, Fanout: e.opts.Fanout, W: w, H: h}
+	set := plan.Settings{B: e.opts.BlockSize, M: e.opts.Memory, W: w, H: h}
 	switch kind {
 	case kindMinRS:
 		// The weight-negation map pass: read the object file, write the
