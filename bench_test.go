@@ -183,52 +183,6 @@ func BenchmarkParallelExactMaxRS(b *testing.B) {
 	}
 }
 
-// BenchmarkFusionExactMaxRS compares the fused root pipeline (the
-// default) against Options.Unfused (DESIGN.md §8) at the
-// BenchmarkExactMaxRS workload: identical results, with io/op lower by
-// the four eliminated event-stream passes plus the eliminated edge-stream
-// passes at the root. The sub-benches assert the direction of the delta.
-func BenchmarkFusionExactMaxRS(b *testing.B) {
-	const n = 12_500
-	pts := workload.Uniform(2012, n, 4*float64(n))
-	objs := make([]Object, len(pts))
-	for i, p := range pts {
-		objs[i] = Object{X: p.X, Y: p.Y, Weight: p.W}
-	}
-	queryEdge := 4 * float64(n) / 1000
-	var unfusedIO uint64
-	for _, variant := range []string{"unfused", "fused"} {
-		b.Run(variant, func(b *testing.B) {
-			var io uint64
-			for i := 0; i < b.N; i++ {
-				e, err := NewEngine(&Options{
-					BlockSize: 4096,
-					Memory:    52 * 1024,
-					Unfused:   variant == "unfused",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				d, err := e.Load(context.Background(), objs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.ResetStats()
-				if _, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge); err != nil {
-					b.Fatal(err)
-				}
-				io = e.Stats().Total()
-			}
-			if variant == "unfused" {
-				unfusedIO = io
-			} else if unfusedIO != 0 && io >= unfusedIO {
-				b.Fatalf("fused io/op %d ≥ unfused io/op %d", io, unfusedIO)
-			}
-			b.ReportMetric(float64(io), "io/op")
-		})
-	}
-}
-
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationFanout sweeps the recursion fan-in m of ExactMaxRS,

@@ -47,7 +47,7 @@ func codecObjects(seed int64, n int) []maxrs.Object {
 // physical-byte win for the delta codec over the fixed layout. Only the
 // "(block transfers)" series is baseline-gated; physical bytes are
 // recorded, never gated.
-func runCodec(cfg gridConfig) ([]experiments.Series, error) {
+func runCodec(cfg expConfig) ([]experiments.Series, error) {
 	objs := codecObjects(cfg.seed, cfg.objects)
 	queryEdge := 4 * float64(cfg.objects) / 1000
 

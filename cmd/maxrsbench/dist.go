@@ -67,8 +67,7 @@ func startBenchWorker(memory, par int) (*httptest.Server, *maxrs.Engine, error) 
 			return
 		}
 		defer func() { _ = ds.Release() }()
-		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H,
-			maxrs.WithShards(0), maxrs.WithUnfused(req.Unfused))
+		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H, maxrs.WithShards(0))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -93,7 +92,7 @@ func startBenchWorker(memory, par int) (*httptest.Server, *maxrs.Engine, error) 
 // comparator). Second, does recovery hold when the network misbehaves:
 // exact-call faults (a refused connection, a corrupted reply) must be
 // retried into the bit-identical answer.
-func runDist(cfg gridConfig) ([]experiments.Series, error) {
+func runDist(cfg expConfig) ([]experiments.Series, error) {
 	gobjs := workload.Uniform(cfg.seed, cfg.objects, 4*float64(cfg.objects))
 	objs := make([]maxrs.Object, len(gobjs))
 	for i, o := range gobjs {

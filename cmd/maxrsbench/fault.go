@@ -49,7 +49,7 @@ func closeJoin(d *em.Disk, err error) error {
 // be retried into success, and the answer and transfer count must not
 // move. The injected and retry counts are recorded as ungated series: they
 // describe the fault plan, not the paper's metric.
-func runFault(cfg gridConfig) ([]experiments.Series, error) {
+func runFault(cfg expConfig) ([]experiments.Series, error) {
 	objs := workload.Uniform(cfg.seed, cfg.objects, 4*float64(cfg.objects))
 	queryEdge := 4 * float64(cfg.objects) / 1000
 

@@ -25,7 +25,7 @@ const (
 // once). After every round the mutated dataset's answer must be
 // bit-identical to the reload's (weights are dyadic, so the sweep sums are
 // exact and bit-identity is well-defined).
-func runIncr(cfg gridConfig) ([]experiments.Series, error) {
+func runIncr(cfg expConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	opts := &maxrs.Options{

@@ -9,10 +9,10 @@
 //	maxrsbench -exp=fig13,fig17
 //	maxrsbench -exp=all -parallel=8     # panel points on 8 goroutines
 //	maxrsbench -exp=fig12 -json=BENCH_fig12.json
-//	maxrsbench -exp=fusion,shard,fault,plan,dist,incr,codec -scale=0.05 \
+//	maxrsbench -exp=shard,fault,plan,dist,incr,codec -scale=0.05 \
 //	    -json=BENCH_grid.json -baseline=bench/baseline.json
 //
-// The last form runs the transfer-count grid: seven experiments outside
+// The last form runs the transfer-count grid: six experiments outside
 // the paper's set, each asserting its own invariants, whose series are
 // deterministic counts. Their "(block transfers)" series are compared
 // against the committed baseline (the CI perf gate). Wall-clock belongs
@@ -55,9 +55,11 @@ type jsonSummary struct {
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
-// gridConfig sizes one grid experiment; every experiment gets the same
-// one, so their baselines stay comparable.
-type gridConfig struct {
+// expConfig sizes one experiment run: the paper's tables and figures
+// read paper, the grid experiments the rest. Every grid experiment gets
+// the same one, so their baselines stay comparable.
+type expConfig struct {
+	paper   experiments.Config
 	objects int
 	seed    int64
 	memory  int // EM budget M in bytes, per engine
@@ -65,19 +67,74 @@ type gridConfig struct {
 	out     io.Writer
 }
 
-// grid is the transfer-count grid, in run order. These experiments are
-// never part of -exp=all.
-var grid = []struct {
-	name string
-	run  func(gridConfig) ([]experiments.Series, error)
-}{
-	{"shard", runShard},
-	{"fault", runFault},
-	{"dist", runDist},
-	{"plan", runPlan},
-	{"incr", runIncr},
-	{"codec", runCodec},
-	{"fusion", runFusion},
+// experiment is one -exp entry. The gated ones form the transfer-count
+// grid, whose "(block transfers)" series the -baseline gate compares; the
+// inAll ones are the paper's tables and figures that -exp=all runs.
+type experiment struct {
+	name  string
+	gated bool
+	inAll bool
+	run   func(expConfig) ([]experiments.Series, error)
+}
+
+// experimentTable lists every experiment in run order: the grid first,
+// then the paper's set.
+var experimentTable = []experiment{
+	{"shard", true, false, runShard},
+	{"fault", true, false, runFault},
+	{"dist", true, false, runDist},
+	{"plan", true, false, runPlan},
+	{"incr", true, false, runIncr},
+	{"codec", true, false, runCodec},
+	{"table2", false, true, func(cfg expConfig) ([]experiments.Series, error) {
+		experiments.Table2(cfg.out, cfg.paper)
+		return nil, nil
+	}},
+	{"table3", false, true, func(cfg expConfig) ([]experiments.Series, error) {
+		experiments.Table3(cfg.out)
+		return nil, nil
+	}},
+	{"fig12", false, true, rendered(experiments.Fig12)},
+	{"fig13", false, true, rendered(experiments.Fig13)},
+	{"fig14", false, true, rendered(experiments.Fig14)},
+	{"fig15", false, true, rendered(experiments.Fig15)},
+	{"fig16", false, true, rendered(experiments.Fig16)},
+	{"fig17", false, true, rendered(func(c experiments.Config) ([]experiments.Series, error) {
+		s, err := experiments.Fig17(c)
+		if err != nil {
+			return nil, err
+		}
+		return []experiments.Series{s}, nil
+	})},
+}
+
+// rendered adapts a paper figure to the table: it runs the figure and
+// prints every series it returns.
+func rendered(fig func(experiments.Config) ([]experiments.Series, error)) func(expConfig) ([]experiments.Series, error) {
+	return func(cfg expConfig) ([]experiments.Series, error) {
+		series, err := fig(cfg.paper)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range series {
+			experiments.Render(cfg.out, s)
+		}
+		return series, nil
+	}
+}
+
+// expUsage is the -exp flag's help text, read off experimentTable.
+func expUsage() string {
+	names := []string{"all"}
+	var outside []string
+	for _, x := range experimentTable {
+		names = append(names, x.name)
+		if !x.inAll {
+			outside = append(outside, x.name)
+		}
+	}
+	return fmt.Sprintf("comma-separated: %s (%s are never part of all)",
+		strings.Join(names, ","), strings.Join(outside, ", "))
 }
 
 // validateFlags rejects flag values that would otherwise be silently
@@ -112,7 +169,7 @@ func variantSeries[M any](title string, names []string, results []M, val func(M)
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "comma-separated: table2,table3,fig12,fig13,fig14,fig15,fig16,fig17,all,fusion,shard,fault,plan,dist,incr,codec (fusion, shard, fault, plan, dist, incr and codec are never part of all)")
+		exp       = flag.String("exp", "all", expUsage())
 		scale     = flag.Float64("scale", 1.0, "cardinality scale factor (1 = paper scale)")
 		bufscale  = flag.Float64("bufscale", 0, "buffer scale factor (default: same as -scale)")
 		seed      = flag.Int64("seed", 2012, "data generation seed")
@@ -137,9 +194,9 @@ func main() {
 		Parallelism: *parallel,
 	}
 
-	registered := []string{"all", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"}
-	for _, g := range grid {
-		registered = append(registered, g.name)
+	registered := []string{"all"}
+	for _, x := range experimentTable {
+		registered = append(registered, x.name)
 	}
 	known := map[string]bool{}
 	for _, name := range registered {
@@ -193,45 +250,12 @@ func main() {
 		return n, mem
 	}
 	n, mem := scaledWorkload()
-	gcfg := gridConfig{objects: n, seed: *seed, memory: mem, par: *parallel, out: os.Stdout}
-	for _, g := range grid {
-		if want[g.name] {
-			run(g.name, func() ([]experiments.Series, error) { return g.run(gcfg) })
+	ecfg := expConfig{paper: cfg, objects: n, seed: *seed, memory: mem, par: *parallel, out: os.Stdout}
+	for _, x := range experimentTable {
+		if want[x.name] || (all && x.inAll) {
+			run(x.name, func() ([]experiments.Series, error) { return x.run(ecfg) })
 		}
 	}
-
-	paper := func(name string, fn func() ([]experiments.Series, error)) {
-		if all || want[name] {
-			run(name, fn)
-		}
-	}
-	paper("table2", func() ([]experiments.Series, error) { experiments.Table2(os.Stdout, cfg); return nil, nil })
-	paper("table3", func() ([]experiments.Series, error) { experiments.Table3(os.Stdout); return nil, nil })
-	multi := func(fn func(experiments.Config) ([]experiments.Series, error)) func() ([]experiments.Series, error) {
-		return func() ([]experiments.Series, error) {
-			series, err := fn(cfg)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range series {
-				experiments.Render(os.Stdout, s)
-			}
-			return series, nil
-		}
-	}
-	paper("fig12", multi(experiments.Fig12))
-	paper("fig13", multi(experiments.Fig13))
-	paper("fig14", multi(experiments.Fig14))
-	paper("fig15", multi(experiments.Fig15))
-	paper("fig16", multi(experiments.Fig16))
-	paper("fig17", func() ([]experiments.Series, error) {
-		s, err := experiments.Fig17(cfg)
-		if err != nil {
-			return nil, err
-		}
-		experiments.Render(os.Stdout, s)
-		return []experiments.Series{s}, nil
-	})
 
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(summary, "", "  ")

@@ -13,13 +13,13 @@ import (
 
 // runPlan is the -exp=plan mode: the cost model's calibration grid
 // (DESIGN.md §12.4). For every (workload, strategy) point — the shard grid
-// (fused), the unfused ablation, and the planner's own AlgorithmAuto pick,
-// on the Uniform and Gaussian workloads — it runs one real query, records
+// and the planner's own AlgorithmAuto pick, on the Uniform and Gaussian
+// workloads — it runs one real query, records
 // the measured block transfers next to the model's prediction, and prints
 // the error. Both counts are deterministic at a fixed seed/scale, so
 // `-baseline` gates them: a regression in either the engine's schedules or
 // the model's fidelity fails CI.
-func runPlan(cfg gridConfig) ([]experiments.Series, error) {
+func runPlan(cfg expConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	loads := []struct {
@@ -31,19 +31,17 @@ func runPlan(cfg gridConfig) ([]experiments.Series, error) {
 	}
 
 	type strat struct {
-		label   string
-		shards  int
-		unfused bool
-		auto    bool
+		label  string
+		shards int
+		auto   bool
 	}
 	strats := []strat{
-		{"K=0", 0, false, false},
-		{"K=1", 1, false, false},
-		{"K=2", 2, false, false},
-		{"K=4", 4, false, false},
-		{"K=8", 8, false, false},
-		{"unfused", 0, true, false},
-		{"auto", 0, false, true},
+		{"K=0", 0, false},
+		{"K=1", 1, false},
+		{"K=2", 2, false},
+		{"K=4", 4, false},
+		{"K=8", 8, false},
+		{"auto", 0, true},
 	}
 
 	fmt.Fprintf(cfg.out, "plan: %d objects per workload, M=%dKB, B=%d, query %gx%g, parallelism %d\n",
@@ -78,7 +76,7 @@ func runPlan(cfg gridConfig) ([]experiments.Series, error) {
 				_ = eng.Close()
 				return nil, err
 			}
-			qopts := []maxrs.QueryOption{maxrs.WithUnfused(st.unfused)}
+			var qopts []maxrs.QueryOption
 			if !st.auto {
 				qopts = append(qopts, maxrs.WithShards(st.shards))
 			}
@@ -135,7 +133,7 @@ func runPlan(cfg gridConfig) ([]experiments.Series, error) {
 	mk := func(title string, vals map[string][]float64) experiments.Series {
 		return experiments.Series{
 			Title:  title,
-			XLabel: "strategy index (K=0,1,2,4,8, unfused, auto)",
+			XLabel: "strategy index (K=0,1,2,4,8, auto)",
 			X:      xs,
 			Order:  order,
 			Values: vals,

@@ -21,7 +21,7 @@ var shardCounts = []int{0, 1, 2, 4, 8}
 // so "identical" means identical to the last bit), and that each sharded
 // query's per-shard stats add up to its reported total. It then reports
 // io/op and halo duplication for every (workload, K) point.
-func runShard(cfg gridConfig) ([]experiments.Series, error) {
+func runShard(cfg expConfig) ([]experiments.Series, error) {
 	extent := 4 * float64(cfg.objects)
 	queryEdge := extent / 1000
 	loads := []struct {

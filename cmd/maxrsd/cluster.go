@@ -80,7 +80,6 @@ func (s *server) solveShard(ctx context.Context, req dist.SolveRequest) (dist.So
 	res, err := s.eng.MaxRS(ctx, ds, req.W, req.H,
 		maxrs.WithAlgorithm(maxrs.ExactMaxRS),
 		maxrs.WithShards(0),
-		maxrs.WithUnfused(req.Unfused),
 		maxrs.WithDistributed(false),
 	)
 	if err != nil {

@@ -658,7 +658,6 @@ type deltaPlanJSON struct {
 type planJSON struct {
 	Algorithm string         `json:"algorithm"`
 	Shards    int            `json:"shards,omitempty"`
-	Unfused   bool           `json:"unfused,omitempty"`
 	Auto      bool           `json:"auto,omitempty"`
 	Delta     *deltaPlanJSON `json:"delta,omitempty"`
 	Predicted costJSON       `json:"predicted"`
@@ -668,7 +667,6 @@ func fromPlan(p maxrs.Plan) planJSON {
 	out := planJSON{
 		Algorithm: p.Algorithm.String(),
 		Shards:    p.Shards,
-		Unfused:   p.Unfused,
 		Auto:      p.Auto,
 		Predicted: fromPredicted(p.Predicted),
 	}
@@ -1010,7 +1008,6 @@ type explainResponse struct {
 type candidateJSON struct {
 	Algorithm string   `json:"algorithm"`
 	Shards    int      `json:"shards,omitempty"`
-	Unfused   bool     `json:"unfused,omitempty"`
 	Predicted costJSON `json:"predicted"`
 	Eligible  bool     `json:"eligible"`
 	Chosen    bool     `json:"chosen,omitempty"`
@@ -1044,7 +1041,6 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request, entry *ds
 		out.Candidates[i] = candidateJSON{
 			Algorithm: c.Algorithm.String(),
 			Shards:    c.Shards,
-			Unfused:   c.Unfused,
 			Predicted: fromPredicted(c.Predicted),
 			Eligible:  c.Eligible,
 			Chosen:    c.Chosen,

@@ -42,8 +42,8 @@ type CRSResult struct {
 // realistic densities (Fig. 17).
 //
 // Cancelling ctx aborts the inner solve or the candidate scan within one
-// block-transfer's work. Of the QueryOptions, WithUnfused and
-// WithParallelism apply; WithAlgorithm and WithShards are ignored — the
+// block-transfer's work. Of the QueryOptions, WithParallelism applies;
+// WithAlgorithm and WithShards are ignored — the
 // rectangle transform is ExactMaxRS by construction and stays unsharded.
 func (e *Engine) MaxCRS(ctx context.Context, d *Dataset, diameter float64, opts ...QueryOption) (_ CRSResult, err error) {
 	if !(diameter > 0) || math.IsInf(diameter, 0) {

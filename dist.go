@@ -249,7 +249,7 @@ func (q *query) fanOut(parts []*shard.Partition, w, h float64, cfg core.Config) 
 		}
 		jobs[i] = dist.ShardJob{
 			Index: i,
-			Req:   dist.SolveRequest{W: w, H: h, Unfused: q.set.unfused, Objects: objs},
+			Req:   dist.SolveRequest{W: w, H: h, Objects: objs},
 		}
 		if !q.e.opts.Dist.DisableLocalFallback {
 			jobs[i].Fallback = func(ctx context.Context) (sweep.Result, error) {

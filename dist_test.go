@@ -56,7 +56,7 @@ func testWorker(t *testing.T, delay time.Duration) *httptest.Server {
 			return
 		}
 		defer func() { _ = ds.Release() }()
-		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H, WithShards(0), WithUnfused(req.Unfused))
+		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H, WithShards(0))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -21,43 +21,6 @@ func fusionObjects(n int) []Object {
 	return objs
 }
 
-// TestEngineFusionEquivalence pins the public contract of Options.Unfused:
-// identical results, with the fused default strictly cheaper in per-query
-// block transfers.
-func TestEngineFusionEquivalence(t *testing.T) {
-	objs := fusionObjects(4000)
-	queryEdge := 4.0 * 4000 / 1000
-	run := func(unfused bool) Result {
-		e, err := NewEngine(&Options{Memory: 52 * 1024, Unfused: unfused})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		d, err := e.Load(context.Background(), objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Release(); err != nil {
-			t.Fatal(err)
-		}
-		if n := e.BlocksInUse(); n != 0 {
-			t.Fatalf("unfused=%v: %d blocks leaked", unfused, n)
-		}
-		return res
-	}
-	fused, unfused := run(false), run(true)
-	if fused.Location != unfused.Location || fused.Score != unfused.Score || fused.Region != unfused.Region {
-		t.Fatalf("fused result %+v != unfused %+v", fused, unfused)
-	}
-	if fused.Stats.Total() >= unfused.Stats.Total() {
-		t.Fatalf("fused query cost %d ≥ unfused %d transfers", fused.Stats.Total(), unfused.Stats.Total())
-	}
-}
-
 // TestEnginePipelineInvariance pins the public contract of stream
 // pipelining: an OnDisk engine's prefetch/write-behind, on either file
 // store, changes neither the result nor a single counted transfer

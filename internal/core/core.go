@@ -36,14 +36,16 @@
 //
 // # Pass fusion
 //
-// By default the two ends of the root pipeline are fused (DESIGN.md §8):
+// The two ends of the root pipeline are fused (DESIGN.md §8):
 // input records stream straight into sorted run formation
 // (extsort.RunBuilder — no unsorted event/edge files are ever written or
 // re-read), and the final merge of each root sort streams straight into
 // the division sinks (extsort.Merger.MergeInto — no sorted root files are
-// ever written or re-read). Config.Unfused restores the materializing
-// pipeline; results are bit-identical either way, only the transfer count
-// differs, and everything below the root is shared by both paths.
+// ever written or re-read). This is the only root pipeline: the
+// materializing schedule it replaced (write the unsorted files, sort them
+// into new files, re-read those) survives only as the reference of the
+// package's fusion-equivalence tests, whose results it matches bit for
+// bit.
 package core
 
 import (
@@ -94,15 +96,6 @@ type Config struct {
 	// independent and the transfer tally is order-free — so this knob
 	// trades wall-clock time only.
 	Parallelism int
-
-	// Unfused disables the root pass fusion (DESIGN.md §8): the input is
-	// materialized as unsorted event/edge files, externally sorted into
-	// new files, and those are re-read for the root division — the
-	// pre-fusion pipeline, kept for ablation and the fusion-equivalence
-	// tests. Results are bit-identical either way; only the block-transfer
-	// count changes (the fused default saves four full passes over the
-	// event stream and at least two over the edge stream at the root).
-	Unfused bool
 }
 
 // Solver runs ExactMaxRS instances under one EM environment.
@@ -230,7 +223,7 @@ func (s *Solver) SolveObjectsScoped(ctx context.Context, objFile *em.File, w, h 
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	return t.run(func() (rec.WRect, error) {
+	return t.solveFused(func() (rec.WRect, error) {
 		o, err := rr.Read()
 		if err != nil {
 			return rec.WRect{}, err
@@ -253,7 +246,7 @@ func (s *Solver) SolveRectsScoped(ctx context.Context, rectFile *em.File, sc *em
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	return t.run(rr.Read)
+	return t.solveFused(rr.Read)
 }
 
 // lessEventY orders piece events by sweep y — the root event sort order.
@@ -261,19 +254,6 @@ func lessEventY(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }
 
 // lessFloat64 is the root edge-value sort order.
 func lessFloat64(a, b float64) bool { return a < b }
-
-// run drains next() and solves the transformed problem on the configured
-// pipeline: fused by default, materializing when Config.Unfused.
-func (s *task) run(next func() (rec.WRect, error)) (sweep.Result, error) {
-	if s.cfg.Unfused {
-		events, edges, n, err := s.buildInput(next)
-		if err != nil {
-			return sweep.Result{}, err
-		}
-		return s.solveTransformed(events, edges, n)
-	}
-	return s.solveFused(next)
-}
 
 // resultOfSlabFile extracts the answer from the whole-space slab file and
 // releases it on every path.
@@ -289,23 +269,15 @@ func resultOfSlabFile(slabFile *em.File) (sweep.Result, error) {
 	return res, nil
 }
 
-func (s *task) solveTransformed(events, edges *em.File, count int64) (sweep.Result, error) {
-	slabFile, err := s.slabFileOf(events, edges, count)
-	if err != nil {
-		return sweep.Result{}, err
-	}
-	return resultOfSlabFile(slabFile)
-}
-
-// solveFused is the fused pipeline (DESIGN.md §8): records stream from
-// next() straight into sorted run formation — the unsorted event and edge
-// files of buildInput are never written or re-read — and, when the input
-// exceeds memory, the root sorts' final merges stream straight into the
-// division (divideFused), so the sorted root files are never materialized
-// either. Everything below the root is the shared recursion, and every
-// sink consumes the exact record sequence the unfused path reads from its
-// files, so results are bit-identical to Config.Unfused at every
-// Parallelism.
+// solveFused drains next() and solves the transformed problem on the
+// fused root pipeline (DESIGN.md §8): records stream straight into sorted
+// run formation — no unsorted event or edge file is ever written or
+// re-read — and, when the input exceeds memory, the root sorts' final
+// merges stream straight into the division (divideFused), so the sorted
+// root files are never materialized either. Every sink consumes the exact
+// record sequence a materialized sort would produce, so results match the
+// materializing reference of the fusion-equivalence tests bit for bit at
+// every Parallelism.
 func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err error) {
 	evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, s.par)
 	if err != nil {
@@ -367,7 +339,7 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 // back half (the tops' old slots) as the sort's scratch. A stable sort
 // keeps the bottoms' relative order whether the tops are dropped before or
 // after it, so the sweep sees the rectangles in exactly the order of the
-// run the unfused path would spill and sort, at half the sort length.
+// sorted run a materialized sort would produce, at half the sort length.
 func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
 	events, err := evb.Take()
 	if err != nil {
@@ -390,43 +362,8 @@ func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *ex
 	return s.writeSlab(sweep.Slab(rects, slab))
 }
 
-// slabFileOf sorts the freshly built input files and runs the recursion,
-// returning the final whole-space slab file. Input files are consumed on
-// every path, including errors.
-func (s *task) slabFileOf(events, edges *em.File, count int64) (*em.File, error) {
-	defer events.Release()
-	defer edges.Release()
-	sortedEvents, err := extsort.SortP(s.env, events, rec.PieceEventCodec{},
-		func(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }, s.par)
-	if err != nil {
-		return nil, err
-	}
-	if err := events.Release(); err != nil {
-		_ = sortedEvents.Release()
-		return nil, err
-	}
-	sortedEdges, err := extsort.SortP(s.env, edges, rec.Float64Codec{},
-		func(a, b float64) bool { return a < b }, s.par)
-	if err != nil {
-		_ = sortedEvents.Release()
-		return nil, err
-	}
-	if err := edges.Release(); err != nil {
-		_ = sortedEvents.Release()
-		_ = sortedEdges.Release()
-		return nil, err
-	}
-	root := node{
-		events: sortedEvents,
-		edges:  sortedEdges,
-		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-		count:  count,
-	}
-	return s.solve(root, 0, new(scratchList))
-}
-
 // forEachRect drains next() until io.EOF, passing every non-degenerate
-// rectangle to emit — the input iteration shared by both pipelines.
+// rectangle to emit.
 func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) error {
 	for {
 		r, err := next()
@@ -443,61 +380,6 @@ func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) err
 			return err
 		}
 	}
-}
-
-// buildInput drains next() until io.EOF, writing two events and four edge
-// values per rectangle (unsorted) — the materializing front end of the
-// Config.Unfused pipeline. On error the partial outputs are released.
-func (s *task) buildInput(next func() (rec.WRect, error)) (_, _ *em.File, _ int64, err error) {
-	events := s.env.NewFile()
-	edges := s.env.NewFile()
-	defer func() {
-		if err != nil {
-			_ = events.Release()
-			_ = edges.Release()
-		}
-	}()
-	var count int64
-	ew, err := em.NewRecordWriter(events, rec.PieceEventCodec{})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	xw, err := em.NewRecordWriter(edges, rec.Float64Codec{})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	err = forEachRect(next, func(r rec.WRect) error {
-		bottom, top := rec.PieceEventsOf(r)
-		if err := ew.Write(bottom); err != nil {
-			return err
-		}
-		if err := ew.Write(top); err != nil {
-			return err
-		}
-		// Two copies of each vertical edge — one per event record — so the
-		// edge-file invariant (two values per piece edge) is uniform across
-		// recursion levels.
-		for i := 0; i < 2; i++ {
-			if err := xw.Write(r.X1); err != nil {
-				return err
-			}
-			if err := xw.Write(r.X2); err != nil {
-				return err
-			}
-		}
-		count += 2
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if err := ew.Close(); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := xw.Close(); err != nil {
-		return nil, nil, 0, err
-	}
-	return events, edges, count, nil
 }
 
 // release frees the node's input files (best effort, for error paths).

@@ -15,10 +15,10 @@ import (
 
 // The division phase is written as three streaming sinks — boundsPicker,
 // router, edgeSplitter — each consuming one record at a time, so the same
-// per-record logic serves both pipelines: the unfused path feeds them from
-// sorted files (route, chooseBounds, splitEdges below), and the fused root
-// feeds them straight from the sort's final merge (divideFused), which is
-// what guarantees the two paths are bit-identical.
+// per-record logic serves every level: nodes below the root feed them from
+// their sorted files (route, chooseBounds, splitEdges below), and the fused
+// root feeds them straight from the sort's final merge (divideFused), which
+// is what makes the root divide exactly as it would over sorted files.
 
 // divisionFanout returns the slab fan-out m for one division step. For
 // pathologically small memories an auto-selected fan-out below 4 cannot
@@ -456,9 +456,9 @@ func (s *task) splitEdges(n node, bounds []float64, nLow, nHigh []int64) ([]*em.
 // into the boundsPicker, once into the edgeSplitter — at the cost of
 // re-reading the final merge level, which is never more expensive than the
 // write+read+read of the sorted edge file it replaces. Every record
-// reaches each sink in exactly the order the unfused path reads it from
-// the sorted files, so the children, the recursion below them, and the
-// result are bit-identical to Config.Unfused.
+// reaches each sink in exactly the order it would be read from sorted
+// root files, so the children, the recursion below them, and the result
+// are bit-identical to the materializing reference of the core tests.
 func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (_ *em.File, err error) {
 	count, countX := evb.Count(), edb.Count()
 	evRuns, err := evb.Finish()

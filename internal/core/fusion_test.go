@@ -8,6 +8,7 @@ import (
 	"maxrs/internal/em"
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
+	"maxrs/internal/sweep"
 	"maxrs/internal/workload"
 )
 
@@ -20,7 +21,8 @@ func fusionEnv() em.Env { return em.MustNewEnv(4096, 52*1024) }
 // TestFusionEquivalence is the golden contract of the fused pipeline
 // (DESIGN.md §8), checked across workload shapes and parallelism values:
 //
-//  1. The fused result is bit-identical to Config.Unfused.
+//  1. The fused result is bit-identical to the materializing reference
+//     (solveMaterialized).
 //  2. The fused transfer total is identical at every Parallelism.
 //  3. The fusion saves at least four full passes over the event stream
 //     plus two over the edge stream at the root: the unsorted write and
@@ -45,18 +47,15 @@ func TestFusionEquivalence(t *testing.T) {
 	const w, h = 900, 900
 
 	for name, objs := range workloads {
-		// Reference: the unfused pipeline.
+		// Reference: the materializing root pipeline.
 		refEnv := fusionEnv()
 		refFile := writeObjects(t, refEnv, objs)
-		refSolver := mustSolver(t, refEnv, Config{Unfused: true, Parallelism: 1})
+		refSolver := mustSolver(t, refEnv, Config{Parallelism: 1})
 		refEnv.Disk.ResetStats()
-		want, err := refSolver.SolveObjects(refFile, w, h)
-		if err != nil {
-			t.Fatalf("%s unfused: %v", name, err)
-		}
-		unfusedTotal := refEnv.Disk.Stats().Total()
+		want := solveMaterialized(t, refSolver, refFile, w, h)
+		refTotal := refEnv.Disk.Stats().Total()
 		if got, wantBlocks := refEnv.Disk.InUse(), refFile.Blocks(); got != wantBlocks {
-			t.Fatalf("%s unfused: %d blocks in use, want %d", name, got, wantBlocks)
+			t.Fatalf("%s reference: %d blocks in use, want %d", name, got, wantBlocks)
 		}
 
 		// The asserted saving floor, from the record counts: every object
@@ -78,14 +77,14 @@ func TestFusionEquivalence(t *testing.T) {
 			}
 			total := env.Disk.Stats().Total()
 			if got.Region != want.Region || got.Sum != want.Sum {
-				t.Errorf("%s fused p=%d: result %+v sum %g differs from unfused %+v sum %g",
+				t.Errorf("%s fused p=%d: result %+v sum %g differs from reference %+v sum %g",
 					name, p, got.Region, got.Sum, want.Region, want.Sum)
 			}
 			if p == 1 {
 				fusedTotal = total
-				if saving := unfusedTotal - total; total >= unfusedTotal || saving < minSaving {
-					t.Errorf("%s: fused %d vs unfused %d transfers: saving %d < asserted floor %d (events %d, edges %d blocks)",
-						name, total, unfusedTotal, saving, minSaving, evBlocks, edBlocks)
+				if saving := refTotal - total; total >= refTotal || saving < minSaving {
+					t.Errorf("%s: fused %d vs reference %d transfers: saving %d < asserted floor %d (events %d, edges %d blocks)",
+						name, total, refTotal, saving, minSaving, evBlocks, edBlocks)
 				}
 			} else if total != fusedTotal {
 				t.Errorf("%s fused p=%d: %d transfers, want %d (same as p=1)", name, p, total, fusedTotal)
@@ -100,12 +99,12 @@ func TestFusionEquivalence(t *testing.T) {
 
 // TestFusionEquivalenceSmall covers the resident base case and near-
 // capacity boundaries, where the fused path skips the disk entirely:
-// results must still match the unfused pipeline exactly. The float variant
+// results must still match the materializing reference exactly. The float variant
 // is mostly resident (n ≤ 40) and uses non-integer weights of mixed
 // magnitude and crowded x and coarse-grid y coordinates, so many events
 // share a y and their sort order decides the order of the float additions
-// in the sweep: the resident sort must reproduce the unfused pipeline's
-// event order for Region and Sum to match bit for bit.
+// in the sweep: the resident sort must reproduce the reference's event
+// order for Region and Sum to match bit for bit.
 func TestFusionEquivalenceSmall(t *testing.T) {
 	variants := []struct {
 		name    string
@@ -127,24 +126,29 @@ func TestFusionEquivalenceSmall(t *testing.T) {
 			w := float64(rng.Intn(30) + 2)
 			h := float64(rng.Intn(30) + 2)
 
-			run := func(unfused bool) (geom.Rect, float64) {
+			run := func(ref bool) (geom.Rect, float64) {
 				env := em.MustNewEnv(blockSize, blockSize*memBlocks)
 				f := writeObjects(t, env, objs)
-				s := mustSolver(t, env, Config{Unfused: unfused})
-				res, err := s.SolveObjects(f, w, h)
-				if err != nil {
-					t.Fatalf("%s trial %d (unfused=%v): %v", v.name, trial, unfused, err)
+				s := mustSolver(t, env, Config{})
+				var res sweep.Result
+				if ref {
+					res = solveMaterialized(t, s, f, w, h)
+				} else {
+					var err error
+					if res, err = s.SolveObjects(f, w, h); err != nil {
+						t.Fatalf("%s trial %d: %v", v.name, trial, err)
+					}
 				}
 				if got, want := env.Disk.InUse(), f.Blocks(); got != want {
-					t.Fatalf("%s trial %d (unfused=%v): %d blocks in use, want %d", v.name, trial, unfused, got, want)
+					t.Fatalf("%s trial %d (reference=%v): %d blocks in use, want %d", v.name, trial, ref, got, want)
 				}
 				return res.Region, res.Sum
 			}
 			fr, fs := run(false)
-			ur, us := run(true)
-			if fr != ur || math.Float64bits(fs) != math.Float64bits(us) {
-				t.Fatalf("%s trial %d (B=%d M/B=%d n=%d): fused %+v/%g != unfused %+v/%g",
-					v.name, trial, blockSize, memBlocks, n, fr, fs, ur, us)
+			rr, rs := run(true)
+			if fr != rr || math.Float64bits(fs) != math.Float64bits(rs) {
+				t.Fatalf("%s trial %d (B=%d M/B=%d n=%d): fused %+v/%g != reference %+v/%g",
+					v.name, trial, blockSize, memBlocks, n, fr, fs, rr, rs)
 			}
 		}
 	}
@@ -181,8 +185,7 @@ func TestFusedEmptyAndDegenerate(t *testing.T) {
 	if res.Sum != 0 {
 		t.Fatalf("empty input sum = %g", res.Sum)
 	}
-	// Degenerate rectangles (zero area after transform) are skipped by
-	// both pipelines.
+	// Degenerate rectangles (zero area after transform) are skipped.
 	rects := []rec.WRect{{X1: 5, X2: 5, Y1: 0, Y2: 4, W: 1}}
 	rf, err := em.WriteAll(env.Disk, rec.WRectCodec{}, rects)
 	if err != nil {

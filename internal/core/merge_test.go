@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"maxrs/internal/em"
-	"maxrs/internal/extsort"
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
 	"maxrs/internal/sweep"
@@ -380,44 +378,6 @@ func coarseMergeInput(rng *rand.Rand, m int, infinite bool, weight func() float6
 	}
 	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Y() < spans[b].Y() })
 	return slab, bounds, children, spans
-}
-
-// sortedRoot builds the root node of rects as the unfused pipeline does,
-// for direct tests of the division and merge: the event and edge files,
-// each sorted by extsort.
-func sortedRoot(tb testing.TB, s *task, rects []rec.WRect) node {
-	tb.Helper()
-	i := 0
-	events, edges, count, err := s.buildInput(func() (rec.WRect, error) {
-		if i == len(rects) {
-			return rec.WRect{}, io.EOF
-		}
-		i++
-		return rects[i-1], nil
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sortedEvents, err := extsort.SortP(s.env, events, rec.PieceEventCodec{}, lessEventY, s.par)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sortedEdges, err := extsort.SortP(s.env, edges, rec.Float64Codec{}, lessFloat64, s.par)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := events.Release(); err != nil {
-		tb.Fatal(err)
-	}
-	if err := edges.Release(); err != nil {
-		tb.Fatal(err)
-	}
-	return node{
-		events: sortedEvents,
-		edges:  sortedEdges,
-		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-		count:  count,
-	}
 }
 
 // solveRef is solve run sequentially with every merge done by

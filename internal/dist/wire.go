@@ -57,7 +57,6 @@ const (
 type SolveRequest struct {
 	W       float64       `json:"w"`
 	H       float64       `json:"h"`
-	Unfused bool          `json:"unfused,omitempty"`
 	Objects []geom.Object `json:"objects"`
 }
 

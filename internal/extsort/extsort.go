@@ -305,12 +305,12 @@ func (sp *spiller[T]) releaseAll() {
 
 // RunBuilder accepts records one at a time and spills them as sorted runs
 // of ≤ M bytes each — the input half of the external sort, exposed so
-// producers (core.buildInput) can stream records straight into run
+// producers (core's fused root) can stream records straight into run
 // formation instead of materializing an unsorted file first (input→run
 // fusion, DESIGN.md §8). Run i always holds records [i·R, (i+1)·R) of the
 // Add sequence, exactly as if the sequence had been written to a file and
 // sorted with SortP, so downstream merge trees — and transfer counts — are
-// identical to the unfused pipeline minus the eliminated passes.
+// identical to SortP's minus the eliminated passes.
 type RunBuilder[T any] struct {
 	env    em.Env
 	codec  em.Codec[T]
@@ -502,7 +502,7 @@ func (m *Merger[T]) Runs() int { return len(m.runs) }
 
 // Reduce merges levels until one final merge pass remains (≤ fanIn runs).
 // The grouping per level is identical to SortP's, so every transfer up to
-// — but excluding — the final merge matches the unfused sort exactly.
+// — but excluding — the final merge matches SortP exactly.
 func (m *Merger[T]) Reduce() error {
 	fanIn := fanInOf(m.env)
 	for len(m.runs) > fanIn {

@@ -55,7 +55,8 @@ func TestRunBuilderMergerMatchesSort(t *testing.T) {
 			vals[i] = rng.Int63n(1000) // duplicates: stability must match too
 		}
 
-		// Reference: the unfused sort, counted without the input write.
+		// Reference: SortP over a materialized file, counted without the
+		// input write.
 		refEnv := em.MustNewEnv(128, 1024) // 16 records per run, fan-in 7
 		in, err := em.WriteAll[int64](refEnv.Disk, int64Codec{}, vals)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // measure runs one real solve and returns its scoped transfer counts.
-func measure(t *testing.T, objs []geom.Object, blockSize, memory int, w, h float64, shards int, unfused bool) (reads, writes int64) {
+func measure(t *testing.T, objs []geom.Object, blockSize, memory int, w, h float64, shards int) (reads, writes int64) {
 	t.Helper()
 	d, err := em.NewDisk(blockSize)
 	if err != nil {
@@ -38,7 +38,7 @@ func measure(t *testing.T, objs []geom.Object, blockSize, memory int, w, h float
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = shard.SolveAll(context.Background(), parts, w, h, core.Config{Unfused: unfused}, 0)
+		_, err = shard.SolveAll(context.Background(), parts, w, h, core.Config{}, 0)
 		for _, p := range parts {
 			sc.Add(p.Stats())
 			_ = p.Close()
@@ -47,7 +47,7 @@ func measure(t *testing.T, objs []geom.Object, blockSize, memory int, w, h float
 			t.Fatal(err)
 		}
 	} else {
-		s, err := core.NewSolver(env, core.Config{Unfused: unfused})
+		s, err := core.NewSolver(env, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,16 +91,11 @@ func TestCalibrationDev(t *testing.T) {
 		st := statsOf(wl.objs, blockSize, memory)
 		set := plan.Settings{B: blockSize, M: memory, W: q, H: q}
 		for _, k := range []int{0, 1, 2, 4, 8} {
-			for _, unfused := range []bool{false, true} {
-				if unfused && k > 0 {
-					continue
-				}
-				pred := plan.Estimate(st, set, plan.Strategy{Algorithm: plan.ExactMaxRS, Shards: k, Unfused: unfused})
-				r, w := measure(t, wl.objs, blockSize, memory, q, q, k, unfused)
-				errPct := 100 * float64(pred.Total()-(r+w)) / float64(r+w)
-				fmt.Printf("%-9s K=%d unfused=%-5v predicted=%6d (r=%5d w=%5d) measured=%6d (r=%5d w=%5d) err=%+6.1f%%\n",
-					wl.name, k, unfused, pred.Total(), pred.Reads, pred.Writes, r+w, r, w, errPct)
-			}
+			pred := plan.Estimate(st, set, plan.Strategy{Algorithm: plan.ExactMaxRS, Shards: k})
+			r, w := measure(t, wl.objs, blockSize, memory, q, q, k)
+			errPct := 100 * float64(pred.Total()-(r+w)) / float64(r+w)
+			fmt.Printf("%-9s K=%d predicted=%6d (r=%5d w=%5d) measured=%6d (r=%5d w=%5d) err=%+6.1f%%\n",
+				wl.name, k, pred.Total(), pred.Reads, pred.Writes, r+w, r, w, errPct)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func ceilDiv(a, b int64) int64 {
 // over the dataset. The prediction replays the engine's real schedules
 // — run formation, merge reduction, the division recursion, shard
 // planning/partitioning — over the load-time sample, so everything
-// structural (sort passes, fusion savings, reduce-level elimination
+// structural (sort passes, fused root merges, reduce-level elimination
 // under sharding, halo inflation) is modeled mechanically; only the
 // populations are estimated. See DESIGN.md §12 for the derivation and
 // the measured calibration error.
@@ -56,7 +56,7 @@ func estimate(st Stats, set Settings, strat Strategy) Cost {
 		return asbCost(st, set)
 	}
 	s := newSim(st, set)
-	s.sharded(st, strat.Shards, strat.Unfused)
+	s.sharded(st, strat.Shards)
 	return s.c
 }
 
@@ -71,7 +71,7 @@ func naiveExternalCost(st Stats, set Settings) Cost {
 	evFile := s.blocks(events, rec.EventCodec{}.Size())
 	s.c.Reads += st.Blocks // transform scan
 	s.c.Writes += evFile
-	s.sortFile(events, rec.EventCodec{}.Size(), evFile)
+	s.sortP(events, rec.EventCodec{}.Size(), evFile)
 	s.c.Reads += evFile // the sweep streams the sorted events once
 	open := float64(st.N)
 	if ey := st.MaxY - st.MinY; ey > 0 && set.H < ey {
@@ -93,7 +93,7 @@ func asbCost(st Stats, set Settings) Cost {
 	edFile := s.blocks(edges, edgeSize)
 	s.c.Reads += st.Blocks
 	s.c.Writes += edFile
-	s.sortFile(edges, edgeSize, edFile)
+	s.sortP(edges, edgeSize, edFile)
 	s.c.Reads += edFile
 	s.c.Writes += 2 * edFile // tree nodes ≈ 2× the leaf level
 	fan := float64(set.B / 16)
@@ -207,16 +207,22 @@ func (s *sim) reduce(runs []int64) []int64 {
 	return runs
 }
 
-// sortFused models the fused sort half: spill runs (writes only — the
-// producer feeds records directly), reduce, then `passes` MergeInto
-// replays over the surviving runs (events once; edges twice, for
-// boundary selection then distribution).
-func (s *sim) sortFused(records float64, recSize, passes int) {
+// spill models run formation and merge reduction: spill the runs
+// (writes only), then reduce them. It returns the surviving runs.
+func (s *sim) spill(records float64, recSize int) []int64 {
 	runs := s.runBytes(records, recSize)
 	for _, b := range runs {
 		s.c.Writes += ceilDiv(b, int64(s.b))
 	}
-	runs = s.reduce(runs)
+	return s.reduce(runs)
+}
+
+// sortFused models the fused sort half: spill runs (the producer feeds
+// records directly), reduce, then `passes` MergeInto replays over the
+// surviving runs (events once; edges twice, for boundary selection then
+// distribution).
+func (s *sim) sortFused(records float64, recSize, passes int) {
+	runs := s.spill(records, recSize)
 	for p := 0; p < passes; p++ {
 		for _, b := range runs {
 			s.c.Reads += ceilDiv(b, int64(s.b))
@@ -224,17 +230,13 @@ func (s *sim) sortFused(records float64, recSize, passes int) {
 	}
 }
 
-// sortFile models the unfused SortP over a materialized input file of
-// inBlocks: read the input, spill runs, reduce, and — unless a single
-// run survives, which then is the sorted file — one final merge that
-// writes the sorted output.
-func (s *sim) sortFile(records float64, recSize int, inBlocks int64) {
+// sortP models extsort.SortP — the baselines' sort — over a materialized
+// input file of inBlocks: read the input, spill runs, reduce, and —
+// unless a single run survives, which then is the sorted file — one
+// final merge that writes the sorted output.
+func (s *sim) sortP(records float64, recSize int, inBlocks int64) {
 	s.c.Reads += inBlocks
-	runs := s.runBytes(records, recSize)
-	for _, b := range runs {
-		s.c.Writes += ceilDiv(b, int64(s.b))
-	}
-	runs = s.reduce(runs)
+	runs := s.spill(records, recSize)
 	if len(runs) <= 1 {
 		return
 	}
@@ -251,9 +253,9 @@ func (s *sim) sortFile(records float64, recSize int, inBlocks int64) {
 // per shard on its private disk — or the plain unsharded solve when
 // k ≤ 0. Mirrors the engine's sharded executor over the internal/shard
 // primitives (PlanBounds, PartitionObjects, SolveAll).
-func (s *sim) sharded(st Stats, k int, unfused bool) {
+func (s *sim) sharded(st Stats, k int) {
 	if k <= 0 || len(s.xs) == 0 {
-		s.solve(s.xs, float64(st.N), st.Blocks, unfused)
+		s.solve(s.xs, float64(st.N), st.Blocks)
 		return
 	}
 	if k >= 2 {
@@ -274,7 +276,7 @@ func (s *sim) sharded(st Stats, k int, unfused bool) {
 		n := float64(len(pts)) * s.scale
 		d := s.blocks(n, objSize)
 		s.c.Writes += d // partition output
-		s.solve(pts, n, d, unfused)
+		s.solve(pts, n, d)
 	}
 }
 
@@ -297,14 +299,14 @@ func (s *sim) shardBounds(k int) []float64 {
 
 // solve models one core.Solver.SolveObjectsScoped call over nReal
 // objects whose sample is pts, on an object file of objBlocks.
-func (s *sim) solve(pts []float64, nReal float64, objBlocks int64, unfused bool) {
+func (s *sim) solve(pts []float64, nReal float64, objBlocks int64) {
 	s.c.Reads += objBlocks // the producer's object scan
 	e := 2 * nReal
 	if e <= 0 {
 		return
 	}
-	if !unfused && e <= s.capacity() {
-		// Fused resident base case: sort in memory, write the tuple
+	if e <= s.capacity() {
+		// Resident base case: sort in memory, write the tuple
 		// file, read it back for the result scan. No event or edge
 		// file ever touches disk.
 		t := s.blocks(e, tupleSize)
@@ -316,23 +318,6 @@ func (s *sim) solve(pts []float64, nReal float64, objBlocks int64, unfused bool)
 	w := e / float64(len(pts))
 	for i, x := range pts {
 		spans[i] = span{x1: x - s.set.W/2, x2: x + s.set.W/2, w: w}
-	}
-	if unfused {
-		ev := s.blocks(e, eventSize)
-		ed := s.blocks(2*e, edgeSize)
-		s.c.Writes += ev + ed // buildInput materializes both files
-		s.sortFile(e, eventSize, ev)
-		s.sortFile(2*e, edgeSize, ed)
-		if e <= s.capacity() {
-			s.c.Reads += ev // base case reads the sorted events only
-			t := s.blocks(e, tupleSize)
-			s.c.Writes += t
-			s.c.Reads += t
-			return
-		}
-		t := s.node(spans, e, math.Inf(-1), math.Inf(1), ev, ed, false, false, 0)
-		s.c.Reads += t
-		return
 	}
 	s.sortFused(e, eventSize, 1)
 	s.sortFused(2*e, edgeSize, 2)

@@ -1,7 +1,7 @@
 // Package plan is the engine's decision layer: load-time dataset
 // statistics, a calibrated cost model that predicts the block-transfer
 // count of every execution strategy, and a chooser that picks
-// algorithm × shards × fusion under the M budget.
+// algorithm × shards under the M budget.
 //
 // The EM layer counts block transfers deterministically, which makes the
 // cost model exactly testable rather than merely plausible: for the
@@ -190,7 +190,6 @@ type Settings struct {
 type Strategy struct {
 	Algorithm Algorithm
 	Shards    int
-	Unfused   bool
 }
 
 // Cost is a predicted transfer count. Exact marks the strategies whose
@@ -238,7 +237,7 @@ func Choose(st Stats, set Settings) (Strategy, []Candidate) {
 		}
 	}
 	if best < 0 {
-		// Defensive: the fused unsharded solver is always eligible.
+		// Defensive: the unsharded solver is always eligible.
 		return Strategy{Algorithm: ExactMaxRS}, cands
 	}
 	cands[best].Chosen = true
@@ -263,13 +262,16 @@ func Candidates(st Stats, set Settings) []Candidate {
 		})
 	}
 	if !set.SolverOnly {
+		// Every baseline gets a row, so an explicit algorithm always finds
+		// its own; residency decides eligibility and the note.
 		if st.Resident {
 			add(Strategy{Algorithm: InMemory}, true, "dataset fits in M: one scan")
 			add(Strategy{Algorithm: NaiveSweep}, true, "resident shortcut: equals InMemory")
 		} else {
+			add(Strategy{Algorithm: InMemory}, false, "dataset exceeds M: the in-memory sweep cannot hold it")
 			add(Strategy{Algorithm: NaiveSweep}, false, "external status rewrites are data-dependent; dominated")
-			add(Strategy{Algorithm: ASBTree}, false, "buffer-sensitive descents; model too coarse to rank")
 		}
+		add(Strategy{Algorithm: ASBTree}, false, "buffer-sensitive descents; model too coarse to rank")
 	}
 	for _, k := range shardGrid {
 		if k > 0 && set.NoShards {
@@ -281,7 +283,6 @@ func Candidates(st Stats, set Settings) []Candidate {
 		}
 		add(Strategy{Algorithm: ExactMaxRS, Shards: k}, true, "")
 	}
-	add(Strategy{Algorithm: ExactMaxRS, Unfused: true}, true, "unfused ablation: pays the materialized sort passes")
 	if set.DeltaPending > 0 {
 		cands = append(cands, Candidate{
 			Strategy: Strategy{Algorithm: ExactMaxRS},

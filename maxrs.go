@@ -22,7 +22,7 @@
 // deadline pass) and the query stops within one block-transfer's work,
 // releases everything it allocated, and returns an error matching both
 // ErrQueryCancelled and the context error. Variadic QueryOptions
-// (WithAlgorithm, WithShards, WithUnfused, WithParallelism) override the
+// (WithAlgorithm, WithShards, WithParallelism, WithDistributed) override the
 // engine defaults per call.
 //
 // # Algorithms
@@ -210,8 +210,8 @@ const (
 	// InMemory is the RAM-model plane sweep of Imai–Asano (§4); it
 	// ignores the EM budget and is intended for small inputs and tests.
 	InMemory
-	// AlgorithmAuto asks the engine's planner to choose: algorithm,
-	// shard count and fusion are picked by the calibrated cost model over
+	// AlgorithmAuto asks the engine's planner to choose: algorithm and
+	// shard count are picked by the calibrated cost model over
 	// the dataset's load-time statistics (DESIGN.md §12), and the chosen
 	// plan rides back in Result.Plan. Opt-in — the zero value stays
 	// ExactMaxRS, so existing explicit queries keep bit-identical
@@ -288,11 +288,6 @@ type Options struct {
 	// are bit-identical across codecs. Works with on-disk and in-memory
 	// engines alike; shard disks mirror the selection.
 	Codec CodecKind
-	// Unfused disables ExactMaxRS's root pass fusion (DESIGN.md §8),
-	// restoring the materialize-sort-reread pipeline. Kept for ablation
-	// and regression comparison: results are bit-identical, the fused
-	// default just transfers fewer blocks.
-	Unfused bool
 	// Shards splits object queries (MaxRS, CountRS, TopK — not MaxCRS,
 	// whose rectangle transform stays unsharded) into K vertical shards
 	// with halo duplication, solved as independent ExactMaxRS instances
@@ -456,7 +451,7 @@ func NewEngine(opts *Options) (*Engine, error) {
 		return nil, errors.Join(err, d.Close())
 	}
 	env.Disk.SetRetryPolicy(o.Retry.em())
-	solver, err := core.NewSolver(env, core.Config{Parallelism: o.Parallelism, Unfused: o.Unfused})
+	solver, err := core.NewSolver(env, core.Config{Parallelism: o.Parallelism})
 	if err != nil {
 		return nil, errors.Join(err, env.Disk.Close())
 	}
@@ -1113,7 +1108,7 @@ func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []S
 	// Shard-level fan-out replaces slab-level fan-out: the query's
 	// parallelism budget is split evenly over the effective shard count,
 	// so a sharded query never runs more workers than an unsharded one.
-	cfg := core.Config{Unfused: q.set.unfused, Parallelism: max(1, q.par/len(parts))}
+	cfg := core.Config{Parallelism: max(1, q.par/len(parts))}
 	var (
 		results []sweep.Result
 		reports []dist.ShardReport

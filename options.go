@@ -11,8 +11,8 @@ import (
 // query method (Engine.MaxRS, MaxCRS, TopK, MinRS, CountRS and the
 // one-shot forms) accepts a variadic tail of QueryOptions; the engine's
 // Options keep the defaults, the query decides. Options are resolved per
-// call, so one engine can serve diverse workloads — an ablation query with
-// WithUnfused(true) next to production traffic, a huge dataset with
+// call, so one engine can serve diverse workloads — a throttled caller
+// with WithParallelism(1) next to production traffic, a huge dataset with
 // WithShards(8) next to small ones — without rebuilding anything.
 //
 // Invalid values (an unknown Algorithm, a negative shard count) fail the
@@ -23,9 +23,9 @@ type QueryOption func(*querySettings) error
 // honors the concrete algorithms (exactly like the engine-level default:
 // TopK, MinRS and CountRS always solve with ExactMaxRS, and MaxCRS's
 // rectangle transform is ExactMaxRS by construction). AlgorithmAuto asks
-// the planner to choose algorithm × shards × fusion from the dataset's
-// load-time statistics (DESIGN.md §12); for the solver-only kinds it
-// still picks the shard count and fusion where the kind allows them.
+// the planner to choose algorithm × shards from the dataset's load-time
+// statistics (DESIGN.md §12); for the solver-only kinds it still picks
+// the shard count where the kind allows one.
 func WithAlgorithm(a Algorithm) QueryOption {
 	return func(q *querySettings) error {
 		if !validAlgorithm(a) {
@@ -49,18 +49,6 @@ func WithShards(k int) QueryOption {
 		}
 		q.shards = k
 		q.shardsSet = true
-		return nil
-	}
-}
-
-// WithUnfused overrides Options.Unfused for one query (DESIGN.md §8):
-// true restores the materialize-sort-reread root pipeline, false forces
-// the fused default. Results are bit-identical either way; only the
-// transfer count differs. Intended for ablation and A/B measurement
-// against live traffic.
-func WithUnfused(unfused bool) QueryOption {
-	return func(q *querySettings) error {
-		q.unfused = unfused
 		return nil
 	}
 }
@@ -106,8 +94,7 @@ type querySettings struct {
 	// Plan applies the exactness guards to it (effectiveStrategy).
 	shards         int
 	shardsSet      bool // WithShards given: overrides dataset and engine
-	unfused        bool
-	parallelism    int // unresolved (0 = GOMAXPROCS), as in Options
+	parallelism    int  // unresolved (0 = GOMAXPROCS), as in Options
 	distributed    bool
 	distributedSet bool // WithDistributed given explicitly
 }
@@ -127,7 +114,6 @@ func validAlgorithm(a Algorithm) bool {
 func (e *Engine) resolveQuery(d *Dataset, opts []QueryOption) (querySettings, error) {
 	set := querySettings{
 		algorithm:   e.opts.Algorithm,
-		unfused:     e.opts.Unfused,
 		parallelism: e.opts.Parallelism,
 		distributed: e.coord != nil,
 	}
@@ -145,19 +131,16 @@ func (e *Engine) resolveQuery(d *Dataset, opts []QueryOption) (querySettings, er
 }
 
 // solverFor returns the core solver a query with these settings runs on:
-// the engine's shared solver (and its shared worker pool) when the
-// core-relevant settings match the engine defaults, or a transient
-// per-query solver otherwise. A transient solver is two allocations — the
+// the engine's shared solver (and its shared worker pool) when the query
+// keeps the engine's parallelism, or a transient per-query solver
+// otherwise. A transient solver is two allocations — the
 // cost sits entirely in the solve. The resolved parallelism (≥ 1) rides
 // along for the shard layer's worker budget.
 func (e *Engine) solverFor(set querySettings) (*core.Solver, int, error) {
-	if set.unfused == e.opts.Unfused && set.parallelism == e.opts.Parallelism {
+	if set.parallelism == e.opts.Parallelism {
 		return e.solver, e.par, nil
 	}
-	s, err := core.NewSolver(e.env, core.Config{
-		Parallelism: set.parallelism,
-		Unfused:     set.unfused,
-	})
+	s, err := core.NewSolver(e.env, core.Config{Parallelism: set.parallelism})
 	if err != nil {
 		return nil, 0, err
 	}

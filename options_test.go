@@ -35,9 +35,8 @@ func TestQueryOptionsMatchEngineOptions(t *testing.T) {
 		{"NaiveSweep", Options{Algorithm: NaiveSweep}, []QueryOption{WithAlgorithm(NaiveSweep)}},
 		{"ASBTree", Options{Algorithm: ASBTree}, []QueryOption{WithAlgorithm(ASBTree)}},
 		{"InMemory", Options{Algorithm: InMemory}, []QueryOption{WithAlgorithm(InMemory)}},
-		{"Unfused", Options{Unfused: true}, []QueryOption{WithUnfused(true)}},
 		{"Sequential", Options{Parallelism: 1}, []QueryOption{WithParallelism(1)}},
-		{"UnfusedSharded", Options{Unfused: true, Shards: 2}, []QueryOption{WithUnfused(true), WithShards(2)}},
+		{"SequentialSharded", Options{Parallelism: 1, Shards: 2}, []QueryOption{WithParallelism(1), WithShards(2)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -74,7 +74,6 @@ func (c PredictedCost) Total() int64 { return c.Reads + c.Writes }
 type Plan struct {
 	Algorithm   Algorithm
 	Shards      int // effective shard count (fallbacks applied), as requested of the shard planner
-	Unfused     bool
 	Parallelism int // resolved worker budget (≥ 1); never affects transfer counts
 	Auto        bool
 	Predicted   PredictedCost
@@ -112,7 +111,6 @@ type DeltaPlan struct {
 type PlanCandidate struct {
 	Algorithm Algorithm
 	Shards    int
-	Unfused   bool
 	// Delta marks the informational combined base+delta row shown when
 	// the dataset has pending mutations; it is never chosen by the
 	// planner (the path is taken adaptively at solve time when its
@@ -181,7 +179,6 @@ func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...
 		out.Candidates[i] = PlanCandidate{
 			Algorithm: Algorithm(c.Algorithm),
 			Shards:    c.Shards,
-			Unfused:   c.Unfused,
 			Delta:     c.Delta,
 			Predicted: PredictedCost{Reads: c.Cost.Reads, Writes: c.Cost.Writes, Exact: c.Cost.Exact},
 			Eligible:  c.Eligible,
@@ -268,7 +265,6 @@ func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h fl
 		strat, cands = plan.Choose(pst, pset)
 		set.algorithm = Algorithm(strat.Algorithm)
 		set.shards = strat.Shards
-		set.unfused = strat.Unfused
 	} else if wantCands {
 		cands = plan.Candidates(pst, pset)
 	}
@@ -298,7 +294,6 @@ func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h fl
 	pl := Plan{
 		Algorithm:   Algorithm(eff.Algorithm),
 		Shards:      eff.Shards,
-		Unfused:     eff.Unfused,
 		Parallelism: par,
 		Auto:        auto,
 		Predicted:   PredictedCost{Reads: cost.Reads, Writes: cost.Writes, Exact: cost.Exact},
@@ -329,7 +324,7 @@ func effectiveStrategy(kind queryKind, set querySettings, st plan.Stats) plan.St
 	case kindCountRS:
 		k = set.shards // COUNT weights are all 1: the merge stays exact
 	}
-	return plan.Strategy{Algorithm: plan.Algorithm(alg), Shards: k, Unfused: set.unfused}
+	return plan.Strategy{Algorithm: plan.Algorithm(alg), Shards: k}
 }
 
 // fallbackReason explains — in Result.FallbackReason — why a query that

@@ -3,6 +3,7 @@ package maxrs_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -71,6 +72,58 @@ func TestExplainDoesNoIO(t *testing.T) {
 	}
 	if ex.Stats.N != 4 {
 		t.Fatalf("explanation stats = %+v", ex.Stats)
+	}
+}
+
+// TestExplainMarksExplicitAlgorithm: for every explicit algorithm, on a
+// resident and on a non-resident dataset, the candidate table holds
+// exactly one Chosen row, and it is the strategy the Plan runs.
+func TestExplainMarksExplicitAlgorithm(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	objs := make([]maxrs.Object, 3000)
+	for i := range objs {
+		objs[i] = maxrs.Object{X: rng.Float64() * 1e4, Y: rng.Float64() * 1e4, Weight: float64(rng.Intn(5) + 1)}
+	}
+	for _, mem := range []struct {
+		name     string
+		memory   int
+		resident bool
+	}{
+		{"resident", 1 << 20, true},
+		{"nonresident", 16 << 10, false},
+	} {
+		eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: mem.memory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		d, err := eng.Load(context.Background(), objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats().Resident != mem.resident {
+			t.Fatalf("%s: Resident = %v", mem.name, !mem.resident)
+		}
+		for _, alg := range []maxrs.Algorithm{maxrs.ExactMaxRS, maxrs.NaiveSweep, maxrs.ASBTree, maxrs.InMemory} {
+			ex, err := eng.Explain(context.Background(), d, 100, 100, maxrs.WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chosen []maxrs.PlanCandidate
+			for _, c := range ex.Candidates {
+				if c.Chosen {
+					chosen = append(chosen, c)
+				}
+			}
+			if len(chosen) != 1 {
+				t.Errorf("%s %v: %d rows chosen, want 1", mem.name, alg, len(chosen))
+				continue
+			}
+			if c := chosen[0]; c.Algorithm != ex.Plan.Algorithm || c.Shards != ex.Plan.Shards {
+				t.Errorf("%s %v: chosen row %v/K=%d, plan %v/K=%d",
+					mem.name, alg, c.Algorithm, c.Shards, ex.Plan.Algorithm, ex.Plan.Shards)
+			}
+		}
 	}
 }
 

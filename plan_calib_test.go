@@ -71,7 +71,7 @@ func calibTolerance(shards int) float64 {
 }
 
 // TestCalibrationMatrix pins plan.Estimate to the measured em counters
-// across {uniform, gaussian, ne} × {fused, unfused} × shards {1,2,4} ×
+// across {uniform, gaussian, ne} × shards {1,2,4} ×
 // parallelism {1,4}. Parallelism must not move a single transfer —
 // the schedule is deterministic (DESIGN.md §7) — so the p=1 and p=4
 // measurements are asserted identical, not merely both in tolerance.
@@ -86,39 +86,35 @@ func TestCalibrationMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 2, 4} {
-				for _, unfused := range []bool{false, true} {
-					var prevTotal uint64
-					for _, p := range []int{1, 4} {
-						res, err := eng.MaxRS(ctx, d, wl.q, wl.q,
-							maxrs.WithShards(k), maxrs.WithUnfused(unfused), maxrs.WithParallelism(p))
-						if err != nil {
-							t.Fatal(err)
+				var prevTotal uint64
+				for _, p := range []int{1, 4} {
+					res, err := eng.MaxRS(ctx, d, wl.q, wl.q, maxrs.WithShards(k), maxrs.WithParallelism(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					pred := res.PredictedCost
+					meas := res.Stats.Total()
+					if uint64(pred.Reads) != res.Stats.PredictedReads || uint64(pred.Writes) != res.Stats.PredictedWrites {
+						t.Errorf("K=%d p=%d: QueryStats prediction fields disagree with PredictedCost", k, p)
+					}
+					if pred.Exact {
+						if uint64(pred.Total()) != meas {
+							t.Errorf("K=%d p=%d: exact prediction %d != measured %d", k, p, pred.Total(), meas)
 						}
-						pred := res.PredictedCost
-						meas := res.Stats.Total()
-						if uint64(pred.Reads) != res.Stats.PredictedReads || uint64(pred.Writes) != res.Stats.PredictedWrites {
-							t.Errorf("K=%d unfused=%v p=%d: QueryStats prediction fields disagree with PredictedCost", k, unfused, p)
+					} else {
+						errFrac := float64(pred.Total()-int64(meas)) / float64(meas)
+						if tol := calibTolerance(k); errFrac > tol || errFrac < -tol {
+							t.Errorf("K=%d p=%d: predicted %d vs measured %d (%+.1f%%, tolerance ±%.0f%%)",
+								k, p, pred.Total(), meas, 100*errFrac, 100*tol)
 						}
-						if pred.Exact {
-							if uint64(pred.Total()) != meas {
-								t.Errorf("K=%d unfused=%v p=%d: exact prediction %d != measured %d",
-									k, unfused, p, pred.Total(), meas)
-							}
-						} else {
-							errFrac := float64(pred.Total()-int64(meas)) / float64(meas)
-							if tol := calibTolerance(k); errFrac > tol || errFrac < -tol {
-								t.Errorf("K=%d unfused=%v p=%d: predicted %d vs measured %d (%+.1f%%, tolerance ±%.0f%%)",
-									k, unfused, p, pred.Total(), meas, 100*errFrac, 100*tol)
-							}
-						}
-						if p == 1 {
-							prevTotal = meas
-						} else if meas != prevTotal {
-							t.Errorf("K=%d unfused=%v: parallelism moved transfers %d -> %d", k, unfused, prevTotal, meas)
-						}
-						if res.Plan.Parallelism != p {
-							t.Errorf("K=%d unfused=%v p=%d: Plan.Parallelism = %d", k, unfused, p, res.Plan.Parallelism)
-						}
+					}
+					if p == 1 {
+						prevTotal = meas
+					} else if meas != prevTotal {
+						t.Errorf("K=%d: parallelism moved transfers %d -> %d", k, prevTotal, meas)
+					}
+					if res.Plan.Parallelism != p {
+						t.Errorf("K=%d p=%d: Plan.Parallelism = %d", k, p, res.Plan.Parallelism)
 					}
 				}
 			}
@@ -150,7 +146,7 @@ func TestAutoNeverFarFromBest(t *testing.T) {
 				}
 				res, err := eng.MaxRS(ctx, d, wl.q, wl.q,
 					maxrs.WithAlgorithm(maxrs.Algorithm(c.Algorithm)),
-					maxrs.WithShards(c.Shards), maxrs.WithUnfused(c.Unfused))
+					maxrs.WithShards(c.Shards))
 				if err != nil {
 					t.Fatal(err)
 				}
