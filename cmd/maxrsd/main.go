@@ -118,7 +118,7 @@ func main() {
 		retryBase    = flag.Duration("retrybase", time.Millisecond, "initial retry backoff (doubles per attempt)")
 		retryMax     = flag.Duration("retrymax", 100*time.Millisecond, "retry backoff cap (0 = uncapped)")
 		retryJitter  = flag.Int64("retryjitter", 0, "seed for decorrelated-jitter retry backoff, storage and worker calls alike (0 = plain doubling)")
-		auto         = flag.Bool("auto", false, "let the cost model pick algorithm/shards/fusion per query (AlgorithmAuto)")
+		auto         = flag.Bool("auto", false, "let the cost model pick the algorithm and shard count per query (AlgorithmAuto)")
 		deltaCompact = flag.Int("deltacompact", 1024, "pending-mutation threshold for background dataset compaction (0 = compact inline at the engine default instead)")
 
 		// Cluster role flags (DESIGN.md §13). Coordinator side:

@@ -239,12 +239,6 @@ func (d *Dataset) Insert(ctx context.Context, objs []Object) ([]uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCancel(err)
 	}
-	d.mu.Lock()
-	released := d.released
-	d.mu.Unlock()
-	if released {
-		return nil, ErrDatasetReleased
-	}
 	if err := d.compactIfNeeded(ctx, len(objs)); err != nil {
 		return nil, err
 	}
@@ -275,6 +269,11 @@ func (d *Dataset) Insert(ctx context.Context, objs []Object) ([]uint64, error) {
 // cache invalidation and the combined query path need); deleting a
 // buffered insert is memory-only. Queries begun after Delete returns are
 // bit-identical to a reload without the deleted objects.
+//
+// Like Insert, when the buffered delta would pass Options.DeltaCompactAt,
+// Delete first compacts the existing delta into a fresh base generation,
+// so cancelling ctx mid-compaction deletes nothing and leaves
+// Engine.BlocksInUse exactly where it was.
 func (d *Dataset) Delete(ctx context.Context, ids []uint64) (_ []Object, err error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -286,6 +285,11 @@ func (d *Dataset) Delete(ctx context.Context, ids []uint64) (_ []Object, err err
 	defer d.mutMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCancel(err)
+	}
+	// Compacting first keeps the delta within the threshold. Object IDs
+	// survive compaction, so the IDs validate against the new base.
+	if err := d.compactIfNeeded(ctx, len(ids)); err != nil {
+		return nil, err
 	}
 	d.mu.Lock()
 	released := d.released
@@ -431,12 +435,17 @@ func (d *Dataset) Compact(ctx context.Context) error {
 }
 
 // compactIfNeeded compacts the existing delta when buffering incoming
-// more entries would pass the engine's threshold. Caller holds mutMu.
+// more entries would pass the engine's threshold, and fails with
+// ErrDatasetReleased on a released dataset. Caller holds mutMu.
 func (d *Dataset) compactIfNeeded(ctx context.Context, incoming int) error {
 	limit := d.eng.deltaCompactAt()
 	d.mu.Lock()
+	released := d.released
 	pending := len(d.inserts) + len(d.delBase)
 	d.mu.Unlock()
+	if released {
+		return ErrDatasetReleased
+	}
 	if pending == 0 || pending+incoming <= limit {
 		return nil
 	}
@@ -468,59 +477,21 @@ func (d *Dataset) compact(ctx context.Context) (err error) {
 			err = wrapCancel(errors.Join(err, f.Release()))
 		}
 	}()
-	// Like Load, the context binds the writer and reader, never the new
-	// base file itself.
-	w, err := em.OpenRecordWriter(e.env.WithContext(ctx), f, rec.ObjectCodec{})
-	if err != nil {
-		return err
-	}
-	col := plan.NewCollector()
 	// The new index→ID table. Stays nil (identity) while no deletion has
 	// ever happened; otherwise survivors keep their IDs (ascending, in
 	// base order) and appended inserts continue above them — IDs were
 	// assigned after every existing base ID, so the table stays sorted.
 	needIDs := snap.baseIDs != nil || len(snap.delBase) > 0 || len(snap.delIns) > 0
 	var ids []uint64
-	newN := 0
-	rr, err := em.OpenRecordReader(e.env.WithContext(ctx), base.f, rec.ObjectCodec{})
-	if err != nil {
-		return err
-	}
-	for idx := 0; ; idx++ {
-		o, rerr := rr.Read()
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return rerr
-		}
-		id := baseIDAt(snap.baseIDs, idx)
-		if _, dead := snap.delBase[id]; dead {
-			continue
-		}
-		if err := w.Write(o); err != nil {
-			return err
-		}
-		col.Add(o.X, o.Y, o.W)
+	// Like Load, the context binds the writer and reader, never the new
+	// base file itself.
+	st, err := snap.write(e, e.env.WithContext(ctx), base.f, f, func(id uint64, o rec.Object) rec.Object {
 		if needIDs {
 			ids = append(ids, id)
 		}
-		newN++
-	}
-	for _, p := range snap.inserts {
-		if _, dead := snap.delIns[p.id]; dead {
-			continue
-		}
-		if err := w.Write(p.obj); err != nil {
-			return err
-		}
-		col.Add(p.obj.X, p.obj.Y, p.obj.W)
-		if needIDs {
-			ids = append(ids, p.id)
-		}
-		newN++
-	}
-	if err := w.Close(); err != nil {
+		return o
+	})
+	if err != nil {
 		return err
 	}
 
@@ -531,8 +502,8 @@ func (d *Dataset) compact(ctx context.Context) (err error) {
 	}
 	old := d.base
 	d.base = &baseRef{f: f}
-	d.n = newN
-	d.stats = col.Finalize(e.opts.BlockSize, e.opts.Memory)
+	d.n = int(st.N)
+	d.stats = st
 	d.baseIDs = ids
 	d.inserts = nil
 	d.insIdx = make(map[uint64]int)
@@ -545,13 +516,13 @@ func (d *Dataset) compact(ctx context.Context) (err error) {
 	return old.kill()
 }
 
-// scanEff streams the query's effective object set — base records minus
-// pending deletes, then live buffered inserts — in exactly the order a
-// reload of the mutated set would store them. Reads are charged to the
-// query scope and cancellable at block granularity.
-func (q *query) scanEff(emit func(rec.Object) error) error {
-	snap := q.delta
-	rr, err := em.OpenRecordReader(q.env(), q.base.f, rec.ObjectCodec{})
+// scan streams the effective object set of base under the delta s —
+// base records minus pending deletes, then live buffered inserts — with
+// their IDs, in exactly the order a reload of the mutated set would store
+// them. Reads go through env: charged to its scope and cancellable at
+// block granularity.
+func (s *deltaSnap) scan(env em.Env, base *em.File, emit func(id uint64, o rec.Object) error) error {
+	rr, err := em.OpenRecordReader(env, base, rec.ObjectCodec{})
 	if err != nil {
 		return err
 	}
@@ -563,56 +534,73 @@ func (q *query) scanEff(emit func(rec.Object) error) error {
 			}
 			return rerr
 		}
-		if _, dead := snap.delBase[baseIDAt(snap.baseIDs, idx)]; dead {
+		id := baseIDAt(s.baseIDs, idx)
+		if _, dead := s.delBase[id]; dead {
 			continue
 		}
-		if err := emit(o); err != nil {
+		if err := emit(id, o); err != nil {
 			return err
 		}
 	}
-	for _, p := range snap.inserts {
-		if _, dead := snap.delIns[p.id]; dead {
+	for _, p := range s.inserts {
+		if _, dead := s.delIns[p.id]; dead {
 			continue
 		}
-		if err := emit(p.obj); err != nil {
+		if err := emit(p.id, p.obj); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// materializeEff writes the query's effective object set (optionally
-// weight-mapped by fn) to a fresh file on the query's scope — the input
-// a reload-from-scratch would have loaded, bit for bit — and returns it
-// with its exact statistics. The caller releases the file.
-func (q *query) materializeEff(fn func(rec.Object) rec.Object) (_ *em.File, _ plan.Stats, err error) {
-	q.deltaPath = deltaPathFused
-	env := q.env()
-	out := env.NewFile()
-	defer func() {
-		if err != nil {
-			err = errors.Join(err, out.Release())
-		}
-	}()
-	w, err := em.NewRecordWriter(out, rec.ObjectCodec{})
+// write streams the effective object set of base under s into out
+// through env, each record passing through each (which sees its ID and
+// returns the record to write), and returns the written objects' exact
+// statistics. The caller releases out on error.
+func (s *deltaSnap) write(e *Engine, env em.Env, base, out *em.File, each func(id uint64, o rec.Object) rec.Object) (plan.Stats, error) {
+	w, err := em.OpenRecordWriter(env, out, rec.ObjectCodec{})
 	if err != nil {
-		return nil, plan.Stats{}, err
+		return plan.Stats{}, err
 	}
 	col := plan.NewCollector()
-	err = q.scanEff(func(o rec.Object) error {
-		if fn != nil {
-			o = fn(o)
-		}
+	err = s.scan(env, base, func(id uint64, o rec.Object) error {
+		o = each(id, o)
 		col.Add(o.X, o.Y, o.W)
 		return w.Write(o)
 	})
 	if err != nil {
-		return nil, plan.Stats{}, err
+		return plan.Stats{}, err
 	}
-	if err = w.Close(); err != nil {
-		return nil, plan.Stats{}, err
+	if err := w.Close(); err != nil {
+		return plan.Stats{}, err
 	}
-	return out, col.Finalize(q.e.opts.BlockSize, q.e.opts.Memory), nil
+	return col.Finalize(e.opts.BlockSize, e.opts.Memory), nil
+}
+
+// scanEff streams the query's effective object set (see deltaSnap.scan),
+// charged to the query scope.
+func (q *query) scanEff(emit func(rec.Object) error) error {
+	return q.delta.scan(q.env(), q.base.f, func(_ uint64, o rec.Object) error { return emit(o) })
+}
+
+// materializeEff writes the query's effective object set (optionally
+// weight-mapped by fn) to a fresh file on the query's scope — the input
+// a reload-from-scratch would have loaded, bit for bit — and returns it
+// with its exact statistics. The caller releases the file.
+func (q *query) materializeEff(fn func(rec.Object) rec.Object) (*em.File, plan.Stats, error) {
+	q.deltaPath = deltaPathFused
+	env := q.env()
+	out := env.NewFile()
+	st, err := q.delta.write(q.e, env, q.base.f, out, func(_ uint64, o rec.Object) rec.Object {
+		if fn != nil {
+			o = fn(o)
+		}
+		return o
+	})
+	if err != nil {
+		return nil, plan.Stats{}, errors.Join(err, out.Release())
+	}
+	return out, st, nil
 }
 
 // effFile returns the file a solve should read: the base file itself for

@@ -461,6 +461,102 @@ func TestDeltaCompactionTrigger(t *testing.T) {
 	}
 }
 
+// TestDeltaDeleteCompactsPastThreshold: Delete honours DeltaCompactAt as
+// Insert does. Single-ID deletes keep the pending delta within the
+// threshold by compacting first, every answer matches a reload of the
+// remaining objects, and a Delete cancelled during that compaction
+// deletes nothing and leaves the engine's blocks where they were.
+func TestDeltaDeleteCompactsPastThreshold(t *testing.T) {
+	const w, h = 40.0, 40.0
+	opts := &Options{BlockSize: 512, Memory: 8192, DeltaCompactAt: 3}
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Larger than the engine's buffer pool, so a compaction transfers
+	// blocks and each transfer is a cancellation point.
+	objs := make([]Object, 2000)
+	for i := range objs {
+		objs[i] = Object{X: float64(i % 97), Y: float64(i % 89), Weight: 1 + float64(i%5)}
+	}
+	d, err := e.Load(context.Background(), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = d.Release() }()
+	live := make([]idObj, len(objs))
+	for i, o := range objs {
+		live[i] = idObj{id: uint64(i), obj: o}
+	}
+	remove := func(id uint64) {
+		for i, o := range live {
+			if o.id == id {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+		t.Fatalf("id %d not live", id)
+	}
+	check := func(step string) {
+		t.Helper()
+		got, err := e.MaxRS(context.Background(), d, w, h)
+		if err != nil {
+			t.Fatalf("%s: MaxRS: %v", step, err)
+		}
+		if want := reloadSolve(t, opts, live, 0, w, h); !sameGeometry(got, want) {
+			t.Fatalf("%s: answer %+v score %v, reload %+v score %v", step, got.Region, got.Score, want.Region, want.Score)
+		}
+	}
+
+	for i := 0; i < 10; i++ {
+		id := uint64(i*173 + 11)
+		removed, err := d.Delete(context.Background(), []uint64{id})
+		if err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+		if removed[0] != objs[id] {
+			t.Fatalf("delete %d removed %+v, want %+v", i, removed[0], objs[id])
+		}
+		remove(id)
+		if p := d.Pending(); p > 3 {
+			t.Fatalf("after delete %d: pending %d past the threshold 3", i, p)
+		}
+		check(fmt.Sprintf("delete %d", i))
+	}
+	if c := d.Compactions(); c == 0 {
+		t.Fatal("ten deletes past DeltaCompactAt=3 never compacted")
+	}
+
+	// Fill the delta to the threshold, so the next Delete compacts first,
+	// and cancel that Delete inside its compaction.
+	for id := uint64(1990); d.Pending() < 3; id++ {
+		if _, err := d.Delete(context.Background(), []uint64{id}); err != nil {
+			t.Fatal(err)
+		}
+		remove(id)
+	}
+	pending, comps, n, inUse := d.Pending(), d.Compactions(), d.Len(), e.BlocksInUse()
+	if _, err := d.Delete(newCancelAfter(3), []uint64{5}); !errors.Is(err, ErrQueryCancelled) {
+		t.Fatalf("Delete cancelled mid-compaction: err = %v, want ErrQueryCancelled", err)
+	}
+	if p, c, l := d.Pending(), d.Compactions(), d.Len(); p != pending || c != comps || l != n {
+		t.Fatalf("after cancelled Delete: pending %d compactions %d len %d, want %d, %d, %d", p, c, l, pending, comps, n)
+	}
+	if b := e.BlocksInUse(); b != inUse {
+		t.Fatalf("BlocksInUse = %d after cancelled Delete, want %d", b, inUse)
+	}
+	check("cancelled delete")
+	if _, err := d.Delete(context.Background(), []uint64{5}); err != nil {
+		t.Fatalf("retried Delete: %v", err)
+	}
+	remove(5)
+	if c := d.Compactions(); c != comps+1 {
+		t.Fatalf("retried Delete: compactions %d, want %d", c, comps+1)
+	}
+	check("retried delete")
+}
+
 // TestDeltaMutationCancellation drives each mutation into cancellation
 // and requires atomicity: no partial application, and the engine's
 // block accounting back at its pre-call value.

@@ -69,13 +69,10 @@ import (
 // a logic bug into an error instead of a hang.
 const maxDepth = 200
 
-// eventBatch and edgeBatch size the record batches of streaming read loops
-// — roughly a block's worth, so the per-record reader round-trip is
-// amortized without materially denting the M budget.
-const (
-	eventBatch = 128
-	edgeBatch  = 512
-)
+// eventBatch sizes the base case's event read batch — roughly a block's
+// worth, so the per-record reader round-trip is amortized without
+// materially denting the M budget.
+const eventBatch = 128
 
 // ErrNoProgress reports that a recursion step failed to shrink a
 // sub-problem — impossible for valid inputs, kept as a tripwire.
@@ -388,11 +385,12 @@ func (n node) release() {
 	_ = n.edges.Release()
 }
 
-// solve is Algorithm 2: recursive divide, conquer, MergeSweep. The node's
-// input files are consumed on every path — success or error — as are all
-// intermediates, so a failed solve leaves no blocks allocated. A base
-// case draws its memory from scratch, the free list of the conquer that
-// spawned the node.
+// solve is Algorithm 2: the base case, or divide, conquer and MergeSweep.
+// A node's sorted files are one-run merges, so divide reads them exactly as
+// it reads the root sorts' final merge level. The node's input files are
+// consumed on every path — success or error — as are all intermediates,
+// so a failed solve leaves no blocks allocated. A base case draws its
+// memory from scratch, the free list of the conquer that spawned the node.
 func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) {
 	if depth > maxDepth {
 		n.release()
@@ -408,36 +406,11 @@ func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) 
 	if n.count <= s.capacity() {
 		return s.baseCase(n, scratch)
 	}
-	bounds, err := s.chooseBounds(n)
+	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, s.par)
+	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, s.par)
+	countX := em.RecordCount(n.edges, rec.Float64Codec{}.Size())
+	bounds, children, spanning, err := s.divide(evm, edm, countX, n.slab)
 	if err != nil {
-		n.release()
-		return nil, err
-	}
-	if len(bounds) == 0 {
-		// No usable split point: every edge value sits on the slab border,
-		// which would mean every piece spans the slab — impossible because
-		// such pieces are diverted to R′ by the parent. Tripwire.
-		n.release()
-		return nil, fmt.Errorf("%w: no interior boundary in slab %v", ErrNoProgress, n.slab)
-	}
-	children, spanning, err := s.route(n, bounds)
-	if err != nil {
-		n.release()
-		return nil, err
-	}
-	releaseChildren := func() {
-		for _, c := range children {
-			c.release()
-		}
-		_ = spanning.Release()
-	}
-	if err := n.events.Release(); err != nil {
-		releaseChildren()
-		_ = n.edges.Release()
-		return nil, err
-	}
-	if err := n.edges.Release(); err != nil {
-		releaseChildren()
 		return nil, err
 	}
 	return s.conquer(children, spanning, bounds, n.slab, n.count, depth)

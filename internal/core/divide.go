@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -13,12 +11,15 @@ import (
 	"maxrs/internal/rec"
 )
 
-// The division phase is written as three streaming sinks — boundsPicker,
-// router, edgeSplitter — each consuming one record at a time, so the same
-// per-record logic serves every level: nodes below the root feed them from
-// their sorted files (route, chooseBounds, splitEdges below), and the fused
-// root feeds them straight from the sort's final merge (divideFused), which
-// is what makes the root divide exactly as it would over sorted files.
+// The division step (§5.2.1) is one function, divide, run at every
+// recursion level. It reads the node through two extsort.Mergers, one over
+// its y-sorted events and one over its x-sorted edge values, and feeds
+// three streaming sinks that each consume one record at a time:
+// boundsPicker, router and edgeSplitter. At the root the mergers hold the
+// root sorts' final-level runs (divideFused), so the sorted root files are
+// never written. Below the root each merger holds the node's one sorted
+// file, a one-run merge that reads the file once per pass. Either way each
+// sink sees exactly the record sequence a sorted file would give it.
 
 // divisionFanout returns the slab fan-out m for one division step. For
 // pathologically small memories an auto-selected fan-out below 4 cannot
@@ -86,34 +87,6 @@ func (bp *boundsPicker) finish() []float64 {
 		return []float64{bp.minInterior}
 	}
 	return bp.bounds
-}
-
-// chooseBounds reads the node's x-sorted edge-value file once and returns
-// the boundary values via a boundsPicker.
-func (s *task) chooseBounds(n node) ([]float64, error) {
-	total := em.RecordCount(n.edges, rec.Float64Codec{}.Size())
-	if total == 0 {
-		return nil, nil
-	}
-	bp := newBoundsPicker(s.divisionFanout(), total, n.slab)
-	rr, err := em.NewRecordReader(n.edges, rec.Float64Codec{})
-	if err != nil {
-		return nil, err
-	}
-	batch := make([]float64, edgeBatch)
-	for bp.i < total {
-		k, err := rr.ReadBatch(batch)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return nil, err
-		}
-		if k == 0 {
-			return nil, fmt.Errorf("core: edge file ended at %d of %d values", bp.i, total)
-		}
-		for _, v := range batch[:k] {
-			bp.add(v)
-		}
-	}
-	return bp.finish(), nil
 }
 
 // slabLo returns the low x-boundary of child i under bounds within slab.
@@ -273,47 +246,6 @@ func (rt *router) abort() {
 	_ = rt.spanning.Release()
 }
 
-// route performs the division phase over the node's y-sorted event file,
-// returning the child nodes (with their split edge files) and the spanning
-// file. On error every partial output file is released.
-func (s *task) route(n node, bounds []float64) (_ []node, _ *em.File, err error) {
-	rt, err := s.newRouter(bounds, n.slab)
-	if err != nil {
-		return nil, nil, err
-	}
-	rr, err := em.NewRecordReader(n.events, rec.PieceEventCodec{})
-	if err != nil {
-		rt.abort()
-		return nil, nil, err
-	}
-	batch := make([]rec.PieceEvent, eventBatch)
-	for {
-		k, rerr := rr.ReadBatch(batch)
-		for _, e := range batch[:k] {
-			if err := rt.add(e); err != nil {
-				rt.abort()
-				return nil, nil, err
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			rt.abort()
-			return nil, nil, rerr
-		}
-	}
-	if err := rt.finish(); err != nil {
-		return nil, nil, err
-	}
-	childEdges, err := s.splitEdges(n, bounds, rt.nLow, rt.nHigh)
-	if err != nil {
-		rt.abort()
-		return nil, nil, err
-	}
-	return assembleChildren(rt, childEdges, n.slab), rt.spanning, nil
-}
-
 // assembleChildren zips the router's event files with the split edge files
 // into child nodes.
 func assembleChildren(rt *router, childEdges []*em.File, slab geom.Interval) []node {
@@ -417,48 +349,85 @@ func (es *edgeSplitter) abort() {
 	}
 }
 
-// splitEdges streams the node's x-sorted edge-value file through an
-// edgeSplitter. On error every partial output file is released.
-func (s *task) splitEdges(n node, bounds []float64, nLow, nHigh []int64) ([]*em.File, error) {
-	es, err := s.newEdgeSplitter(bounds, n.slab, nLow, nHigh)
-	if err != nil {
-		return nil, err
+// divide is the division step of Algorithm 2 (§5.2.1) for a node whose
+// events and edge values are the sorted streams of evm and edm; countX is
+// the number of edge values. The edges merge is replayed into the bounds
+// picker, the events merge feeds the router and is released, and the edges
+// merge is replayed again into the edge splitter. It returns the slab
+// bounds, the child nodes and the spanning file R′, and consumes both
+// merges on every path; on error every partial output is released too.
+func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[float64], countX int64, slab geom.Interval) (_ []float64, _ []node, _ *em.File, err error) {
+	defer func() {
+		if err != nil {
+			_ = evm.Release()
+			_ = edm.Release()
+		}
+	}()
+	bp := newBoundsPicker(s.divisionFanout(), countX, slab)
+	if err := edm.MergeInto(func(v float64) error { bp.add(v); return nil }); err != nil {
+		return nil, nil, nil, err
 	}
-	rr, err := em.NewRecordReader(n.edges, rec.Float64Codec{})
+	if bp.i != countX {
+		return nil, nil, nil, fmt.Errorf("core: edge merge gave %d of %d values", bp.i, countX)
+	}
+	bounds := bp.finish()
+	if len(bounds) == 0 {
+		// No usable split point: every edge value sits on the slab border,
+		// which would mean every piece spans the slab — impossible, because
+		// the parent diverts such pieces to R′ and the root's border is
+		// infinite. Tripwire.
+		return nil, nil, nil, fmt.Errorf("%w: no interior boundary in slab %v", ErrNoProgress, slab)
+	}
+
+	rt, err := s.newRouter(bounds, slab)
 	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := evm.MergeInto(rt.add); err != nil {
+		rt.abort()
+		return nil, nil, nil, err
+	}
+	if err := rt.finish(); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := evm.Release(); err != nil {
+		rt.abort()
+		return nil, nil, nil, err
+	}
+
+	es, err := s.newEdgeSplitter(bounds, slab, rt.nLow, rt.nHigh)
+	if err != nil {
+		rt.abort()
+		return nil, nil, nil, err
+	}
+	if err := edm.MergeInto(es.add); err != nil {
+		rt.abort()
 		es.abort()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	batch := make([]float64, edgeBatch)
-	for {
-		k, rerr := rr.ReadBatch(batch)
-		for _, v := range batch[:k] {
-			if err := es.add(v); err != nil {
-				es.abort()
-				return nil, err
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			es.abort()
-			return nil, rerr
-		}
+	childEdges, err := es.finish()
+	if err != nil {
+		rt.abort()
+		return nil, nil, nil, err
 	}
-	return es.finish()
+	if err := edm.Release(); err != nil {
+		rt.abort()
+		for _, f := range childEdges {
+			_ = f.Release()
+		}
+		return nil, nil, nil, err
+	}
+	return bounds, assembleChildren(rt, childEdges, slab), rt.spanning, nil
 }
 
 // divideFused is the root division driven straight off the final merge of
-// the two root sorts (merge→divide fusion, DESIGN.md §8). The sorted root
-// event and edge files are never written or re-read: the events merge
-// feeds the router directly, and the edges merge is replayed twice — once
-// into the boundsPicker, once into the edgeSplitter — at the cost of
-// re-reading the final merge level, which is never more expensive than the
-// write+read+read of the sorted edge file it replaces. Every record
-// reaches each sink in exactly the order it would be read from sorted
-// root files, so the children, the recursion below them, and the result
-// are bit-identical to the materializing reference of the core tests.
+// the two root sorts (merge→divide fusion, DESIGN.md §8): both sorts stop
+// one level early and divide reads their final-level runs, so the sorted
+// root event and edge files are never written or re-read. Replaying the
+// edges merge twice re-reads the final merge level, which is never more
+// expensive than the write+read+read of the sorted edge file it replaces.
+// The children, the recursion below them, and the result are bit-identical
+// to the materializing reference of the core tests.
 func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (_ *em.File, err error) {
 	count, countX := evb.Count(), edb.Count()
 	evRuns, err := evb.Finish()
@@ -467,77 +436,24 @@ func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort
 		return nil, err
 	}
 	evm := extsort.NewMerger(s.env, evRuns, rec.PieceEventCodec{}, lessEventY, s.par)
-	defer func() {
-		if err != nil {
-			_ = evm.Release()
-		}
-	}()
 	edRuns, err := edb.Finish()
 	if err != nil {
+		_ = evm.Release()
 		return nil, err
 	}
 	edm := extsort.NewMerger(s.env, edRuns, rec.Float64Codec{}, lessFloat64, s.par)
-	defer func() {
-		if err != nil {
-			_ = edm.Release()
-		}
-	}()
 	if err := evm.Reduce(); err != nil {
+		_ = edm.Release()
 		return nil, err
 	}
 	if err := edm.Reduce(); err != nil {
+		_ = evm.Release()
 		return nil, err
 	}
-
 	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-	bp := newBoundsPicker(s.divisionFanout(), countX, slab)
-	if err := edm.MergeInto(func(v float64) error { bp.add(v); return nil }); err != nil {
-		return nil, err
-	}
-	bounds := bp.finish()
-	if len(bounds) == 0 {
-		// See solve: every edge value on the (infinite) root border is
-		// impossible for finite inputs. Tripwire.
-		return nil, fmt.Errorf("%w: no interior boundary in slab %v", ErrNoProgress, slab)
-	}
-
-	rt, err := s.newRouter(bounds, slab)
+	bounds, children, spanning, err := s.divide(evm, edm, countX, slab)
 	if err != nil {
 		return nil, err
 	}
-	if err := evm.MergeInto(rt.add); err != nil {
-		rt.abort()
-		return nil, err
-	}
-	if err := rt.finish(); err != nil {
-		return nil, err
-	}
-	if err := evm.Release(); err != nil {
-		rt.abort()
-		return nil, err
-	}
-
-	es, err := s.newEdgeSplitter(bounds, slab, rt.nLow, rt.nHigh)
-	if err != nil {
-		rt.abort()
-		return nil, err
-	}
-	if err := edm.MergeInto(es.add); err != nil {
-		rt.abort()
-		es.abort()
-		return nil, err
-	}
-	childEdges, err := es.finish()
-	if err != nil {
-		rt.abort()
-		return nil, err
-	}
-	if err := edm.Release(); err != nil {
-		rt.abort()
-		for _, f := range childEdges {
-			_ = f.Release()
-		}
-		return nil, err
-	}
-	return s.conquer(assembleChildren(rt, childEdges, slab), rt.spanning, bounds, slab, count, 0)
+	return s.conquer(children, spanning, bounds, slab, count, 0)
 }

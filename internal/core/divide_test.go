@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"maxrs/internal/em"
+	"maxrs/internal/extsort"
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
 )
@@ -23,15 +27,27 @@ func randRectsForDivide(rng *rand.Rand, n int) []rec.WRect {
 	return rects
 }
 
+// divideNode runs the division step on a node's sorted files, read as
+// one-run merges exactly as solve reads them. The node's files are
+// consumed.
+func divideNode(tb testing.TB, s *task, n node) ([]float64, []node, *em.File) {
+	tb.Helper()
+	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, s.par)
+	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, s.par)
+	bounds, children, spanning, err := s.divide(evm, edm, em.RecordCount(n.edges, rec.Float64Codec{}.Size()), n.slab)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bounds, children, spanning
+}
+
 func TestChooseBoundsProperties(t *testing.T) {
 	env := em.MustNewEnv(128, 1024)
-	s := mustSolver(t, env, Config{})
+	s := mustSolver(t, env, Config{}).task(nil, nil)
 	rng := rand.New(rand.NewSource(50))
-	n := sortedRoot(t, s.task(nil, nil), randRectsForDivide(rng, 100))
-	bounds, err := s.task(nil, nil).chooseBounds(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := sortedRoot(t, s, randRectsForDivide(rng, 100))
+	bounds, children, spanning := divideNode(t, s, n)
+	defer releaseDivision(children, spanning)
 	if len(bounds) == 0 {
 		t.Fatal("no bounds chosen for a 100-rect node")
 	}
@@ -51,18 +67,142 @@ func TestChooseBoundsProperties(t *testing.T) {
 	}
 }
 
+// TestChooseBoundsEmptyEdgeFile: a picker that consumes no values picks
+// no bounds, and divide turns that into ErrNoProgress with both merges
+// released.
 func TestChooseBoundsEmptyEdgeFile(t *testing.T) {
-	env := em.MustNewEnv(128, 1024)
-	s := mustSolver(t, env, Config{})
-	empty := em.NewFile(env.Disk)
-	n := node{events: em.NewFile(env.Disk), edges: empty,
-		slab: geom.Interval{Lo: 0, Hi: 10}}
-	bounds, err := s.task(nil, nil).chooseBounds(n)
-	if err != nil {
-		t.Fatal(err)
+	slab := geom.Interval{Lo: 0, Hi: 10}
+	if bounds := newBoundsPicker(4, 0, slab).finish(); bounds != nil {
+		t.Fatalf("bounds for no values: %v", bounds)
 	}
-	if bounds != nil {
-		t.Fatalf("bounds for empty node: %v", bounds)
+	env := em.MustNewEnv(128, 1024)
+	s := mustSolver(t, env, Config{}).task(nil, nil)
+	evm := extsort.NewMerger(s.env, []*em.File{s.env.NewFile()}, rec.PieceEventCodec{}, lessEventY, 1)
+	edm := extsort.NewMerger(s.env, []*em.File{s.env.NewFile()}, rec.Float64Codec{}, lessFloat64, 1)
+	if _, _, _, err := s.divide(evm, edm, 0, slab); !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("want ErrNoProgress, got %v", err)
+	}
+	if evm.Runs() != 0 || edm.Runs() != 0 {
+		t.Fatalf("merges not consumed: %d and %d runs left", evm.Runs(), edm.Runs())
+	}
+	if n := env.Disk.InUse(); n != 0 {
+		t.Fatalf("%d blocks still in use", n)
+	}
+}
+
+// releaseDivision frees a division's outputs.
+func releaseDivision(children []node, spanning *em.File) {
+	for _, c := range children {
+		c.release()
+	}
+	_ = spanning.Release()
+}
+
+// fileBytes returns a file's record bytes.
+func fileBytes(tb testing.TB, f *em.File) []byte {
+	tb.Helper()
+	b, err := io.ReadAll(f.NewReader())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestRootDivisionMatchesNodeDivision pins the one division step to
+// itself across its two feeds: divide over the reduced multi-run merges
+// of the root sorts (as divideFused runs it) and divide over the one-run
+// merges of the sorted root files (as solve runs it) must pick the same
+// bounds and write byte-identical child event, child edge and spanning
+// files.
+func TestRootDivisionMatchesNodeDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	rects := randRectsForDivide(rng, 300)
+	for _, p := range []int{1, 4} {
+		env := em.MustNewEnv(128, 2048)
+		s := mustSolver(t, env, Config{Parallelism: p}).task(nil, nil)
+
+		events, edges, _, err := s.buildInput(sliceRects(rects))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edb, err := extsort.NewRunBuilder(s.env, rec.Float64Codec{}, lessFloat64, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := em.ReadAll(events, rec.PieceEventCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, err := em.ReadAll(edges, rec.Float64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = events.Release()
+		_ = edges.Release()
+		for _, e := range evs {
+			if err := evb.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, x := range xs {
+			if err := edb.Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evRuns, err := evb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edRuns, err := edb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		evm := extsort.NewMerger(s.env, evRuns, rec.PieceEventCodec{}, lessEventY, p)
+		edm := extsort.NewMerger(s.env, edRuns, rec.Float64Codec{}, lessFloat64, p)
+		if err := evm.Reduce(); err != nil {
+			t.Fatal(err)
+		}
+		if err := edm.Reduce(); err != nil {
+			t.Fatal(err)
+		}
+		if evm.Runs() < 3 || edm.Runs() < 3 {
+			t.Fatalf("p=%d: root merges have %d and %d runs, want ≥ 3 each", p, evm.Runs(), edm.Runs())
+		}
+		slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+		rootBounds, rootChildren, rootSpanning, err := s.divide(evm, edm, int64(len(xs)), slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		nodeBounds, nodeChildren, nodeSpanning := divideNode(t, s, sortedRoot(t, s, rects))
+		if !slices.Equal(rootBounds, nodeBounds) {
+			t.Fatalf("p=%d: root bounds %v, node bounds %v", p, rootBounds, nodeBounds)
+		}
+		for i := range rootChildren {
+			rc, nc := rootChildren[i], nodeChildren[i]
+			if rc.slab != nc.slab || rc.count != nc.count {
+				t.Fatalf("p=%d: child %d is %v/%d from the root merges, %v/%d from the sorted files",
+					p, i, rc.slab, rc.count, nc.slab, nc.count)
+			}
+			if !bytes.Equal(fileBytes(t, rc.events), fileBytes(t, nc.events)) {
+				t.Fatalf("p=%d: child %d event files differ", p, i)
+			}
+			if !bytes.Equal(fileBytes(t, rc.edges), fileBytes(t, nc.edges)) {
+				t.Fatalf("p=%d: child %d edge files differ", p, i)
+			}
+		}
+		if !bytes.Equal(fileBytes(t, rootSpanning), fileBytes(t, nodeSpanning)) {
+			t.Fatalf("p=%d: spanning files differ", p)
+		}
+		releaseDivision(rootChildren, rootSpanning)
+		releaseDivision(nodeChildren, nodeSpanning)
+		if n := env.Disk.InUse(); n != 0 {
+			t.Fatalf("p=%d: %d blocks still in use", p, n)
+		}
 	}
 }
 
@@ -75,14 +215,8 @@ func TestRouteInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	rects := randRectsForDivide(rng, 200)
 	n := sortedRoot(t, s.task(nil, nil), rects)
-	bounds, err := s.task(nil, nil).chooseBounds(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	children, spanning, err := s.task(nil, nil).route(n, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bounds, children, spanning := divideNode(t, s.task(nil, nil), n)
+	defer releaseDivision(children, spanning)
 	if len(children) != len(bounds)+1 {
 		t.Fatalf("children = %d, want %d", len(children), len(bounds)+1)
 	}

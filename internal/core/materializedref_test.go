@@ -111,14 +111,19 @@ func materializedRoot(tb testing.TB, s *task, next func() (rec.WRect, error)) no
 // of the division and merge.
 func sortedRoot(tb testing.TB, s *task, rects []rec.WRect) node {
 	tb.Helper()
+	return materializedRoot(tb, s, sliceRects(rects))
+}
+
+// sliceRects returns a rectangle source over rects.
+func sliceRects(rects []rec.WRect) func() (rec.WRect, error) {
 	i := 0
-	return materializedRoot(tb, s, func() (rec.WRect, error) {
+	return func() (rec.WRect, error) {
 		if i == len(rects) {
 			return rec.WRect{}, io.EOF
 		}
 		i++
 		return rects[i-1], nil
-	})
+	}
 }
 
 // solveMaterialized is SolveObjects on the materializing root pipeline:

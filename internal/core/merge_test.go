@@ -391,15 +391,7 @@ func (s *task) solveRef(tb testing.TB, n node, scratch *scratchList) *em.File {
 		}
 		return out
 	}
-	bounds, err := s.chooseBounds(n)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	children, spanning, err := s.route(n, bounds)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	n.release()
+	bounds, children, spanning := divideNode(tb, s, n)
 	slabFiles := make([]*em.File, len(children))
 	sub := new(scratchList)
 	for i, c := range children {
@@ -587,15 +579,7 @@ func BenchmarkMergeSweep(b *testing.B) {
 				rects[i] = rec.FromObject(o, 1e4, 1e4)
 			}
 			root := sortedRoot(b, s, rects)
-			bounds, err := s.chooseBounds(root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			children, spanning, err := s.route(root, bounds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			root.release()
+			bounds, children, spanning := divideNode(b, s, root)
 			slabFiles, errs := s.solveChildren(children, 1)
 			if err := errors.Join(errs...); err != nil {
 				b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -409,5 +410,37 @@ func TestWireChecksumRoundTrip(t *testing.T) {
 	rbody[0] ^= 0xA5
 	if _, err := decodeReply(h, rbody); err == nil || !em.IsTransient(err) {
 		t.Fatalf("damaged reply: err = %v, want transient", err)
+	}
+}
+
+// TestReplyCarriesNonFiniteFloats: a shard whose optimum is unbounded, or
+// whose sum overflowed, still has a reply. ±Inf and NaN cross the wire
+// and come back bit for bit, and finite values keep their plain JSON
+// number form.
+func TestReplyCarriesNonFiniteFloats(t *testing.T) {
+	inf := math.Inf(1)
+	reply := SolveReply{
+		Sum:    math.NaN(),
+		Region: geom.Rect{X: geom.Interval{Lo: -inf, Hi: 2.5}, Y: geom.Interval{Lo: -0.5, Hi: inf}},
+		Reads:  3,
+		Writes: 4,
+	}
+	body, err := json.Marshal(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"sum":"NaN","region":{"X":{"Lo":"-Inf","Hi":2.5},"Y":{"Lo":-0.5,"Hi":"+Inf"}},"reads":3,"writes":4}`
+	if string(body) != want {
+		t.Fatalf("wire form %s, want %s", body, want)
+	}
+	got, err := decodeReply(http.Header{}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(got.Sum) || got.Region != reply.Region || got.Reads != 3 || got.Writes != 4 {
+		t.Fatalf("round trip %+v, want %+v", got, reply)
+	}
+	if _, err := decodeReply(http.Header{}, []byte(`{"sum":"7"}`)); err == nil {
+		t.Fatal(`"7" decoded as a sum; only +Inf, -Inf and NaN travel as strings`)
 	}
 }

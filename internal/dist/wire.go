@@ -29,7 +29,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 
 	"maxrs/internal/geom"
 	"maxrs/internal/sweep"
@@ -72,6 +74,76 @@ type SolveReply struct {
 
 // Result converts the reply to the sweep result the merge consumes.
 func (r SolveReply) Result() sweep.Result { return sweep.Result{Region: r.Region, Sum: r.Sum} }
+
+// replyWire is SolveReply's JSON form. A shard's optimum can be
+// unbounded (an empty shard, or one whose best strip runs to infinity),
+// and its sum can overflow, so every float travels as a wireFloat.
+type replyWire struct {
+	Sum    wireFloat `json:"sum"`
+	Region struct {
+		X, Y struct{ Lo, Hi wireFloat }
+	} `json:"region"`
+	Reads  uint64 `json:"reads"`
+	Writes uint64 `json:"writes"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r SolveReply) MarshalJSON() ([]byte, error) {
+	var w replyWire
+	w.Sum, w.Reads, w.Writes = wireFloat(r.Sum), r.Reads, r.Writes
+	w.Region.X.Lo, w.Region.X.Hi = wireFloat(r.Region.X.Lo), wireFloat(r.Region.X.Hi)
+	w.Region.Y.Lo, w.Region.Y.Hi = wireFloat(r.Region.Y.Lo), wireFloat(r.Region.Y.Hi)
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *SolveReply) UnmarshalJSON(b []byte) error {
+	var w replyWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*r = SolveReply{
+		Sum: float64(w.Sum),
+		Region: geom.Rect{
+			X: geom.Interval{Lo: float64(w.Region.X.Lo), Hi: float64(w.Region.X.Hi)},
+			Y: geom.Interval{Lo: float64(w.Region.Y.Lo), Hi: float64(w.Region.Y.Hi)},
+		},
+		Reads:  w.Reads,
+		Writes: w.Writes,
+	}
+	return nil
+}
+
+// wireFloat is a float64 whose JSON form also carries the values a JSON
+// number cannot: ±Inf and NaN travel as the strings "+Inf", "-Inf" and
+// "NaN". Finite values stay plain numbers.
+type wireFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f wireFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *wireFloat) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(f))
+	}
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(math.IsInf(v, 0) || math.IsNaN(v)) {
+		return fmt.Errorf("dist: %q is not +Inf, -Inf or NaN", s)
+	}
+	*f = wireFloat(v)
+	return nil
+}
 
 // ErrBadChecksum marks a message body that failed ChecksumHeader
 // verification — in-flight damage, not a malformed message. Receivers

@@ -156,6 +156,13 @@ func (d *Disk) Close() error {
 // Alloc reserves a zeroed block and returns its id. Allocation itself is
 // free; the transfer is charged when the block is read or written.
 func (d *Disk) Alloc() BlockID {
+	id, _ := d.allocGen()
+	return id
+}
+
+// allocGen is Alloc plus the block's current free generation — the token
+// every block write presents to writeBlockGen.
+func (d *Disk) allocGen() (BlockID, uint32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var id BlockID
@@ -175,7 +182,7 @@ func (d *Disk) Alloc() BlockID {
 	}
 	d.live[id] = true
 	d.liveCount.Add(1)
-	return id
+	return id, d.gen[id]
 }
 
 // Free releases a block. Freeing is free of transfer cost.
@@ -265,38 +272,21 @@ func (d *Disk) readBlockOnce(id BlockID, dst []byte) error {
 // RetryPolicy; permanent faults surface wrapping ErrIOFault. The page has
 // no record layout, so it is stored uncompressed under any codec family.
 func (d *Disk) WriteBlock(id BlockID, src []byte) error {
-	return d.writeBlockCtx(nil, id, src, 0)
-}
-
-// writeBlockCtx is WriteBlock with the retry backoff bound to ctx (see
-// readBlockCtx) and the record size of the stream writing src, which
-// picks the block's codec (0 = no record layout).
-func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte, recSize int) error {
-	err := d.writeBlockOnce(id, src, recSize)
-	if err == nil {
-		return nil
+	g, err := d.genOf(id)
+	if err != nil {
+		return err
 	}
-	return d.retrySlow(ctx, id, &d.writeRetries, err, func() error { return d.writeBlockOnce(id, src, recSize) })
+	return d.writeBlockGen(nil, id, g, src, 0)
 }
 
-// writeBlockOnce performs one write attempt. The slot header records the
-// CRC32C of the content the caller intended — a torn write that persists
-// damaged bytes is caught by the next read's verification, which is the
-// point.
-func (d *Disk) writeBlockOnce(id BlockID, src []byte, recSize int) error {
+// genOf returns live block id's current free generation.
+func (d *Disk) genOf(id BlockID) (uint32, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if err := d.checkLocked(id); err != nil {
-		return err
+		return 0, err
 	}
-	if len(src) > d.blockSize {
-		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
-	}
-	if err := d.store.write(id, src, recSize); err != nil {
-		return err
-	}
-	d.writes.Add(1)
-	return nil
+	return d.gen[id], nil
 }
 
 // retryPolicy snapshots the current policy (zero value = never retry).
@@ -352,22 +342,16 @@ func (d *Disk) FaultStats() FaultStats {
 	return fs
 }
 
-// allocGen is Alloc plus the block's current free generation — the token
-// a background write-behind must present to writeBlockGen.
-func (d *Disk) allocGen() (BlockID, uint32) {
-	id := d.Alloc()
-	d.mu.RLock()
-	g := d.gen[id]
-	d.mu.RUnlock()
-	return id, g
-}
-
-// writeBlockGen is WriteBlock gated on the free generation captured at
-// allocation: a stale background write — its block freed, and possibly
-// reallocated to a new owner, after the write was launched — is rejected
-// under the same read lock that excludes Free, so it can never land on
-// another file's data. Retries follow the disk's policy, with the
-// generation revalidated on every attempt.
+// writeBlockGen is the one block-write path: one write transfer of src
+// into block id, gated on the free generation g the caller captured (at
+// allocation, or under the lock in WriteBlock). A stale background write —
+// its block freed, and possibly reallocated to a new owner, after the
+// write was launched — is rejected under the same read lock that excludes
+// Free, so it can never land on another file's data. recSize is the
+// record size of the stream writing src, which picks the block's codec (0
+// = no record layout). Retries follow the disk's policy, backing off under
+// ctx (a nil ctx never cancels), with the generation revalidated on every
+// attempt.
 func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []byte, recSize int) error {
 	err := d.writeBlockGenOnce(id, g, src, recSize)
 	if err == nil {
@@ -376,6 +360,11 @@ func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []by
 	return d.retrySlow(ctx, id, &d.writeRetries, err, func() error { return d.writeBlockGenOnce(id, g, src, recSize) })
 }
 
+// writeBlockGenOnce performs one write attempt. The slot header records
+// the CRC32C of the content the caller intended — a torn write that
+// persists damaged bytes is caught by the next read's verification, which
+// is the point. The read lock is held across the store access, as in
+// readBlockOnce.
 func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte, recSize int) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -140,9 +140,9 @@ func (w *Writer) flush() error {
 	if err := w.awaitWrite(); err != nil {
 		return err
 	}
+	id, gen := w.file.disk.allocGen()
 	if w.wb == nil {
-		id := w.file.disk.Alloc()
-		if err := w.file.disk.writeBlockCtx(w.ctx, id, w.buf[:w.n], w.recSize); err != nil {
+		if err := w.file.disk.writeBlockGen(w.ctx, id, gen, w.buf[:w.n], w.recSize); err != nil {
 			// The block is not yet part of the file — freeing it here is
 			// the only chance to reclaim it (Release won't see it).
 			return errors.Join(err, w.file.disk.Free(id))
@@ -153,7 +153,6 @@ func (w *Writer) flush() error {
 		w.n = 0
 		return nil
 	}
-	id, gen := w.file.disk.allocGen()
 	full := w.buf[:w.n]
 	w.buf, w.wb.spare = w.wb.spare, w.buf
 	w.wb.inflight = true

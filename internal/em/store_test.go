@@ -68,7 +68,11 @@ func layoutWriter(t testing.TB, f *File, recSize int) *Writer {
 // writeLayoutBlock writes src to block id as a block of a 24-byte record
 // stream, the way a RecordWriter's flush does.
 func writeLayoutBlock(d *Disk, id BlockID, src []byte) error {
-	return d.writeBlockCtx(nil, id, src, 24)
+	g, err := d.genOf(id)
+	if err != nil {
+		return err
+	}
+	return d.writeBlockGen(nil, id, g, src, 24)
 }
 
 func TestStoreDiskRoundTrip(t *testing.T) {

@@ -16,9 +16,12 @@
 // sorted runs directly — no unsorted input file is ever written or re-read
 // — and a Merger reduces runs to one final merge level and replays that
 // final merge into a caller sink via MergeInto, so the sorted output need
-// never be materialized either. SortP itself is RunBuilder + Merger with a
-// file reader on one end and a file writer on the other; the run boundaries
-// and the merge tree are identical however the halves are driven.
+// never be materialized either. SortP itself is the two halves with a
+// file reader on one end and a file writer on the other: run formation,
+// then Merger.Reduce, then one merge into the output file. The run
+// boundaries and the merge tree are identical however the halves are
+// driven. A Merger over one run is a sorted file read through the same
+// interface: Reduce does nothing, and each MergeInto reads the file once.
 package extsort
 
 import (
@@ -39,20 +42,36 @@ func Sort[T any](env em.Env, in *em.File, codec em.Codec[T], less func(a, b T) b
 }
 
 // SortP is Sort with up to parallelism worker goroutines (≤ 0 selects
-// GOMAXPROCS). The output file and the block-transfer counts are identical
-// for every parallelism value; only wall-clock time changes.
+// GOMAXPROCS). It is formRuns followed by a Merger: Reduce merges whole
+// levels down to at most fanIn runs, and one more merge writes them into
+// the output file (a single run is the output itself). The output file and
+// the block-transfer counts are identical for every parallelism value;
+// only wall-clock time changes.
 func SortP[T any](env em.Env, in *em.File, codec em.Codec[T], less func(a, b T) bool, parallelism int) (*em.File, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
 	}
 	runs, err := formRuns(env, in, codec, less, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return mergeRuns(env, runs, codec, less, true, parallelism)
+	m := NewMerger(env, runs, codec, less, parallelism)
+	if err := m.Reduce(); err != nil {
+		return nil, err
+	}
+	if len(m.runs) == 1 {
+		return m.runs[0], nil
+	}
+	out, err := mergeOnce(env, m.runs, codec, less)
+	if err != nil {
+		_ = m.Release()
+		return nil, err
+	}
+	if err := m.Release(); err != nil {
+		_ = out.Release()
+		return nil, err
+	}
+	return out, nil
 }
 
 // fanInOf returns the merge fan-in: all memory blocks minus one reserved
@@ -473,13 +492,13 @@ func formRuns[T any](env em.Env, in *em.File, codec em.Codec[T], less func(a, b 
 }
 
 // Merger owns a set of sorted runs and merges them down. Reduce collapses
-// whole merge levels — with the exact grouping of SortP — until at most
-// fanIn runs remain; MergeInto then replays the final merge into a caller
-// sink without writing the sorted output (merge→sink fusion, DESIGN.md
-// §8). MergeInto may be called repeatedly: each call costs one read pass
-// over the remaining runs, which lets a consumer that needs two passes
-// over the sorted stream (boundary selection, then distribution) trade
-// the eliminated write+read of the sorted file for a second run read.
+// whole merge levels until at most fanIn runs remain; MergeInto then
+// replays the final merge into a caller sink without writing the sorted
+// output (merge→sink fusion, DESIGN.md §8). MergeInto may be called
+// repeatedly: each call costs one read pass over the remaining runs, which
+// lets a consumer that needs two passes over the sorted stream (boundary
+// selection, then distribution) trade the eliminated write+read of the
+// sorted file for a second run read.
 type Merger[T any] struct {
 	env   em.Env
 	codec em.Codec[T]
@@ -501,8 +520,8 @@ func NewMerger[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(
 func (m *Merger[T]) Runs() int { return len(m.runs) }
 
 // Reduce merges levels until one final merge pass remains (≤ fanIn runs).
-// The grouping per level is identical to SortP's, so every transfer up to
-// — but excluding — the final merge matches SortP exactly.
+// SortP reduces through it too, so every transfer up to — but excluding —
+// the final merge matches SortP exactly. On error every run is released.
 func (m *Merger[T]) Reduce() error {
 	fanIn := fanInOf(m.env)
 	for len(m.runs) > fanIn {
@@ -510,7 +529,7 @@ func (m *Merger[T]) Reduce() error {
 			_ = m.Release()
 			return err
 		}
-		next, err := mergeLevel(m.env, m.runs, m.codec, m.less, true, m.par)
+		next, err := mergeLevel(m.env, m.runs, m.codec, m.less, m.par)
 		if err != nil {
 			m.runs = nil // mergeLevel released everything
 			return err
@@ -538,49 +557,12 @@ func (m *Merger[T]) Release() error {
 	return first
 }
 
-// mergeRuns repeatedly merges groups of up to fanIn runs until one remains.
-// If releaseInputs is true, merged-away runs are released. Groups of one
-// level are independent and run on up to parallelism goroutines. On error
-// every owned file — current-level inputs (when owned) and the partial
-// next level — is released; File.Release is idempotent, so runs a group
-// already freed are skipped for free.
-func mergeRuns[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(a, b T) bool, releaseInputs bool, parallelism int) (*em.File, error) {
-	fanIn := fanInOf(env)
-	for len(runs) > fanIn {
-		next, err := mergeLevel(env, runs, codec, less, releaseInputs, parallelism)
-		if err != nil {
-			return nil, err
-		}
-		runs = next
-		releaseInputs = true // intermediate levels are always ours to free
-	}
-	if len(runs) == 1 {
-		return runs[0], nil
-	}
-	out, err := mergeOnce(env, runs, codec, less)
-	if err != nil {
-		if releaseInputs {
-			for _, r := range runs {
-				_ = r.Release()
-			}
-		}
-		return nil, err
-	}
-	if releaseInputs {
-		for _, r := range runs {
-			if err := r.Release(); err != nil {
-				_ = out.Release()
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// mergeLevel merges one level of runs in groups of fanIn, releasing the
-// group inputs when release is set. On error everything owned — inputs
-// (when owned) and the partial next level — is released.
-func mergeLevel[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(a, b T) bool, release bool, parallelism int) ([]*em.File, error) {
+// mergeLevel merges one level of runs in groups of fanIn and releases the
+// merged-away inputs. Groups are independent and run on up to parallelism
+// goroutines. On error every input and the partial next level are
+// released; File.Release is idempotent, so runs a group already freed
+// are skipped for free.
+func mergeLevel[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(a, b T) bool, parallelism int) ([]*em.File, error) {
 	fanIn := fanInOf(env)
 	groups := (len(runs) + fanIn - 1) / fanIn
 	next := make([]*em.File, groups)
@@ -591,11 +573,9 @@ func mergeLevel[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func
 		if err != nil {
 			return err
 		}
-		if release {
-			for _, r := range runs[lo:hi] {
-				if err := r.Release(); err != nil {
-					return err
-				}
+		for _, r := range runs[lo:hi] {
+			if err := r.Release(); err != nil {
+				return err
 			}
 		}
 		next[g] = merged
@@ -607,10 +587,8 @@ func mergeLevel[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func
 				_ = f.Release()
 			}
 		}
-		if release {
-			for _, r := range runs {
-				_ = r.Release()
-			}
+		for _, r := range runs {
+			_ = r.Release()
 		}
 		return nil, err
 	}

@@ -381,9 +381,12 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 		return base()
 	}
 	if !rootFused {
-		s.c.Reads += edB // chooseBounds
-		s.c.Reads += evB // route
-		s.c.Reads += edB // splitEdges
+		// divide over the node's one-run merges: the edges into the
+		// bounds picker, the events into the router, the edges again
+		// into the edge splitter.
+		s.c.Reads += edB
+		s.c.Reads += evB
+		s.c.Reads += edB
 	}
 	nc := len(bounds) + 1
 	children := make([][]span, nc)
