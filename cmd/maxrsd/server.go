@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"maxrs"
+	"maxrs/internal/dist"
 )
 
 // server is the maxrsd serving layer: one shared concurrency-safe Engine,
@@ -293,16 +294,13 @@ func errStatus(err error) (int, string) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	// Marshal before writing the header: a value JSON cannot represent —
-	// e.g. a degenerate query whose optimal region is unbounded, making
-	// the location ±Inf — must surface as an error, not as a silent
+	// Marshal before writing the header: a value JSON cannot represent
+	// must surface as an error in the uniform envelope, not as a silent
 	// empty 200 (Encode-after-WriteHeader would fail mid-response).
 	data, err := json.Marshal(v)
 	if err != nil {
-		code = http.StatusInternalServerError
-		data, _ = json.Marshal(map[string]string{
-			"error": fmt.Sprintf("response not representable in JSON (degenerate result?): %v", err),
-		})
+		httpError(w, http.StatusInternalServerError, codeInternal, "response not representable in JSON: %v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -602,9 +600,14 @@ type queryRequest struct {
 	K        int     `json:"k"`        // topk
 }
 
+// pointJSON, rectJSON and queryResult.Score carry answers, which can be
+// non-finite: a dataset of only negative weights has an unbounded optimal
+// region of score 0, whose center is ±Inf or NaN, and a sum can overflow.
+// They travel as dist.Float, whose JSON form spells those values as
+// strings.
 type pointJSON struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
+	X dist.Float `json:"x"`
+	Y dist.Float `json:"y"`
 }
 
 type statsJSON struct {
@@ -681,15 +684,15 @@ func fromPlan(p maxrs.Plan) planJSON {
 
 // rectJSON is an axis-aligned region (of optimal center positions).
 type rectJSON struct {
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
+	MinX dist.Float `json:"min_x"`
+	MinY dist.Float `json:"min_y"`
+	MaxX dist.Float `json:"max_x"`
+	MaxY dist.Float `json:"max_y"`
 }
 
 type queryResult struct {
-	Location pointJSON `json:"location"`
-	Score    float64   `json:"score"`
+	Location pointJSON  `json:"location"`
+	Score    dist.Float `json:"score"`
 	// Region is the full set of optimal center positions (rectangle ops
 	// only).
 	Region *rectJSON `json:"region,omitempty"`
@@ -723,9 +726,9 @@ type queryResponse struct {
 func fromResult(r maxrs.Result) queryResult {
 	pl := fromPlan(r.Plan)
 	out := queryResult{
-		Location:       pointJSON{X: r.Location.X, Y: r.Location.Y},
-		Score:          r.Score,
-		Region:         &rectJSON{MinX: r.Region.MinX, MinY: r.Region.MinY, MaxX: r.Region.MaxX, MaxY: r.Region.MaxY},
+		Location:       pointJSON{X: dist.Float(r.Location.X), Y: dist.Float(r.Location.Y)},
+		Score:          dist.Float(r.Score),
+		Region:         &rectJSON{MinX: dist.Float(r.Region.MinX), MinY: dist.Float(r.Region.MinY), MaxX: dist.Float(r.Region.MaxX), MaxY: dist.Float(r.Region.MaxY)},
 		Stats:          statsJSON{Reads: r.Stats.Reads, Writes: r.Stats.Writes, Total: r.Stats.Total()},
 		Plan:           &pl,
 		FallbackReason: r.FallbackReason,
@@ -1071,8 +1074,8 @@ func (s *server) runQuery(ctx context.Context, entry *dsEntry, req queryRequest)
 		}
 		pl := fromPlan(res.Plan)
 		resp.Results = []queryResult{{
-			Location:       pointJSON{X: res.Location.X, Y: res.Location.Y},
-			Score:          res.Score,
+			Location:       pointJSON{X: dist.Float(res.Location.X), Y: dist.Float(res.Location.Y)},
+			Score:          dist.Float(res.Score),
 			Stats:          statsJSON{Reads: res.Stats.Reads, Writes: res.Stats.Writes, Total: res.Stats.Total()},
 			Plan:           &pl,
 			FallbackReason: res.FallbackReason,

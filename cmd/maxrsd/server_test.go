@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"maxrs"
+	"maxrs/internal/dist"
 )
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
@@ -215,7 +216,7 @@ func TestConcurrentClients(t *testing.T) {
 	putDataset(t, ts, "demo", testCSV)
 
 	// A reference answer per query size, computed sequentially.
-	want := make(map[int]float64)
+	want := make(map[int]dist.Float)
 	for size := 1; size <= 4; size++ {
 		code, qr := query(t, ts, fmt.Sprintf(`{"dataset":"demo","op":"maxrs","w":%d,"h":%d}`, size, size))
 		if code != http.StatusOK {

@@ -36,16 +36,20 @@
 //
 // # Pass fusion
 //
-// The two ends of the root pipeline are fused (DESIGN.md §8):
-// input records stream straight into sorted run formation
+// The root pipeline is fused at both ends (DESIGN.md §8). At the input
+// end, records stream straight into sorted run formation
 // (extsort.RunBuilder — no unsorted event/edge files are ever written or
 // re-read), and the final merge of each root sort streams straight into
 // the division sinks (extsort.Merger.MergeInto — no sorted root files are
-// ever written or re-read). This is the only root pipeline: the
-// materializing schedule it replaced (write the unsorted files, sort them
-// into new files, re-read those) survives only as the reference of the
-// package's fusion-equivalence tests, whose results it matches bit for
-// bit.
+// ever written or re-read). At the output end, the root's MergeSweep (or,
+// for a resident root, its sweep) streams its tuples straight into a
+// sweep.BestTracker, so the whole-space slab file is never written or
+// re-read either. Below the root, a child that fits in memory is a base
+// case, which never reads edge values, so the division gives it no edge
+// file. This is the only root pipeline: the materializing schedule it
+// replaced (write the unsorted files, sort them into new files, re-read
+// those) survives only as the reference of the package's
+// fusion-equivalence tests, whose results it matches bit for bit.
 package core
 
 import (
@@ -53,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 
@@ -188,10 +191,13 @@ func (s *Solver) capacity() int64 {
 	return int64(s.env.M / rec.PieceEventCodec{}.Size())
 }
 
+// fits reports whether a sub-problem of count events is a base case.
+func (s *Solver) fits(count int64) bool { return count <= s.capacity() }
+
 // node is one sub-problem of the recursion.
 type node struct {
 	events *em.File // piece events, sorted by y (2 per piece)
-	edges  *em.File // piece vertical-edge x values, sorted ascending
+	edges  *em.File // piece vertical-edge x values, sorted ascending; nil for a base case
 	slab   geom.Interval
 	count  int64 // number of event records
 }
@@ -252,45 +258,44 @@ func lessEventY(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }
 // lessFloat64 is the root edge-value sort order.
 func lessFloat64(a, b float64) bool { return a < b }
 
-// resultOfSlabFile extracts the answer from the whole-space slab file and
-// releases it on every path.
-func resultOfSlabFile(slabFile *em.File) (sweep.Result, error) {
-	defer slabFile.Release()
-	res, err := BestOfSlabFile(slabFile)
-	if err != nil {
-		return sweep.Result{}, err
-	}
-	if err := slabFile.Release(); err != nil {
-		return sweep.Result{}, err
-	}
-	return res, nil
-}
-
 // solveFused drains next() and solves the transformed problem on the
 // fused root pipeline (DESIGN.md §8): records stream straight into sorted
 // run formation — no unsorted event or edge file is ever written or
 // re-read — and, when the input exceeds memory, the root sorts' final
 // merges stream straight into the division (divideFused), so the sorted
-// root files are never materialized either. Every sink consumes the exact
-// record sequence a materialized sort would produce, so results match the
-// materializing reference of the fusion-equivalence tests bit for bit at
-// every Parallelism.
-func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err error) {
-	evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, s.par)
+// root files are never materialized either. The root's tuples stream into
+// a best-region tracker, so no whole-space slab file is written. Every
+// sink consumes the exact record sequence a materialized sort would
+// produce, so results match the materializing reference of the
+// fusion-equivalence tests bit for bit at every Parallelism.
+func (s *task) solveFused(next func() (rec.WRect, error)) (sweep.Result, error) {
+	evb, edb, err := s.rootRuns(next)
 	if err != nil {
 		return sweep.Result{}, err
+	}
+	if !s.fits(evb.Count()) {
+		return s.divideFused(evb, edb)
+	}
+	rects, err := residentRects(evb, edb)
+	if err != nil {
+		return sweep.Result{}, err
+	}
+	return sweep.MaxRSRects(rects), nil
+}
+
+// rootRuns drains next() into the root's two run builders: two piece
+// events and four edge values per non-degenerate rectangle. On error both
+// builders are discarded.
+func (s *task) rootRuns(next func() (rec.WRect, error)) (_ *extsort.RunBuilder[rec.PieceEvent], _ *extsort.RunBuilder[float64], err error) {
+	evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, s.par)
+	if err != nil {
+		return nil, nil, err
 	}
 	edb, err := extsort.NewRunBuilder(s.env, rec.Float64Codec{}, lessFloat64, s.par)
 	if err != nil {
 		evb.Discard()
-		return sweep.Result{}, err
+		return nil, nil, err
 	}
-	defer func() {
-		if err != nil {
-			evb.Discard()
-			edb.Discard()
-		}
-	}()
 	err = forEachRect(next, func(r rec.WRect) error {
 		bottom, top := rec.PieceEventsOf(r)
 		if err := evb.Add(bottom); err != nil {
@@ -313,36 +318,31 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 		return nil
 	})
 	if err != nil {
-		return sweep.Result{}, err
+		evb.Discard()
+		edb.Discard()
+		return nil, nil, err
 	}
-	var slabFile *em.File
-	if evb.Count() <= s.capacity() {
-		slabFile, err = s.baseCaseResident(evb, edb)
-	} else {
-		slabFile, err = s.divideFused(evb, edb)
-	}
-	if err != nil {
-		return sweep.Result{}, err
-	}
-	return resultOfSlabFile(slabFile)
+	return evb, edb, nil
 }
 
-// baseCaseResident handles a root problem that fits in memory. The event
-// run buffer cannot have spilled (capacity equals the events-per-run
-// bound, and the edge buffer is strictly smaller than its own), so the
-// resident events are swept without any event, edge, or sorted file ever
-// touching the disk. Only the bottom events are kept: they are compacted
-// to the front of the buffer, in order, and stable-sorted by Y1 with the
-// back half (the tops' old slots) as the sort's scratch. A stable sort
-// keeps the bottoms' relative order whether the tops are dropped before or
-// after it, so the sweep sees the rectangles in exactly the order of the
-// sorted run a materialized sort would produce, at half the sort length.
-func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
+// residentRects takes the rectangles of a root problem that fits in
+// memory out of the run builders. The event run buffer cannot have
+// spilled (capacity equals the events-per-run bound, and the edge buffer
+// is strictly smaller than its own), so no event, edge, or sorted file
+// ever touches the disk. Only the bottom events are kept: they are
+// compacted to the front of the buffer, in order, and stable-sorted by Y1
+// with the back half (the tops' old slots) as the sort's scratch. A
+// stable sort keeps the bottoms' relative order whether the tops are
+// dropped before or after it, so the sweep sees the rectangles in exactly
+// the order of the sorted run a materialized sort would produce, at half
+// the sort length.
+func residentRects(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) ([]rec.WRect, error) {
 	events, err := evb.Take()
+	edb.Discard()
 	if err != nil {
+		evb.Discard()
 		return nil, err
 	}
-	edb.Discard()
 	n := 0
 	for _, e := range events {
 		if !e.Top { // the bottom event carries the full geometry
@@ -355,8 +355,7 @@ func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *ex
 	for i, e := range events[:n] {
 		rects[i] = e.R
 	}
-	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-	return s.writeSlab(sweep.Slab(rects, slab))
+	return rects, nil
 }
 
 // forEachRect drains next() until io.EOF, passing every non-degenerate
@@ -382,16 +381,19 @@ func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) err
 // release frees the node's input files (best effort, for error paths).
 func (n node) release() {
 	_ = n.events.Release()
-	_ = n.edges.Release()
+	if n.edges != nil {
+		_ = n.edges.Release()
+	}
 }
 
-// solve is Algorithm 2: the base case, or divide, conquer and MergeSweep.
-// A node's sorted files are one-run merges, so divide reads them exactly as
-// it reads the root sorts' final merge level. The node's input files are
-// consumed on every path — success or error — as are all intermediates,
-// so a failed solve leaves no blocks allocated. A base case draws its
-// memory from scratch, the free list of the conquer that spawned the node.
-func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) {
+// solve is Algorithm 2: the base case, or divide, conquer and MergeSweep
+// into the node's slab file. A node's sorted files are one-run merges, so
+// divide reads them exactly as it reads the root sorts' final merge level.
+// The node's input files are consumed on every path — success or error —
+// as are all intermediates, so a failed solve leaves no blocks allocated.
+// A base case draws its memory from scratch, the free list of the conquer
+// that spawned the node.
+func (s *task) solve(n node, depth int, scratch *scratchList) (_ *em.File, err error) {
 	if depth > maxDepth {
 		n.release()
 		return nil, fmt.Errorf("%w: depth %d exceeded", ErrNoProgress, depth)
@@ -403,8 +405,19 @@ func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) 
 		n.release()
 		return nil, err
 	}
-	if n.count <= s.capacity() {
+	if s.fits(n.count) {
 		return s.baseCase(n, scratch)
+	}
+	out := s.env.NewFile()
+	defer func() {
+		if err != nil {
+			_ = out.Release()
+		}
+	}()
+	tw, err := em.NewRecordWriter(out, rec.TupleCodec{})
+	if err != nil {
+		n.release()
+		return nil, err
 	}
 	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, s.par)
 	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, s.par)
@@ -413,16 +426,23 @@ func (s *task) solve(n node, depth int, scratch *scratchList) (*em.File, error) 
 	if err != nil {
 		return nil, err
 	}
-	return s.conquer(children, spanning, bounds, n.slab, n.count, depth)
+	if err := s.conquer(children, spanning, bounds, n.slab, n.count, depth, tw.Write); err != nil {
+		return nil, err
+	}
+	if err := tw.Close(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // conquer solves the child nodes — in parallel where pool slots allow —
-// and MergeSweeps their slab files with the spanning file into the
-// parent's slab file. It consumes the children's input files and the
-// spanning file on every path; parentCount drives the progress tripwire.
-// Both the recursive divide (solve) and the fused root (divideFused) end
-// here.
-func (s *task) conquer(children []node, spanning *em.File, bounds []float64, slab geom.Interval, parentCount int64, depth int) (*em.File, error) {
+// and MergeSweeps their slab files with the spanning file, passing each
+// of the parent's tuples to emit. It consumes the children's input files
+// and the spanning file on every path; parentCount drives the progress
+// tripwire. Both the recursive divide (solve, whose emit writes the
+// node's slab file) and the fused root (divideFused, whose emit keeps the
+// best region) end here.
+func (s *task) conquer(children []node, spanning *em.File, bounds []float64, slab geom.Interval, parentCount int64, depth int, emit func(rec.Tuple) error) error {
 	releaseChildren := func() {
 		for _, c := range children {
 			c.release()
@@ -434,7 +454,7 @@ func (s *task) conquer(children []node, spanning *em.File, bounds []float64, sla
 	for i, c := range children {
 		if c.count >= parentCount {
 			releaseChildren()
-			return nil, fmt.Errorf("%w: child %d kept all %d events", ErrNoProgress, i, parentCount)
+			return fmt.Errorf("%w: child %d kept all %d events", ErrNoProgress, i, parentCount)
 		}
 	}
 	slabFiles, childErrs := s.solveChildren(children, depth)
@@ -451,26 +471,20 @@ func (s *task) conquer(children []node, spanning *em.File, bounds []float64, sla
 			// Each failed child consumed its own inputs; free the slab files
 			// of the children that succeeded.
 			releaseSlabs()
-			return nil, err
+			return err
 		}
 	}
-	out, err := s.mergeSweep(slabFiles, spanning, bounds, slab)
-	if err != nil {
+	if err := s.mergeSweep(slabFiles, spanning, bounds, slab, emit); err != nil {
 		releaseSlabs()
-		return nil, err
+		return err
 	}
 	for _, sf := range slabFiles {
 		if err := sf.Release(); err != nil {
 			releaseSlabs()
-			_ = out.Release()
-			return nil, err
+			return err
 		}
 	}
-	if err := spanning.Release(); err != nil {
-		_ = out.Release()
-		return nil, err
-	}
-	return out, nil
+	return spanning.Release()
 }
 
 // solveChildren solves the children of one node and returns their slab
@@ -540,7 +554,8 @@ func (l *scratchList) put(b *baseScratch) {
 // baseCase loads a memory-sized node and runs the in-memory plane sweep
 // (Algorithm 2 line 9), writing the node's slab file. Its rectangles,
 // read batch and sweep buffers come from scratch and go back to it once
-// the slab file is written. The node's input files are consumed on every
+// the slab file is written. A base case has no edge file: divide gives
+// none to a child that fits. The node's event file is consumed on every
 // path; on error the partial output is released too.
 func (s *task) baseCase(n node, scratch *scratchList) (_ *em.File, err error) {
 	defer func() {
@@ -585,9 +600,6 @@ func (s *task) baseCase(n node, scratch *scratchList) (_ *em.File, err error) {
 	if err := n.events.Release(); err != nil {
 		return nil, err
 	}
-	if err := n.edges.Release(); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -611,46 +623,4 @@ func (s *task) writeSlab(tuples []rec.Tuple) (_ *em.File, err error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// BestOfSlabFile streams a whole-space slab file and returns the
-// max-region: the strip of the best tuple, extended up to the next tuple's
-// h-line (§5.2.4, "we can find the max-region by comparing sum values of
-// tuples trivially").
-func BestOfSlabFile(slabFile *em.File) (sweep.Result, error) {
-	rr, err := em.NewRecordReader(slabFile, rec.TupleCodec{})
-	if err != nil {
-		return sweep.Result{}, err
-	}
-	best := sweep.Result{Region: geom.Rect{
-		X: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-		Y: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-	}}
-	first := true
-	havePending := false // best awaits its strip's top y (the next tuple's y)
-	for {
-		t, err := rr.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return sweep.Result{}, err
-		}
-		if havePending {
-			best.Region.Y.Hi = t.Y
-			havePending = false
-		}
-		if first || t.Sum > best.Sum {
-			best = sweep.Result{
-				Region: geom.Rect{
-					X: geom.Interval{Lo: t.X1, Hi: t.X2},
-					Y: geom.Interval{Lo: t.Y, Hi: math.Inf(1)},
-				},
-				Sum: t.Sum,
-			}
-			havePending = true
-			first = false
-		}
-	}
-	return best, nil
 }

@@ -355,31 +355,6 @@ func TestIOCostScaling(t *testing.T) {
 	}
 }
 
-func TestBestOfSlabFileStreaming(t *testing.T) {
-	env := em.MustNewEnv(128, 1024)
-	tuples := []rec.Tuple{
-		{Y: 0, X1: 0, X2: 10, Sum: 1},
-		{Y: 2, X1: 3, X2: 5, Sum: 4},
-		{Y: 5, X1: 0, X2: 10, Sum: 2},
-		{Y: 9, X1: 0, X2: 10, Sum: 0},
-	}
-	f, err := em.WriteAll(env.Disk, rec.TupleCodec{}, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BestOfSlabFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sum != 4 {
-		t.Fatalf("sum = %g, want 4", res.Sum)
-	}
-	r := res.Region
-	if r.X.Lo != 3 || r.X.Hi != 5 || r.Y.Lo != 2 || r.Y.Hi != 5 {
-		t.Fatalf("region = %v, want [3,5)x[2,5)", r)
-	}
-}
-
 func TestExactMaxRSLargeRealistic(t *testing.T) {
 	// A paper-shaped instance: 20k points in [0, 80k]^2, 1 MB-scaled
 	// memory, default-ratio query. Cross-validates the external solver at

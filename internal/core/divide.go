@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"maxrs/internal/em"
 	"maxrs/internal/extsort"
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
+	"maxrs/internal/sweep"
 )
 
 // The division step (§5.2.1) is one function, divide, run at every
@@ -19,7 +21,10 @@ import (
 // root sorts' final-level runs (divideFused), so the sorted root files are
 // never written. Below the root each merger holds the node's one sorted
 // file, a one-run merge that reads the file once per pass. Either way each
-// sink sees exactly the record sequence a sorted file would give it.
+// sink sees exactly the record sequence a sorted file would give it. Only
+// a child that divides again reads its edge values, so the splitter writes
+// edge files for those children alone, and runs not at all when every
+// child is a base case.
 
 // divisionFanout returns the slab fan-out m for one division step. For
 // pathologically small memories an auto-selected fan-out below 4 cannot
@@ -265,7 +270,9 @@ func assembleChildren(rt *router, childEdges []*em.File, slab geom.Interval) []n
 // sorted files: nLow[i] copies of the child's low bound (written up
 // front), then the parent values falling in the child's x-range, then
 // nHigh[i] copies of the high bound (written by finish). The splice keeps
-// each child's file sorted.
+// each child's file sorted. A child i with !divides[i] is a base case,
+// which never reads edge values: it gets no file, and its values are
+// dropped.
 type edgeSplitter struct {
 	bounds  []float64
 	slab    geom.Interval
@@ -274,9 +281,10 @@ type edgeSplitter struct {
 	nHigh   []int64
 }
 
-// newEdgeSplitter allocates the per-child edge files and writes the
-// low-bound prologue. On error every partial file is released.
-func (s *task) newEdgeSplitter(bounds []float64, slab geom.Interval, nLow, nHigh []int64) (_ *edgeSplitter, err error) {
+// newEdgeSplitter allocates the edge files of the children that divide and
+// writes their low-bound prologues. On error every partial file is
+// released.
+func (s *task) newEdgeSplitter(bounds []float64, slab geom.Interval, nLow, nHigh []int64, divides []bool) (_ *edgeSplitter, err error) {
 	nc := len(bounds) + 1
 	es := &edgeSplitter{
 		bounds:  bounds,
@@ -291,16 +299,19 @@ func (s *task) newEdgeSplitter(bounds []float64, slab geom.Interval, nLow, nHigh
 		}
 	}()
 	for i := range es.files {
+		lo := slabLo(slab, bounds, i)
+		if nLow[i] > 0 && math.IsInf(lo, 0) {
+			return nil, fmt.Errorf("core: %d clips at infinite bound %g", nLow[i], lo)
+		}
+		if !divides[i] {
+			continue
+		}
 		es.files[i] = s.env.NewFile()
 		w, err := em.NewRecordWriter(es.files[i], rec.Float64Codec{})
 		if err != nil {
 			return nil, err
 		}
 		es.writers[i] = w
-		lo := slabLo(slab, bounds, i)
-		if nLow[i] > 0 && math.IsInf(lo, 0) {
-			return nil, fmt.Errorf("core: %d clips at infinite bound %g", nLow[i], lo)
-		}
 		for k := int64(0); k < nLow[i]; k++ {
 			if err := w.Write(lo); err != nil {
 				return nil, err
@@ -312,7 +323,10 @@ func (s *task) newEdgeSplitter(bounds []float64, slab geom.Interval, nLow, nHigh
 
 // add routes one parent edge value (ascending order).
 func (es *edgeSplitter) add(v float64) error {
-	return es.writers[childOfPoint(es.bounds, v)].Write(v)
+	if w := es.writers[childOfPoint(es.bounds, v)]; w != nil {
+		return w.Write(v)
+	}
+	return nil
 }
 
 // finish writes the high-bound epilogues, seals the files and returns
@@ -327,6 +341,9 @@ func (es *edgeSplitter) finish() (_ []*em.File, err error) {
 		hi := slabHi(es.slab, es.bounds, i)
 		if es.nHigh[i] > 0 && math.IsInf(hi, 0) {
 			return nil, fmt.Errorf("core: %d clips at infinite bound %g", es.nHigh[i], hi)
+		}
+		if w == nil {
+			continue
 		}
 		for k := int64(0); k < es.nHigh[i]; k++ {
 			if err := w.Write(hi); err != nil {
@@ -353,9 +370,11 @@ func (es *edgeSplitter) abort() {
 // events and edge values are the sorted streams of evm and edm; countX is
 // the number of edge values. The edges merge is replayed into the bounds
 // picker, the events merge feeds the router and is released, and the edges
-// merge is replayed again into the edge splitter. It returns the slab
-// bounds, the child nodes and the spanning file R′, and consumes both
-// merges on every path; on error every partial output is released too.
+// merge is replayed again into the edge splitter — unless every child
+// fits in memory, since only a child that divides gets an edge file. It
+// returns the slab bounds, the child nodes and the spanning file R′, and
+// consumes both merges on every path; on error every partial output is
+// released too.
 func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[float64], countX int64, slab geom.Interval) (_ []float64, _ []node, _ *em.File, err error) {
 	defer func() {
 		if err != nil {
@@ -395,15 +414,21 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 		return nil, nil, nil, err
 	}
 
-	es, err := s.newEdgeSplitter(bounds, slab, rt.nLow, rt.nHigh)
+	divides := make([]bool, len(rt.counts))
+	for i, c := range rt.counts {
+		divides[i] = !s.fits(c)
+	}
+	es, err := s.newEdgeSplitter(bounds, slab, rt.nLow, rt.nHigh, divides)
 	if err != nil {
 		rt.abort()
 		return nil, nil, nil, err
 	}
-	if err := edm.MergeInto(es.add); err != nil {
-		rt.abort()
-		es.abort()
-		return nil, nil, nil, err
+	if slices.Contains(divides, true) {
+		if err := edm.MergeInto(es.add); err != nil {
+			rt.abort()
+			es.abort()
+			return nil, nil, nil, err
+		}
 	}
 	childEdges, err := es.finish()
 	if err != nil {
@@ -412,9 +437,7 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 	}
 	if err := edm.Release(); err != nil {
 		rt.abort()
-		for _, f := range childEdges {
-			_ = f.Release()
-		}
+		es.abort()
 		return nil, nil, nil, err
 	}
 	return bounds, assembleChildren(rt, childEdges, slab), rt.spanning, nil
@@ -426,34 +449,54 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 // root event and edge files are never written or re-read. Replaying the
 // edges merge twice re-reads the final merge level, which is never more
 // expensive than the write+read+read of the sorted edge file it replaces.
-// The children, the recursion below them, and the result are bit-identical
-// to the materializing reference of the core tests.
-func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (_ *em.File, err error) {
+// The root's MergeSweep streams into a best-region tracker (the output
+// end of the fusion), so the whole-space slab file is never written or
+// re-read. The children, the recursion below them, and the result are
+// bit-identical to the materializing reference of the core tests.
+func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (sweep.Result, error) {
 	count, countX := evb.Count(), edb.Count()
+	evm, edm, err := s.rootMerges(evb, edb)
+	if err != nil {
+		return sweep.Result{}, err
+	}
+	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+	bounds, children, spanning, err := s.divide(evm, edm, countX, slab)
+	if err != nil {
+		return sweep.Result{}, err
+	}
+	var best sweep.BestTracker
+	err = s.conquer(children, spanning, bounds, slab, count, 0, func(t rec.Tuple) error {
+		best.Add(t)
+		return nil
+	})
+	if err != nil {
+		return sweep.Result{}, err
+	}
+	return best.Result(), nil
+}
+
+// rootMerges finishes the root's run builders and reduces their runs to
+// the final merge level, consuming both builders on every path.
+func (s *task) rootMerges(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (_ *extsort.Merger[rec.PieceEvent], _ *extsort.Merger[float64], err error) {
 	evRuns, err := evb.Finish()
 	if err != nil {
 		edb.Discard()
-		return nil, err
+		return nil, nil, err
 	}
 	evm := extsort.NewMerger(s.env, evRuns, rec.PieceEventCodec{}, lessEventY, s.par)
 	edRuns, err := edb.Finish()
 	if err != nil {
 		_ = evm.Release()
-		return nil, err
+		return nil, nil, err
 	}
 	edm := extsort.NewMerger(s.env, edRuns, rec.Float64Codec{}, lessFloat64, s.par)
 	if err := evm.Reduce(); err != nil {
 		_ = edm.Release()
-		return nil, err
+		return nil, nil, err
 	}
 	if err := edm.Reduce(); err != nil {
 		_ = evm.Release()
-		return nil, err
+		return nil, nil, err
 	}
-	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-	bounds, children, spanning, err := s.divide(evm, edm, countX, slab)
-	if err != nil {
-		return nil, err
-	}
-	return s.conquer(children, spanning, bounds, slab, count, 0)
+	return evm, edm, nil
 }

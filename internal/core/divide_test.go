@@ -112,8 +112,9 @@ func fileBytes(tb testing.TB, f *em.File) []byte {
 // itself across its two feeds: divide over the reduced multi-run merges
 // of the root sorts (as divideFused runs it) and divide over the one-run
 // merges of the sorted root files (as solve runs it) must pick the same
-// bounds and write byte-identical child event, child edge and spanning
-// files.
+// bounds and write byte-identical child event and spanning files, and
+// byte-identical edge files for every child that divides. A child that
+// fits in memory is a base case and must get no edge file from either.
 func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	rects := randRectsForDivide(rng, 300)
@@ -182,6 +183,7 @@ func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 		if !slices.Equal(rootBounds, nodeBounds) {
 			t.Fatalf("p=%d: root bounds %v, node bounds %v", p, rootBounds, nodeBounds)
 		}
+		var bases, dividing int
 		for i := range rootChildren {
 			rc, nc := rootChildren[i], nodeChildren[i]
 			if rc.slab != nc.slab || rc.count != nc.count {
@@ -191,9 +193,23 @@ func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 			if !bytes.Equal(fileBytes(t, rc.events), fileBytes(t, nc.events)) {
 				t.Fatalf("p=%d: child %d event files differ", p, i)
 			}
+			if s.fits(rc.count) {
+				bases++
+				if rc.edges != nil || nc.edges != nil {
+					t.Fatalf("p=%d: base-case child %d (%d events) has an edge file", p, i, rc.count)
+				}
+				continue
+			}
+			dividing++
+			if rc.edges == nil || nc.edges == nil {
+				t.Fatalf("p=%d: dividing child %d (%d events) has no edge file", p, i, rc.count)
+			}
 			if !bytes.Equal(fileBytes(t, rc.edges), fileBytes(t, nc.edges)) {
 				t.Fatalf("p=%d: child %d edge files differ", p, i)
 			}
+		}
+		if bases == 0 || dividing == 0 {
+			t.Fatalf("p=%d: %d base-case and %d dividing children, want some of each", p, bases, dividing)
 		}
 		if !bytes.Equal(fileBytes(t, rootSpanning), fileBytes(t, nodeSpanning)) {
 			t.Fatalf("p=%d: spanning files differ", p)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -78,7 +79,8 @@ func (s *task) buildInput(next func() (rec.WRect, error)) (_, _ *em.File, _ int6
 
 // materializedRoot builds the root node of next's rectangles the
 // materializing way: buildInput's files, each sorted into a new file by
-// extsort.SortP and then released.
+// extsort.SortP and then released. A root that fits in memory keeps no
+// edge file, as no base case does.
 func materializedRoot(tb testing.TB, s *task, next func() (rec.WRect, error)) node {
 	tb.Helper()
 	events, edges, count, err := s.buildInput(next)
@@ -99,12 +101,19 @@ func materializedRoot(tb testing.TB, s *task, next func() (rec.WRect, error)) no
 	if err := edges.Release(); err != nil {
 		tb.Fatal(err)
 	}
-	return node{
+	n := node{
 		events: sortedEvents,
 		edges:  sortedEdges,
 		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
 		count:  count,
 	}
+	if s.fits(count) { // a base case has no edge file
+		if err := sortedEdges.Release(); err != nil {
+			tb.Fatal(err)
+		}
+		n.edges = nil
+	}
+	return n
 }
 
 // sortedRoot is materializedRoot over a rectangle slice, for direct tests
@@ -147,9 +156,51 @@ func solveMaterialized(tb testing.TB, s *Solver, objFile *em.File, w, h float64)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := resultOfSlabFile(slabFile)
+	return resultOfSlabFileRef(tb, slabFile)
+}
+
+// resultOfSlabFileRef is the root output end that the best-region tracker
+// replaced, kept verbatim as the reference: it streams a whole-space slab
+// file for the max-region — the strip of the first tuple of greatest sum,
+// extended up to the next tuple's h-line (§5.2.4) — and releases the file.
+func resultOfSlabFileRef(tb testing.TB, slabFile *em.File) sweep.Result {
+	tb.Helper()
+	rr, err := em.NewRecordReader(slabFile, rec.TupleCodec{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return res
+	best := sweep.Result{Region: geom.Rect{
+		X: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
+		Y: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
+	}}
+	first := true
+	havePending := false // best awaits its strip's top y (the next tuple's y)
+	for {
+		t, err := rr.Read()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			tb.Fatal(err)
+		}
+		if havePending {
+			best.Region.Y.Hi = t.Y
+			havePending = false
+		}
+		if first || t.Sum > best.Sum {
+			best = sweep.Result{
+				Region: geom.Rect{
+					X: geom.Interval{Lo: t.X1, Hi: t.X2},
+					Y: geom.Interval{Lo: t.Y, Hi: math.Inf(1)},
+				},
+				Sum: t.Sum,
+			}
+			havePending = true
+			first = false
+		}
+	}
+	if err := slabFile.Release(); err != nil {
+		tb.Fatal(err)
+	}
+	return best
 }

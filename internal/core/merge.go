@@ -71,40 +71,30 @@ func (ss *spanSource) advance() error {
 // mergeSweep is Algorithm 1: it sweeps a horizontal line bottom-to-top
 // across the m child slab files and the spanning file, maintaining the
 // current max-interval tuple per child (tslab) and the weight of spanning
-// rectangles currently covering each child (upSum), and emits the parent's
-// slab file: at every event y, the best (possibly merged across adjacent
-// children) max-interval.
+// rectangles currently covering each child (upSum), and passes the
+// parent's slab-file tuples to emit: at every event y, the best (possibly
+// merged across adjacent children) max-interval. An inner node's emit
+// writes its slab file; the root's keeps only the best region.
 //
 // A loser tree over the child heads finds each next event line and a run
 // tree over the children answers GetMaxInterval, so a line that advances
 // k children and spans r of them costs O((k + r)·log m), not Θ(m).
-func (s *task) mergeSweep(slabFiles []*em.File, spanning *em.File, bounds []float64, slab geom.Interval) (_ *em.File, err error) {
+func (s *task) mergeSweep(slabFiles []*em.File, spanning *em.File, bounds []float64, slab geom.Interval, emit func(rec.Tuple) error) error {
 	nc := len(slabFiles)
 	sources := make([]*tupleSource, nc)
 	for i, f := range slabFiles {
 		ts, err := newTupleSource(f)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sources[i] = ts
 	}
 	spans, err := newSpanSource(spanning)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	heads := newHeadTree(sources)
 	runs := newRunTree(slab, bounds)
-
-	out := s.env.NewFile()
-	defer func() {
-		if err != nil {
-			_ = out.Release()
-		}
-	}()
-	w, err := em.NewRecordWriter(out, rec.TupleCodec{})
-	if err != nil {
-		return nil, err
-	}
 
 	var again []int // children whose next head repeats this line's y
 	for {
@@ -131,7 +121,7 @@ func (s *task) mergeSweep(slabFiles []*em.File, spanning *em.File, bounds []floa
 				runs.addSpan(j, d)
 			}
 			if err := spans.advance(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		// Each child advances at most once per line: a child whose next
@@ -140,7 +130,7 @@ func (s *task) mergeSweep(slabFiles []*em.File, spanning *em.File, bounds []floa
 			ts := sources[c]
 			runs.setTuple(c, ts.cur)
 			if err := ts.advance(); err != nil {
-				return nil, err
+				return err
 			}
 			switch {
 			case ts.done:
@@ -154,14 +144,11 @@ func (s *task) mergeSweep(slabFiles []*em.File, spanning *em.File, bounds []floa
 		}
 		heads.unpark(again)
 		again = again[:0]
-		if err := w.Write(runs.best(y)); err != nil {
-			return nil, err
+		if err := emit(runs.best(y)); err != nil {
+			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
 // headTree is a loser tree over the m child heads, shaped like extsort's:

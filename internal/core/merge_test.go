@@ -56,6 +56,27 @@ func handPartition(rects []rec.WRect, slab geom.Interval, bounds []float64) (chi
 	return children, spanning
 }
 
+// mergeSweepFile runs mergeSweep into a new slab file, as solve does.
+func (s *task) mergeSweepFile(slabFiles []*em.File, spanning *em.File, bounds []float64, slab geom.Interval) (_ *em.File, err error) {
+	out := s.env.NewFile()
+	defer func() {
+		if err != nil {
+			_ = out.Release()
+		}
+	}()
+	w, err := em.NewRecordWriter(out, rec.TupleCodec{})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.mergeSweep(slabFiles, spanning, bounds, slab, w.Write); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // runMergeSweep drives s.mergeSweep over hand-built child slab files and a
 // spanning event file, returning the merged tuples.
 func runMergeSweep(t *testing.T, s *Solver, slab geom.Interval, bounds []float64,
@@ -81,7 +102,7 @@ func runMergeSweep(t *testing.T, s *Solver, slab geom.Interval, bounds []float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.task(nil, nil).mergeSweep(slabFiles, spanFile, bounds, slab)
+	out, err := s.task(nil, nil).mergeSweepFile(slabFiles, spanFile, bounds, slab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +331,7 @@ func compareMergeSweeps(tb testing.TB, name string, s *task, slabFiles []*em.Fil
 		return tuples, st
 	}
 	want, wantSt := run(s.mergeSweepRef)
-	got, gotSt := run(s.mergeSweep)
+	got, gotSt := run(s.mergeSweepFile)
 	if len(got) != len(want) {
 		tb.Fatalf("%s: %d tuples, reference %d", name, len(got), len(want))
 	}
@@ -586,7 +607,7 @@ func BenchmarkMergeSweep(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				out, err := s.mergeSweep(slabFiles, spanning, bounds, root.slab)
+				out, err := s.mergeSweepFile(slabFiles, spanning, bounds, root.slab)
 				if err != nil {
 					b.Fatal(err)
 				}

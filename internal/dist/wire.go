@@ -77,11 +77,11 @@ func (r SolveReply) Result() sweep.Result { return sweep.Result{Region: r.Region
 
 // replyWire is SolveReply's JSON form. A shard's optimum can be
 // unbounded (an empty shard, or one whose best strip runs to infinity),
-// and its sum can overflow, so every float travels as a wireFloat.
+// and its sum can overflow, so every float travels as a Float.
 type replyWire struct {
-	Sum    wireFloat `json:"sum"`
+	Sum    Float `json:"sum"`
 	Region struct {
-		X, Y struct{ Lo, Hi wireFloat }
+		X, Y struct{ Lo, Hi Float }
 	} `json:"region"`
 	Reads  uint64 `json:"reads"`
 	Writes uint64 `json:"writes"`
@@ -90,9 +90,9 @@ type replyWire struct {
 // MarshalJSON implements json.Marshaler.
 func (r SolveReply) MarshalJSON() ([]byte, error) {
 	var w replyWire
-	w.Sum, w.Reads, w.Writes = wireFloat(r.Sum), r.Reads, r.Writes
-	w.Region.X.Lo, w.Region.X.Hi = wireFloat(r.Region.X.Lo), wireFloat(r.Region.X.Hi)
-	w.Region.Y.Lo, w.Region.Y.Hi = wireFloat(r.Region.Y.Lo), wireFloat(r.Region.Y.Hi)
+	w.Sum, w.Reads, w.Writes = Float(r.Sum), r.Reads, r.Writes
+	w.Region.X.Lo, w.Region.X.Hi = Float(r.Region.X.Lo), Float(r.Region.X.Hi)
+	w.Region.Y.Lo, w.Region.Y.Hi = Float(r.Region.Y.Lo), Float(r.Region.Y.Hi)
 	return json.Marshal(w)
 }
 
@@ -114,13 +114,15 @@ func (r *SolveReply) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// wireFloat is a float64 whose JSON form also carries the values a JSON
+// Float is a float64 whose JSON form also carries the values a JSON
 // number cannot: ±Inf and NaN travel as the strings "+Inf", "-Inf" and
-// "NaN". Finite values stay plain numbers.
-type wireFloat float64
+// "NaN". Finite values stay plain numbers. It is the one encoding of a
+// possibly non-finite float on every JSON surface: the shard wire here
+// and maxrsd's query answers.
+type Float float64
 
 // MarshalJSON implements json.Marshaler.
-func (f wireFloat) MarshalJSON() ([]byte, error) {
+func (f Float) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
@@ -129,7 +131,7 @@ func (f wireFloat) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (f *wireFloat) UnmarshalJSON(b []byte) error {
+func (f *Float) UnmarshalJSON(b []byte) error {
 	if len(b) == 0 || b[0] != '"' {
 		return json.Unmarshal(b, (*float64)(f))
 	}
@@ -141,7 +143,7 @@ func (f *wireFloat) UnmarshalJSON(b []byte) error {
 	if err != nil || !(math.IsInf(v, 0) || math.IsNaN(v)) {
 		return fmt.Errorf("dist: %q is not +Inf, -Inf or NaN", s)
 	}
-	*f = wireFloat(v)
+	*f = Float(v)
 	return nil
 }
 

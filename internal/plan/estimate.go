@@ -218,16 +218,15 @@ func (s *sim) spill(records float64, recSize int) []int64 {
 }
 
 // sortFused models the fused sort half: spill runs (the producer feeds
-// records directly), reduce, then `passes` MergeInto replays over the
-// surviving runs (events once; edges twice, for boundary selection then
-// distribution).
-func (s *sim) sortFused(records float64, recSize, passes int) {
-	runs := s.spill(records, recSize)
-	for p := 0; p < passes; p++ {
-		for _, b := range runs {
-			s.c.Reads += ceilDiv(b, int64(s.b))
-		}
+// records directly) and reduce. It returns the blocks one MergeInto
+// replay over the surviving runs reads; the root division (node) charges
+// its replays.
+func (s *sim) sortFused(records float64, recSize int) int64 {
+	var blocks int64
+	for _, b := range s.spill(records, recSize) {
+		blocks += ceilDiv(b, int64(s.b))
 	}
+	return blocks
 }
 
 // sortP models extsort.SortP — the baselines' sort — over a materialized
@@ -306,12 +305,8 @@ func (s *sim) solve(pts []float64, nReal float64, objBlocks int64) {
 		return
 	}
 	if e <= s.capacity() {
-		// Resident base case: sort in memory, write the tuple
-		// file, read it back for the result scan. No event or edge
-		// file ever touches disk.
-		t := s.blocks(e, tupleSize)
-		s.c.Writes += t
-		s.c.Reads += t
+		// Resident base case: sort and sweep in memory, keeping only
+		// the best region. No file ever touches disk.
 		return
 	}
 	spans := make([]span, len(pts))
@@ -319,10 +314,9 @@ func (s *sim) solve(pts []float64, nReal float64, objBlocks int64) {
 	for i, x := range pts {
 		spans[i] = span{x1: x - s.set.W/2, x2: x + s.set.W/2, w: w}
 	}
-	s.sortFused(e, eventSize, 1)
-	s.sortFused(2*e, edgeSize, 2)
-	t := s.node(spans, e, math.Inf(-1), math.Inf(1), 0, 0, true, false, 0)
-	s.c.Reads += t
+	evB := s.sortFused(e, eventSize)
+	edB := s.sortFused(2*e, edgeSize)
+	s.node(spans, e, math.Inf(-1), math.Inf(1), evB, edB, true, false, 0)
 }
 
 // maxSimDepth caps the simulated recursion: past this the sample is too
@@ -332,12 +326,14 @@ const maxSimDepth = 32
 
 // child models one recursion child whose population estimate carries
 // sampling noise sigma (from the fragment spans — the anchored share is
-// denoised against the quantile ranks). Near the base-case capacity the
-// divide-or-not decision is genuinely uncertain, so the two branch
-// costs are blended by the probability that the true count exceeds
-// capacity; away from the boundary it falls through to the hard
-// decision in node.
-func (s *sim) child(spans []span, count, sigma float64, lo, hi float64, evB, edB int64, depth int) int64 {
+// denoised against the quantile ranks). Only a child that divides gets
+// an edge file, of edB blocks, which is charged here. Near the base-case
+// capacity the divide-or-not decision is genuinely uncertain, so the two
+// branch costs are blended by the probability that the true count
+// exceeds capacity; away from the boundary it falls through to the hard
+// decision in node. It returns the child's tuple-file blocks and the
+// probability that it divides.
+func (s *sim) child(spans []span, count, sigma float64, lo, hi float64, evB, edB int64, depth int) (int64, float64) {
 	capacity := s.capacity()
 	if sigma > 0 && math.Abs(count-capacity) < 4*sigma && depth < maxSimDepth {
 		p := 0.5 * (1 + math.Erf((count-capacity)/(sigma*math.Sqrt2)))
@@ -347,17 +343,23 @@ func (s *sim) child(spans []span, count, sigma float64, lo, hi float64, evB, edB
 		// Both branches write the same tuple file (one tuple per
 		// distinct event y); only the work before it differs.
 		s.c.Reads += int64(math.Round((1-p)*float64(evB) + p*float64(scratch.c.Reads)))
-		s.c.Writes += int64(math.Round((1-p)*float64(t) + p*float64(scratch.c.Writes)))
-		return t
+		s.c.Writes += int64(math.Round((1-p)*float64(t) + p*float64(scratch.c.Writes+edB)))
+		return t, p
 	}
-	return s.node(spans, count, lo, hi, evB, edB, false, false, depth)
+	p := 0.0
+	if count > capacity && depth < maxSimDepth { // node divides
+		p = 1
+		s.c.Writes += edB
+	}
+	return s.node(spans, count, lo, hi, evB, edB, false, false, depth), p
 }
 
 // node replays one recursion node and returns its tuple-file block
-// count. rootFused marks the fused root, whose inputs arrive from the
-// sort's final merge (already counted) rather than materialized files;
-// forceDivide skips the base-case check (the divide branch of child's
-// probability blend).
+// count. evB and edB are the blocks one pass over the node's events and
+// edge values reads. rootFused marks the fused root, whose inputs are
+// the root sorts' final merge levels and whose tuples stream into the
+// best-region scan instead of a file; forceDivide skips the base-case
+// check (the divide branch of child's probability blend).
 func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, rootFused, forceDivide bool, depth int) int64 {
 	base := func() int64 {
 		s.c.Reads += evB
@@ -374,20 +376,18 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 	bounds, ranks, total := s.pickBounds(spans, count, lo, hi)
 	if len(bounds) == 0 {
 		if rootFused {
-			// Degenerate sample: charge the root as one materialized
-			// division level to keep the estimate finite.
-			evB = s.blocks(count, eventSize)
+			// Degenerate sample: charge the root's three division
+			// passes, with no recursion below, to keep the estimate
+			// finite.
+			s.c.Reads += 2*edB + evB
+			return 0
 		}
 		return base()
 	}
-	if !rootFused {
-		// divide over the node's one-run merges: the edges into the
-		// bounds picker, the events into the router, the edges again
-		// into the edge splitter.
-		s.c.Reads += edB
-		s.c.Reads += evB
-		s.c.Reads += edB
-	}
+	// divide over the node's merges: the edges into the bounds picker,
+	// the events into the router. The edges' replay into the splitter
+	// is charged below, once the children's fates are known.
+	s.c.Reads += edB + evB
 	nc := len(bounds) + 1
 	children := make([][]span, nc)
 	childCount := make([]float64, nc)
@@ -476,18 +476,27 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 	spanB := s.blocks(spanCount, eventSize)
 	s.c.Writes += spanB
 	var childTuples int64
+	noneDivides := 1.0
 	for i := range children {
 		cEvB := s.blocks(childCount[i], eventSize)
-		cEdB := s.blocks(2*childCount[i], edgeSize)
-		s.c.Writes += cEvB + cEdB
+		s.c.Writes += cEvB
 		if childCount[i] <= 0 {
 			continue
 		}
-		childTuples += s.child(children[i], childCount[i], math.Sqrt(fragVar[i]), slabLo(i), slabHi(i), cEvB, cEdB, depth+1)
+		t, p := s.child(children[i], childCount[i], math.Sqrt(fragVar[i]), slabLo(i), slabHi(i), cEvB, s.blocks(2*childCount[i], edgeSize), depth+1)
+		childTuples += t
+		noneDivides *= 1 - p
 	}
+	// The edges' replay into the splitter runs only if some child
+	// divides.
+	s.c.Reads += int64(math.Round((1 - noneDivides) * float64(edB)))
 	// mergeSweep: stream every child tuple file and the spanning file,
-	// write one tuple per distinct event y — the node's event count.
+	// emitting one tuple per distinct event y — the node's event count.
+	// The root's tuples go to the best-region scan, not to a file.
 	s.c.Reads += childTuples + spanB
+	if rootFused {
+		return 0
+	}
 	t := s.blocks(count, tupleSize)
 	s.c.Writes += t
 	return t

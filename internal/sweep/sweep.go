@@ -168,31 +168,54 @@ type Result struct {
 // Best reports an optimal center location.
 func (r Result) Best() geom.Point { return r.Region.Center() }
 
-// BestRegion scans a slab file (tuples in ascending y) and returns the
-// max-region: the strip of the tuple with the largest sum, extended to the
-// next tuple's y. This converts the transformed problem's answer back to
-// the original MaxRS answer (§5.1).
-func BestRegion(tuples []rec.Tuple) Result {
-	best := Result{Region: geom.Rect{
-		X: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-		Y: geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
-	}}
-	for i, t := range tuples {
-		if i == 0 || t.Sum > best.Sum {
-			yHi := math.Inf(1)
-			if i+1 < len(tuples) {
-				yHi = tuples[i+1].Y
-			}
-			best = Result{
-				Region: geom.Rect{
-					X: geom.Interval{Lo: t.X1, Hi: t.X2},
-					Y: geom.Interval{Lo: t.Y, Hi: yHi},
-				},
-				Sum: t.Sum,
-			}
-		}
+// BestTracker finds the max-region of a slab file streamed tuple by tuple
+// in ascending y (§5.2.4, "we can find the max-region by comparing sum
+// values of tuples trivially"): the first tuple of strictly greatest sum
+// wins, and its strip ends at the next tuple's y, or at +Inf after the
+// last tuple. With no tuples the region is the whole plane with sum 0.
+// This converts the transformed problem's answer back to the original
+// MaxRS answer (§5.1). The zero value is ready to use.
+type BestTracker struct {
+	best    Result
+	seen    bool
+	pending bool // best awaits its strip's top y: the next tuple's y
+}
+
+// Add consumes the next tuple.
+func (b *BestTracker) Add(t rec.Tuple) {
+	if b.pending {
+		b.best.Region.Y.Hi = t.Y
+		b.pending = false
 	}
-	return best
+	if !b.seen || t.Sum > b.best.Sum {
+		b.best = Result{
+			Region: geom.Rect{
+				X: geom.Interval{Lo: t.X1, Hi: t.X2},
+				Y: geom.Interval{Lo: t.Y, Hi: math.Inf(1)},
+			},
+			Sum: t.Sum,
+		}
+		b.seen, b.pending = true, true
+	}
+}
+
+// Result returns the max-region of the tuples added so far.
+func (b *BestTracker) Result() Result {
+	if !b.seen {
+		whole := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+		return Result{Region: geom.Rect{X: whole, Y: whole}}
+	}
+	return b.best
+}
+
+// BestRegion returns the max-region of a slab file's tuples (ascending y)
+// by the BestTracker rule.
+func BestRegion(tuples []rec.Tuple) Result {
+	var b BestTracker
+	for _, t := range tuples {
+		b.Add(t)
+	}
+	return b.Result()
 }
 
 // MaxRS solves the MaxRS problem exactly in memory: it transforms each

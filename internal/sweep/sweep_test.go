@@ -361,6 +361,39 @@ func TestBestRegionEmpty(t *testing.T) {
 	}
 }
 
+// TestBestTrackerStreaming feeds a slab file's tuples one by one: after
+// each, the tracker holds the first tuple of greatest sum so far, whose
+// strip runs to the next tuple's y, or to +Inf while it is the last one.
+// A later tuple of equal sum does not replace it, and a first tuple wins
+// even with a negative sum.
+func TestBestTrackerStreaming(t *testing.T) {
+	inf := math.Inf(1)
+	tuples := []rec.Tuple{
+		{Y: 0, X1: 0, X2: 10, Sum: -1},
+		{Y: 2, X1: 3, X2: 5, Sum: 4},
+		{Y: 5, X1: 0, X2: 10, Sum: 2},
+		{Y: 7, X1: 1, X2: 2, Sum: 4},
+		{Y: 9, X1: 0, X2: 10, Sum: 0},
+	}
+	want := []Result{
+		{Region: geom.Rect{X: geom.Interval{Lo: 0, Hi: 10}, Y: geom.Interval{Lo: 0, Hi: inf}}, Sum: -1},
+		{Region: geom.Rect{X: geom.Interval{Lo: 3, Hi: 5}, Y: geom.Interval{Lo: 2, Hi: inf}}, Sum: 4},
+		{Region: geom.Rect{X: geom.Interval{Lo: 3, Hi: 5}, Y: geom.Interval{Lo: 2, Hi: 5}}, Sum: 4},
+		{Region: geom.Rect{X: geom.Interval{Lo: 3, Hi: 5}, Y: geom.Interval{Lo: 2, Hi: 5}}, Sum: 4},
+		{Region: geom.Rect{X: geom.Interval{Lo: 3, Hi: 5}, Y: geom.Interval{Lo: 2, Hi: 5}}, Sum: 4},
+	}
+	var b BestTracker
+	for i, tup := range tuples {
+		b.Add(tup)
+		if got := b.Result(); got != want[i] {
+			t.Fatalf("after tuple %d: %+v, want %+v", i, got, want[i])
+		}
+	}
+	if got := BestRegion(tuples); got != want[len(want)-1] {
+		t.Fatalf("BestRegion = %+v, want %+v", got, want[len(want)-1])
+	}
+}
+
 // BenchmarkSlab sweeps random rectangles over the whole plane: 10k, the
 // size of a resident base case, and 40, the size of a deep leaf. The
 // n=… sub-benchmarks are one-shot Slab calls; reused/n=… sweep the same
