@@ -132,8 +132,6 @@ func benchAlgo(b *testing.B, algo Algorithm) {
 }
 
 func BenchmarkExactMaxRS(b *testing.B) { benchAlgo(b, ExactMaxRS) }
-func BenchmarkNaiveSweep(b *testing.B) { benchAlgo(b, NaiveSweep) }
-func BenchmarkASBTree(b *testing.B)    { benchAlgo(b, ASBTree) }
 func BenchmarkInMemory(b *testing.B)   { benchAlgo(b, InMemory) }
 
 // BenchmarkParallelExactMaxRS runs the BenchmarkExactMaxRS workload at

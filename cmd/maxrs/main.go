@@ -34,7 +34,7 @@ func main() {
 		circle = flag.Bool("circle", false, "solve MaxCRS (circular range) instead of MaxRS")
 		d      = flag.Float64("d", 1000, "circle diameter (with -circle)")
 		k      = flag.Int("k", 1, "number of results (MaxkRS greedy top-k)")
-		algo   = flag.String("algorithm", "exact", "exact | naive | asb | inmemory")
+		algo   = flag.String("algorithm", "exact", "exact | inmemory")
 		block  = flag.Int("block", 4096, "EM block size in bytes")
 		mem    = flag.Int("mem", 1<<20, "EM memory budget in bytes")
 		stats  = flag.Bool("stats", true, "print I/O statistics")
@@ -119,14 +119,10 @@ func parseAlgorithm(s string) (maxrs.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "exact", "exactmaxrs":
 		return maxrs.ExactMaxRS, nil
-	case "naive":
-		return maxrs.NaiveSweep, nil
-	case "asb", "asbtree", "asb-tree":
-		return maxrs.ASBTree, nil
 	case "inmemory", "mem":
 		return maxrs.InMemory, nil
 	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
+		return 0, fmt.Errorf("unknown algorithm %q: want exact | inmemory (the paper's naive and aSB-tree baselines run in maxrsbench -exp=fig12)", s)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"maxrs"
@@ -12,9 +13,6 @@ func TestParseAlgorithm(t *testing.T) {
 	cases := map[string]maxrs.Algorithm{
 		"exact":      maxrs.ExactMaxRS,
 		"ExactMaxRS": maxrs.ExactMaxRS,
-		"naive":      maxrs.NaiveSweep,
-		"asb":        maxrs.ASBTree,
-		"aSB-Tree":   maxrs.ASBTree,
 		"inmemory":   maxrs.InMemory,
 		"mem":        maxrs.InMemory,
 	}
@@ -27,8 +25,14 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Fatalf("parseAlgorithm(%q) = %v, want %v", in, got, want)
 		}
 	}
-	if _, err := parseAlgorithm("quantum"); err == nil {
-		t.Fatal("unknown algorithm should fail")
+	for _, in := range []string{"quantum", "naive", "asb"} {
+		_, err := parseAlgorithm(in)
+		if err == nil {
+			t.Fatalf("parseAlgorithm(%q) should fail", in)
+		}
+		if !strings.Contains(err.Error(), "maxrsbench -exp=fig12") {
+			t.Fatalf("parseAlgorithm(%q) error %q does not point at the figure experiments", in, err)
+		}
 	}
 }
 

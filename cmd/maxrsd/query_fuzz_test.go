@@ -13,9 +13,9 @@ import (
 )
 
 // TestQueryNonFiniteAnswer: a dataset of only negative weights has an
-// unbounded optimal region of score 0, whose center is not finite. The
-// query must answer 200 with those fields spelled as dist.Float strings,
-// not 500.
+// unbounded optimal region of score 0. The query must answer 200, not
+// 500: the region's infinite edges spelled as dist.Float strings, and
+// the location, a finite point of the region, as plain numbers.
 func TestQueryNonFiniteAnswer(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDataset(t, ts, "neg", "1,1,-1\n2,2,-5\n")
@@ -31,9 +31,13 @@ func TestQueryNonFiniteAnswer(t *testing.T) {
 	if r.Score != 0 {
 		t.Fatalf("score %g, want 0", r.Score)
 	}
-	x := float64(r.Location.X)
-	if !(math.IsInf(x, 0) || math.IsNaN(x)) || !bytes.Contains(body, []byte(`"location":{"x":"`)) {
-		t.Fatalf("location x %g is finite or not spelled as a string: %s", x, body)
+	x, y := float64(r.Location.X), float64(r.Location.Y)
+	if math.IsInf(x, 0) || math.IsNaN(x) || math.IsInf(y, 0) || math.IsNaN(y) ||
+		!bytes.Contains(body, []byte(`"location":{"x":0.`)) {
+		t.Fatalf("location (%g, %g) is not finite or not spelled as numbers: %s", x, y, body)
+	}
+	if r.Region == nil || !math.IsInf(float64(r.Region.MinX), -1) || !bytes.Contains(body, []byte(`"min_x":"-Inf"`)) {
+		t.Fatalf("region min_x is not the string -Inf: %s", body)
 	}
 }
 

@@ -602,9 +602,8 @@ type queryRequest struct {
 
 // pointJSON, rectJSON and queryResult.Score carry answers, which can be
 // non-finite: a dataset of only negative weights has an unbounded optimal
-// region of score 0, whose center is ±Inf or NaN, and a sum can overflow.
-// They travel as dist.Float, whose JSON form spells those values as
-// strings.
+// region of score 0, and a sum can overflow. They travel as dist.Float,
+// whose JSON form spells those values as strings.
 type pointJSON struct {
 	X dist.Float `json:"x"`
 	Y dist.Float `json:"y"`

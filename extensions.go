@@ -186,7 +186,7 @@ func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 	if err != nil {
 		return Result{}, err
 	}
-	res.Score = -res.Score
+	res.Score = 0 - res.Score // not -res.Score: a zero optimum is +0, not -0
 	return res, nil
 }
 

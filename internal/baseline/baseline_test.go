@@ -248,3 +248,43 @@ func TestASBTreeBufferSensitivity(t *testing.T) {
 		t.Fatalf("buffer growth did not reduce aSB-tree I/O: %d → %d", small, large)
 	}
 }
+
+// TestTruncatedInputLeaksNothing feeds each baseline an object file that
+// ends mid-record, so its scan fails partway through, after intermediate
+// files have been created and partly written, and requires Disk.InUse to
+// come back to the input file's own blocks.
+func TestTruncatedInputLeaksNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sweep func(em.Env, *em.File, float64, float64) (sweep.Result, error)
+	}{
+		{"NaiveSweep", NaiveSweep},
+		{"aSB-Tree", ASBTreeSweep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := em.MustNewEnv(512, 4096)
+			f := env.NewFile()
+			w := f.NewWriter()
+			// Many whole records (several blocks), then a ragged tail.
+			if _, err := w.Write(make([]byte, 24*200+7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			base := env.Disk.InUse()
+			if _, err := tc.sweep(env, f, 10, 10); err == nil {
+				t.Fatal("sweep over a truncated object file must fail")
+			}
+			if n := env.Disk.InUse(); n != base {
+				t.Fatalf("InUse = %d after the failed sweep, want the input's %d", n, base)
+			}
+			if err := f.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if n := env.Disk.InUse(); n != 0 {
+				t.Fatalf("InUse = %d after releasing the input, want 0", n)
+			}
+		})
+	}
+}

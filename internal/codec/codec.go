@@ -17,8 +17,8 @@
 //     eight.
 //
 //   - ByteDelta (ids 9–255): byte-stride delta + zero run-length coding
-//     for record sizes that are not word-aligned (Event 33 B, PieceEvent
-//     41 B). Subtracting the byte one record earlier turns the shared
+//     for record sizes that are not word-aligned (PieceEvent 41 B).
+//     Subtracting the byte one record earlier turns the shared
 //     high-order exponent/mantissa bytes of neighboring records into
 //     zero runs, which RLE collapses.
 //
@@ -65,21 +65,19 @@ type BlockCodec interface {
 }
 
 // family is one codec per record layout the engine writes, ascending by
-// record size: float64 (8), NaiveSweep breakpoint (16), Object (24),
-// Tuple (32), Event (33), WRect (40) and PieceEvent (41).
+// record size: float64 (8), Object (24), Tuple (32), WRect (40) and
+// PieceEvent (41).
 var family = [...]BlockCodec{
 	WordDelta{Stride: 1},
-	WordDelta{Stride: 2},
 	WordDelta{Stride: 3},
 	WordDelta{Stride: 4},
-	ByteDelta{Stride: 33},
 	WordDelta{Stride: 5},
 	ByteDelta{Stride: 41},
 }
 
 // DeltaFamily returns the delta codecs, one per record layout the engine
-// writes: word strides for the 8-byte-aligned layouts, byte strides for
-// the unaligned event records.
+// writes: word strides for the 8-byte-aligned layouts, a byte stride for
+// the unaligned piece-event record.
 func DeltaFamily() []BlockCodec { return append([]BlockCodec(nil), family[:]...) }
 
 // Lookup returns the DeltaFamily member with the given id, or nil. RawID

@@ -55,7 +55,7 @@ func block(rng *rand.Rand, recSize, blockLen int) []byte {
 // record is truncated at the block boundary.
 func TestRoundTripAllCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	recSizes := []int{8, 16, 24, 32, 33, 40, 41} // Float64, breakpoint, Object, Tuple, Event, WRect, PieceEvent
+	recSizes := []int{8, 16, 24, 32, 33, 40, 41} // every layout, plus unaligned and mismatched strides
 	for _, c := range DeltaFamily() {
 		for _, rs := range recSizes {
 			// Empty block.
@@ -208,16 +208,11 @@ func layoutStream(rng *rand.Rand, recSize, n int) []byte {
 		switch recSize {
 		case 8: // Float64: sorted edge x
 			put(key)
-		case 16: // NaiveSweep breakpoint {X, Sum}
-			put(key, sum)
 		case 24: // Object {X, Y, W}, sorted by X
 			put(key, x, 1)
 		case 32: // Tuple {Y, X1, X2, Sum}, sorted by Y
 			s := rng.Intn(len(slabs) - 1)
 			put(key, slabs[s], slabs[s+1], sum)
-		case 33: // Event {Y, X1, X2, W, Top}, sorted by Y
-			put(key, x, x+side, 1)
-			buf = append(buf, byte(top))
 		case 40: // WRect {X1, X2, Y1, Y2, W}, sorted by X1
 			put(key, key+side, x, x+side, 1)
 		case 41: // PieceEvent {WRect, Top}, sorted by the event's edge
@@ -302,12 +297,12 @@ func TestLookupFamilyOnly(t *testing.T) {
 		}
 		sizes[c.RecordSize()] = true
 	}
-	for _, rs := range []int{8, 16, 24, 32, 33, 40, 41} {
+	for _, rs := range []int{8, 24, 32, 40, 41} {
 		if !sizes[rs] {
 			t.Fatalf("no family codec for %d-byte records", rs)
 		}
 	}
-	for _, id := range []uint8{RawID, 6, 7, 8, 9, 24, 32, 40, 254} {
+	for _, id := range []uint8{RawID, 2, 6, 7, 8, 9, 24, 32, 33, 40, 254} {
 		if c := Lookup(id); c != nil {
 			t.Fatalf("Lookup(%d) = %s, want nil", id, c.Name())
 		}

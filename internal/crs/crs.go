@@ -74,10 +74,6 @@ func ApproxScoped(ctx context.Context, s *core.Solver, objFile *em.File, d float
 		return Result{}, err
 	}
 	p0 := rs.Best()
-	if math.IsNaN(p0.X) || math.IsInf(p0.X, 0) || math.IsNaN(p0.Y) || math.IsInf(p0.Y, 0) {
-		// Degenerate (e.g. all-zero weights): any location is optimal.
-		p0 = geom.Point{}
-	}
 	shifted := ShiftedPoints(p0, d)
 	candidates := [5]geom.Point{p0, shifted[0], shifted[1], shifted[2], shifted[3]}
 

@@ -479,11 +479,11 @@ func FuzzSlotRead(f *testing.F) {
 		f.Add(ms.hdrs[id][:], bytes.Clone(ms.payloads[id]))
 	}
 	f.Add(make([]byte, slotHeaderSize), []byte{0xFF, 0xFF, 0xFF})
-	// A byte-delta/33 payload whose zero run of 2⁶⁴−1 bytes plus one
+	// A byte-delta/41 payload whose zero run of 2⁶⁴−1 bytes plus one
 	// literal wraps to 0, under a header that passes the length checks.
 	wrap := append(binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 1), 0x01)
 	hdr := make([]byte, slotHeaderSize)
-	hdr[0] = codec.ByteDelta{Stride: 33}.ID()
+	hdr[0] = codec.ByteDelta{Stride: 41}.ID()
 	putU32(hdr[4:], uint32(len(wrap)))
 	putU32(hdr[8:], blockSize)
 	f.Add(hdr, wrap)

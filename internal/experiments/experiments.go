@@ -132,13 +132,13 @@ type Series struct {
 }
 
 // runAlgo executes one algorithm over objs with the given EM parameters
-// and returns the I/O cost of the query phase (data loading excluded, as
-// in the paper: the dataset pre-exists on disk).
-func runAlgo(algo string, objs []geom.Object, blockSize, mem, par int, w, h float64) (float64, error) {
+// and returns its optimal score and the I/O cost of the query phase (data
+// loading excluded, as in the paper: the dataset pre-exists on disk).
+func runAlgo(algo string, objs []geom.Object, blockSize, mem, par int, w, h float64) (score, io float64, err error) {
 	env := em.MustNewEnv(blockSize, mem)
 	f, err := workload.Write(env.Disk, objs)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	env.Disk.ResetStats()
 	var res sweep.Result
@@ -157,10 +157,9 @@ func runAlgo(algo string, objs []geom.Object, blockSize, mem, par int, w, h floa
 		err = fmt.Errorf("experiments: unknown algorithm %q", algo)
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	_ = res
-	return float64(env.Disk.Stats().Total()), nil
+	return res.Sum, float64(env.Disk.Stats().Total()), nil
 }
 
 // forEachCell runs fn(i) for every panel cell i on up to par goroutines,
@@ -172,7 +171,9 @@ func forEachCell(n, par int, fn func(i int) error) error {
 // ioSweep builds a Series by running every algorithm at every x, with the
 // paper's buffer of buffer(x) bytes scaled by cfg.buf. Panel points run
 // concurrently (each on its own simulated disk); results land in their
-// cells by index, so the Series is identical at any parallelism.
+// cells by index, so the Series is identical at any parallelism. A panel
+// point fails unless every algorithm reports the same optimal score: the
+// figure workloads have unit weights, so the sums are exact integers.
 func ioSweep(cfg Config, title, xlabel string, xs []float64, gen func(x float64) []geom.Object,
 	buffer func(x float64) int, rng func(x float64) (w, h float64)) (Series, error) {
 	s := Series{Title: title, XLabel: xlabel, X: xs, Order: Algos, Values: map[string][]float64{},
@@ -186,10 +187,16 @@ func ioSweep(cfg Config, title, xlabel string, xs []float64, gen func(x float64)
 		mem, clamped := cfg.buf(buffer(x))
 		s.Clamped[xi] = clamped
 		w, h := rng(x)
-		for _, algo := range Algos {
-			io, err := runAlgo(algo, objs, cfg.BlockSize, mem, cfg.Parallelism, w, h)
+		var want float64
+		for i, algo := range Algos {
+			score, io, err := runAlgo(algo, objs, cfg.BlockSize, mem, cfg.Parallelism, w, h)
 			if err != nil {
 				return fmt.Errorf("%s at %g: %w", algo, x, err)
+			}
+			if i == 0 {
+				want = score
+			} else if score != want {
+				return fmt.Errorf("%s at %g: score %g, but %s scored %g", algo, x, score, Algos[0], want)
 			}
 			s.Values[algo][xi] = io
 		}

@@ -94,6 +94,24 @@ func (iv Interval) Union(other Interval) Interval {
 // Mid returns the midpoint of the interval.
 func (iv Interval) Mid() float64 { return iv.Lo + (iv.Hi-iv.Lo)/2 }
 
+// Pick returns one finite point of a non-empty interval: the midpoint
+// when both ends are finite; the float next to the one finite end, on
+// the inside, when the other end is infinite (Hi is open, and stepping
+// off Lo keeps the point off the edge of the rectangle that bounds it);
+// and 0 when both ends are infinite.
+func (iv Interval) Pick() float64 {
+	loInf, hiInf := math.IsInf(iv.Lo, 0), math.IsInf(iv.Hi, 0)
+	switch {
+	case !loInf && !hiInf:
+		return iv.Mid()
+	case !loInf:
+		return math.Nextafter(iv.Lo, iv.Hi)
+	case !hiInf:
+		return math.Nextafter(iv.Hi, iv.Lo)
+	}
+	return 0
+}
+
 // Rect is an axis-aligned rectangle, half-open on the max edges:
 // it covers points p with X.Lo ≤ p.X < X.Hi and Y.Lo ≤ p.Y < Y.Hi.
 type Rect struct {
@@ -116,8 +134,10 @@ func (r Rect) String() string {
 // Empty reports whether the rectangle has no area.
 func (r Rect) Empty() bool { return r.X.Empty() || r.Y.Empty() }
 
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point { return Point{r.X.Mid(), r.Y.Mid()} }
+// Pick returns one finite point of a non-empty rectangle, chosen per
+// axis by Interval.Pick: the center of a bounded rectangle, and a point
+// next to the finite edges of an unbounded one.
+func (r Rect) Pick() Point { return Point{r.X.Pick(), r.Y.Pick()} }
 
 // Contains reports whether p lies inside r under half-open semantics.
 func (r Rect) Contains(p Point) bool { return r.X.Contains(p.X) && r.Y.Contains(p.Y) }

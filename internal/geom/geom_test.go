@@ -64,13 +64,32 @@ func TestIntervalOps(t *testing.T) {
 	}
 }
 
+func TestIntervalPick(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		iv   Interval
+		want float64
+	}{
+		{Interval{8, 12}, 10},
+		{Interval{0.5, inf}, math.Nextafter(0.5, inf)},
+		{Interval{-inf, 0.5}, math.Nextafter(0.5, -inf)},
+		{Interval{-inf, inf}, 0},
+	}
+	for _, c := range cases {
+		got := c.iv.Pick()
+		if got != c.want || !c.iv.Contains(got) {
+			t.Errorf("%+v.Pick() = %v, want %v inside the interval", c.iv, got, c.want)
+		}
+	}
+}
+
 func TestRectFromCenter(t *testing.T) {
 	r := RectFromCenter(Point{10, 20}, 4, 6)
 	if r.X.Lo != 8 || r.X.Hi != 12 || r.Y.Lo != 17 || r.Y.Hi != 23 {
 		t.Fatalf("unexpected rect %v", r)
 	}
-	if c := r.Center(); c.X != 10 || c.Y != 20 {
-		t.Fatalf("Center = %v", c)
+	if c := r.Pick(); c.X != 10 || c.Y != 20 {
+		t.Fatalf("Pick = %v", c)
 	}
 	if r.Area() != 24 {
 		t.Fatalf("Area = %g, want 24", r.Area())
@@ -208,7 +227,7 @@ func TestQuickCircleMBR(t *testing.T) {
 	}
 }
 
-// Property: RectFromCenter(c, w, h).Center() == c up to float rounding, and
+// Property: RectFromCenter(c, w, h).Pick() == c up to float rounding, and
 // a point is in the rect iff both coordinate offsets are in [-w/2, w/2) etc.
 func TestQuickRectFromCenter(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -217,9 +236,9 @@ func TestQuickRectFromCenter(t *testing.T) {
 		w := rng.Float64()*1e3 + 1
 		h := rng.Float64()*1e3 + 1
 		r := RectFromCenter(c, w, h)
-		got := r.Center()
+		got := r.Pick()
 		if math.Abs(got.X-c.X) > 1e-6 || math.Abs(got.Y-c.Y) > 1e-6 {
-			t.Fatalf("Center drift: %v vs %v", got, c)
+			t.Fatalf("Pick drift: %v vs %v", got, c)
 		}
 		p := Point{c.X + (rng.Float64()-0.5)*2*w, c.Y + (rng.Float64()-0.5)*2*h}
 		want := p.X >= c.X-w/2 && p.X < c.X+w/2 && p.Y >= c.Y-h/2 && p.Y < c.Y+h/2

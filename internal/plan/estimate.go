@@ -42,69 +42,12 @@ func estimate(st Stats, set Settings, strat Strategy) Cost {
 	if st.N == 0 || set.B <= 0 || set.M <= 0 {
 		return Cost{Exact: true}
 	}
-	switch strat.Algorithm {
-	case InMemory:
+	if strat.Algorithm == InMemory {
 		// ReadAll of the object file; the sweep itself is CPU-only.
 		return Cost{Reads: st.Blocks, Exact: true}
-	case NaiveSweep:
-		if st.Resident {
-			// The §7.2.4 shortcut: one loading scan, in-memory sweep.
-			return Cost{Reads: st.Blocks, Exact: true}
-		}
-		return naiveExternalCost(st, set)
-	case ASBTree:
-		return asbCost(st, set)
 	}
 	s := newSim(st, set)
 	s.sharded(st, strat.Shards)
-	return s.c
-}
-
-// naiveExternalCost models the external naive sweep: transform to an
-// event file, sort it, then one status-file rewrite per event. The
-// status population is data-dependent (it holds the rectangles open at
-// the sweep line); the expectation N·H/extentY is used. Never eligible
-// for choosing — the row exists so explain output can show why.
-func naiveExternalCost(st Stats, set Settings) Cost {
-	s := newSim(st, set)
-	events := 2 * float64(st.N)
-	evFile := s.blocks(events, rec.EventCodec{}.Size())
-	s.c.Reads += st.Blocks // transform scan
-	s.c.Writes += evFile
-	s.sortP(events, rec.EventCodec{}.Size(), evFile)
-	s.c.Reads += evFile // the sweep streams the sorted events once
-	open := float64(st.N)
-	if ey := st.MaxY - st.MinY; ey > 0 && set.H < ey {
-		open = float64(st.N) * set.H / ey
-	}
-	statusBlocks := s.blocks(2*open+1, 16)
-	s.c.Reads += int64(events) * statusBlocks
-	s.c.Writes += int64(events) * statusBlocks
-	s.c.Exact = false
-	return s.c
-}
-
-// asbCost coarsely models the aSB-tree: bulk load (sort the edge
-// values, write the tree) plus one lazy descent per event, with the
-// buffer pool caching the top levels. Never eligible for choosing.
-func asbCost(st Stats, set Settings) Cost {
-	s := newSim(st, set)
-	edges := 4 * float64(st.N)
-	edFile := s.blocks(edges, edgeSize)
-	s.c.Reads += st.Blocks
-	s.c.Writes += edFile
-	s.sortP(edges, edgeSize, edFile)
-	s.c.Reads += edFile
-	s.c.Writes += 2 * edFile // tree nodes ≈ 2× the leaf level
-	fan := float64(set.B / 16)
-	if fan < 2 {
-		fan = 2
-	}
-	height := math.Ceil(math.Log(math.Max(edges, 2)) / math.Log(fan))
-	cached := math.Floor(math.Log(math.Max(float64(set.M/set.B), 1)) / math.Log(fan))
-	uncached := math.Max(height-cached, 0)
-	s.c.Reads += int64(2 * float64(st.N) * uncached)
-	s.c.Exact = false
 	return s.c
 }
 
@@ -207,44 +150,20 @@ func (s *sim) reduce(runs []int64) []int64 {
 	return runs
 }
 
-// spill models run formation and merge reduction: spill the runs
-// (writes only), then reduce them. It returns the surviving runs.
-func (s *sim) spill(records float64, recSize int) []int64 {
+// sortFused models the fused sort half: spill runs (writes only — the
+// producer feeds records directly) and reduce them. It returns the
+// blocks one MergeInto replay over the surviving runs reads; the root
+// division (node) charges its replays.
+func (s *sim) sortFused(records float64, recSize int) int64 {
 	runs := s.runBytes(records, recSize)
 	for _, b := range runs {
 		s.c.Writes += ceilDiv(b, int64(s.b))
 	}
-	return s.reduce(runs)
-}
-
-// sortFused models the fused sort half: spill runs (the producer feeds
-// records directly) and reduce. It returns the blocks one MergeInto
-// replay over the surviving runs reads; the root division (node) charges
-// its replays.
-func (s *sim) sortFused(records float64, recSize int) int64 {
 	var blocks int64
-	for _, b := range s.spill(records, recSize) {
+	for _, b := range s.reduce(runs) {
 		blocks += ceilDiv(b, int64(s.b))
 	}
 	return blocks
-}
-
-// sortP models extsort.SortP — the baselines' sort — over a materialized
-// input file of inBlocks: read the input, spill runs, reduce, and —
-// unless a single run survives, which then is the sorted file — one
-// final merge that writes the sorted output.
-func (s *sim) sortP(records float64, recSize int, inBlocks int64) {
-	s.c.Reads += inBlocks
-	runs := s.spill(records, recSize)
-	if len(runs) <= 1 {
-		return
-	}
-	var tot int64
-	for _, b := range runs {
-		s.c.Reads += ceilDiv(b, int64(s.b))
-		tot += b
-	}
-	s.c.Writes += ceilDiv(tot, int64(s.b))
 }
 
 // sharded models the full query: the shard planner's scan, the

@@ -135,14 +135,12 @@ func (c *Collector) Finalize(blockSize, memory int) Stats {
 }
 
 // Algorithm mirrors the public maxrs.Algorithm constants numerically
-// (ExactMaxRS = 0 … InMemory = 3); the package stays import-cycle-free
+// (ExactMaxRS = 0, InMemory = 1); the package stays import-cycle-free
 // by not naming them.
 type Algorithm int
 
 const (
 	ExactMaxRS Algorithm = iota
-	NaiveSweep
-	ASBTree
 	InMemory
 )
 
@@ -150,10 +148,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case ExactMaxRS:
 		return "ExactMaxRS"
-	case NaiveSweep:
-		return "NaiveSweep"
-	case ASBTree:
-		return "ASBTree"
 	case InMemory:
 		return "InMemory"
 	}
@@ -172,7 +166,7 @@ type Settings struct {
 	// execution path never shards).
 	NoShards bool
 	// SolverOnly restricts candidates to the ExactMaxRS solver (MaxCRS,
-	// whose inner MaxRS call cannot be swapped for a baseline).
+	// whose inner MaxRS call cannot be swapped for the in-memory sweep).
 	SolverOnly bool
 	// ExtraReads/ExtraWrites are kind-specific passes charged to every
 	// candidate alike: the map pass of MinRS/CountRS (read + rewrite of
@@ -206,8 +200,8 @@ func (c Cost) Total() int64 { return c.Reads + c.Writes }
 
 // Candidate is one row of the plan's candidate table: a strategy, its
 // predicted cost, and whether the chooser may pick it. Ineligible rows
-// (data-dependent baselines whose model is too coarse to trust) are kept
-// for visibility in explain output.
+// (strategies the execution rules forbid, with the reason in Note) are
+// kept for visibility in explain output.
 type Candidate struct {
 	Strategy
 	Cost     Cost
@@ -262,16 +256,13 @@ func Candidates(st Stats, set Settings) []Candidate {
 		})
 	}
 	if !set.SolverOnly {
-		// Every baseline gets a row, so an explicit algorithm always finds
+		// InMemory always gets a row, so an explicit InMemory query finds
 		// its own; residency decides eligibility and the note.
 		if st.Resident {
 			add(Strategy{Algorithm: InMemory}, true, "dataset fits in M: one scan")
-			add(Strategy{Algorithm: NaiveSweep}, true, "resident shortcut: equals InMemory")
 		} else {
 			add(Strategy{Algorithm: InMemory}, false, "dataset exceeds M: the in-memory sweep cannot hold it")
-			add(Strategy{Algorithm: NaiveSweep}, false, "external status rewrites are data-dependent; dominated")
 		}
-		add(Strategy{Algorithm: ASBTree}, false, "buffer-sensitive descents; model too coarse to rank")
 	}
 	for _, k := range shardGrid {
 		if k > 0 && set.NoShards {

@@ -125,8 +125,8 @@ func TestChooseNeverPicksIneligible(t *testing.T) {
 		if c.Chosen && !c.Eligible {
 			t.Fatalf("ineligible row chosen: %+v", c)
 		}
-		if (c.Algorithm == plan.NaiveSweep || c.Algorithm == plan.ASBTree) && c.Eligible && !st.Resident {
-			t.Fatalf("external baseline eligible: %+v", c)
+		if c.Algorithm == plan.InMemory && c.Eligible && !st.Resident {
+			t.Fatalf("in-memory row eligible on an external dataset: %+v", c)
 		}
 	}
 }

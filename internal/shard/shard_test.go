@@ -198,7 +198,7 @@ func TestStraddlingOptimum(t *testing.T) {
 		if res.Res.Sum != want.Sum {
 			t.Errorf("K=%d: score %g, want %g (optimum straddles a boundary)", k, res.Res.Sum, want.Sum)
 		}
-		best := res.Res.Region.Center()
+		best := res.Res.Region.Pick()
 		if math.Abs(best.X-500) > 15 || math.Abs(best.Y-100) > 15 {
 			t.Errorf("K=%d: optimum at %v, want near (500, 100)", k, best)
 		}

@@ -165,8 +165,10 @@ type Result struct {
 	Sum    float64
 }
 
-// Best reports an optimal center location.
-func (r Result) Best() geom.Point { return r.Region.Center() }
+// Best reports an optimal center location: the finite point
+// geom.Rect.Pick chooses in Region, so an unbounded optimal region (a
+// score-0 optimum away from every object) still answers a finite point.
+func (r Result) Best() geom.Point { return r.Region.Pick() }
 
 // BestTracker finds the max-region of a slab file streamed tuple by tuple
 // in ascending y (§5.2.4, "we can find the max-region by comparing sum

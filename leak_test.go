@@ -100,7 +100,7 @@ func corruptDataset(t *testing.T, e *Engine) *Dataset {
 // mid-stream failure (truncated dataset) and requires Disk.InUse to come
 // back to the pre-call level — the dataset's own blocks.
 func TestQueryErrorLeaksNothing(t *testing.T) {
-	algorithms := []Algorithm{ExactMaxRS, NaiveSweep, ASBTree, InMemory}
+	algorithms := []Algorithm{ExactMaxRS, InMemory}
 	for _, alg := range algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			e, err := NewEngine(&Options{BlockSize: 512, Memory: 4096, Algorithm: alg})

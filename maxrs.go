@@ -30,9 +30,11 @@
 // The default solver is ExactMaxRS, the paper's I/O-optimal
 // external-memory distribution sweep — it runs in O((N/B) log_{M/B}(N/B))
 // block transfers under the configured EM model and handles datasets far
-// larger than the memory budget. The two baselines of the paper's
-// evaluation (NaiveSweep, ASBTree) and a plain in-memory solver are also
-// available for comparison via Options.Algorithm.
+// larger than the memory budget. A plain in-memory solver (InMemory) is
+// also available via Options.Algorithm, and AlgorithmAuto lets the
+// planner choose. The paper's two baselines (the naive plane sweep and
+// the aSB-tree, §7.1) are not engine algorithms: they run only in the
+// figure experiments of cmd/maxrsbench (-exp=fig12 … fig16).
 //
 // All computation runs against a simulated block device that counts
 // transfers; Engine.Stats exposes the I/O cost exactly as the paper
@@ -50,7 +52,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"maxrs/internal/baseline"
 	"maxrs/internal/core"
 	"maxrs/internal/dist"
 	"maxrs/internal/em"
@@ -203,10 +204,6 @@ type Algorithm int
 const (
 	// ExactMaxRS is the paper's I/O-optimal external algorithm (§5).
 	ExactMaxRS Algorithm = iota
-	// NaiveSweep is the externalized naive plane sweep baseline (§7.1).
-	NaiveSweep
-	// ASBTree is the aggregate SB-tree plane sweep baseline (§7.1).
-	ASBTree
 	// InMemory is the RAM-model plane sweep of Imai–Asano (§4); it
 	// ignores the EM budget and is intended for small inputs and tests.
 	InMemory
@@ -224,10 +221,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case ExactMaxRS:
 		return "ExactMaxRS"
-	case NaiveSweep:
-		return "NaiveSweep"
-	case ASBTree:
-		return "aSB-Tree"
 	case InMemory:
 		return "InMemory"
 	case AlgorithmAuto:
@@ -996,10 +989,6 @@ func (e *Engine) MaxRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 // algorithm honors sharding; the per-shard breakdown (nil when unsharded)
 // and the algorithm that ran ride back alongside the result.
 func (q *query) maxRS(w, h float64) (sweep.Result, []ShardStat, Algorithm, error) {
-	var (
-		res sweep.Result
-		err error
-	)
 	switch q.set.algorithm {
 	case ExactMaxRS:
 		if q.delta != nil {
@@ -1008,38 +997,15 @@ func (q *query) maxRS(w, h float64) (sweep.Result, []ShardStat, Algorithm, error
 		}
 		r, shards, err := q.solveObjects(q.base.f, w, h)
 		return r, shards, ExactMaxRS, err
-	case NaiveSweep:
-		res, err = q.solveBaseline(baseline.NaiveSweep, w, h)
-	case ASBTree:
-		res, err = q.solveBaseline(baseline.ASBTreeSweep, w, h)
 	case InMemory:
-		var objs []geom.Object
-		objs, err = q.readEffObjects()
-		if err == nil {
-			res = sweep.MaxRS(objs, w, h)
+		objs, err := q.readEffObjects()
+		if err != nil {
+			return sweep.Result{}, nil, InMemory, err
 		}
-	default:
-		// Unreachable: NewEngine and WithAlgorithm validate. Tripwire.
-		err = fmt.Errorf("%w: unknown algorithm %v", ErrInvalidQuery, q.set.algorithm)
+		return sweep.MaxRS(objs, w, h), nil, InMemory, nil
 	}
-	return res, nil, q.set.algorithm, err
-}
-
-// solveBaseline runs one of the externalized baseline sweeps over the
-// query's effective object file (the base file directly when the dataset
-// is clean).
-func (q *query) solveBaseline(fn func(em.Env, *em.File, float64, float64) (sweep.Result, error), w, h float64) (sweep.Result, error) {
-	f, owned, err := q.effFile(nil)
-	if err != nil {
-		return sweep.Result{}, err
-	}
-	res, err := fn(q.env(), f, w, h)
-	if owned {
-		if rerr := f.Release(); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return res, err
+	// Unreachable: NewEngine and WithAlgorithm validate. Tripwire.
+	return sweep.Result{}, nil, q.set.algorithm, fmt.Errorf("%w: unknown algorithm %v", ErrInvalidQuery, q.set.algorithm)
 }
 
 // solveObjects runs one ExactMaxRS object solve, sharded Plan.Shards

@@ -95,7 +95,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 		}
 	}
 	var scores []float64
-	for _, alg := range []Algorithm{ExactMaxRS, NaiveSweep, ASBTree, InMemory} {
+	for _, alg := range []Algorithm{ExactMaxRS, InMemory} {
 		e, err := NewEngine(&Options{BlockSize: 256, Memory: 4096, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
@@ -120,9 +120,8 @@ func TestAlgorithmsAgree(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	cases := map[Algorithm]string{
 		ExactMaxRS:    "ExactMaxRS",
-		NaiveSweep:    "NaiveSweep",
-		ASBTree:       "aSB-Tree",
 		InMemory:      "InMemory",
+		AlgorithmAuto: "Auto",
 		Algorithm(99): "Algorithm(99)",
 	}
 	for a, want := range cases {
@@ -220,8 +219,62 @@ func TestMinRS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Score != 0 {
-		t.Fatalf("MinRS score = %g, want 0 (an empty spot exists)", res.Score)
+	if res.Score != 0 || math.Signbit(res.Score) {
+		t.Fatalf("MinRS score = %g, want +0 (an empty spot exists)", res.Score)
+	}
+}
+
+// TestUnboundedOptimumLocation: when the optimal region is unbounded (a
+// score-0 optimum away from every object), Location is still a finite
+// point of Region, and the rectangle centered there covers exactly the
+// score.
+func TestUnboundedOptimumLocation(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name  string
+		objs  []Object
+		query func(*Engine, *Dataset) (Result, error)
+	}{
+		{"MaxRS/negative", []Object{{X: 1, Y: 1, Weight: -1}, {X: 2, Y: 2, Weight: -5}},
+			func(e *Engine, d *Dataset) (Result, error) { return e.MaxRS(ctx, d, 1, 1) }},
+		{"MinRS/positive", []Object{{X: 1, Y: 1, Weight: 1}, {X: 2, Y: 5, Weight: 2}, {X: 7, Y: 3, Weight: 3}},
+			func(e *Engine, d *Dataset) (Result, error) { return e.MinRS(ctx, d, 1, 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			d, err := e.Load(ctx, tc.objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tc.query(e, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := res.Location
+			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				t.Fatalf("Location %+v is not finite (Region %+v)", p, res.Region)
+			}
+			if !res.Region.Contains(p) {
+				t.Fatalf("Location %+v outside Region %+v", p, res.Region)
+			}
+			if res.Score != 0 || math.Signbit(res.Score) {
+				t.Fatalf("Score %g, want +0", res.Score)
+			}
+			var covered float64
+			for _, o := range tc.objs {
+				if o.X >= p.X-0.5 && o.X < p.X+0.5 && o.Y >= p.Y-0.5 && o.Y < p.Y+0.5 {
+					covered += o.Weight
+				}
+			}
+			if covered != 0 {
+				t.Fatalf("rectangle at %+v covers weight %g, want 0", p, covered)
+			}
+		})
 	}
 }
 

@@ -103,7 +103,7 @@ type querySettings struct {
 // sentinel AlgorithmAuto).
 func validAlgorithm(a Algorithm) bool {
 	switch a {
-	case ExactMaxRS, NaiveSweep, ASBTree, InMemory, AlgorithmAuto:
+	case ExactMaxRS, InMemory, AlgorithmAuto:
 		return true
 	}
 	return false

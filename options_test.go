@@ -32,8 +32,6 @@ func TestQueryOptionsMatchEngineOptions(t *testing.T) {
 	}{
 		{"Shards3", Options{Shards: 3}, []QueryOption{WithShards(3)}},
 		{"Shards1", Options{Shards: 1}, []QueryOption{WithShards(1)}},
-		{"NaiveSweep", Options{Algorithm: NaiveSweep}, []QueryOption{WithAlgorithm(NaiveSweep)}},
-		{"ASBTree", Options{Algorithm: ASBTree}, []QueryOption{WithAlgorithm(ASBTree)}},
 		{"InMemory", Options{Algorithm: InMemory}, []QueryOption{WithAlgorithm(InMemory)}},
 		{"Sequential", Options{Parallelism: 1}, []QueryOption{WithParallelism(1)}},
 		{"SequentialSharded", Options{Parallelism: 1, Shards: 2}, []QueryOption{WithParallelism(1), WithShards(2)}},
@@ -186,12 +184,12 @@ func TestResultEffectiveFields(t *testing.T) {
 	// Non-ExactMaxRS algorithms report themselves and never shard.
 	d := testDataset(t, e, 400)
 	defer d.Release()
-	resN, err := e.MaxRS(ctx, d, 100, 100, WithAlgorithm(NaiveSweep), WithShards(4))
+	resI, err := e.MaxRS(ctx, d, 100, 100, WithAlgorithm(InMemory), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resN.Algorithm != NaiveSweep || resN.Shards != 0 {
-		t.Errorf("NaiveSweep query: Algorithm=%v Shards=%d, want NaiveSweep, 0", resN.Algorithm, resN.Shards)
+	if resI.Algorithm != InMemory || resI.Shards != 0 {
+		t.Errorf("InMemory query: Algorithm=%v Shards=%d, want InMemory, 0", resI.Algorithm, resI.Shards)
 	}
 }
 

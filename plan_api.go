@@ -106,8 +106,8 @@ type DeltaPlan struct {
 
 // PlanCandidate is one row of the planner's candidate table: a strategy,
 // its predicted cost, and whether the planner may pick it. Ineligible
-// rows (baselines whose data-dependent cost the model is too coarse to
-// rank) are kept for explain visibility.
+// rows (strategies the execution rules forbid, with the reason in Note)
+// are kept for explain visibility.
 type PlanCandidate struct {
 	Algorithm Algorithm
 	Shards    int

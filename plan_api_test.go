@@ -104,7 +104,7 @@ func TestExplainMarksExplicitAlgorithm(t *testing.T) {
 		if d.Stats().Resident != mem.resident {
 			t.Fatalf("%s: Resident = %v", mem.name, !mem.resident)
 		}
-		for _, alg := range []maxrs.Algorithm{maxrs.ExactMaxRS, maxrs.NaiveSweep, maxrs.ASBTree, maxrs.InMemory} {
+		for _, alg := range []maxrs.Algorithm{maxrs.ExactMaxRS, maxrs.InMemory} {
 			ex, err := eng.Explain(context.Background(), d, 100, 100, maxrs.WithAlgorithm(alg))
 			if err != nil {
 				t.Fatal(err)
@@ -229,7 +229,7 @@ func TestFallbackReasons(t *testing.T) {
 		t.Fatalf("maxcrs fallback: err %v reason %q", err, res.FallbackReason)
 	}
 	if res, err := eng.MaxRS(ctx, pos, 4, 4, maxrs.WithAlgorithm(maxrs.InMemory)); err != nil || !strings.Contains(res.FallbackReason, "ignores sharding") {
-		t.Fatalf("baseline-algorithm fallback: err %v reason %q", err, res.FallbackReason)
+		t.Fatalf("in-memory algorithm fallback: err %v reason %q", err, res.FallbackReason)
 	}
 
 	// Without a shard request there is nothing to explain away.
@@ -277,10 +277,10 @@ func TestAutoOnResident(t *testing.T) {
 }
 
 // TestTopKShardPlanUnderBaselineDefault: TopK always solves with
-// ExactMaxRS, so an engine-default baseline algorithm does not stop it
+// ExactMaxRS, so an engine-default InMemory algorithm does not stop it
 // sharding — and the Result must not claim it did.
 func TestTopKShardPlanUnderBaselineDefault(t *testing.T) {
-	eng, d := planTestEngine(t, &maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.NaiveSweep, Shards: 2})
+	eng, d := planTestEngine(t, &maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.InMemory, Shards: 2})
 	res, err := eng.TopK(context.Background(), d, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
