@@ -803,8 +803,7 @@ func (q *query) deltaBound(changed []rec.Object, w, h float64) (bound float64, s
 		if len(clipped) == 0 {
 			continue
 		}
-		tuples := sweep.Slab(clipped, geom.Interval{Lo: ip.X1, Hi: ip.X2})
-		if s := sweep.BestRegion(tuples).Sum; s > bound {
+		if s := sweep.SlabBest(clipped, geom.Interval{Lo: ip.X1, Hi: ip.X2}).Sum; s > bound {
 			bound = s
 		}
 	}

@@ -41,15 +41,17 @@
 // (extsort.RunBuilder — no unsorted event/edge files are ever written or
 // re-read), and the final merge of each root sort streams straight into
 // the division sinks (extsort.Merger.MergeInto — no sorted root files are
-// ever written or re-read). At the output end, the root's MergeSweep (or,
-// for a resident root, its sweep) streams its tuples straight into a
-// sweep.BestTracker, so the whole-space slab file is never written or
-// re-read either. Below the root, a child that fits in memory is a base
-// case, which never reads edge values, so the division gives it no edge
-// file. This is the only root pipeline: the materializing schedule it
-// replaced (write the unsorted files, sort them into new files, re-read
-// those) survives only as the reference of the package's
-// fusion-equivalence tests, whose results it matches bit for bit.
+// ever written or re-read). At the output end, the root's MergeSweep
+// streams its tuples straight into a sweep.BestTracker, so the
+// whole-space slab file is never written or re-read either. A root that
+// fits in memory creates no run builder at all: it keeps its rectangles
+// in one slice and runs the best-only sweep (sweep.SlabBest). Below the
+// root, a child that fits in memory is a base case, which never reads
+// edge values, so the division gives it no edge file. This is the only
+// root pipeline: the materializing schedule it replaced (write the
+// unsorted files, sort them into new files, re-read those) survives only
+// as the reference of the package's fusion-equivalence tests, whose
+// results it matches bit for bit.
 package core
 
 import (
@@ -232,7 +234,7 @@ func (s *Solver) SolveObjectsScoped(ctx context.Context, objFile *em.File, w, h 
 			return rec.WRect{}, err
 		}
 		return rec.FromObject(o, w, h), nil
-	})
+	}, em.RecordCount(objFile, rec.ObjectCodec{}.Size()))
 }
 
 // SolveRects answers the transformed MaxRS problem (Definition 5) for an
@@ -249,7 +251,7 @@ func (s *Solver) SolveRectsScoped(ctx context.Context, rectFile *em.File, sc *em
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	return t.solveFused(rr.Read)
+	return t.solveFused(rr.Read, em.RecordCount(rectFile, rec.WRectCodec{}.Size()))
 }
 
 // lessEventY orders piece events by sweep y — the root event sort order.
@@ -259,103 +261,106 @@ func lessEventY(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }
 func lessFloat64(a, b float64) bool { return a < b }
 
 // solveFused drains next() and solves the transformed problem on the
-// fused root pipeline (DESIGN.md §8): records stream straight into sorted
-// run formation — no unsorted event or edge file is ever written or
-// re-read — and, when the input exceeds memory, the root sorts' final
-// merges stream straight into the division (divideFused), so the sorted
-// root files are never materialized either. The root's tuples stream into
-// a best-region tracker, so no whole-space slab file is written. Every
-// sink consumes the exact record sequence a materialized sort would
-// produce, so results match the materializing reference of the
-// fusion-equivalence tests bit for bit at every Parallelism.
-func (s *task) solveFused(next func() (rec.WRect, error)) (sweep.Result, error) {
-	evb, edb, err := s.rootRuns(next)
+// fused root pipeline (DESIGN.md §8); records, the input file's record
+// count, bounds how many rectangles next() yields. The root keeps its
+// non-degenerate rectangles in one slice of at most ⌊capacity/2⌋, the
+// most a resident root holds (two events each). A root that stays within
+// it is the base case run at the top: it sorts and sweeps the slice for
+// its max-region alone and touches no file. The rectangle that would
+// overflow the slice makes the root external: its two run builders are
+// created, the slice is replayed into them in input order, and every
+// later rectangle follows, so run formation sees the same Add sequence as
+// builders fed from the first rectangle. From there the root sorts'
+// final merges stream into the division (divideFused) and the root's
+// tuples into a best-region tracker. Every sink consumes the exact record
+// sequence a materialized sort would produce, so results match the
+// materializing reference of the fusion-equivalence tests bit for bit at
+// every Parallelism.
+func (s *task) solveFused(next func() (rec.WRect, error), records int64) (sweep.Result, error) {
+	half := int(s.capacity() / 2)
+	rects := make([]rec.WRect, 0, min(records, int64(half)))
+	var rr *rootRuns
+	err := forEachRect(next, func(r rec.WRect) error {
+		if rr == nil {
+			if len(rects) < half {
+				rects = append(rects, r)
+				return nil
+			}
+			var err error
+			if rr, err = s.newRootRuns(); err != nil {
+				return err
+			}
+			for _, q := range rects {
+				if err := rr.add(q); err != nil {
+					return err
+				}
+			}
+			rects = nil
+		}
+		return rr.add(r)
+	})
 	if err != nil {
+		if rr != nil {
+			rr.discard()
+		}
 		return sweep.Result{}, err
 	}
-	if !s.fits(evb.Count()) {
-		return s.divideFused(evb, edb)
+	if rr != nil {
+		return s.divideFused(rr)
 	}
-	rects, err := residentRects(evb, edb)
-	if err != nil {
-		return sweep.Result{}, err
-	}
+	// A stable sort by Y1 is the order of the bottom events in a sorted
+	// root run, so the sweep adds up the rectangles exactly as before.
+	extsort.SortStable(rects, func(a, b rec.WRect) bool { return a.Y1 < b.Y1 })
 	return sweep.MaxRSRects(rects), nil
 }
 
-// rootRuns drains next() into the root's two run builders: two piece
-// events and four edge values per non-degenerate rectangle. On error both
-// builders are discarded.
-func (s *task) rootRuns(next func() (rec.WRect, error)) (_ *extsort.RunBuilder[rec.PieceEvent], _ *extsort.RunBuilder[float64], err error) {
+// rootRuns is the run formation of an external root: two piece events and
+// four edge values per non-degenerate rectangle.
+type rootRuns struct {
+	events *extsort.RunBuilder[rec.PieceEvent]
+	edges  *extsort.RunBuilder[float64]
+}
+
+func (s *task) newRootRuns() (*rootRuns, error) {
 	evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, s.par)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	edb, err := extsort.NewRunBuilder(s.env, rec.Float64Codec{}, lessFloat64, s.par)
 	if err != nil {
 		evb.Discard()
-		return nil, nil, err
-	}
-	err = forEachRect(next, func(r rec.WRect) error {
-		bottom, top := rec.PieceEventsOf(r)
-		if err := evb.Add(bottom); err != nil {
-			return err
-		}
-		if err := evb.Add(top); err != nil {
-			return err
-		}
-		// Two copies of each vertical edge — one per event record — so the
-		// edge-file invariant (two values per piece edge) is uniform across
-		// recursion levels.
-		for i := 0; i < 2; i++ {
-			if err := edb.Add(r.X1); err != nil {
-				return err
-			}
-			if err := edb.Add(r.X2); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		evb.Discard()
-		edb.Discard()
-		return nil, nil, err
-	}
-	return evb, edb, nil
-}
-
-// residentRects takes the rectangles of a root problem that fits in
-// memory out of the run builders. The event run buffer cannot have
-// spilled (capacity equals the events-per-run bound, and the edge buffer
-// is strictly smaller than its own), so no event, edge, or sorted file
-// ever touches the disk. Only the bottom events are kept: they are
-// compacted to the front of the buffer, in order, and stable-sorted by Y1
-// with the back half (the tops' old slots) as the sort's scratch. A
-// stable sort keeps the bottoms' relative order whether the tops are
-// dropped before or after it, so the sweep sees the rectangles in exactly
-// the order of the sorted run a materialized sort would produce, at half
-// the sort length.
-func residentRects(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) ([]rec.WRect, error) {
-	events, err := evb.Take()
-	edb.Discard()
-	if err != nil {
-		evb.Discard()
 		return nil, err
 	}
-	n := 0
-	for _, e := range events {
-		if !e.Top { // the bottom event carries the full geometry
-			events[n] = e
-			n++
+	return &rootRuns{events: evb, edges: edb}, nil
+}
+
+// add feeds one rectangle to both builders.
+func (rr *rootRuns) add(r rec.WRect) error {
+	bottom, top := rec.PieceEventsOf(r)
+	if err := rr.events.Add(bottom); err != nil {
+		return err
+	}
+	if err := rr.events.Add(top); err != nil {
+		return err
+	}
+	// Two copies of each vertical edge — one per event record — so the
+	// edge-file invariant (two values per piece edge) is uniform across
+	// recursion levels.
+	for i := 0; i < 2; i++ {
+		if err := rr.edges.Add(r.X1); err != nil {
+			return err
+		}
+		if err := rr.edges.Add(r.X2); err != nil {
+			return err
 		}
 	}
-	extsort.SortStableScratch(events[:n], events[n:], func(a, b rec.PieceEvent) bool { return a.R.Y1 < b.R.Y1 })
-	rects := make([]rec.WRect, n)
-	for i, e := range events[:n] {
-		rects[i] = e.R
-	}
-	return rects, nil
+	return nil
+}
+
+// discard releases both builders' runs (the error path).
+func (rr *rootRuns) discard() {
+	rr.events.Discard()
+	rr.edges.Discard()
 }
 
 // forEachRect drains next() until io.EOF, passing every non-degenerate

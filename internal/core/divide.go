@@ -453,9 +453,9 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 // end of the fusion), so the whole-space slab file is never written or
 // re-read. The children, the recursion below them, and the result are
 // bit-identical to the materializing reference of the core tests.
-func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (sweep.Result, error) {
-	count, countX := evb.Count(), edb.Count()
-	evm, edm, err := s.rootMerges(evb, edb)
+func (s *task) divideFused(rr *rootRuns) (sweep.Result, error) {
+	count, countX := rr.events.Count(), rr.edges.Count()
+	evm, edm, err := s.rootMerges(rr)
 	if err != nil {
 		return sweep.Result{}, err
 	}
@@ -477,14 +477,14 @@ func (s *task) divideFused(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort
 
 // rootMerges finishes the root's run builders and reduces their runs to
 // the final merge level, consuming both builders on every path.
-func (s *task) rootMerges(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (_ *extsort.Merger[rec.PieceEvent], _ *extsort.Merger[float64], err error) {
-	evRuns, err := evb.Finish()
+func (s *task) rootMerges(rr *rootRuns) (_ *extsort.Merger[rec.PieceEvent], _ *extsort.Merger[float64], err error) {
+	evRuns, err := rr.events.Finish()
 	if err != nil {
-		edb.Discard()
+		rr.edges.Discard()
 		return nil, nil, err
 	}
 	evm := extsort.NewMerger(s.env, evRuns, rec.PieceEventCodec{}, lessEventY, s.par)
-	edRuns, err := edb.Finish()
+	edRuns, err := rr.edges.Finish()
 	if err != nil {
 		_ = evm.Release()
 		return nil, nil, err

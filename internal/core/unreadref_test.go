@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"maxrs/internal/em"
@@ -33,27 +34,48 @@ type unreadLedger struct {
 
 // solveUnreadRef solves next's rectangles on the schedule that writes the
 // unread files, with children solved in order, and returns the result of
-// the old root output end (resultOfSlabFileRef) and the ledger.
+// the old root output end (resultOfSlabFileRef) and the ledger. A
+// resident root sweeps the bottom events of its one sorted event run,
+// which the reference sorts itself (sort.SliceStable of every event by
+// y), into a slab file.
 func (s *task) solveUnreadRef(tb testing.TB, next func() (rec.WRect, error)) (sweep.Result, unreadLedger) {
 	tb.Helper()
 	var led unreadLedger
-	evb, edb, err := s.rootRuns(next)
-	if err != nil {
+	var rects []rec.WRect
+	if err := forEachRect(next, func(r rec.WRect) error { rects = append(rects, r); return nil }); err != nil {
 		tb.Fatal(err)
 	}
 	full := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	var slabFile *em.File
-	if s.fits(evb.Count()) {
-		rects, err := residentRects(evb, edb)
-		if err != nil {
-			tb.Fatal(err)
+	if s.fits(int64(2 * len(rects))) {
+		var events []rec.PieceEvent
+		for _, r := range rects {
+			bottom, top := rec.PieceEventsOf(r)
+			events = append(events, bottom, top)
 		}
-		if slabFile, err = s.writeSlab(sweep.Slab(rects, full)); err != nil {
+		sort.SliceStable(events, func(i, j int) bool { return lessEventY(events[i], events[j]) })
+		var sorted []rec.WRect
+		for _, e := range events {
+			if !e.Top {
+				sorted = append(sorted, e.R)
+			}
+		}
+		var err error
+		if slabFile, err = s.writeSlab(sweep.Slab(sorted, full)); err != nil {
 			tb.Fatal(err)
 		}
 	} else {
-		countX := edb.Count()
-		evm, edm, err := s.rootMerges(evb, edb)
+		rr, err := s.newRootRuns()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, r := range rects {
+			if err := rr.add(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		countX := rr.edges.Count()
+		evm, edm, err := s.rootMerges(rr)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -294,9 +294,10 @@ func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 
 // finish drains the workers and returns the spilled runs in input order,
 // releasing everything on error. It drops the sort scratch and the free
-// list: a finished builder often stays reachable for the rest of its
-// query (core's solveFused holds both root builders), and buffers it kept
-// would count toward the query's peak memory.
+// list: a finished builder can stay reachable for the rest of its query
+// (core's external root holds its two builders while the recursion
+// below it runs), and buffers it kept would count toward the query's
+// peak memory.
 func (sp *spiller[T]) finish() ([]*em.File, error) {
 	if sp.started {
 		close(sp.jobs)
@@ -367,9 +368,10 @@ func NewRunBuilder[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool,
 // spillIfFull spills the buffer as the next run when — and only when — it
 // holds exactly perRun records. Every spill goes through here, which is
 // what keeps run boundaries identical between Add- and fill-driven
-// builders and preserves the lazy-spill invariant Take depends on. The
-// next buffer is one the spiller has recycled when one is free, so a
-// builder allocates at most p+1 run buffers however many runs it spills.
+// builders and keeps the spill lazy: a full buffer is written by the Add
+// that overflows it, or by Finish. The next buffer is one the spiller
+// has recycled when one is free, so a builder allocates at most p+1 run
+// buffers however many runs it spills.
 func (rb *RunBuilder[T]) spillIfFull() error {
 	if len(rb.buf) < rb.perRun {
 		return nil
@@ -383,8 +385,8 @@ func (rb *RunBuilder[T]) spillIfFull() error {
 }
 
 // Add appends one record. The full buffer is spilled lazily — on the Add
-// that overflows it — so a sequence of exactly perRun records stays
-// resident and can be taken with Take.
+// that overflows it — so a sequence of exactly perRun records touches no
+// disk until Finish writes it as the one run.
 func (rb *RunBuilder[T]) Add(v T) error {
 	if err := rb.spillIfFull(); err != nil {
 		return err
@@ -417,23 +419,6 @@ func (rb *RunBuilder[T]) fill(read func(dst []T) (int, error)) error {
 // Count returns the number of records added so far.
 func (rb *RunBuilder[T]) Count() int64 { return rb.count }
 
-// Spilled reports whether any run has been written to disk yet. False
-// means every record is still in the memory buffer.
-func (rb *RunBuilder[T]) Spilled() bool { return rb.idx > 0 }
-
-// Take hands over the in-memory record buffer, in Add order, for callers
-// that discover the whole input fits in memory (the fused base case). It
-// must only be called when Spilled() is false; the builder is consumed.
-func (rb *RunBuilder[T]) Take() ([]T, error) {
-	if rb.Spilled() {
-		return nil, fmt.Errorf("extsort: Take after %d runs spilled", rb.idx)
-	}
-	rb.done = true
-	buf := rb.buf
-	rb.buf = nil
-	return buf, nil
-}
-
 // Finish spills the final partial buffer and returns the sorted runs in
 // input order. An empty input yields one empty run, matching SortP. On
 // error every spilled run is released. The builder is consumed.
@@ -460,7 +445,7 @@ func (rb *RunBuilder[T]) Finish() ([]*em.File, error) {
 }
 
 // Discard drains the workers and releases every spilled run — the error
-// path counterpart of Finish/Take. Safe to call after either (a no-op).
+// path counterpart of Finish. Safe to call after it (a no-op).
 func (rb *RunBuilder[T]) Discard() {
 	if rb.done {
 		return

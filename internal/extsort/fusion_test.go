@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,47 +136,45 @@ func TestRunBuilderMergerMatchesSort(t *testing.T) {
 	}
 }
 
-// TestRunBuilderTake covers the resident fast path: when nothing spilled,
-// Take hands back the records in Add order and no disk blocks were used.
-func TestRunBuilderTake(t *testing.T) {
-	env := em.MustNewEnv(128, 1024) // 128 records per run
-	vals := []int64{9, 3, 7, 1}
-	rb := addAll(t, env, vals, 2)
-	if rb.Spilled() {
-		t.Fatal("4 records must not spill")
-	}
-	got, err := rb.Take()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if got[i] != v {
-			t.Fatalf("Take()[%d] = %d, want %d (Add order)", i, got[i], v)
+// TestRunBuilderLazySpill pins the lazy spill through Finish: up to one
+// run buffer of records (here 128) touches no disk until Finish, which
+// writes them as the one sorted run; the Add that overflows a full
+// buffer spills it as run 0, and Finish writes the rest as run 1.
+func TestRunBuilderLazySpill(t *testing.T) {
+	for _, n := range []int{4, 128, 129} {
+		env := em.MustNewEnv(128, 1024) // 128 records per run
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(n - i)
 		}
-	}
-	if env.Disk.InUse() != 0 || env.Disk.Stats().Total() != 0 {
-		t.Fatalf("resident path touched the disk: %d blocks, %v", env.Disk.InUse(), env.Disk.Stats())
-	}
-
-	// Exactly one full buffer stays resident (lazy spill)...
-	rbFull := addAll(t, env, make([]int64, 128), 1)
-	if rbFull.Spilled() {
-		t.Fatal("exactly perRun records must not spill (lazy dispatch)")
-	}
-	if _, err := rbFull.Take(); err != nil {
-		t.Fatal(err)
-	}
-	// ...and one more record forces the spill, after which Take must fail.
-	rbOver := addAll(t, env, make([]int64, 129), 1)
-	if !rbOver.Spilled() {
-		t.Fatal("perRun+1 records must spill")
-	}
-	if _, err := rbOver.Take(); err == nil {
-		t.Fatal("Take after a spill must fail")
-	}
-	rbOver.Discard()
-	if env.Disk.InUse() != 0 {
-		t.Fatalf("Discard leaked %d blocks", env.Disk.InUse())
+		rb := addAll(t, env, vals, 1)
+		if spilled := env.Disk.Stats().Total() != 0; spilled != (n > 128) {
+			t.Fatalf("n=%d: %v before Finish, want a spill: %v", n, env.Disk.Stats(), n > 128)
+		}
+		runs, err := rb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (n + 127) / 128; len(runs) != want {
+			t.Fatalf("n=%d: %d runs, want %d", n, len(runs), want)
+		}
+		for i, r := range runs {
+			got, err := em.ReadAll[int64](r, int64Codec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(vals[i*128 : min(n, (i+1)*128)])
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d: run %d = %v, want %v", n, i, got, want)
+			}
+			if err := r.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if env.Disk.InUse() != 0 {
+			t.Fatalf("n=%d: %d blocks leaked", n, env.Disk.InUse())
+		}
 	}
 }
 

@@ -90,18 +90,18 @@ func TestRunBuilderRecyclesItsBuffer(t *testing.T) {
 }
 
 // TestConsumedBuilderKeepsNoBuffers pins the spiller's memory lifetime: a
-// builder's recycled run buffers and sort scratch die with Finish, Take
-// and Discard. Callers keep consumed builders reachable for the rest of a
-// query (core's fused root holds both root builders through the whole
-// recursion), so a buffer the spiller kept would count toward the query's
-// peak memory.
+// builder's recycled run buffers and sort scratch die with Finish, also
+// when nothing spilled before it, and with Discard. Callers keep consumed
+// builders reachable for the rest of a query (core's external root holds
+// both root builders through the whole recursion), so a buffer the
+// spiller kept would count toward the query's peak memory.
 func TestConsumedBuilderKeepsNoBuffers(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
-		for _, end := range []string{"Finish", "Take", "Discard"} {
+		for _, end := range []string{"Finish", "Finish unspilled", "Discard"} {
 			env := em.MustNewEnv(128, 1024)
 			n := 10_000
-			if end == "Take" {
-				n = 100 // Take needs an input that never spilled
+			if end == "Finish unspilled" {
+				n = 100 // fits one run buffer: nothing spills before Finish
 			}
 			vals := make([]int64, n)
 			for i := range vals {
@@ -109,17 +109,13 @@ func TestConsumedBuilderKeepsNoBuffers(t *testing.T) {
 			}
 			rb := addAll(t, env, vals, p)
 			switch end {
-			case "Finish":
+			case "Finish", "Finish unspilled":
 				runs, err := rb.Finish()
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, r := range runs {
 					_ = r.Release()
-				}
-			case "Take":
-				if _, err := rb.Take(); err != nil {
-					t.Fatal(err)
 				}
 			case "Discard":
 				rb.Discard()

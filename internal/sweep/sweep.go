@@ -5,7 +5,9 @@
 //
 //   - as the base case of ExactMaxRS, producing the slab file of an
 //     in-memory sub-problem (§5.2.4, Algorithm 2 line 9);
-//   - as the reference exact MaxRS solver for tests and small inputs;
+//   - as the best-only sweep (SlabBest) of a problem whose max-region is
+//     all that is needed: a root that fits in memory, and the exact
+//     in-memory MaxRS solver for tests and small inputs;
 //   - as the sweep engine the external baselines emulate.
 //
 // The sweep moves a horizontal line bottom-to-top over the rectangles'
@@ -40,12 +42,35 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	return sw.Slab(rects, slabX)
 }
 
-// Sweeper runs Slab sweeps one after another over the same buffers: the
-// x coordinates, the events, the segment-tree nodes and the output
-// tuples. A buffer is reallocated, at exactly the size the sweep needs,
-// only when it is too small, so a sequence of sweeps allocates about what
-// its largest one needs. The zero value is ready to use; a Sweeper is not
-// safe for concurrent use.
+// SlabBest returns BestRegion(Slab(rects, slabX)), bit for bit, without
+// the slab file: it runs Slab's line loop, but finds a line's maximal run
+// and forms its tuple only when BestTracker says the line's maximum wins.
+// Every other line only closes the pending strip at its y. It is the
+// sweep of every caller that needs the max-region alone (§5.2.4): a root
+// that fits in memory, the in-memory solver, and the delta path's
+// influence bounds.
+func SlabBest(rects []rec.WRect, slabX geom.Interval) Result {
+	var sw Sweeper
+	var best BestTracker
+	xs, evs := sw.events(rects, slabX)
+	sw.lines(len(xs)-1, evs, func(y float64) {
+		if !best.wins(sw.tree.Max()) {
+			best.skip(y)
+			return
+		}
+		l, r := sw.tree.MaxRun()
+		best.Add(rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: sw.tree.Max()})
+	})
+	return best.Result()
+}
+
+// Sweeper holds the buffers of a sweep: the x coordinates, the events,
+// the segment-tree nodes and the output tuples. Slab and SlabBest sweep
+// on a fresh one; a base case's conquer keeps one for its sibling base
+// cases, which run (*Sweeper).Slab in turn. A buffer is reallocated, at
+// exactly the size the sweep needs, only when it is too small, so a
+// sequence of sweeps allocates about what its largest one needs. The zero
+// value is ready to use; a Sweeper is not safe for concurrent use.
 type Sweeper struct {
 	xs     []float64
 	evs    []event
@@ -67,8 +92,25 @@ type event struct {
 // bit-identical to a fresh Slab's, and they stay valid only until the
 // next call.
 func (sw *Sweeper) Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
-	if slabX.Empty() {
+	xs, evs := sw.events(rects, slabX)
+	if len(evs) == 0 {
 		return nil
+	}
+	tuples := resize(sw.tuples, len(evs))
+	sw.lines(len(xs)-1, evs, func(y float64) {
+		l, r := sw.tree.MaxRun()
+		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: sw.tree.Max()})
+	})
+	sw.tuples = tuples
+	return tuples
+}
+
+// events clips rects to slabX and returns, on the Sweeper's buffers, the
+// sorted distinct cell edges and the rectangles' y-sorted events. It
+// returns no events when no rectangle meets the slab.
+func (sw *Sweeper) events(rects []rec.WRect, slabX geom.Interval) ([]float64, []event) {
+	if slabX.Empty() {
+		return nil, nil
 	}
 	clip := func(r rec.WRect) (x1, x2 float64, ok bool) {
 		x1 = math.Max(r.X1, slabX.Lo)
@@ -86,10 +128,9 @@ func (sw *Sweeper) Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	}
 	sw.xs = xs
 	if kept == 0 {
-		return nil
+		return nil, nil
 	}
 	xs = dedupSorted(xs)
-	nCells := len(xs) - 1
 
 	// Tops (removals) sort before bottoms (additions) at equal y, so a
 	// rectangle half-open in y never coexists with one starting at its
@@ -120,20 +161,26 @@ func (sw *Sweeper) Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		}
 		return 0
 	})
+	return xs, evs
+}
 
+// lines is the line loop of every sweep: it resets the tree to nCells
+// cells and moves the line bottom to top over the sorted events, applying
+// every event of one y to the tree before it calls line(y), which reads
+// the strip's maximum from sw.tree.
+func (sw *Sweeper) lines(nCells int, evs []event, line func(y float64)) {
+	if len(evs) == 0 {
+		return
+	}
 	tree := &sw.tree
 	tree.reset(nCells)
-	tuples := resize(sw.tuples, 2*kept)
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for ; i < len(evs) && evs[i].y == y; i++ {
 			tree.Update(evs[i].l, evs[i].r, evs[i].w)
 		}
-		l, r := tree.MaxRun()
-		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: tree.Max()})
+		line(y)
 	}
-	sw.tuples = tuples
-	return tuples
 }
 
 // resize returns s emptied, with room for n elements: s itself when it
@@ -157,9 +204,16 @@ func dedupSorted(xs []float64) []float64 {
 	return out
 }
 
-// Result is a solved MaxRS instance: Region is a rectangle of optimal
-// center locations (any point of it is an optimal answer), and Sum is the
-// total covered weight at those locations.
+// Result is a solved MaxRS instance: Region is the max-region, a
+// rectangle of optimal center locations, and Sum is the total covered
+// weight at them. Region is closed on its min edges, like every
+// geom.Rect, but the optimum is not: a query rectangle centered at c
+// covers an object at o iff c−w/2 ≤ o < c+w/2, i.e. for c in
+// (o−w/2, o+w/2]. So every point of Region off its finite min edges
+// attains Sum, and a point on one can miss the objects whose rectangles
+// start there. With one object at (1, 1) of weight 1 and a 1×1 query,
+// Region is [0.5,1.5)×[0.5,1.5) and Sum is 1: the center (1, 1) covers
+// the object, but (0.5, 0.5) covers nothing.
 type Result struct {
 	Region geom.Rect
 	Sum    float64
@@ -176,29 +230,43 @@ func (r Result) Best() geom.Point { return r.Region.Pick() }
 // wins, and its strip ends at the next tuple's y, or at +Inf after the
 // last tuple. With no tuples the region is the whole plane with sum 0.
 // This converts the transformed problem's answer back to the original
-// MaxRS answer (§5.1). The zero value is ready to use.
+// MaxRS answer (§5.1). SlabBest, which knows a line's maximum before it
+// forms the line's tuple, asks wins first and skips the lines that lose.
+// The zero value is ready to use.
 type BestTracker struct {
 	best    Result
 	seen    bool
 	pending bool // best awaits its strip's top y: the next tuple's y
 }
 
-// Add consumes the next tuple.
-func (b *BestTracker) Add(t rec.Tuple) {
+// wins reports whether a line whose maximum is sum would become the best
+// region: it is the first line, or sum is strictly greater than the best
+// so far.
+func (b *BestTracker) wins(sum float64) bool { return !b.seen || sum > b.best.Sum }
+
+// skip consumes a line at y that does not win: it closes the best
+// region's pending strip at y.
+func (b *BestTracker) skip(y float64) {
 	if b.pending {
-		b.best.Region.Y.Hi = t.Y
+		b.best.Region.Y.Hi = y
 		b.pending = false
 	}
-	if !b.seen || t.Sum > b.best.Sum {
-		b.best = Result{
-			Region: geom.Rect{
-				X: geom.Interval{Lo: t.X1, Hi: t.X2},
-				Y: geom.Interval{Lo: t.Y, Hi: math.Inf(1)},
-			},
-			Sum: t.Sum,
-		}
-		b.seen, b.pending = true, true
+}
+
+// Add consumes the next tuple.
+func (b *BestTracker) Add(t rec.Tuple) {
+	if !b.wins(t.Sum) {
+		b.skip(t.Y)
+		return
 	}
+	b.best = Result{
+		Region: geom.Rect{
+			X: geom.Interval{Lo: t.X1, Hi: t.X2},
+			Y: geom.Interval{Lo: t.Y, Hi: math.Inf(1)},
+		},
+		Sum: t.Sum,
+	}
+	b.seen, b.pending = true, true
 }
 
 // Result returns the max-region of the tuples added so far.
@@ -232,8 +300,8 @@ func MaxRS(objs []geom.Object, w, h float64) Result {
 	return MaxRSRects(rects)
 }
 
-// MaxRSRects solves the transformed problem directly on weighted rectangles.
+// MaxRSRects solves the transformed problem directly on weighted
+// rectangles, with the best-only sweep over the whole plane.
 func MaxRSRects(rects []rec.WRect) Result {
-	full := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-	return BestRegion(Slab(rects, full))
+	return SlabBest(rects, geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
 }

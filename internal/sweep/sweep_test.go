@@ -9,6 +9,7 @@ import (
 
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
+	"maxrs/internal/workload"
 )
 
 func newSegTree(n int) *segTree {
@@ -398,6 +399,10 @@ func TestBestTrackerStreaming(t *testing.T) {
 // size of a resident base case, and 40, the size of a deep leaf. The
 // n=… sub-benchmarks are one-shot Slab calls; reused/n=… sweep the same
 // input with one Sweeper, as sibling base cases of one recursion node do.
+// The ux/… sub-benchmarks find the max-region of 10k clustered objects
+// (a sample of the UX stand-in) under the query sides of a resident
+// root: …/slab reads it off the slab file, BestRegion(Slab(…)), and
+// …/best is the best-only SlabBest.
 func BenchmarkSlab(b *testing.B) {
 	for _, n := range []int{40, 10_000} {
 		rects := randRects(rand.New(rand.NewSource(int64(n))), n, 4*float64(n), 100)
@@ -412,6 +417,25 @@ func BenchmarkSlab(b *testing.B) {
 			var sw Sweeper
 			for i := 0; i < b.N; i++ {
 				sw.Slab(rects, fullSlab())
+			}
+		})
+	}
+	objs := workload.Sample(1, workload.SyntheticUX(1), 10_000)
+	for _, side := range []float64{5_000, 40_000} {
+		rects := make([]rec.WRect, len(objs))
+		for i, o := range objs {
+			rects[i] = rec.FromObject(rec.FromGeom(o), side, side)
+		}
+		b.Run(fmt.Sprintf("ux/side=%g/slab", side), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BestRegion(Slab(rects, fullSlab()))
+			}
+		})
+		b.Run(fmt.Sprintf("ux/side=%g/best", side), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SlabBest(rects, fullSlab())
 			}
 		})
 	}

@@ -74,8 +74,10 @@ type Point struct {
 }
 
 // Rect is an axis-aligned region of optimal locations, half-open on its
-// max edges. Infinite bounds mean the optimum extends indefinitely in
-// that direction (possible only for degenerate inputs).
+// max edges: Contains takes the min edges in. Infinite bounds mean the
+// optimum extends indefinitely in that direction (possible only for
+// degenerate inputs). See Result.Region for which of its points attain
+// the score.
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
@@ -91,11 +93,17 @@ type Result struct {
 	Location Point
 	// Score is the total covered weight at Location.
 	Score float64
-	// Region is the full set of optimal center positions (for MaxRS).
-	// Every point of Region attains Score. For sharded queries
-	// (Options.Shards) it is the winning shard's optimal region: every
-	// point of it still attains Score on the full dataset, but equally
-	// good centers in other shards are not enumerated.
+	// Region is the region of optimal center positions (for MaxRS).
+	// Every point of Region off its finite min edges attains Score. A
+	// center on a finite min edge can score less: the query rectangle
+	// covers an object at o iff center−w/2 ≤ o < center+w/2, so it
+	// leaves out the objects on its own max edge. With one object (1, 1)
+	// of weight 1 and a 1×1 query, Region is [0.5,1.5)×[0.5,1.5) and
+	// Score is 1: Location (1, 1) attains it, but the min corner
+	// (0.5, 0.5) covers nothing. For sharded queries (Options.Shards)
+	// it is the winning shard's optimal region: its points attain Score
+	// on the full dataset by the same rule, but equally good centers in
+	// other shards are not enumerated.
 	Region Rect
 	// Stats is the I/O cost of this query alone (see QueryStats).
 	Stats QueryStats

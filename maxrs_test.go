@@ -278,6 +278,56 @@ func TestUnboundedOptimumLocation(t *testing.T) {
 	}
 }
 
+// TestRegionMinEdge pins the Region contract on its one exception: a
+// query rectangle covers o iff center−w/2 ≤ o < center+w/2, so a center
+// on a finite min edge of Region misses the objects on the rectangle's
+// max edge. One object (1, 1) of weight 1 and a 1×1 query give Region
+// [0.5,1.5)×[0.5,1.5): Location attains Score 1, and the min corner,
+// which Region.Contains, covers nothing.
+func TestRegionMinEdge(t *testing.T) {
+	ctx := context.Background()
+	objs := []Object{{X: 1, Y: 1, Weight: 1}}
+	covered := func(p Point) float64 {
+		var sum float64
+		for _, o := range objs {
+			if o.X >= p.X-0.5 && o.X < p.X+0.5 && o.Y >= p.Y-0.5 && o.Y < p.Y+0.5 {
+				sum += o.Weight
+			}
+		}
+		return sum
+	}
+	for _, algo := range []Algorithm{ExactMaxRS, InMemory} {
+		t.Run(algo.String(), func(t *testing.T) {
+			e, err := NewEngine(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			d, err := e.Load(ctx, objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.MaxRS(ctx, d, 1, 1, WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (Rect{MinX: 0.5, MinY: 0.5, MaxX: 1.5, MaxY: 1.5}); res.Region != want || res.Score != 1 {
+				t.Fatalf("Region %+v Score %g, want %+v and 1", res.Region, res.Score, want)
+			}
+			if got := covered(res.Location); got != res.Score {
+				t.Fatalf("Location %+v covers %g, want Score %g", res.Location, got, res.Score)
+			}
+			corner := Point{X: res.Region.MinX, Y: res.Region.MinY}
+			if !res.Region.Contains(corner) {
+				t.Fatalf("Region %+v does not contain its min corner", res.Region)
+			}
+			if got := covered(corner); got != 0 {
+				t.Fatalf("min corner %+v covers %g, want 0", corner, got)
+			}
+		})
+	}
+}
+
 func TestCountRS(t *testing.T) {
 	e, err := NewEngine(nil)
 	if err != nil {
