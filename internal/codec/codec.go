@@ -210,36 +210,53 @@ func (b ByteDelta) Name() string { return fmt.Sprintf("byte-delta/%d", b.Stride)
 // RecordSize implements BlockCodec: Stride bytes.
 func (b ByteDelta) RecordSize() int { return b.Stride }
 
-// AppendEncode implements BlockCodec.
+// AppendEncode implements BlockCodec. One pass computes each residual
+// once. A zero run ends at the first non-zero residual; a literal run
+// ends at a zero residual followed by another zero or by the end of the
+// block, because a lone zero between literals would cost two token bytes
+// to encode as a run. Literal bytes are appended as they come, and the
+// literal's length token is slid in front of them when the run closes.
 func (b ByteDelta) AppendEncode(dst, src []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	i := 0
-	for i < len(src) {
-		// Zero run.
-		run := 0
-		for i+run < len(src) && b.residual(src, i+run) == 0 {
-			run++
-		}
-		n := binary.PutUvarint(tmp[:], uint64(run))
-		dst = append(dst, tmp[:n]...)
-		i += run
-		// Literal run: extends until the next zero residual. A lone zero
-		// between literals would cost two token bytes to encode as a run,
-		// so runs of one zero stay literal.
-		lit := 0
-		for i+lit < len(src) {
-			if b.residual(src, i+lit) == 0 &&
-				(i+lit+1 >= len(src) || b.residual(src, i+lit+1) == 0) {
+	n := len(src)
+	zeros := 0 // zero residuals already seen at the start of the next run
+	for i := 0; i < n; {
+		var r byte
+		for ; i < n; i++ {
+			if r = b.residual(src, i); r != 0 {
 				break
 			}
-			lit++
+			zeros++
 		}
-		n = binary.PutUvarint(tmp[:], uint64(lit))
-		dst = append(dst, tmp[:n]...)
-		for j := i; j < i+lit; j++ {
-			dst = append(dst, b.residual(src, j))
+		dst = binary.AppendUvarint(dst, uint64(zeros))
+		if i == n {
+			return append(dst, 0)
 		}
-		i += lit
+		at := len(dst)
+		dst = append(dst, r)
+		zeros = 0
+		for i++; i < n; {
+			if r = b.residual(src, i); r != 0 {
+				dst = append(dst, r)
+				i++
+				continue
+			}
+			// A zero in the last byte, or two zeros in a row, close the
+			// literal and open the next zero run; a lone zero stays in.
+			if i+1 == n {
+				zeros, i = 1, n
+				break
+			}
+			if r = b.residual(src, i+1); r == 0 {
+				zeros, i = 2, i+2
+				break
+			}
+			dst = append(dst, 0, r)
+			i += 2
+		}
+		dst = closeLiteral(dst, at)
+	}
+	if zeros > 0 {
+		dst = append(binary.AppendUvarint(dst, uint64(zeros)), 0)
 	}
 	return dst
 }
@@ -250,6 +267,18 @@ func (b ByteDelta) residual(src []byte, i int) byte {
 		return src[i]
 	}
 	return src[i] - src[i-b.Stride]
+}
+
+// closeLiteral inserts the length token of the literal whose bytes start
+// at dst[at:] in front of them.
+func closeLiteral(dst []byte, at int) []byte {
+	n := len(dst) - at
+	var tmp [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tmp[:], uint64(n))
+	dst = append(dst, tmp[:k]...)
+	copy(dst[at+k:], dst[at:at+n])
+	copy(dst[at:], tmp[:k])
+	return dst
 }
 
 // Decode implements BlockCodec.

@@ -23,16 +23,20 @@
 // full piece geometry, kept sorted by y. Sorting by y is established once
 // at the root and preserved by distribution, which makes every later pass
 // — including the spanning files consumed by MergeSweep — a linear scan.
+// A child that the division certifies as a base case, which reads only
+// bottom events, gets a *rectangle file* instead: its pieces in
+// bottom-event order, one record each.
 //
 // Slab boundaries must split the *vertical edges* evenly (Lemma 1's
 // termination argument), and the paper's input is x-sorted for that
-// purpose. Because our piece files are y-sorted instead, every node also
-// carries an x-sorted *edge-value file* holding the multiset of its
-// pieces' vertical-edge x-coordinates; boundary quantiles are read off it
-// in one linear pass, and it is split (order-preserving, with clipped
-// boundary values inserted at the splice points) alongside the events.
-// This keeps the whole recursion free of sorts below the root and
-// preserves the optimal I/O bound.
+// purpose. Because our piece files are y-sorted instead, every node that
+// divides also carries an x-sorted *edge-value file* holding the multiset
+// of its pieces' vertical-edge x-coordinates, one value per edge, which
+// the division counts twice, once per event of the piece; boundary
+// quantiles are read off it in one linear pass, and it is split
+// (order-preserving, with clipped boundary values inserted at the splice
+// points) alongside the events. This keeps the whole recursion free of
+// sorts below the root and preserves the optimal I/O bound.
 //
 // # Pass fusion
 //
@@ -47,7 +51,9 @@
 // fits in memory creates no run builder at all: it keeps its rectangles
 // in one slice and runs the best-only sweep (sweep.SlabBest). Below the
 // root, a child that fits in memory is a base case, which never reads
-// edge values, so the division gives it no edge file. This is the only
+// edge values, so the division gives it no edge file, and a base case
+// the division certifies before routing gets a rectangle file in place
+// of its event file (see Representation choices). This is the only
 // root pipeline: the materializing schedule it replaced (write the
 // unsorted files, sort them into new files, re-read those) survives only
 // as the reference of the package's fusion-equivalence tests, whose
@@ -196,12 +202,14 @@ func (s *Solver) capacity() int64 {
 // fits reports whether a sub-problem of count events is a base case.
 func (s *Solver) fits(count int64) bool { return count <= s.capacity() }
 
-// node is one sub-problem of the recursion.
+// node is one sub-problem of the recursion. It holds its pieces in
+// exactly one of events and rects.
 type node struct {
-	events *em.File // piece events, sorted by y (2 per piece)
-	edges  *em.File // piece vertical-edge x values, sorted ascending; nil for a base case
+	events *em.File // piece events, sorted by y (2 per piece); nil for a certified base case
+	rects  *em.File // a certified base case's pieces, in bottom-event order; nil otherwise
+	edges  *em.File // piece vertical-edge x values, one per edge, sorted ascending; nil for a base case
 	slab   geom.Interval
-	count  int64 // number of event records
+	count  int64 // number of piece events (2 per piece), whichever file holds them
 }
 
 // SolveObjects answers MaxRS for the objects in objFile with a w×h query
@@ -315,7 +323,7 @@ func (s *task) solveFused(next func() (rec.WRect, error), records int64) (sweep.
 }
 
 // rootRuns is the run formation of an external root: two piece events and
-// four edge values per non-degenerate rectangle.
+// two edge values per non-degenerate rectangle.
 type rootRuns struct {
 	events *extsort.RunBuilder[rec.PieceEvent]
 	edges  *extsort.RunBuilder[float64]
@@ -343,18 +351,12 @@ func (rr *rootRuns) add(r rec.WRect) error {
 	if err := rr.events.Add(top); err != nil {
 		return err
 	}
-	// Two copies of each vertical edge — one per event record — so the
-	// edge-file invariant (two values per piece edge) is uniform across
-	// recursion levels.
-	for i := 0; i < 2; i++ {
-		if err := rr.edges.Add(r.X1); err != nil {
-			return err
-		}
-		if err := rr.edges.Add(r.X2); err != nil {
-			return err
-		}
+	// One value per vertical edge, as in every edge file; the division
+	// counts each value twice, once per event of the piece.
+	if err := rr.edges.Add(r.X1); err != nil {
+		return err
 	}
-	return nil
+	return rr.edges.Add(r.X2)
 }
 
 // discard releases both builders' runs (the error path).
@@ -385,9 +387,10 @@ func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) err
 
 // release frees the node's input files (best effort, for error paths).
 func (n node) release() {
-	_ = n.events.Release()
-	if n.edges != nil {
-		_ = n.edges.Release()
+	for _, f := range []*em.File{n.events, n.rects, n.edges} {
+		if f != nil {
+			_ = f.Release()
+		}
 	}
 }
 
@@ -426,7 +429,7 @@ func (s *task) solve(n node, depth int, scratch *scratchList) (_ *em.File, err e
 	}
 	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, s.par)
 	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, s.par)
-	countX := em.RecordCount(n.edges, rec.Float64Codec{}.Size())
+	countX := 2 * em.RecordCount(n.edges, rec.Float64Codec{}.Size())
 	bounds, children, spanning, err := s.divide(evm, edm, countX, n.slab)
 	if err != nil {
 		return nil, err
@@ -559,39 +562,32 @@ func (l *scratchList) put(b *baseScratch) {
 // baseCase loads a memory-sized node and runs the in-memory plane sweep
 // (Algorithm 2 line 9), writing the node's slab file. Its rectangles,
 // read batch and sweep buffers come from scratch and go back to it once
-// the slab file is written. A base case has no edge file: divide gives
-// none to a child that fits. The node's event file is consumed on every
-// path; on error the partial output is released too.
+// the slab file is written. A certified node's rectangle file is read
+// straight into the rectangle array; an event file yields the rectangles
+// of its bottom events, in the same order. A base case has no edge file:
+// divide gives none to a child that fits. The node's input file is
+// consumed on every path; on error the partial output is released too.
 func (s *task) baseCase(n node, scratch *scratchList) (_ *em.File, err error) {
 	defer func() {
 		if err != nil {
 			n.release()
 		}
 	}()
-	rr, err := em.NewRecordReader(n.events, rec.PieceEventCodec{})
-	if err != nil {
-		return nil, err
-	}
 	b := scratch.get()
 	defer scratch.put(b)
-	if need := int(n.count / 2); cap(b.rects) < need {
+	need := int(n.count / 2)
+	if cap(b.rects) < need {
 		b.rects = make([]rec.WRect, 0, need)
 	}
-	rects := b.rects[:0]
-	for {
-		k, err := rr.ReadBatch(b.batch)
-		for _, e := range b.batch[:k] {
-			if e.Top {
-				continue // the bottom event carries the full geometry
-			}
-			rects = append(rects, e.R)
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, err
-		}
+	in, rects := n.events, b.rects[:0]
+	if n.rects != nil {
+		in = n.rects
+		rects, err = readRects(n.rects, b.rects[:need])
+	} else {
+		rects, err = readBottomRects(n.events, rects, b.batch)
+	}
+	if err != nil {
+		return nil, err
 	}
 	out, err := s.writeSlab(b.sw.Slab(rects, n.slab))
 	if err != nil {
@@ -602,10 +598,48 @@ func (s *task) baseCase(n node, scratch *scratchList) (_ *em.File, err error) {
 			_ = out.Release()
 		}
 	}()
-	if err := n.events.Release(); err != nil {
+	if err := in.Release(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// readRects reads the first len(rects) records of a rectangle file, a
+// certified node's count/2, straight into rects.
+func readRects(f *em.File, rects []rec.WRect) ([]rec.WRect, error) {
+	rr, err := em.NewRecordReader(f, rec.WRectCodec{})
+	if err != nil {
+		return nil, err
+	}
+	k, err := rr.ReadBatch(rects)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	return rects[:k], nil
+}
+
+// readBottomRects appends the rectangles of an event file's bottom events
+// to rects, reading through batch.
+func readBottomRects(f *em.File, rects []rec.WRect, batch []rec.PieceEvent) ([]rec.WRect, error) {
+	rr, err := em.NewRecordReader(f, rec.PieceEventCodec{})
+	if err != nil {
+		return nil, err
+	}
+	for {
+		k, err := rr.ReadBatch(batch)
+		for _, e := range batch[:k] {
+			if e.Top {
+				continue // the bottom event carries the full geometry
+			}
+			rects = append(rects, e.R)
+		}
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return rects, nil
+			}
+			return nil, err
+		}
+	}
 }
 
 // writeSlab materializes one node's slab file from its sweep tuples,

@@ -24,7 +24,9 @@ import (
 // sink sees exactly the record sequence a sorted file would give it. Only
 // a child that divides again reads its edge values, so the splitter writes
 // edge files for those children alone, and runs not at all when every
-// child is a base case.
+// child is a base case. A child the bounds picker certifies as a base
+// case before routing reads only its pieces, so the router writes it one
+// rectangle per piece instead of two events.
 
 // divisionFanout returns the slab fan-out m for one division step. For
 // pathologically small memories an auto-selected fan-out below 4 cannot
@@ -42,13 +44,28 @@ func (s *task) divisionFanout() int {
 // boundsPicker streams the x-sorted edge-value multiset once and selects
 // up to m−1 strictly increasing boundary values, each strictly inside the
 // slab, splitting the multiset into roughly equal parts (the division
-// criterion of §5.2.1 / Lemma 1). total must be the exact value count.
+// criterion of §5.2.1 / Lemma 1). An edge file stores one value per piece
+// edge and the picker counts each twice, once per event of the piece, so
+// total — the exact count — and the quantile ranks are in event units.
+//
+// In the same pass it counts each child's edge values V_c, twice each:
+// the values v with childOfPoint(bounds, v) == c, so the values equal to
+// a bound move to the child above it when the bound is picked. Every
+// piece routed to child c owns a distinct node edge with childOfPoint ==
+// c — a left or whole fragment its x1, a right fragment its x2, which is
+// then no bound and so not the node's high border — hence V_c is at least
+// the child's event count, and a child with fits(V_c) is certainly a base
+// case (DESIGN.md §8.1).
 type boundsPicker struct {
 	slab                     geom.Interval
 	i, step, nextRank        int64
 	bounds                   []float64
 	minInterior, maxInterior float64
 	haveInterior             bool
+
+	values []int64 // V_c of each child under the bounds picked so far
+	last   float64 // the previous value
+	tie    int64   // the count of values equal to last, twice each
 }
 
 func newBoundsPicker(m int, total int64, slab geom.Interval) *boundsPicker {
@@ -56,12 +73,13 @@ func newBoundsPicker(m int, total int64, slab geom.Interval) *boundsPicker {
 	if step < 1 {
 		step = 1
 	}
-	return &boundsPicker{slab: slab, step: step, nextRank: step}
+	return &boundsPicker{slab: slab, step: step, nextRank: step, values: []int64{0}, last: math.NaN()}
 }
 
-// add consumes the next edge value (ascending order).
+// add consumes the next edge value (ascending order), which stands for
+// the edge's two events at ranks i+1 and i+2.
 func (bp *boundsPicker) add(v float64) {
-	bp.i++
+	bp.i += 2
 	interior := v > bp.slab.Lo && v < bp.slab.Hi && !math.IsInf(v, 0)
 	if interior {
 		if !bp.haveInterior {
@@ -70,28 +88,32 @@ func (bp *boundsPicker) add(v float64) {
 			bp.maxInterior = v
 		}
 	}
-	if bp.i == bp.nextRank {
-		bp.nextRank += bp.step
-		if !interior {
-			return
-		}
-		if len(bp.bounds) == 0 || v > bp.bounds[len(bp.bounds)-1] {
+	if v != bp.last {
+		bp.last, bp.tie = v, 0
+	}
+	bp.tie += 2
+	bp.values[len(bp.values)-1] += 2
+	for ; bp.nextRank <= bp.i; bp.nextRank += bp.step {
+		if interior && (len(bp.bounds) == 0 || v > bp.bounds[len(bp.bounds)-1]) {
 			bp.bounds = append(bp.bounds, v)
+			bp.values[len(bp.values)-1] -= bp.tie
+			bp.values = append(bp.values, bp.tie)
 		}
 	}
 }
 
-// finish returns the selected boundaries. If every quantile rank landed on
-// a border-valued edge it falls back to a single interior split so the
-// recursion still progresses.
-func (bp *boundsPicker) finish() []float64 {
+// finish returns the selected boundaries and each child's V_c. If every
+// quantile rank landed on a border-valued edge it falls back to a single
+// interior split so the recursion still progresses; the counts, taken
+// under no bound, then certify nothing and are nil.
+func (bp *boundsPicker) finish() ([]float64, []int64) {
 	if len(bp.bounds) == 0 && bp.haveInterior {
 		if bp.minInterior < bp.maxInterior {
-			return []float64{bp.minInterior + (bp.maxInterior-bp.minInterior)/2}
+			return []float64{bp.minInterior + (bp.maxInterior-bp.minInterior)/2}, nil
 		}
-		return []float64{bp.minInterior}
+		return []float64{bp.minInterior}, nil
 	}
-	return bp.bounds
+	return bp.bounds, bp.values
 }
 
 // slabLo returns the low x-boundary of child i under bounds within slab.
@@ -127,39 +149,45 @@ func childOfSup(bounds []float64, x float64) int {
 }
 
 // router is the division sink (§5.2.1): it distributes piece events into
-// len(bounds)+1 child event files, diverting every fragment that spans a
-// whole child slab into the spanning file R′. Event order (y) is preserved
-// in every output file. It also tallies the clip counts (nLow, nHigh) the
-// edge splitter needs.
+// len(bounds)+1 child files, diverting every fragment that spans a whole
+// child slab into the spanning file R′. A certified child (see
+// boundsPicker) is a base case that reads only rectangles, so its file
+// holds just the bottom events' rectangles; every other child's holds
+// both events of each fragment. Event order (y) is preserved in every
+// output file. It also tallies the clip counts (nLow, nHigh) the edge
+// splitter needs.
 type router struct {
 	bounds []float64
 	slab   geom.Interval
 
-	childEvents  []*em.File
-	eventWriters []*em.RecordWriter[rec.PieceEvent]
+	childFiles   []*em.File
+	eventWriters []*em.RecordWriter[rec.PieceEvent] // nil for a certified child
+	rectWriters  []*em.RecordWriter[rec.WRect]      // nil for every other child
 	spanning     *em.File
 	spanWriter   *em.RecordWriter[rec.PieceEvent]
 
-	counts []int64
-	nLow   []int64 // right-fragment clips at each child's low bound
-	nHigh  []int64 // left-fragment clips at each child's high bound
+	counts []int64 // events routed to each child, bottom and top alike
+	nLow   []int64 // right-fragment clip events at each child's low bound
+	nHigh  []int64 // left-fragment clip events at each child's high bound
 }
 
-// newRouter allocates the child event files, the spanning file and their
-// writers. On error every partial file is released.
-func (s *task) newRouter(bounds []float64, slab geom.Interval) (_ *router, err error) {
+// newRouter allocates the child files, the spanning file and their
+// writers; certified[i] gives child i a rectangle file. On error every
+// partial file is released.
+func (s *task) newRouter(bounds []float64, slab geom.Interval, certified []bool) (_ *router, err error) {
 	nc := len(bounds) + 1
 	rt := &router{
 		bounds:       bounds,
 		slab:         slab,
-		childEvents:  make([]*em.File, nc),
+		childFiles:   make([]*em.File, nc),
 		eventWriters: make([]*em.RecordWriter[rec.PieceEvent], nc),
+		rectWriters:  make([]*em.RecordWriter[rec.WRect], nc),
 		counts:       make([]int64, nc),
 		nLow:         make([]int64, nc),
 		nHigh:        make([]int64, nc),
 	}
-	for i := range rt.childEvents {
-		rt.childEvents[i] = s.env.NewFile()
+	for i := range rt.childFiles {
+		rt.childFiles[i] = s.env.NewFile()
 	}
 	rt.spanning = s.env.NewFile()
 	defer func() {
@@ -167,12 +195,14 @@ func (s *task) newRouter(bounds []float64, slab geom.Interval) (_ *router, err e
 			rt.abort()
 		}
 	}()
-	for i := range rt.childEvents {
-		w, err := em.NewRecordWriter(rt.childEvents[i], rec.PieceEventCodec{})
-		if err != nil {
+	for i, f := range rt.childFiles {
+		if certified[i] {
+			if rt.rectWriters[i], err = em.NewRecordWriter(f, rec.WRectCodec{}); err != nil {
+				return nil, err
+			}
+		} else if rt.eventWriters[i], err = em.NewRecordWriter(f, rec.PieceEventCodec{}); err != nil {
 			return nil, err
 		}
-		rt.eventWriters[i] = w
 	}
 	rt.spanWriter, err = em.NewRecordWriter(rt.spanning, rec.PieceEventCodec{})
 	if err != nil {
@@ -184,6 +214,12 @@ func (s *task) newRouter(bounds []float64, slab geom.Interval) (_ *router, err e
 func (rt *router) emit(i int, e rec.PieceEvent, x1, x2 float64) error {
 	e.R.X1, e.R.X2 = x1, x2
 	rt.counts[i]++
+	if w := rt.rectWriters[i]; w != nil {
+		if e.Top {
+			return nil // the bottom event carries the full geometry
+		}
+		return w.Write(e.R)
+	}
 	return rt.eventWriters[i].Write(e)
 }
 
@@ -235,8 +271,13 @@ func (rt *router) finish() (err error) {
 			rt.abort()
 		}
 	}()
-	for _, w := range rt.eventWriters {
-		if err := w.Close(); err != nil {
+	for i, w := range rt.eventWriters {
+		if w == nil {
+			err = rt.rectWriters[i].Close()
+		} else {
+			err = w.Close()
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -245,31 +286,37 @@ func (rt *router) finish() (err error) {
 
 // abort releases the router's files (best effort, idempotent).
 func (rt *router) abort() {
-	for _, f := range rt.childEvents {
+	for _, f := range rt.childFiles {
 		_ = f.Release()
 	}
 	_ = rt.spanning.Release()
 }
 
-// assembleChildren zips the router's event files with the split edge files
-// into child nodes.
+// assembleChildren zips the router's files with the split edge files into
+// child nodes.
 func assembleChildren(rt *router, childEdges []*em.File, slab geom.Interval) []node {
-	children := make([]node, len(rt.childEvents))
+	children := make([]node, len(rt.childFiles))
 	for i := range children {
 		children[i] = node{
-			events: rt.childEvents[i],
-			edges:  childEdges[i],
-			slab:   geom.Interval{Lo: slabLo(slab, rt.bounds, i), Hi: slabHi(slab, rt.bounds, i)},
-			count:  rt.counts[i],
+			edges: childEdges[i],
+			slab:  geom.Interval{Lo: slabLo(slab, rt.bounds, i), Hi: slabHi(slab, rt.bounds, i)},
+			count: rt.counts[i],
+		}
+		if rt.rectWriters[i] != nil {
+			children[i].rects = rt.childFiles[i]
+		} else {
+			children[i].events = rt.childFiles[i]
 		}
 	}
 	return children
 }
 
 // edgeSplitter routes the parent's sorted edge values into per-child
-// sorted files: nLow[i] copies of the child's low bound (written up
-// front), then the parent values falling in the child's x-range, then
-// nHigh[i] copies of the high bound (written by finish). The splice keeps
+// sorted files: one copy of the child's low bound per right-fragment clip
+// (nLow[i]/2, written up front), then the parent values falling in the
+// child's x-range, then one copy of the high bound per left-fragment clip
+// (nHigh[i]/2, written by finish). The clip counts are in events, and
+// both events of a piece route alike, so they are even. The splice keeps
 // each child's file sorted. A child i with !divides[i] is a base case,
 // which never reads edge values: it gets no file, and its values are
 // dropped.
@@ -312,7 +359,7 @@ func (s *task) newEdgeSplitter(bounds []float64, slab geom.Interval, nLow, nHigh
 			return nil, err
 		}
 		es.writers[i] = w
-		for k := int64(0); k < nLow[i]; k++ {
+		for k := int64(0); k < nLow[i]/2; k++ {
 			if err := w.Write(lo); err != nil {
 				return nil, err
 			}
@@ -345,7 +392,7 @@ func (es *edgeSplitter) finish() (_ []*em.File, err error) {
 		if w == nil {
 			continue
 		}
-		for k := int64(0); k < es.nHigh[i]; k++ {
+		for k := int64(0); k < es.nHigh[i]/2; k++ {
 			if err := w.Write(hi); err != nil {
 				return nil, err
 			}
@@ -368,13 +415,15 @@ func (es *edgeSplitter) abort() {
 
 // divide is the division step of Algorithm 2 (§5.2.1) for a node whose
 // events and edge values are the sorted streams of evm and edm; countX is
-// the number of edge values. The edges merge is replayed into the bounds
-// picker, the events merge feeds the router and is released, and the edges
-// merge is replayed again into the edge splitter — unless every child
-// fits in memory, since only a child that divides gets an edge file. It
-// returns the slab bounds, the child nodes and the spanning file R′, and
-// consumes both merges on every path; on error every partial output is
-// released too.
+// the number of edge values counted twice, i.e. in event units. The edges
+// merge is replayed into the bounds picker, the events merge feeds the
+// router and is released, and the edges merge is replayed again into the
+// edge splitter — unless every child fits in memory, since only a child
+// that divides gets an edge file. A child the picker certifies as a base
+// case gets a rectangle file instead of an event file. It returns the
+// slab bounds, the child nodes and the spanning file R′, and consumes
+// both merges on every path; on error every partial output is released
+// too.
 func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[float64], countX int64, slab geom.Interval) (_ []float64, _ []node, _ *em.File, err error) {
 	defer func() {
 		if err != nil {
@@ -389,7 +438,7 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 	if bp.i != countX {
 		return nil, nil, nil, fmt.Errorf("core: edge merge gave %d of %d values", bp.i, countX)
 	}
-	bounds := bp.finish()
+	bounds, values := bp.finish()
 	if len(bounds) == 0 {
 		// No usable split point: every edge value sits on the slab border,
 		// which would mean every piece spans the slab — impossible, because
@@ -397,8 +446,12 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 		// infinite. Tripwire.
 		return nil, nil, nil, fmt.Errorf("%w: no interior boundary in slab %v", ErrNoProgress, slab)
 	}
+	certified := make([]bool, len(bounds)+1)
+	for i, v := range values {
+		certified[i] = s.fits(v)
+	}
 
-	rt, err := s.newRouter(bounds, slab)
+	rt, err := s.newRouter(bounds, slab, certified)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -412,6 +465,13 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 	if err := evm.Release(); err != nil {
 		rt.abort()
 		return nil, nil, nil, err
+	}
+	for i, c := range rt.counts {
+		if certified[i] && !s.fits(c) {
+			// V_c bounds the child's events from above. Tripwire.
+			rt.abort()
+			return nil, nil, nil, fmt.Errorf("core: certified child %d routed %d events, capacity %d", i, c, s.capacity())
+		}
 	}
 
 	divides := make([]bool, len(rt.counts))
@@ -454,7 +514,7 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 // re-read. The children, the recursion below them, and the result are
 // bit-identical to the materializing reference of the core tests.
 func (s *task) divideFused(rr *rootRuns) (sweep.Result, error) {
-	count, countX := rr.events.Count(), rr.edges.Count()
+	count, countX := rr.events.Count(), 2*rr.edges.Count()
 	evm, edm, err := s.rootMerges(rr)
 	if err != nil {
 		return sweep.Result{}, err

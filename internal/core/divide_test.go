@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"maxrs/internal/em"
@@ -34,7 +36,7 @@ func divideNode(tb testing.TB, s *task, n node) ([]float64, []node, *em.File) {
 	tb.Helper()
 	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, s.par)
 	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, s.par)
-	bounds, children, spanning, err := s.divide(evm, edm, em.RecordCount(n.edges, rec.Float64Codec{}.Size()), n.slab)
+	bounds, children, spanning, err := s.divide(evm, edm, 2*em.RecordCount(n.edges, rec.Float64Codec{}.Size()), n.slab)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestChooseBoundsProperties(t *testing.T) {
 // released.
 func TestChooseBoundsEmptyEdgeFile(t *testing.T) {
 	slab := geom.Interval{Lo: 0, Hi: 10}
-	if bounds := newBoundsPicker(4, 0, slab).finish(); bounds != nil {
+	if bounds, _ := newBoundsPicker(4, 0, slab).finish(); bounds != nil {
 		t.Fatalf("bounds for no values: %v", bounds)
 	}
 	env := em.MustNewEnv(128, 1024)
@@ -96,6 +98,38 @@ func releaseDivision(children []node, spanning *em.File) {
 		c.release()
 	}
 	_ = spanning.Release()
+}
+
+// pieceFile returns the file that holds a node's pieces: its rectangle
+// file if it is certified, else its event file.
+func pieceFile(n node) *em.File {
+	if n.rects != nil {
+		return n.rects
+	}
+	return n.events
+}
+
+// readPieces returns a node's piece events and how many events they
+// stand for: a certified node's rectangle file yields the bottom events
+// alone, two events each.
+func readPieces(tb testing.TB, n node) ([]rec.PieceEvent, int64) {
+	tb.Helper()
+	if n.rects == nil {
+		evs, err := em.ReadAll(n.events, rec.PieceEventCodec{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return evs, int64(len(evs))
+	}
+	rects, err := em.ReadAll(n.rects, rec.WRectCodec{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	evs := make([]rec.PieceEvent, len(rects))
+	for i, r := range rects {
+		evs[i], _ = rec.PieceEventsOf(r)
+	}
+	return evs, 2 * int64(len(rects))
 }
 
 // fileBytes returns a file's record bytes.
@@ -174,7 +208,7 @@ func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 			t.Fatalf("p=%d: root merges have %d and %d runs, want ≥ 3 each", p, evm.Runs(), edm.Runs())
 		}
 		slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-		rootBounds, rootChildren, rootSpanning, err := s.divide(evm, edm, int64(len(xs)), slab)
+		rootBounds, rootChildren, rootSpanning, err := s.divide(evm, edm, 2*int64(len(xs)), slab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,15 +217,21 @@ func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 		if !slices.Equal(rootBounds, nodeBounds) {
 			t.Fatalf("p=%d: root bounds %v, node bounds %v", p, rootBounds, nodeBounds)
 		}
-		var bases, dividing int
+		var bases, certified, dividing int
 		for i := range rootChildren {
 			rc, nc := rootChildren[i], nodeChildren[i]
 			if rc.slab != nc.slab || rc.count != nc.count {
 				t.Fatalf("p=%d: child %d is %v/%d from the root merges, %v/%d from the sorted files",
 					p, i, rc.slab, rc.count, nc.slab, nc.count)
 			}
-			if !bytes.Equal(fileBytes(t, rc.events), fileBytes(t, nc.events)) {
-				t.Fatalf("p=%d: child %d event files differ", p, i)
+			if (rc.rects == nil) != (nc.rects == nil) {
+				t.Fatalf("p=%d: child %d is certified from one feed only", p, i)
+			}
+			if rc.rects != nil {
+				certified++
+			}
+			if !bytes.Equal(fileBytes(t, pieceFile(rc)), fileBytes(t, pieceFile(nc))) {
+				t.Fatalf("p=%d: child %d piece files differ", p, i)
 			}
 			if s.fits(rc.count) {
 				bases++
@@ -208,8 +248,9 @@ func TestRootDivisionMatchesNodeDivision(t *testing.T) {
 				t.Fatalf("p=%d: child %d edge files differ", p, i)
 			}
 		}
-		if bases == 0 || dividing == 0 {
-			t.Fatalf("p=%d: %d base-case and %d dividing children, want some of each", p, bases, dividing)
+		if certified == 0 || dividing == 0 {
+			t.Fatalf("p=%d: %d base-case children (%d certified) and %d dividing ones, want some certified and some dividing",
+				p, bases, certified, dividing)
 		}
 		if !bytes.Equal(fileBytes(t, rootSpanning), fileBytes(t, nodeSpanning)) {
 			t.Fatalf("p=%d: spanning files differ", p)
@@ -238,12 +279,9 @@ func TestRouteInvariants(t *testing.T) {
 	}
 	var totalChildEvents int64
 	for i, c := range children {
-		evs, err := em.ReadAll(c.events, rec.PieceEventCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(evs)) != c.count {
-			t.Fatalf("child %d count %d, file has %d", i, c.count, len(evs))
+		evs, events := readPieces(t, c)
+		if events != c.count {
+			t.Fatalf("child %d count %d, file has %d events", i, c.count, events)
 		}
 		totalChildEvents += c.count
 		lastY := math.Inf(-1)
@@ -293,10 +331,7 @@ func TestRouteInvariants(t *testing.T) {
 	}
 	var childMass float64
 	for _, c := range children {
-		evs, err := em.ReadAll(c.events, rec.PieceEventCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs, _ := readPieces(t, c)
 		childMass += mass(evs)
 	}
 	childMass += mass(spans)
@@ -356,5 +391,109 @@ func TestNoProgressTripwire(t *testing.T) {
 		slab: geom.Interval{Lo: 0, Hi: 1}, count: 1 << 40}
 	if _, err := s.task(nil, nil).solve(n, maxDepth+1, nil); !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("want ErrNoProgress, got %v", err)
+	}
+}
+
+// TestBoundsPickerChildValues pins V_c, the per-child edge-value counts
+// that certify base cases. A hand-worked multiset picks a bound on a
+// value whose earlier copies the picker had counted below it, and those
+// copies must move to the child above. Then, over random multisets with
+// heavy ties at every fan-out, V_c must be exactly twice the count of
+// values v with childOfPoint(bounds, v) == c.
+func TestBoundsPickerChildValues(t *testing.T) {
+	slab := geom.Interval{Lo: 0, Hi: 100}
+	bp := newBoundsPicker(4, 20, slab)
+	for _, v := range []float64{1, 2, 3, 3, 3, 3, 5, 6, 7, 8} {
+		bp.add(v)
+	}
+	bounds, values := bp.finish()
+	if !slices.Equal(bounds, []float64{3, 6, 8}) || !slices.Equal(values, []int64{4, 10, 4, 2}) {
+		t.Fatalf("bounds %v, values %v; want [3 6 8] and [4 10 4 2]", bounds, values)
+	}
+
+	rng := rand.New(rand.NewSource(53))
+	for it := 0; it < 500; it++ {
+		n := 1 + rng.Intn(200)
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(rng.Intn(1 + rng.Intn(30)))
+		}
+		slices.Sort(vs)
+		slab := geom.Interval{Lo: vs[0], Hi: vs[n-1]}
+		if rng.Intn(2) == 0 {
+			slab = geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+		}
+		bp := newBoundsPicker(2+rng.Intn(8), 2*int64(n), slab)
+		for _, v := range vs {
+			bp.add(v)
+		}
+		bounds, values := bp.finish()
+		if len(bounds) == 0 || values == nil {
+			continue // no interior value, or the midpoint fallback
+		}
+		want := make([]int64, len(bounds)+1)
+		for _, v := range vs {
+			want[childOfPoint(bounds, v)] += 2
+		}
+		if !slices.Equal(values, want) {
+			t.Fatalf("values %v under bounds %v: V_c %v, want %v", vs, bounds, values, want)
+		}
+	}
+}
+
+// TestBoundsPickerFallbackCertifiesNothing: when every quantile rank
+// lands on a border value, finish falls back to a midpoint bound, which
+// the counts taken during the pass know nothing of, so it returns no
+// counts, and divide, which certifies from them, certifies no child.
+func TestBoundsPickerFallbackCertifiesNothing(t *testing.T) {
+	slab := geom.Interval{Lo: 0, Hi: 10}
+	// Ranks 10, 20, 30 and 40 land on the fifteen zeros and the last ten.
+	var vs []float64
+	for range 15 {
+		vs = append(vs, 0)
+	}
+	vs = append(vs, 4, 6, 10, 10, 10)
+	bp := newBoundsPicker(4, 2*int64(len(vs)), slab)
+	for _, v := range vs {
+		bp.add(v)
+	}
+	bounds, values := bp.finish()
+	if !slices.Equal(bounds, []float64{5}) || values != nil {
+		t.Fatalf("bounds %v, values %v; want the midpoint [5] and no counts", bounds, values)
+	}
+}
+
+// TestCertifiedChildTripwire: V_c bounds a child's events from above, so
+// a certified child that routes more events than capacity means the edge
+// values do not belong to the events. divide must fail and release every
+// file. Here forty events of twenty pieces inside [1, 2) come with four
+// edge values, which certify every child.
+func TestCertifiedChildTripwire(t *testing.T) {
+	env := em.MustNewEnv(128, 1024) // capacity 24 events
+	s := mustSolver(t, env, Config{}).task(nil, nil)
+	var evs []rec.PieceEvent
+	for i := range 20 {
+		r := rec.WRect{X1: 1.5, X2: 1.7, Y1: float64(i), Y2: float64(i) + 0.5, W: 1}
+		bottom, top := rec.PieceEventsOf(r)
+		evs = append(evs, bottom, top)
+	}
+	slices.SortStableFunc(evs, func(a, b rec.PieceEvent) int { return cmp.Compare(a.Y(), b.Y()) })
+	events, err := em.WriteAll(env.Disk, rec.PieceEventCodec{}, evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := em.WriteAll(env.Disk, rec.Float64Codec{}, []float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := node{events: events, edges: edges, slab: geom.Interval{Lo: 0, Hi: 10}, count: int64(len(evs))}
+	evm := extsort.NewMerger(s.env, []*em.File{n.events}, rec.PieceEventCodec{}, lessEventY, 1)
+	edm := extsort.NewMerger(s.env, []*em.File{n.edges}, rec.Float64Codec{}, lessFloat64, 1)
+	_, _, _, err = s.divide(evm, edm, 8, n.slab)
+	if err == nil || !strings.Contains(err.Error(), "certified child") {
+		t.Fatalf("want the certified-child tripwire, got %v", err)
+	}
+	if n := env.Disk.InUse(); n != 0 {
+		t.Fatalf("%d blocks still in use", n)
 	}
 }

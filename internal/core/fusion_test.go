@@ -59,7 +59,9 @@ func TestFusionEquivalence(t *testing.T) {
 		}
 
 		// The asserted saving floor, from the record counts: every object
-		// produces two 41-byte events and four 8-byte edge values.
+		// produces two 41-byte events and two 8-byte edge values. The
+		// floor counts four edge values, as when edge files held two
+		// copies of each edge, and the fused saving still clears it.
 		blockOf := func(bytes int) uint64 { return uint64((bytes + 4095) / 4096) }
 		evBlocks := blockOf(2 * n * rec.PieceEventCodec{}.Size())
 		edBlocks := blockOf(4 * n * rec.Float64Codec{}.Size())

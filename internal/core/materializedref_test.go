@@ -22,7 +22,7 @@ import (
 // the passes it pays — and, through sortedRoot, the node builder of the
 // division and merge tests.
 
-// buildInput drains next() until io.EOF, writing two events and four edge
+// buildInput drains next() until io.EOF, writing two events and two edge
 // values per rectangle (unsorted). On error the partial outputs are
 // released.
 func (s *task) buildInput(next func() (rec.WRect, error)) (_, _ *em.File, _ int64, err error) {
@@ -51,16 +51,12 @@ func (s *task) buildInput(next func() (rec.WRect, error)) (_, _ *em.File, _ int6
 		if err := ew.Write(top); err != nil {
 			return err
 		}
-		// Two copies of each vertical edge — one per event record — so the
-		// edge-file invariant (two values per piece edge) is uniform across
-		// recursion levels.
-		for i := 0; i < 2; i++ {
-			if err := xw.Write(r.X1); err != nil {
-				return err
-			}
-			if err := xw.Write(r.X2); err != nil {
-				return err
-			}
+		// One value per vertical edge, as in every edge file.
+		if err := xw.Write(r.X1); err != nil {
+			return err
+		}
+		if err := xw.Write(r.X2); err != nil {
+			return err
 		}
 		count += 2
 		return nil

@@ -42,8 +42,8 @@ func Sort[T any](env em.Env, in *em.File, codec em.Codec[T], less func(a, b T) b
 }
 
 // SortP is Sort with up to parallelism worker goroutines (≤ 0 selects
-// GOMAXPROCS). It is formRuns followed by a Merger: Reduce merges whole
-// levels down to at most fanIn runs, and one more merge writes them into
+// GOMAXPROCS). It is formRuns followed by a Merger: Reduce merges the
+// runs down to at most fanIn, and one more merge writes them into
 // the output file (a single run is the output itself). The output file and
 // the block-transfer counts are identical for every parallelism value;
 // only wall-clock time changes.
@@ -476,8 +476,8 @@ func formRuns[T any](env em.Env, in *em.File, codec em.Codec[T], less func(a, b 
 	return rb.Finish()
 }
 
-// Merger owns a set of sorted runs and merges them down. Reduce collapses
-// whole merge levels until at most fanIn runs remain; MergeInto then
+// Merger owns a set of sorted runs and merges them down. Reduce merges
+// just enough of them that at most fanIn runs remain; MergeInto then
 // replays the final merge into a caller sink without writing the sorted
 // output (merge→sink fusion, DESIGN.md §8). MergeInto may be called
 // repeatedly: each call costs one read pass over the remaining runs, which
@@ -504,9 +504,16 @@ func NewMerger[T any](env em.Env, runs []*em.File, codec em.Codec[T], less func(
 // Runs returns the current number of runs.
 func (m *Merger[T]) Runs() int { return len(m.runs) }
 
-// Reduce merges levels until one final merge pass remains (≤ fanIn runs).
-// SortP reduces through it too, so every transfer up to — but excluding —
-// the final merge matches SortP exactly. On error every run is released.
+// Reduce merges runs until one final merge pass remains: at most fanIn
+// runs. While more than fanIn² runs remain it merges whole levels in
+// groups of fanIn. Once at most fanIn² remain, one partial level merges
+// only the trailing k = e + ⌈e/(fanIn−1)⌉ runs, where e = runs − fanIn
+// is the excess, in contiguous groups of at most fanIn. Those groups
+// number ⌈e/(fanIn−1)⌉, so exactly fanIn runs remain, still in input
+// order, and the final merge emits equal records in the same order as
+// after whole levels. SortP reduces through it too, so every transfer up
+// to — but excluding — the final merge matches SortP exactly. On error
+// every run is released.
 func (m *Merger[T]) Reduce() error {
 	fanIn := fanInOf(m.env)
 	for len(m.runs) > fanIn {
@@ -514,12 +521,17 @@ func (m *Merger[T]) Reduce() error {
 			_ = m.Release()
 			return err
 		}
-		next, err := mergeLevel(m.env, m.runs, m.codec, m.less, m.par)
+		lo := 0
+		if len(m.runs) <= fanIn*fanIn {
+			e := len(m.runs) - fanIn
+			lo = len(m.runs) - (e + (e+fanIn-2)/(fanIn-1))
+		}
+		next, err := mergeLevel(m.env, m.runs[lo:], m.codec, m.less, m.par)
 		if err != nil {
-			m.runs = nil // mergeLevel released everything
+			_ = m.Release() // mergeLevel released m.runs[lo:] already
 			return err
 		}
-		m.runs = next
+		m.runs = append(m.runs[:lo:lo], next...)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 var (
 	objSize   = rec.ObjectCodec{}.Size()
 	eventSize = rec.PieceEventCodec{}.Size()
+	rectSize  = rec.WRectCodec{}.Size()
 	edgeSize  = rec.Float64Codec{}.Size()
 	tupleSize = rec.TupleCodec{}.Size()
 )
@@ -128,14 +129,21 @@ func (s *sim) runBytes(records float64, recSize int) []int64 {
 	return runs
 }
 
-// reduce replays Merger.Reduce: whole merge levels, groups of fanIn,
-// until at most fanIn runs remain. Every level reads and rewrites
-// everything, with per-file block rounding.
+// reduce replays Merger.Reduce: whole merge levels in groups of fanIn
+// while more than fanIn² runs remain, then one partial level that merges
+// only the trailing e + ⌈e/(fanIn−1)⌉ runs (e = runs − fanIn) in groups
+// of fanIn, leaving exactly fanIn. Every merge reads and rewrites its
+// runs, with per-file block rounding.
 func (s *sim) reduce(runs []int64) []int64 {
 	fanIn := s.fanIn()
 	for len(runs) > fanIn {
-		var next []int64
-		for g := 0; g < len(runs); g += fanIn {
+		lo := 0
+		if len(runs) <= fanIn*fanIn {
+			e := len(runs) - fanIn
+			lo = len(runs) - (e + (e+fanIn-2)/(fanIn-1))
+		}
+		next := append([]int64(nil), runs[:lo]...)
+		for g := lo; g < len(runs); g += fanIn {
 			hi := min(g+fanIn, len(runs))
 			var tot int64
 			for _, b := range runs[g:hi] {
@@ -233,8 +241,9 @@ func (s *sim) solve(pts []float64, nReal float64, objBlocks int64) {
 	for i, x := range pts {
 		spans[i] = span{x1: x - s.set.W/2, x2: x + s.set.W/2, w: w}
 	}
+	// One edge value per vertical edge: as many values as events.
 	evB := s.sortFused(e, eventSize)
-	edB := s.sortFused(2*e, edgeSize)
+	edB := s.sortFused(e, edgeSize)
 	s.node(spans, e, math.Inf(-1), math.Inf(1), evB, edB, true, false, 0)
 }
 
@@ -292,7 +301,7 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 	if forceDivide && depth >= maxSimDepth {
 		return base()
 	}
-	bounds, ranks, total := s.pickBounds(spans, count, lo, hi)
+	bounds, ranks, total, values := s.pickBounds(spans, count, lo, hi)
 	if len(bounds) == 0 {
 		if rootFused {
 			// Degenerate sample: charge the root's three division
@@ -397,12 +406,23 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 	var childTuples int64
 	noneDivides := 1.0
 	for i := range children {
+		if values != nil && values[i] <= s.capacity() {
+			// A certified base case: the router writes it one rectangle
+			// per piece, which the base case reads back before writing
+			// its tuple file.
+			rB := s.blocks(childCount[i]/2, rectSize)
+			t := s.blocks(childCount[i], tupleSize)
+			s.c.Writes += rB + t
+			s.c.Reads += rB
+			childTuples += t
+			continue
+		}
 		cEvB := s.blocks(childCount[i], eventSize)
 		s.c.Writes += cEvB
 		if childCount[i] <= 0 {
 			continue
 		}
-		t, p := s.child(children[i], childCount[i], math.Sqrt(fragVar[i]), slabLo(i), slabHi(i), cEvB, s.blocks(2*childCount[i], edgeSize), depth+1)
+		t, p := s.child(children[i], childCount[i], math.Sqrt(fragVar[i]), slabLo(i), slabHi(i), cEvB, s.blocks(childCount[i], edgeSize), depth+1)
 		childTuples += t
 		noneDivides *= 1 - p
 	}
@@ -424,9 +444,12 @@ func (s *sim) node(spans []span, count float64, lo, hi float64, evB, edB int64, 
 // pickBounds replays boundsPicker's quantile selection over the node's
 // weighted edge-value multiset (each span contributes its two clipped
 // x-values, one per edge pair). It returns the boundary values, the
-// edge rank each one was picked at, and the total edge rank count —
-// the ranks drive the anchored-population denoising in node.
-func (s *sim) pickBounds(spans []span, count float64, lo, hi float64) (bounds []float64, ranks []int64, total int64) {
+// edge rank each one was picked at, the total edge rank count — the
+// ranks drive the anchored-population denoising in node — and each
+// child's edge-value count V_c, the rank span between its bounds, which
+// certifies the child as a base case when it fits. Like the picker, the
+// midpoint fallback certifies nothing: its values are nil.
+func (s *sim) pickBounds(spans []span, count float64, lo, hi float64) (bounds []float64, ranks []int64, total int64, values []float64) {
 	type edge struct {
 		v, w float64
 	}
@@ -473,9 +496,14 @@ func (s *sim) pickBounds(spans []span, count float64, lo, hi float64) (bounds []
 		if minInt < maxInt {
 			mid = minInt + (maxInt-minInt)/2
 		}
-		return []float64{mid}, []int64{total / 2}, total
+		return []float64{mid}, []int64{total / 2}, total, nil
 	}
-	return bounds, ranks, total
+	prev := int64(0)
+	for _, r := range append(ranks, total) {
+		values = append(values, float64(r-prev))
+		prev = r
+	}
+	return bounds, ranks, total, values
 }
 
 // childOfPoint mirrors core's: the number of bounds ≤ x.

@@ -1,10 +1,16 @@
 // Package rec defines the fixed-size on-disk record formats used throughout
 // the external-memory pipeline, together with their em.Codec implementations:
 //
-//	Object   24 B  — an input point with weight (the set O)
-//	WRect    40 B  — a weighted rectangle (the transformed set R, §5.1)
-//	Tuple    32 B  — a slab-file max-interval tuple <y, [x1,x2], sum> (§5.2.2)
-//	Event    41 B  — a horizontal-edge sweep event (baselines)
+//	Object      24 B  — an input point with weight (the set O)
+//	WRect       40 B  — a weighted rectangle (the transformed set R, §5.1)
+//	Tuple       32 B  — a slab-file max-interval tuple <y, [x1,x2], sum> (§5.2.2)
+//	Event       41 B  — a horizontal-edge sweep event (baselines)
+//	PieceEvent  41 B  — one horizontal edge of a rectangle piece (ExactMaxRS)
+//
+// WRect files are inputs (SolveRects) and, inside ExactMaxRS, the piece
+// files of certified base cases: a child the division proves fits in
+// memory needs only its pieces, so it gets one WRect per piece, in the
+// order of their bottom events, instead of two PieceEvents.
 //
 // All encodings are little-endian raw float64 bits. Records never span
 // blocks logically; the byte stream is blocked by em.Writer.
@@ -52,7 +58,7 @@ func (ObjectCodec) Decode(src []byte) Object {
 }
 
 // WRect is a weighted axis-aligned rectangle [X1,X2) × [Y1,Y2), the element
-// type of the transformed set R and of the spanning files R′.
+// type of the transformed set R and of a certified base case's piece file.
 type WRect struct {
 	X1, X2, Y1, Y2, W float64
 }
