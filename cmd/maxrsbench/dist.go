@@ -10,7 +10,6 @@ import (
 	"maxrs"
 	"maxrs/internal/dist"
 	"maxrs/internal/experiments"
-	"maxrs/internal/geom"
 	"maxrs/internal/workload"
 )
 
@@ -57,30 +56,12 @@ func startBenchWorker(memory, par int) (*httptest.Server, *maxrs.Engine, error) 
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		objs := make([]maxrs.Object, len(req.Objects))
-		for i, o := range req.Objects {
-			objs[i] = maxrs.Object{X: o.X, Y: o.Y, Weight: o.W}
-		}
-		ds, err := eng.Load(r.Context(), objs)
+		reply, err := eng.SolveShard(r.Context(), req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		defer func() { _ = ds.Release() }()
-		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H, maxrs.WithShards(0))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_ = dist.WriteReply(w, dist.SolveReply{
-			Sum: res.Score,
-			Region: geom.Rect{
-				X: geom.Interval{Lo: res.Region.MinX, Hi: res.Region.MaxX},
-				Y: geom.Interval{Lo: res.Region.MinY, Hi: res.Region.MaxY},
-			},
-			Reads:  res.Stats.Reads,
-			Writes: res.Stats.Writes,
-		})
+		_ = dist.WriteReply(w, reply)
 	}))
 	return ts, eng, nil
 }

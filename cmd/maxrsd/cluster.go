@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,9 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"maxrs"
 	"maxrs/internal/dist"
-	"maxrs/internal/geom"
 )
 
 // This file is maxrsd's half of the cluster protocol (DESIGN.md §13):
@@ -51,49 +48,13 @@ func (s *server) handleShardSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	reply, err := s.solveShard(ctx, req)
+	reply, err := s.eng.SolveShard(ctx, req)
 	if err != nil {
 		status, code := errStatus(err)
 		httpError(w, status, code, "shard solve: %v", err)
 		return
 	}
 	_ = dist.WriteReply(w, reply) // write errors mean the client is gone
-}
-
-// solveShard runs one shipped shard through the engine: load the
-// objects onto the worker's disk, solve the exact MaxRS unsharded (the
-// shard is already a partition; re-sharding or re-distributing it would
-// be circular), and report the worker-side I/O. ExactMaxRS is exact for
-// any block size, memory budget, and parallelism, so the reply is
-// bit-identical to the coordinator solving the same partition itself —
-// the property the whole distributed mode rests on.
-func (s *server) solveShard(ctx context.Context, req dist.SolveRequest) (dist.SolveReply, error) {
-	objs := make([]maxrs.Object, len(req.Objects))
-	for i, o := range req.Objects {
-		objs[i] = maxrs.Object{X: o.X, Y: o.Y, Weight: o.W}
-	}
-	ds, err := s.eng.Load(ctx, objs)
-	if err != nil {
-		return dist.SolveReply{}, err
-	}
-	defer func() { _ = ds.Release() }()
-	res, err := s.eng.MaxRS(ctx, ds, req.W, req.H,
-		maxrs.WithAlgorithm(maxrs.ExactMaxRS),
-		maxrs.WithShards(0),
-		maxrs.WithDistributed(false),
-	)
-	if err != nil {
-		return dist.SolveReply{}, err
-	}
-	return dist.SolveReply{
-		Sum: res.Score,
-		Region: geom.Rect{
-			X: geom.Interval{Lo: res.Region.MinX, Hi: res.Region.MaxX},
-			Y: geom.Interval{Lo: res.Region.MinY, Hi: res.Region.MaxY},
-		},
-		Reads:  res.Stats.Reads,
-		Writes: res.Stats.Writes,
-	}, nil
 }
 
 // workerJSON is the /cluster/workers wire form of one member.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,31 +67,42 @@ func postShard(t *testing.T, ts *httptest.Server, body []byte, checksum string) 
 // is a role per request, not a build — and the reply is checksummed.
 func TestShardSolveEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	body, sum, err := dist.EncodeRequest(dist.SolveRequest{
-		W: 2, H: 2,
-		Objects: []geom.Object{
-			{Point: geom.Point{X: 1, Y: 1}, W: 1},
-			{Point: geom.Point{X: 1.5, Y: 1}, W: 2},
-			{Point: geom.Point{X: 10, Y: 10}, W: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	objs := []geom.Object{
+		{Point: geom.Point{X: 1, Y: 1}, W: 1},
+		{Point: geom.Point{X: 1.5, Y: 1}, W: 2},
+		{Point: geom.Point{X: 10, Y: 10}, W: 1},
 	}
-	resp, rbody := postShard(t, ts, body, sum)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, rbody)
-	}
-	if want := dist.Checksum(rbody); resp.Header.Get(dist.ChecksumHeader) != want {
-		t.Fatalf("reply checksum header %q does not cover the body (%s)",
-			resp.Header.Get(dist.ChecksumHeader), want)
-	}
-	var reply dist.SolveReply
-	if err := json.Unmarshal(rbody, &reply); err != nil {
-		t.Fatalf("bad reply %s: %v", rbody, err)
-	}
-	if reply.Sum != 3 {
-		t.Fatalf("shard optimum %g, want 3 (the two close objects)", reply.Sum)
+	// The shard answers for the centers of its slab alone: the slab
+	// [5, +Inf) sees only the far object.
+	for _, tc := range []struct {
+		slab geom.Interval
+		want float64
+	}{
+		{geom.Interval{Lo: math.Inf(-1), Hi: 5}, 3},
+		{geom.Interval{Lo: 5, Hi: math.Inf(1)}, 1},
+	} {
+		body, sum, err := dist.EncodeRequest(dist.SolveRequest{W: 2, H: 2, Slab: dist.SlabOf(tc.slab), Objects: objs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, rbody := postShard(t, ts, body, sum)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, body %s", resp.StatusCode, rbody)
+		}
+		if want := dist.Checksum(rbody); resp.Header.Get(dist.ChecksumHeader) != want {
+			t.Fatalf("reply checksum header %q does not cover the body (%s)",
+				resp.Header.Get(dist.ChecksumHeader), want)
+		}
+		var reply dist.SolveReply
+		if err := json.Unmarshal(rbody, &reply); err != nil {
+			t.Fatalf("bad reply %s: %v", rbody, err)
+		}
+		if reply.Sum != tc.want || reply.Slab != dist.SlabOf(tc.slab) {
+			t.Fatalf("slab %v: optimum %g and echo %v, want %g and the slab", tc.slab, reply.Sum, reply.Slab.Interval(), tc.want)
+		}
+		if x := reply.Region.X; x.Lo < tc.slab.Lo || x.Hi > tc.slab.Hi {
+			t.Fatalf("slab %v: region %v outside it", tc.slab, x)
+		}
 	}
 }
 

@@ -138,33 +138,40 @@ func TestExplainEndpoint(t *testing.T) {
 }
 
 // TestFallbackReasonReported: a sharded request on a negative-weight
-// dataset runs unsharded, and the JSON says why instead of silently
-// dropping the shards.
+// dataset shards, answers like the unsharded dataset and carries no
+// fallback reason; a maxcrs query on the same sharded dataset runs
+// unsharded, and the JSON says why instead of silently dropping the
+// shards.
 func TestFallbackReasonReported(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/neg?shards=2", "1,1,2\n2,2,-1\n3,3,4\n")
+	const csv = "1,1,2\n2,2,-1\n3,3,4\n"
+	resp, body := do(t, http.MethodPut, ts.URL+"/v1/datasets/neg?shards=2", csv)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %s", resp.StatusCode, body)
 	}
+	putDataset(t, ts, "ref", csv)
+	_, want := query(t, ts, `{"dataset":"ref","op":"maxrs","w":4,"h":4}`)
 	code, qr := query(t, ts, `{"dataset":"neg","op":"maxrs","w":4,"h":4}`)
-	if code != http.StatusOK || len(qr.Results) != 1 {
+	if code != http.StatusOK || len(qr.Results) != 1 || len(want.Results) != 1 {
 		t.Fatalf("status %d results %+v", code, qr.Results)
 	}
 	r := qr.Results[0]
-	if r.FallbackReason == "" {
-		t.Fatal("sharded request on negative weights must carry a fallback reason")
+	if r.FallbackReason != "" {
+		t.Fatalf("sharded request on negative weights carries fallback reason %q", r.FallbackReason)
 	}
-	if len(r.Shards) != 0 {
-		t.Fatalf("fallback query still reports shard stats: %+v", r.Shards)
+	if len(r.Shards) != 2 || r.Plan == nil || r.Plan.Shards != 2 {
+		t.Fatalf("shards %+v, plan %+v; want 2-way sharded", r.Shards, r.Plan)
 	}
-	if r.Plan == nil || r.Plan.Shards != 0 {
-		t.Fatalf("plan = %+v, want unsharded", r.Plan)
+	if r.Score != want.Results[0].Score {
+		t.Fatalf("sharded score %g, unsharded %g", r.Score, want.Results[0].Score)
 	}
 
-	// Positive weights with the same override shard fine — no reason.
-	putDataset(t, ts, "pos", testCSV)
-	if _, qr := query(t, ts, `{"dataset":"pos","op":"maxrs","w":4,"h":4}`); len(qr.Results) == 1 && qr.Results[0].FallbackReason != "" {
-		t.Fatalf("unexpected fallback reason on positive weights: %q", qr.Results[0].FallbackReason)
+	code, qr = query(t, ts, `{"dataset":"neg","op":"maxcrs","diameter":4}`)
+	if code != http.StatusOK || len(qr.Results) != 1 {
+		t.Fatalf("maxcrs: status %d results %+v", code, qr.Results)
+	}
+	if r := qr.Results[0]; r.FallbackReason == "" || len(r.Shards) != 0 {
+		t.Fatalf("maxcrs on a sharded dataset: reason %q, shards %+v; want a reason and none", r.FallbackReason, r.Shards)
 	}
 }
 

@@ -700,7 +700,7 @@ type queryResult struct {
 	// predicted cost next to the measured Stats.
 	Plan *planJSON `json:"plan,omitempty"`
 	// FallbackReason is non-empty when the query silently did less than
-	// requested (e.g. a sharded request on a negative-weight dataset).
+	// requested (e.g. a maxcrs query on a sharded dataset).
 	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Shards is the per-shard breakdown of Stats for sharded queries
 	// (datasets loaded with ?shards=K or a -shards server default);

@@ -116,12 +116,10 @@ func (d *Dataset) snapLocked() *deltaSnap {
 }
 
 // effStatsLocked merges the base statistics with the pending delta into
-// the effective statistics queries plan and guard against. Inserts fold
-// in exactly; deletes decrement the count and weight sum but never
-// shrink the extent or weight range (recomputing those would need a full
-// scan) — conservative in the safe direction: a negative weight is never
-// missed, so the shard-exactness guard (DESIGN.md §9.3) stays sound.
-// Caller holds d.mu.
+// the effective statistics queries plan with. Inserts fold in exactly;
+// deletes decrement the count and weight sum but never shrink the extent
+// or weight range (recomputing those would need a full scan). Caller
+// holds d.mu.
 func (d *Dataset) effStatsLocked(snap *deltaSnap) plan.Stats {
 	st := d.stats
 	if snap == nil {
@@ -585,22 +583,22 @@ func (q *query) scanEff(emit func(rec.Object) error) error {
 
 // materializeEff writes the query's effective object set (optionally
 // weight-mapped by fn) to a fresh file on the query's scope — the input
-// a reload-from-scratch would have loaded, bit for bit — and returns it
-// with its exact statistics. The caller releases the file.
-func (q *query) materializeEff(fn func(rec.Object) rec.Object) (*em.File, plan.Stats, error) {
+// a reload-from-scratch would have loaded, bit for bit — and returns it.
+// The caller releases the file.
+func (q *query) materializeEff(fn func(rec.Object) rec.Object) (*em.File, error) {
 	q.deltaPath = deltaPathFused
 	env := q.env()
 	out := env.NewFile()
-	st, err := q.delta.write(q.e, env, q.base.f, out, func(_ uint64, o rec.Object) rec.Object {
+	_, err := q.delta.write(q.e, env, q.base.f, out, func(_ uint64, o rec.Object) rec.Object {
 		if fn != nil {
 			o = fn(o)
 		}
 		return o
 	})
 	if err != nil {
-		return nil, plan.Stats{}, errors.Join(err, out.Release())
+		return nil, errors.Join(err, out.Release())
 	}
-	return out, st, nil
+	return out, nil
 }
 
 // effFile returns the file a solve should read: the base file itself for
@@ -615,7 +613,7 @@ func (q *query) effFile(fn func(rec.Object) rec.Object) (*em.File, bool, error) 
 		f, err := mapObjects(q.env(), q.base.f, fn)
 		return f, true, err
 	}
-	f, _, err := q.materializeEff(fn)
+	f, err := q.materializeEff(fn)
 	return f, true, err
 }
 
@@ -623,8 +621,8 @@ func (q *query) effFile(fn func(rec.Object) rec.Object) (*em.File, bool, error) 
 // delta. Unsharded queries first try the combined path — answer from the
 // cached base solution when the delta provably cannot move the optimum
 // (tryCombined) — and every other case re-solves the materialized
-// effective set, with the shard guard evaluated on its exact statistics
-// so the execution (and the answer) matches a reload bit for bit.
+// effective set, so the execution (and the answer) matches a reload bit
+// for bit.
 func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err error) {
 	if q.set.shards == 0 {
 		res, ok, err := q.tryCombined(w, h)
@@ -632,7 +630,7 @@ func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err err
 			return res, nil, err
 		}
 	}
-	f, st, err := q.materializeEff(nil)
+	f, err := q.materializeEff(nil)
 	if err != nil {
 		return sweep.Result{}, nil, err
 	}
@@ -641,7 +639,6 @@ func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err err
 			err = errors.Join(err, rerr)
 		}
 	}()
-	q.reshard(st)
 	return q.solveObjects(f, w, h)
 }
 

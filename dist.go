@@ -2,11 +2,14 @@ package maxrs
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
 	"maxrs/internal/core"
 	"maxrs/internal/dist"
+	"maxrs/internal/em"
 	"maxrs/internal/shard"
 	"maxrs/internal/sweep"
 )
@@ -249,7 +252,7 @@ func (q *query) fanOut(parts []*shard.Partition, w, h float64, cfg core.Config) 
 		}
 		jobs[i] = dist.ShardJob{
 			Index: i,
-			Req:   dist.SolveRequest{W: w, H: h, Objects: objs},
+			Req:   dist.SolveRequest{W: w, H: h, Slab: dist.SlabOf(p.Slab()), Objects: objs},
 		}
 		if !q.e.opts.Dist.DisableLocalFallback {
 			jobs[i].Fallback = func(ctx context.Context) (sweep.Result, error) {
@@ -258,6 +261,42 @@ func (q *query) fanOut(parts []*shard.Partition, w, h float64, cfg core.Config) 
 		}
 	}
 	return q.e.coord.Solve(q.ctx, jobs)
+}
+
+// SolveShard answers one shard shipped by a coordinator — the worker half
+// of POST /v1/shard/solve (DESIGN.md §13). It loads req's objects onto
+// the engine's disk as a transient dataset and solves ExactMaxRS over the
+// centers of req's slab through the same core entry point as the
+// coordinator's local halo-replica fallback, so the reply is
+// bit-identical to the coordinator solving the same partition itself.
+// The reply echoes the slab and reports the solve's transfers. A request
+// with an invalid query size or an empty slab (a missing, NaN or
+// inverted one) fails with ErrInvalidQuery. The dataset is released on
+// every path.
+func (e *Engine) SolveShard(ctx context.Context, req dist.SolveRequest) (_ dist.SolveReply, err error) {
+	if err := checkQuery(req.W, req.H); err != nil {
+		return dist.SolveReply{}, err
+	}
+	slab := req.Slab.Interval()
+	if !(slab.Lo < slab.Hi) {
+		return dist.SolveReply{}, fmt.Errorf("%w: shard slab [%g, %g) is empty", ErrInvalidQuery, slab.Lo, slab.Hi)
+	}
+	objs := make([]Object, len(req.Objects))
+	for i, o := range req.Objects {
+		objs[i] = Object{X: o.X, Y: o.Y, Weight: o.W}
+	}
+	d, err := e.Load(ctx, objs)
+	if err != nil {
+		return dist.SolveReply{}, err
+	}
+	defer func() { err = errors.Join(err, d.Release()) }()
+	sc := new(em.ScopeStats)
+	res, err := e.solver.SolveObjectsInSlab(ctx, d.base.f, req.W, req.H, slab, sc)
+	if err != nil {
+		return dist.SolveReply{}, wrapCancel(err)
+	}
+	st := sc.Stats()
+	return dist.SolveReply{Sum: res.Sum, Region: res.Region, Slab: req.Slab, Reads: st.Reads, Writes: st.Writes}, nil
 }
 
 // NetFaultStats returns the worker-call and injected-network-fault

@@ -11,15 +11,20 @@ import (
 	"time"
 
 	"maxrs/internal/dist"
-	"maxrs/internal/geom"
 )
 
 // testWorker is a minimal in-process worker maxrsd: it serves /readyz
 // and /shard/solve against its own engine, exactly the way a real
 // worker does (cmd/maxrsd registers the same endpoints on the same
-// wire helpers). delay, when positive, stalls every solve — the
-// straggler knob for the hedging tests.
+// wire helpers and Engine.SolveShard). delay, when positive, stalls
+// every solve — the straggler knob for the hedging tests.
 func testWorker(t *testing.T, delay time.Duration) *httptest.Server {
+	return editingWorker(t, delay, nil)
+}
+
+// editingWorker is testWorker with edit, when non-nil, applied to every
+// reply before it is sent.
+func editingWorker(t *testing.T, delay time.Duration, edit func(*dist.SolveReply)) *httptest.Server {
 	t.Helper()
 	eng, err := NewEngine(&Options{BlockSize: 512, Memory: 8192})
 	if err != nil {
@@ -46,30 +51,15 @@ func testWorker(t *testing.T, delay time.Duration) *httptest.Server {
 				return
 			}
 		}
-		objs := make([]Object, len(req.Objects))
-		for i, o := range req.Objects {
-			objs[i] = Object{X: o.X, Y: o.Y, Weight: o.W}
-		}
-		ds, err := eng.Load(context.Background(), objs)
+		reply, err := eng.SolveShard(r.Context(), req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		defer func() { _ = ds.Release() }()
-		res, err := eng.MaxRS(r.Context(), ds, req.W, req.H, WithShards(0))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		if edit != nil {
+			edit(&reply)
 		}
-		_ = dist.WriteReply(w, dist.SolveReply{
-			Sum: res.Score,
-			Region: geom.Rect{
-				X: geom.Interval{Lo: res.Region.MinX, Hi: res.Region.MaxX},
-				Y: geom.Interval{Lo: res.Region.MinY, Hi: res.Region.MaxY},
-			},
-			Reads:  res.Stats.Reads,
-			Writes: res.Stats.Writes,
-		})
+		_ = dist.WriteReply(w, reply)
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -109,51 +99,74 @@ func checkSameResult(t *testing.T, got, want Result) {
 
 // TestDistributedNoFaultBitIdentical: with a clean network, a
 // distributed solve is bit-identical to the in-process sharded path at
-// K=2 and K=4 — same planner, same router, same merge, so the wire must
-// be invisible. Also pins the attribution plumbing and the leak gauge.
+// K=2 and K=4, on positive and on mixed-sign weights — same planner,
+// same router, same slab-restricted shard solves, same merge, so the
+// wire must be invisible. Also pins the attribution plumbing and the
+// leak gauge.
 func TestDistributedNoFaultBitIdentical(t *testing.T) {
 	workers := []string{testWorker(t, 0).URL, testWorker(t, 0).URL}
+	mixed := newOracleData(3).objs // integer weights of both signs
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			e := distTestEngine(t, k, workers, nil)
-			d := testDataset(t, e, 500)
-			defer func() { _ = d.Release() }()
-			want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Distributed {
-				t.Fatal("WithDistributed(false) still reported a distributed run")
-			}
-			got, err := e.MaxRS(context.Background(), d, 300, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSameResult(t, got, want)
-			if !got.Distributed {
-				t.Fatal("distributed query did not report Distributed")
-			}
-			if len(got.ShardStats) == 0 {
-				t.Fatal("distributed query reported no shard stats")
-			}
-			for i, s := range got.ShardStats {
-				if s.Worker == "" || s.Attempts < 1 {
-					t.Errorf("shard %d: attribution %+v, want a worker and ≥1 attempt", i, s)
+			for _, load := range []func() *Dataset{
+				func() *Dataset { return testDataset(t, e, 500) },
+				func() *Dataset {
+					d, err := e.Load(context.Background(), mixed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d
+				},
+			} {
+				d := load()
+				checkDistributedBitIdentical(t, e, d)
+				if err := d.Release(); err != nil {
+					t.Fatal(err)
 				}
-				if s.FellBack || s.Err != nil {
-					t.Errorf("shard %d: unexpected degradation %+v on a clean network", i, s)
-				}
-				if s.RemoteStats.Total() == 0 {
-					t.Errorf("shard %d: no worker-reported I/O", i)
-				}
-			}
-			if fs := e.NetFaultStats(); fs.Calls == 0 {
-				t.Error("no worker calls counted")
-			}
-			if in, blocks := e.BlocksInUse(), d.Blocks(); in != blocks {
-				t.Fatalf("BlocksInUse = %d after distributed query, want the dataset's %d (leaked replicas?)", in, blocks)
 			}
 		})
+	}
+}
+
+// checkDistributedBitIdentical compares one distributed MaxRS with its
+// in-process run on d, and checks attribution and the leak gauge.
+func checkDistributedBitIdentical(t *testing.T, e *Engine, d *Dataset) {
+	t.Helper()
+	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Distributed {
+		t.Fatal("WithDistributed(false) still reported a distributed run")
+	}
+	got, err := e.MaxRS(context.Background(), d, 300, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameResult(t, got, want)
+	if !got.Distributed {
+		t.Fatal("distributed query did not report Distributed")
+	}
+	if len(got.ShardStats) == 0 {
+		t.Fatal("distributed query reported no shard stats")
+	}
+	for i, s := range got.ShardStats {
+		if s.Worker == "" || s.Attempts < 1 {
+			t.Errorf("shard %d: attribution %+v, want a worker and ≥1 attempt", i, s)
+		}
+		if s.FellBack || s.Err != nil {
+			t.Errorf("shard %d: unexpected degradation %+v on a clean network", i, s)
+		}
+		if s.RemoteStats.Total() == 0 {
+			t.Errorf("shard %d: no worker-reported I/O", i)
+		}
+	}
+	if fs := e.NetFaultStats(); fs.Calls == 0 {
+		t.Error("no worker calls counted")
+	}
+	if in, blocks := e.BlocksInUse(), d.Blocks(); in != blocks {
+		t.Fatalf("BlocksInUse = %d after distributed query, want the dataset's %d (leaked replicas?)", in, blocks)
 	}
 }
 

@@ -53,14 +53,13 @@ func (e *Engine) TopK(ctx context.Context, d *Dataset, w, h float64, k int, opts
 	}()
 	if q.delta != nil {
 		// Pending mutations: every round solves the materialized
-		// effective set (and its filtrates), with the shard guard on its
-		// exact statistics — the rounds run bit-identically to a reload.
-		f, st, err := q.materializeEff(nil)
+		// effective set (and its filtrates) — the rounds run
+		// bit-identically to a reload.
+		f, err := q.materializeEff(nil)
 		if err != nil {
 			return nil, err
 		}
 		cur, owned = f, true
-		q.reshard(st)
 	}
 	var prev QueryStats // scope snapshot at the start of the round
 	for round := 0; round < k; round++ {
@@ -174,10 +173,9 @@ func transformObjects(env em.Env, in *em.File, fn func(o rec.Object, emit func(r
 // runs ExactMaxRS, so a location whose rectangle covers nothing is a valid
 // (score 0) answer when one exists; with negative-weight objects present
 // the optimum may be strictly below zero. Safe to call concurrently with
-// other queries, and cancellable through ctx like every query. MinRS
-// never shards — WithShards included: the negation produces negative
-// weights, for which the shard merge is not exact (DESIGN.md §9.3);
-// Result.Shards is always 0.
+// other queries, and cancellable through ctx like every query. It shards
+// like MaxRS: each shard answers for its own slab, so the merge is exact
+// for the negated weights too (DESIGN.md §9.3).
 func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Result, error) {
 	res, err := e.solveMapped(ctx, d, w, h, opts, kindMinRS, func(o rec.Object) rec.Object {
 		o.W = -o.W
@@ -192,9 +190,8 @@ func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 
 // CountRS solves MaxRS under the COUNT aggregate (§2): every object
 // contributes 1 regardless of its weight. Safe to call concurrently with
-// other queries, and cancellable through ctx like every query. The mapped
-// weights are all 1, so CountRS shards even on datasets whose own weights
-// would force MaxRS to fall back.
+// other queries, and cancellable through ctx like every query. It shards
+// like MaxRS.
 func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Result, error) {
 	return e.solveMapped(ctx, d, w, h, opts, kindCountRS, func(o rec.Object) rec.Object {
 		o.W = 1
@@ -203,11 +200,8 @@ func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64, opts ...
 }
 
 // solveMapped runs ExactMaxRS on a weight-transformed copy of the dataset
-// with the shard count the Plan allows the kind (MinRS never shards — the mapped
-// weights are negative; CountRS shards on the requested count regardless
-// of the dataset's own weights — the mapped weights are all 1), releasing
-// the intermediate file on every path (solve errors and cancellation
-// included).
+// with the Plan's shard count, releasing the intermediate file on every
+// path (solve errors and cancellation included).
 func (e *Engine) solveMapped(ctx context.Context, d *Dataset, w, h float64, opts []QueryOption, kind queryKind, f func(rec.Object) rec.Object) (_ Result, err error) {
 	if err := checkQuery(w, h); err != nil {
 		return Result{}, err

@@ -65,6 +65,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
@@ -166,17 +167,27 @@ func (s *Solver) Env() em.Env { return s.env }
 // and are cancelled by — their own query. The receiver name s is kept so
 // the recursion reads the same as before; s.env (the task's scoped env)
 // shadows the embedded Solver's unscoped env.
+//
+// root is the root slab: the center x-range the call answers for. Every
+// rectangle is clipped to it on ingestion, so the root node sees exactly
+// the rectangles that meet its slab, like every node below it (§5.2).
+// An unrestricted solve's root slab is (−∞, +∞); a shard's is its own
+// center slab.
 type task struct {
 	*Solver
-	env em.Env
-	ctx context.Context
+	env  em.Env
+	ctx  context.Context
+	root geom.Interval
 }
+
+// wholeLine is the root slab of an unrestricted solve.
+var wholeLine = geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 
 func (s *Solver) task(ctx context.Context, sc *em.ScopeStats) *task {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &task{Solver: s, env: s.env.WithScope(sc).WithContext(ctx), ctx: ctx}
+	return &task{Solver: s, env: s.env.WithScope(sc).WithContext(ctx), ctx: ctx, root: wholeLine}
 }
 
 // fanout returns m for the current configuration.
@@ -228,10 +239,25 @@ func (s *Solver) SolveObjects(objFile *em.File, w, h float64) (sweep.Result, err
 // on every stream), all intermediate files are released, and ctx.Err() is
 // returned. A nil ctx never cancels.
 func (s *Solver) SolveObjectsScoped(ctx context.Context, objFile *em.File, w, h float64, sc *em.ScopeStats) (sweep.Result, error) {
+	return s.SolveObjectsInSlab(ctx, objFile, w, h, wholeLine, sc)
+}
+
+// SolveObjectsInSlab is SolveObjectsScoped restricted to the centers whose
+// x lies in slab, a shard's own center slab [b_i, b_{i+1}): it returns the
+// best region of those centers alone, which lies inside slab. When
+// objFile holds every object within w/2 of the slab (a shard's halo), the
+// score at every center of slab is the true score, whatever the weights'
+// signs, so the best of the shards' answers is the global optimum
+// (DESIGN.md §9.3).
+func (s *Solver) SolveObjectsInSlab(ctx context.Context, objFile *em.File, w, h float64, slab geom.Interval, sc *em.ScopeStats) (sweep.Result, error) {
 	if w <= 0 || h <= 0 {
 		return sweep.Result{}, fmt.Errorf("core: query size %gx%g must be positive", w, h)
 	}
+	if !(slab.Lo < slab.Hi) {
+		return sweep.Result{}, fmt.Errorf("core: root slab %v is empty", slab)
+	}
 	t := s.task(ctx, sc)
+	t.root = slab
 	rr, err := em.OpenRecordReader(t.env, objFile, rec.ObjectCodec{})
 	if err != nil {
 		return sweep.Result{}, err
@@ -270,7 +296,9 @@ func lessFloat64(a, b float64) bool { return a < b }
 
 // solveFused drains next() and solves the transformed problem on the
 // fused root pipeline (DESIGN.md §8); records, the input file's record
-// count, bounds how many rectangles next() yields. The root keeps its
+// count, bounds how many rectangles next() yields. Each rectangle is
+// clipped to the root slab first, and one that misses it is dropped. The
+// root keeps its
 // non-degenerate rectangles in one slice of at most ⌊capacity/2⌋, the
 // most a resident root holds (two events each). A root that stays within
 // it is the base case run at the top: it sorts and sweeps the slice for
@@ -288,7 +316,7 @@ func (s *task) solveFused(next func() (rec.WRect, error), records int64) (sweep.
 	half := int(s.capacity() / 2)
 	rects := make([]rec.WRect, 0, min(records, int64(half)))
 	var rr *rootRuns
-	err := forEachRect(next, func(r rec.WRect) error {
+	err := forEachRect(next, s.root, func(r rec.WRect) error {
 		if rr == nil {
 			if len(rects) < half {
 				rects = append(rects, r)
@@ -319,7 +347,10 @@ func (s *task) solveFused(next func() (rec.WRect, error), records int64) (sweep.
 	// A stable sort by Y1 is the order of the bottom events in a sorted
 	// root run, so the sweep adds up the rectangles exactly as before.
 	extsort.SortStable(rects, func(a, b rec.WRect) bool { return a.Y1 < b.Y1 })
-	return sweep.MaxRSRects(rects), nil
+	res := sweep.SlabBest(rects, s.root)
+	// With no rectangle in the slab, every center of it scores 0.
+	res.Region.X = res.Region.X.Intersect(s.root)
+	return res, nil
 }
 
 // rootRuns is the run formation of an external root: two piece events and
@@ -365,9 +396,9 @@ func (rr *rootRuns) discard() {
 	rr.edges.Discard()
 }
 
-// forEachRect drains next() until io.EOF, passing every non-degenerate
-// rectangle to emit.
-func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) error {
+// forEachRect drains next() until io.EOF, clipping every rectangle's
+// x-range to slab and passing the non-degenerate ones to emit.
+func forEachRect(next func() (rec.WRect, error), slab geom.Interval, emit func(rec.WRect) error) error {
 	for {
 		r, err := next()
 		if err != nil {
@@ -376,8 +407,9 @@ func forEachRect(next func() (rec.WRect, error), emit func(rec.WRect) error) err
 			}
 			return err
 		}
+		r.X1, r.X2 = max(r.X1, slab.Lo), min(r.X2, slab.Hi)
 		if r.X1 >= r.X2 || r.Y1 >= r.Y2 {
-			continue // degenerate rectangle covers nothing
+			continue // degenerate, or outside the slab: covers nothing
 		}
 		if err := emit(r); err != nil {
 			return err

@@ -401,3 +401,62 @@ func TestExactMaxRSOnFileBackedDisk(t *testing.T) {
 		t.Fatalf("file-backed %g, in-memory %g", res.Sum, want.Sum)
 	}
 }
+
+// TestSolveObjectsInSlab: a restricted root answers for the centers of
+// its slab alone. For mixed-sign weights, resident and external roots,
+// and slabs that every rectangle spans (the midpoint split), the answer
+// equals the in-memory best-only sweep over the same slab, its region
+// lies inside the slab, and no block stays allocated.
+func TestSolveObjectsInSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	env := em.MustNewEnv(128, 2048) // 2048/41 events: 24 rectangles stay resident
+	s := mustSolver(t, env, Config{})
+	for _, tc := range []struct {
+		name string
+		n    int
+		w    float64
+		slab geom.Interval
+	}{
+		{"resident", 20, 30, geom.Interval{Lo: 40, Hi: 70}},
+		{"external", 400, 30, geom.Interval{Lo: 40, Hi: 70}},
+		{"external low half-line", 400, 30, geom.Interval{Lo: math.Inf(-1), Hi: 50}},
+		{"external high half-line", 400, 30, geom.Interval{Lo: 50, Hi: math.Inf(1)}},
+		{"resident fully spanned", 20, 300, geom.Interval{Lo: 40, Hi: 70}},
+		{"external fully spanned", 400, 300, geom.Interval{Lo: 40, Hi: 70}},
+		{"no rectangle in slab", 50, 2, geom.Interval{Lo: 500, Hi: 600}},
+	} {
+		objs := randObjects(rng, tc.n, 100)
+		for i := range objs {
+			objs[i].W -= 5 // weights −4..4
+		}
+		rects := make([]rec.WRect, len(objs))
+		for i, o := range objs {
+			rects[i] = rec.FromObject(rec.FromGeom(o), tc.w, tc.w)
+		}
+		want := sweep.SlabBest(rects, tc.slab)
+		want.Region.X = want.Region.X.Intersect(tc.slab)
+		f := writeObjects(t, env, objs)
+		before := env.Disk.InUse()
+		got, err := s.SolveObjectsInSlab(nil, f, tc.w, tc.w, tc.slab, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, want)
+		}
+		if x := got.Region.X; x.Lo < tc.slab.Lo || x.Hi > tc.slab.Hi {
+			t.Errorf("%s: region %v outside slab %v", tc.name, x, tc.slab)
+		}
+		if n := env.Disk.InUse(); n != before {
+			t.Errorf("%s: %d blocks in use after the solve, %d before", tc.name, n, before)
+		}
+		_ = f.Release()
+	}
+	f := writeObjects(t, env, randObjects(rng, 5, 100))
+	defer f.Release()
+	for _, slab := range []geom.Interval{{Lo: 5, Hi: 5}, {Lo: 6, Hi: 5}, {Lo: math.NaN(), Hi: 5}} {
+		if _, err := s.SolveObjectsInSlab(nil, f, 1, 1, slab, nil); err == nil {
+			t.Errorf("slab %v accepted", slab)
+		}
+	}
+}

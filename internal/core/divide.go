@@ -105,15 +105,25 @@ func (bp *boundsPicker) add(v float64) {
 // finish returns the selected boundaries and each child's V_c. If every
 // quantile rank landed on a border-valued edge it falls back to a single
 // interior split so the recursion still progresses; the counts, taken
-// under no bound, then certify nothing and are nil.
+// under no bound, then certify nothing and are nil. A finite slab whose
+// values all sit on its border holds only pieces that span it — a shard's
+// root under a halo wider than the shard — and is split at its midpoint:
+// every piece then spans both halves and goes to R′, and MergeSweep over
+// the two empty children answers.
 func (bp *boundsPicker) finish() ([]float64, []int64) {
-	if len(bp.bounds) == 0 && bp.haveInterior {
+	if len(bp.bounds) > 0 {
+		return bp.bounds, bp.values
+	}
+	if bp.haveInterior {
 		if bp.minInterior < bp.maxInterior {
 			return []float64{bp.minInterior + (bp.maxInterior-bp.minInterior)/2}, nil
 		}
 		return []float64{bp.minInterior}, nil
 	}
-	return bp.bounds, bp.values
+	if mid := bp.slab.Mid(); bp.i > 0 && bp.slab.Lo < mid && mid < bp.slab.Hi {
+		return []float64{mid}, nil
+	}
+	return nil, bp.values
 }
 
 // slabLo returns the low x-boundary of child i under bounds within slab.
@@ -440,10 +450,9 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 	}
 	bounds, values := bp.finish()
 	if len(bounds) == 0 {
-		// No usable split point: every edge value sits on the slab border,
-		// which would mean every piece spans the slab — impossible, because
-		// the parent diverts such pieces to R′ and the root's border is
-		// infinite. Tripwire.
+		// No usable split point: no values at all, or a root slab with no
+		// float strictly inside (shard.PlanBounds never makes one). Below
+		// the root every piece that spans a child went to R′. Tripwire.
 		return nil, nil, nil, fmt.Errorf("%w: no interior boundary in slab %v", ErrNoProgress, slab)
 	}
 	certified := make([]bool, len(bounds)+1)
@@ -511,21 +520,21 @@ func (s *task) divide(evm *extsort.Merger[rec.PieceEvent], edm *extsort.Merger[f
 // expensive than the write+read+read of the sorted edge file it replaces.
 // The root's MergeSweep streams into a best-region tracker (the output
 // end of the fusion), so the whole-space slab file is never written or
-// re-read. The children, the recursion below them, and the result are
-// bit-identical to the materializing reference of the core tests.
+// re-read. The root divides its root slab. The children, the recursion
+// below them, and the result are bit-identical to the materializing
+// reference of the core tests.
 func (s *task) divideFused(rr *rootRuns) (sweep.Result, error) {
 	count, countX := rr.events.Count(), 2*rr.edges.Count()
 	evm, edm, err := s.rootMerges(rr)
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-	bounds, children, spanning, err := s.divide(evm, edm, countX, slab)
+	bounds, children, spanning, err := s.divide(evm, edm, countX, s.root)
 	if err != nil {
 		return sweep.Result{}, err
 	}
 	var best sweep.BestTracker
-	err = s.conquer(children, spanning, bounds, slab, count, 0, func(t rec.Tuple) error {
+	err = s.conquer(children, spanning, bounds, s.root, count, 0, func(t rec.Tuple) error {
 		best.Add(t)
 		return nil
 	})

@@ -43,7 +43,7 @@ func (s *task) buildInput(next func() (rec.WRect, error)) (_, _ *em.File, _ int6
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	err = forEachRect(next, func(r rec.WRect) error {
+	err = forEachRect(next, s.root, func(r rec.WRect) error {
 		bottom, top := rec.PieceEventsOf(r)
 		if err := ew.Write(bottom); err != nil {
 			return err
@@ -100,7 +100,7 @@ func materializedRoot(tb testing.TB, s *task, next func() (rec.WRect, error)) no
 	n := node{
 		events: sortedEvents,
 		edges:  sortedEdges,
-		slab:   geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)},
+		slab:   s.root,
 		count:  count,
 	}
 	if s.fits(count) { // a base case has no edge file

@@ -91,7 +91,7 @@ func (s *task) solveUnreadRef(tb testing.TB, parts unreadParts, next func() (rec
 	r := &unreadRef{tb: tb, parts: parts, led: led,
 		edges: s.scoped(&led.edges), rootEvents: s.scoped(&led.rootEvents), rest: s.scoped(&led.rest)}
 	var rects []rec.WRect
-	if err := forEachRect(next, func(q rec.WRect) error { rects = append(rects, q); return nil }); err != nil {
+	if err := forEachRect(next, wholeLine, func(q rec.WRect) error { rects = append(rects, q); return nil }); err != nil {
 		tb.Fatal(err)
 	}
 	full := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}

@@ -161,6 +161,12 @@ func (c *Coordinator) solveJob(ctx context.Context, job ShardJob, ready []Worker
 		w := ready[(job.Index+try)%len(ready)]
 		rep.Worker = w.Name
 		reply, retryAfter, err := c.callWithHedge(ctx, w, ready, job.Index+try, body, sum, hedges, rep)
+		if err == nil && reply.Slab != job.Req.Slab {
+			// The worker solved another slab — one from before slab-restricted
+			// shards echoes none. Its answer is not this shard's.
+			err = fmt.Errorf("dist: worker %s answered for slab %v, not %v",
+				rep.Worker, reply.Slab.Interval(), job.Req.Slab.Interval())
+		}
 		if err == nil {
 			rep.Reads, rep.Writes = reply.Reads, reply.Writes
 			*res = reply.Result()

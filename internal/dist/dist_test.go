@@ -422,6 +422,7 @@ func TestReplyCarriesNonFiniteFloats(t *testing.T) {
 	reply := SolveReply{
 		Sum:    math.NaN(),
 		Region: geom.Rect{X: geom.Interval{Lo: -inf, Hi: 2.5}, Y: geom.Interval{Lo: -0.5, Hi: inf}},
+		Slab:   SlabOf(geom.Interval{Lo: -inf, Hi: 2.5}),
 		Reads:  3,
 		Writes: 4,
 	}
@@ -429,7 +430,7 @@ func TestReplyCarriesNonFiniteFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"sum":"NaN","region":{"X":{"Lo":"-Inf","Hi":2.5},"Y":{"Lo":-0.5,"Hi":"+Inf"}},"reads":3,"writes":4}`
+	want := `{"sum":"NaN","region":{"X":{"Lo":"-Inf","Hi":2.5},"Y":{"Lo":-0.5,"Hi":"+Inf"}},"slab":{"lo":"-Inf","hi":2.5},"reads":3,"writes":4}`
 	if string(body) != want {
 		t.Fatalf("wire form %s, want %s", body, want)
 	}
@@ -437,7 +438,7 @@ func TestReplyCarriesNonFiniteFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(got.Sum) || got.Region != reply.Region || got.Reads != 3 || got.Writes != 4 {
+	if !math.IsNaN(got.Sum) || got.Region != reply.Region || got.Slab != reply.Slab || got.Reads != 3 || got.Writes != 4 {
 		t.Fatalf("round trip %+v, want %+v", got, reply)
 	}
 	if _, err := decodeReply(http.Header{}, []byte(`{"sum":"7"}`)); err == nil {

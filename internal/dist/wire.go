@@ -52,22 +52,40 @@ const (
 )
 
 // SolveRequest ships one halo-extended partition to a worker: the query
-// rectangle and the shard's objects (halo copies included). The shard is
-// self-contained — the worker needs no dataset state, so any ready
-// worker can solve any shard, which is what makes retry, hedging, and
-// reassignment safe.
+// rectangle, the shard's center slab and the shard's objects (halo
+// copies included). The shard is self-contained — the worker needs no
+// dataset state, so any ready worker can solve any shard, which is what
+// makes retry, hedging, and reassignment safe.
 type SolveRequest struct {
-	W       float64       `json:"w"`
-	H       float64       `json:"h"`
+	W float64 `json:"w"`
+	H float64 `json:"h"`
+	// Slab is the center slab [Lo, Hi) the shard answers for. The outer
+	// shards' slabs are unbounded. A request without one has the empty
+	// slab [0, 0), which a worker rejects.
+	Slab    Slab          `json:"slab"`
 	Objects []geom.Object `json:"objects"`
 }
 
-// SolveReply is a worker's answer for one shard: the shard's
-// unrestricted optimum plus the I/O the solve cost on the worker's
-// private disk.
+// Slab is a center slab [Lo, Hi) on the wire.
+type Slab struct {
+	Lo Float `json:"lo"`
+	Hi Float `json:"hi"`
+}
+
+// SlabOf returns the wire form of iv.
+func SlabOf(iv geom.Interval) Slab { return Slab{Lo: Float(iv.Lo), Hi: Float(iv.Hi)} }
+
+// Interval returns the slab as a geom.Interval.
+func (s Slab) Interval() geom.Interval { return geom.Interval{Lo: float64(s.Lo), Hi: float64(s.Hi)} }
+
+// SolveReply is a worker's answer for one shard: the shard's optimum over
+// the centers of its slab, the slab it solved, echoed back, and the I/O
+// the solve cost on the worker's private disk. A worker that predates the
+// slab field echoes none, and the coordinator refuses its answer.
 type SolveReply struct {
 	Sum    float64   `json:"sum"`
 	Region geom.Rect `json:"region"`
+	Slab   Slab      `json:"slab"`
 	Reads  uint64    `json:"reads"`
 	Writes uint64    `json:"writes"`
 }
@@ -76,13 +94,14 @@ type SolveReply struct {
 func (r SolveReply) Result() sweep.Result { return sweep.Result{Region: r.Region, Sum: r.Sum} }
 
 // replyWire is SolveReply's JSON form. A shard's optimum can be
-// unbounded (an empty shard, or one whose best strip runs to infinity),
-// and its sum can overflow, so every float travels as a Float.
+// unbounded (in an outer shard's slab, or a best strip that runs to
+// infinity), and its sum can overflow, so every float travels as a Float.
 type replyWire struct {
 	Sum    Float `json:"sum"`
 	Region struct {
 		X, Y struct{ Lo, Hi Float }
 	} `json:"region"`
+	Slab   Slab   `json:"slab"`
 	Reads  uint64 `json:"reads"`
 	Writes uint64 `json:"writes"`
 }
@@ -90,7 +109,7 @@ type replyWire struct {
 // MarshalJSON implements json.Marshaler.
 func (r SolveReply) MarshalJSON() ([]byte, error) {
 	var w replyWire
-	w.Sum, w.Reads, w.Writes = Float(r.Sum), r.Reads, r.Writes
+	w.Sum, w.Slab, w.Reads, w.Writes = Float(r.Sum), r.Slab, r.Reads, r.Writes
 	w.Region.X.Lo, w.Region.X.Hi = Float(r.Region.X.Lo), Float(r.Region.X.Hi)
 	w.Region.Y.Lo, w.Region.Y.Hi = Float(r.Region.Y.Lo), Float(r.Region.Y.Hi)
 	return json.Marshal(w)
@@ -108,6 +127,7 @@ func (r *SolveReply) UnmarshalJSON(b []byte) error {
 			X: geom.Interval{Lo: float64(w.Region.X.Lo), Hi: float64(w.Region.X.Hi)},
 			Y: geom.Interval{Lo: float64(w.Region.Y.Lo), Hi: float64(w.Region.Y.Hi)},
 		},
+		Slab:   w.Slab,
 		Reads:  w.Reads,
 		Writes: w.Writes,
 	}

@@ -162,8 +162,8 @@ type Settings struct {
 	M    int     // memory budget
 	W, H float64 // query rectangle (W doubles as the MaxCRS diameter)
 
-	// NoShards excludes sharded candidates (MinRS, MaxCRS — kinds whose
-	// execution path never shards).
+	// NoShards excludes sharded candidates (MaxCRS, whose execution path
+	// never shards).
 	NoShards bool
 	// SolverOnly restricts candidates to the ExactMaxRS solver (MaxCRS,
 	// whose inner MaxRS call cannot be swapped for the in-memory sweep).
@@ -266,10 +266,6 @@ func Candidates(st Stats, set Settings) []Candidate {
 	}
 	for _, k := range shardGrid {
 		if k > 0 && set.NoShards {
-			continue
-		}
-		if k >= 2 && st.MinW < 0 {
-			add(Strategy{Algorithm: ExactMaxRS, Shards: k}, false, "negative weights cannot be sharded exactly")
 			continue
 		}
 		add(Strategy{Algorithm: ExactMaxRS, Shards: k}, true, "")

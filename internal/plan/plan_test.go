@@ -109,18 +109,15 @@ func TestChooseResidentPicksSingleScan(t *testing.T) {
 
 func TestChooseNeverPicksIneligible(t *testing.T) {
 	st := syntheticStats(12500, -3, 4096, 52428) // negative weights, external
-	strat, cands := plan.Choose(st, plan.Settings{B: 4096, M: 52428, W: 50, H: 50})
-	if strat.Shards >= 2 {
-		t.Fatalf("chose %d-way sharding on negative weights", strat.Shards)
-	}
+	_, cands := plan.Choose(st, plan.Settings{B: 4096, M: 52428, W: 50, H: 50})
 	for _, c := range cands {
-		if c.Shards >= 2 {
-			if c.Eligible {
-				t.Fatalf("sharded row eligible on negative weights: %+v", c)
-			}
-			if c.Note == "" {
-				t.Fatal("ineligible row carries no note for explain output")
-			}
+		// Shards answer for their own slabs, so weight signs rule out no
+		// shard count.
+		if c.Algorithm == plan.ExactMaxRS && !c.Delta && !c.Eligible {
+			t.Fatalf("ExactMaxRS row ineligible on negative weights: %+v", c)
+		}
+		if !c.Eligible && c.Note == "" {
+			t.Fatal("ineligible row carries no note for explain output")
 		}
 		if c.Chosen && !c.Eligible {
 			t.Fatalf("ineligible row chosen: %+v", c)

@@ -11,24 +11,20 @@
 // a is the query width: the halo. A query rectangle centered inside shard
 // i's slab covers only objects inside the halo-extended slab (an object is
 // covered iff its x is within a/2 of the center's x), so for every center
-// in the slab the shard-local coverage equals the true coverage — shard
-// i's unrestricted optimum is ≥ the best true score attainable in its
-// slab. Conversely a shard's points are a subset of all points, so its
-// local score anywhere is ≤ the true score there ≤ the global optimum —
-// this direction needs every weight ≥ 0 (a missing negative-weight
-// object would *raise* a local score), which is why the router rejects
-// negative weights with ErrNegativeWeight. The slabs partition the
-// center space, hence
+// in the slab the shard-local coverage equals the true coverage. Each
+// shard solves for the centers of its own slab alone: its root slab is
+// [b_i, b_{i+1}) and every rectangle is clipped to it
+// (core.Solver.SolveObjectsInSlab). So a shard's optimum is the best true
+// score in its slab, for weights of any sign, and since the slabs
+// partition the center space,
 //
 //	max_i ShardOpt_i = global optimum,
 //
-// and every center the winning shard reports attains the global optimum
-// in the full dataset too (its local score equals the global optimum and
-// is a lower bound on its true score, which cannot exceed the optimum).
-// This mirrors the slab-file argument behind Theorem 2: correctness needs
-// only that each sub-problem sees every rectangle that can intersect its
-// slab, and duplication across shards is harmless because no single
-// shard's sweep ever counts an object twice.
+// with the winning shard's region inside its slab, where every center
+// attains the global optimum on the full dataset. This is the slab-file
+// argument behind Theorem 2 (each sub-problem sees every rectangle that
+// meets its slab) lifted to the shards, and duplication across shards is
+// harmless because no single shard's sweep ever counts an object twice.
 //
 // # Cost
 //
@@ -55,14 +51,6 @@ import (
 	"maxrs/internal/rec"
 	"maxrs/internal/sweep"
 )
-
-// ErrNegativeWeight rejects datasets the shard merge cannot handle
-// exactly: with a negative weight present, a shard's unrestricted
-// optimum can land outside its slab where objects beyond the halo —
-// invisible to the shard — would lower the true score, breaking the "no
-// shard overcounts" invariant (see the package comment). Callers must
-// route such datasets to an unsharded solver.
-var ErrNegativeWeight = errors.New("shard: negative weights cannot be sharded exactly")
 
 // maxPlanSample bounds the x-coordinate sample the planner sorts in
 // memory (32 Ki values = 256 KB). Boundaries only steer balance — any
@@ -117,16 +105,17 @@ func (p *Partition) Stats() em.Stats { return p.env.Disk.Stats() }
 // any backing temp file. The partition is unusable afterwards.
 func (p *Partition) Close() error { return p.env.Disk.Close() }
 
-// Solve runs the partition's private ExactMaxRS and leaves the
-// partition file intact, so a failed-over shard can be re-solved and a
-// shipped shard re-read. Transfers land on the partition's own disk;
-// ctx cancellation aborts within one block-transfer's work.
+// Solve runs the partition's private ExactMaxRS over the centers of its
+// slab and leaves the partition file intact, so a failed-over shard can
+// be re-solved and a shipped shard re-read. Transfers land on the
+// partition's own disk; ctx cancellation aborts within one
+// block-transfer's work.
 func (p *Partition) Solve(ctx context.Context, w, h float64, cfg core.Config) (sweep.Result, error) {
 	solver, err := core.NewSolver(p.env, cfg)
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	res, err := solver.SolveObjectsScoped(ctx, p.file, w, h, nil)
+	res, err := solver.SolveObjectsInSlab(ctx, p.file, w, h, p.slab, nil)
 	if err != nil {
 		return sweep.Result{}, fmt.Errorf("shard %v: %w", p.slab, err)
 	}
@@ -238,8 +227,10 @@ func PlanBounds(env em.Env, objFile *em.File, k int) ([]float64, error) {
 		q := sample[i*len(sample)/k]
 		// Strictly increasing, and strictly above the minimum x: a
 		// boundary at the minimum would leave shard 0 owning no points
-		// (an all-halo shard can tie the optimum but never beat it).
-		if q > sample[0] && (len(bounds) == 0 || q > bounds[len(bounds)-1]) {
+		// (an all-halo shard can tie the optimum but never beat it). A
+		// float lies strictly between consecutive bounds, so a slab that
+		// every piece spans still has a midpoint to split at.
+		if q > sample[0] && (len(bounds) == 0 || q > math.Nextafter(bounds[len(bounds)-1], math.Inf(1))) {
 			bounds = append(bounds, q)
 		}
 	}
@@ -300,9 +291,6 @@ func PartitionObjects(env em.Env, objFile *em.File, bounds []float64, halfWidth 
 	for {
 		got, rerr := rr.ReadBatch(batch)
 		for _, o := range batch[:got] {
-			if o.W < 0 {
-				return nil, fmt.Errorf("%w: object at (%g, %g) has weight %g", ErrNegativeWeight, o.X, o.Y, o.W)
-			}
 			lo, hi := route(bounds, o.X, halfWidth)
 			for i := lo; i <= hi; i++ {
 				if err := writers[i].Write(o); err != nil {

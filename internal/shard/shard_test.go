@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -397,22 +396,80 @@ func TestSlabsPartitionCenterSpace(t *testing.T) {
 	}
 }
 
-// TestNegativeWeightRejected: the router must refuse datasets the merge
-// cannot handle exactly, without leaking shard disks or primary blocks.
-func TestNegativeWeightRejected(t *testing.T) {
-	objs := workload.Uniform(43, 200, 1000)
-	objs[57].W = -2
+// TestNegativeWeightSharded: with mixed-sign and all-negative weights,
+// every shard solves its own slab alone, so the merged score equals the
+// unsharded one, the winning region lies inside the winning shard's
+// slab, and the true score at its center is the score.
+func TestNegativeWeightSharded(t *testing.T) {
+	for _, allNegative := range []bool{false, true} {
+		objs := workload.Uniform(43, 1500, 1000)
+		for i := range objs {
+			objs[i].W = float64(i%7) - 3
+			if allNegative {
+				objs[i].W = -1 - float64(i%3)
+			}
+		}
+		env := em.MustNewEnv(testBlock, testMem)
+		f := writeObjects(t, env, objs)
+		before := env.Disk.InUse()
+		want := solveUnsharded(t, env, f, 50, 50)
+		for _, k := range []int{2, 3, 8} {
+			res, err := solveSharded(env, f, 50, 50, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Res.Sum != want.Sum {
+				t.Errorf("allNegative=%v K=%d: sharded %g, unsharded %g", allNegative, k, res.Res.Sum, want.Sum)
+			}
+			slab := res.Shards[res.Winner].Slab()
+			if x := res.Res.Region.X; x.Lo < slab.Lo || x.Hi > slab.Hi {
+				t.Errorf("allNegative=%v K=%d: region %v outside the winning slab %v", allNegative, k, x, slab)
+			}
+			if got := geom.WeightIn(objs, res.Res.Best(), 50, 50); got != res.Res.Sum {
+				t.Errorf("allNegative=%v K=%d: true score %g at %v, reported %g", allNegative, k, got, res.Res.Best(), res.Res.Sum)
+			}
+		}
+		if after := env.Disk.InUse(); after != before {
+			t.Fatalf("sharded solves leaked primary blocks: %d -> %d", before, after)
+		}
+		_ = f.Release()
+		_ = env.Disk.Close()
+	}
+}
+
+// TestBoundsLeaveAMidpoint: consecutive plan bounds have a float strictly
+// between them, so a shard every piece spans can still be split. With
+// three adjacent x values, a wide query and more objects than fit in
+// memory, the middle shard would otherwise own a slab one float wide.
+func TestBoundsLeaveAMidpoint(t *testing.T) {
+	var objs []geom.Object
+	x := 1.0
+	for i := 0; i < 600; i++ {
+		if i%200 == 0 && i > 0 {
+			x = math.Nextafter(x, 2)
+		}
+		objs = append(objs, geom.Object{Point: geom.Point{X: x, Y: float64(i)}, W: float64(i%5) - 2})
+	}
 	env := em.MustNewEnv(testBlock, testMem)
 	defer env.Disk.Close()
 	f := writeObjects(t, env, objs)
 	defer f.Release()
-	before := env.Disk.InUse()
-	_, err := solveSharded(env, f, 50, 50, 3)
-	if !errors.Is(err, ErrNegativeWeight) {
-		t.Fatalf("err = %v, want ErrNegativeWeight", err)
+	bounds, err := PlanBounds(env, f, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after := env.Disk.InUse(); after != before {
-		t.Fatalf("rejection leaked primary blocks: %d -> %d", before, after)
+	for i := 1; i < len(bounds); i++ {
+		if math.Nextafter(bounds[i-1], math.Inf(1)) >= bounds[i] {
+			t.Fatalf("bounds %v leave no float between %d and %d", bounds, i-1, i)
+		}
+	}
+	want := solveUnsharded(t, env, f, 10, 10)
+	res, err := solveSharded(env, f, 10, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Res.Sum != want.Sum {
+		t.Fatalf("sharded %g, unsharded %g", res.Res.Sum, want.Sum)
 	}
 }
 

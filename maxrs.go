@@ -101,9 +101,10 @@ type Result struct {
 	// of weight 1 and a 1×1 query, Region is [0.5,1.5)×[0.5,1.5) and
 	// Score is 1: Location (1, 1) attains it, but the min corner
 	// (0.5, 0.5) covers nothing. For sharded queries (Options.Shards)
-	// it is the winning shard's optimal region: its points attain Score
-	// on the full dataset by the same rule, but equally good centers in
-	// other shards are not enumerated.
+	// it is the winning shard's optimal region, which lies inside that
+	// shard's center slab: its points attain Score on the full dataset by
+	// the same rule, but equally good centers in other shards are not
+	// enumerated.
 	Region Rect
 	// Stats is the I/O cost of this query alone (see QueryStats).
 	Stats QueryStats
@@ -113,10 +114,9 @@ type Result struct {
 	Algorithm Algorithm
 	// Shards is the effective shard count the query ran with: 0 for an
 	// unsharded solve, otherwise the number of shards actually planned
-	// (the planner may deduplicate below the requested count). It makes
-	// the silent fallbacks observable: a query requested sharded that
-	// reports Shards == 0 hit the negative-weight guard, a non-ExactMaxRS
-	// algorithm, or MinRS — no more inferring from a nil ShardStats.
+	// (the planner may deduplicate below the requested count). A query
+	// requested sharded that reports Shards == 0 ran a non-ExactMaxRS
+	// algorithm or was MaxCRS; FallbackReason says which.
 	Shards int
 	// ShardStats breaks Stats down per shard for sharded queries
 	// (Options.Shards / Dataset.SetShards): entry i is shard i's routed
@@ -133,11 +133,10 @@ type Result struct {
 	// against Stats (the measured counts). See DESIGN.md §12.
 	PredictedCost PredictedCost
 	// FallbackReason is non-empty when the query silently did less than
-	// the settings requested — e.g. a sharded request that ran unsharded
-	// because the dataset holds negative weights (DESIGN.md §9.3), a
-	// non-ExactMaxRS algorithm ignoring WithShards, or a distributed
-	// request degraded to in-process execution because no workers were
-	// ready. Empty otherwise.
+	// the settings requested — a non-ExactMaxRS algorithm or MaxCRS
+	// ignoring WithShards, or a distributed request degraded to
+	// in-process execution because no workers were ready. Empty
+	// otherwise.
 	FallbackReason string
 	// Distributed reports whether the query's shards were fanned out to
 	// workers (Options.Dist) rather than solved in process. ShardStats
@@ -289,8 +288,8 @@ type Options struct {
 	// are bit-identical across codecs. Works with on-disk and in-memory
 	// engines alike; shard disks mirror the selection.
 	Codec CodecKind
-	// Shards splits object queries (MaxRS, CountRS, TopK — not MaxCRS,
-	// whose rectangle transform stays unsharded) into K vertical shards
+	// Shards splits object queries (MaxRS, TopK, MinRS, CountRS — not
+	// MaxCRS, whose rectangle transform stays unsharded) into K vertical shards
 	// with halo duplication, solved as independent ExactMaxRS instances
 	// on their own private disks and merged exactly (DESIGN.md §9).
 	// Each shard disk mirrors the engine's backend (in-memory or a temp
@@ -299,16 +298,12 @@ type Options struct {
 	// that outgrow a single disk's block budget. 0 (the default) leaves
 	// queries unsharded; 1 forces the degenerate single-shard path (the
 	// shard machinery with one shard — useful for testing); K ≥ 2 shards
-	// K ways. Scores are exact for every value, and per-query transfer
-	// counts are deterministic for a fixed dataset, query, and K.
-	// Dataset.SetShards overrides the count per dataset.
-	//
-	// The shard merge is exact only for nonnegative weights (DESIGN.md
-	// §9.3), so two cases always run unsharded regardless of this
-	// setting: queries on datasets holding a negative weight, and MinRS
-	// (whose solve negates every weight). Non-ExactMaxRS Algorithms also
-	// ignore it for MaxRS (CountRS and TopK always solve with
-	// ExactMaxRS).
+	// K ways. Scores are exact for every value and for weights of any
+	// sign, since each shard answers for its own center slab alone
+	// (DESIGN.md §9.3), and per-query transfer counts are deterministic
+	// for a fixed dataset, query, and K. Dataset.SetShards overrides the
+	// count per dataset. Non-ExactMaxRS Algorithms ignore it for MaxRS
+	// (TopK, MinRS and CountRS always solve with ExactMaxRS).
 	Shards int
 	// Retry is the policy for transient storage faults and checksum
 	// mismatches on block transfers (DESIGN.md §11): every block read
@@ -518,11 +513,8 @@ type Dataset struct {
 	n int
 	// stats are the base file's statistics (internal/plan), collected in
 	// the loader's (or compactor's) streaming pass: the planner's whole
-	// picture of the data, and the home of the smallest weight — the
-	// shard merge's exactness argument needs nonnegative weights
-	// (DESIGN.md §9.3), so queries on a dataset with any negative weight
-	// silently fall back to the unsharded path. Queries see these merged
-	// conservatively with the pending delta (effStatsLocked).
+	// picture of the data. Queries see these merged conservatively with
+	// the pending delta (effStatsLocked).
 	stats plan.Stats
 	// baseIDs maps base record index → object ID. nil (the common case:
 	// no deletions have ever been compacted) means record i has ID i.
@@ -680,9 +672,8 @@ func (d *Dataset) Release() error {
 // acquireQuery pins one query to the dataset's current state: the base
 // generation (reference-counted so a concurrent compaction or Release
 // cannot free it mid-query), an immutable snapshot of the pending delta
-// (nil when there is none), and the effective statistics the planner and
-// the shard guard must see — the base statistics merged conservatively
-// with the delta.
+// (nil when there is none), and the effective statistics the planner
+// must see — the base statistics merged conservatively with the delta.
 func (d *Dataset) acquireQuery() (*baseRef, *deltaSnap, plan.Stats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

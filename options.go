@@ -38,10 +38,9 @@ func WithAlgorithm(a Algorithm) QueryOption {
 
 // WithShards overrides the shard count for one query, taking precedence
 // over both Dataset.SetShards and Options.Shards (0 = unsharded, 1 = the
-// degenerate single-shard path, K ≥ 2 shards K ways — DESIGN.md §9). The
-// exactness guards still apply: datasets holding a negative weight and
-// MinRS queries always run unsharded, and non-ExactMaxRS algorithms
-// ignore sharding; Result.Shards reports what actually ran.
+// degenerate single-shard path, K ≥ 2 shards K ways — DESIGN.md §9).
+// Non-ExactMaxRS algorithms and MaxCRS ignore it; Result.Shards reports
+// what actually ran.
 func WithShards(k int) QueryOption {
 	return func(q *querySettings) error {
 		if k < 0 {
@@ -91,7 +90,7 @@ type querySettings struct {
 	algorithm Algorithm
 	// shards is the requested shard count, resolved once per query:
 	// WithShards, else the dataset's override, else Options.Shards. The
-	// Plan applies the exactness guards to it (effectiveStrategy).
+	// Plan applies the kind's execution rules to it (effectiveStrategy).
 	shards         int
 	shardsSet      bool // WithShards given: overrides dataset and engine
 	parallelism    int  // unresolved (0 = GOMAXPROCS), as in Options

@@ -151,34 +151,45 @@ func TestResultEffectiveFields(t *testing.T) {
 	}
 	defer dNeg.Release()
 
-	// Negative weight: requested sharding silently (but observably) off.
+	// A negative weight changes nothing: every object query shards as
+	// asked, answers exactly, and reports no fallback.
+	want, err := e.MaxRS(ctx, dNeg, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.MaxRS(ctx, dNeg, 5, 5, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards != 0 || res.ShardStats != nil {
-		t.Errorf("negative-weight dataset sharded: Shards=%d", res.Shards)
+	if res.Shards == 0 || len(res.ShardStats) != res.Shards || res.FallbackReason != "" {
+		t.Errorf("negative-weight MaxRS: Shards=%d, ShardStats=%d, FallbackReason=%q", res.Shards, len(res.ShardStats), res.FallbackReason)
+	}
+	if res.Score != want.Score {
+		t.Errorf("negative-weight MaxRS: sharded %g, unsharded %g", res.Score, want.Score)
 	}
 	if res.Algorithm != ExactMaxRS {
 		t.Errorf("Algorithm = %v, want ExactMaxRS", res.Algorithm)
 	}
-
-	// CountRS maps weights to 1, so the same dataset shards fine.
 	resC, err := e.CountRS(ctx, dNeg, 5, 5, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resC.Shards == 0 || len(resC.ShardStats) != resC.Shards {
-		t.Errorf("CountRS on negative-weight dataset: Shards=%d, ShardStats=%d", resC.Shards, len(resC.ShardStats))
+	if resC.Shards == 0 || len(resC.ShardStats) != resC.Shards || resC.FallbackReason != "" {
+		t.Errorf("CountRS on negative-weight dataset: Shards=%d, ShardStats=%d, FallbackReason=%q", resC.Shards, len(resC.ShardStats), resC.FallbackReason)
 	}
-
-	// MinRS never shards, even when asked.
+	wantM, err := e.MinRS(ctx, dNeg, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resM, err := e.MinRS(ctx, dNeg, 5, 5, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resM.Shards != 0 {
-		t.Errorf("MinRS sharded: Shards=%d", resM.Shards)
+	if resM.Shards == 0 || len(resM.ShardStats) != resM.Shards || resM.FallbackReason != "" {
+		t.Errorf("MinRS: Shards=%d, ShardStats=%d, FallbackReason=%q", resM.Shards, len(resM.ShardStats), resM.FallbackReason)
+	}
+	if resM.Score != wantM.Score {
+		t.Errorf("MinRS: sharded %g, unsharded %g", resM.Score, wantM.Score)
 	}
 
 	// Non-ExactMaxRS algorithms report themselves and never shard.

@@ -27,8 +27,8 @@ type DatasetStats struct {
 	// MinX..MaxY is the dataset extent.
 	MinX, MaxX float64
 	MinY, MaxY float64
-	// MinW/MaxW/MeanW summarize the weights. MinW < 0 is the condition
-	// that disables exact sharding (DESIGN.md §9.3).
+	// MinW/MaxW/MeanW summarize the weights. Their signs decide nothing:
+	// every query shards exactly for weights of any sign (DESIGN.md §9.3).
 	MinW, MaxW, MeanW float64
 	// Resident reports that the whole dataset fits in the engine's
 	// memory budget M — the regime where single-scan strategies win.
@@ -190,9 +190,9 @@ func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...
 }
 
 // queryKind names the five query shapes the plan layer distinguishes:
-// they differ in which strategy dimensions are free (MinRS and MaxCRS
-// never shard, only MaxRS swaps algorithms) and in the kind-specific
-// passes charged on top of the solve.
+// they differ in which strategy dimensions are free (MaxCRS never
+// shards, only MaxRS swaps algorithms) and in the kind-specific passes
+// charged on top of the solve.
 type queryKind int
 
 const (
@@ -203,22 +203,6 @@ const (
 	kindMaxCRS
 )
 
-// planStatsFor adapts the dataset statistics to the solve the kind
-// actually runs: MinRS negates every weight, CountRS maps them all to 1
-// — which is exactly why CountRS shards on datasets whose own weights
-// would force MaxRS to fall back.
-func planStatsFor(st plan.Stats, kind queryKind) plan.Stats {
-	switch kind {
-	case kindMinRS:
-		st.MinW, st.MaxW = -st.MaxW, -st.MinW
-		st.SumW = -st.SumW
-	case kindCountRS:
-		st.MinW, st.MaxW = 1, 1
-		st.SumW = float64(st.N)
-	}
-	return st
-}
-
 // planSettingsFor builds the cost-model settings for one query kind:
 // the engine's EM geometry, the query rectangle, the kind's strategy
 // restrictions, and its extra passes (charged to every candidate alike,
@@ -226,12 +210,9 @@ func planStatsFor(st plan.Stats, kind queryKind) plan.Stats {
 func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) plan.Settings {
 	set := plan.Settings{B: e.opts.BlockSize, M: e.opts.Memory, W: w, H: h}
 	switch kind {
-	case kindMinRS:
-		// The weight-negation map pass: read the object file, write the
-		// mapped copy. Negated weights also rule sharding out.
-		set.SolverOnly, set.NoShards = true, true
-		set.ExtraReads, set.ExtraWrites = st.Blocks, st.Blocks
-	case kindCountRS:
+	case kindMinRS, kindCountRS:
+		// The weight map pass: read the object file, write the mapped
+		// copy.
 		set.SolverOnly = true
 		set.ExtraReads, set.ExtraWrites = st.Blocks, st.Blocks
 	case kindTopK:
@@ -255,21 +236,20 @@ func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) pl
 // prediction is computed. The candidate table is built when wantCands
 // (Explain); begin skips it.
 func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h float64, set *querySettings, wantCands bool) (Plan, string, []plan.Candidate) {
-	pst := planStatsFor(st, kind)
 	pset := e.planSettingsFor(st, kind, w, h)
 	pset.DeltaPending = pending
 	auto := set.algorithm == AlgorithmAuto
 	var cands []plan.Candidate
 	if auto {
 		var strat plan.Strategy
-		strat, cands = plan.Choose(pst, pset)
+		strat, cands = plan.Choose(st, pset)
 		set.algorithm = Algorithm(strat.Algorithm)
 		set.shards = strat.Shards
 	} else if wantCands {
-		cands = plan.Candidates(pst, pset)
+		cands = plan.Candidates(st, pset)
 	}
-	eff := effectiveStrategy(kind, *set, st)
-	cost := plan.Estimate(pst, pset, eff)
+	eff := effectiveStrategy(kind, *set)
+	cost := plan.Estimate(st, pset, eff)
 	if pending > 0 {
 		// A pending delta adds data-dependent work (the base incumbent,
 		// the influence sweep or the fused materialization) the model
@@ -306,23 +286,17 @@ func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h fl
 
 // effectiveStrategy applies the kind's execution rules to the resolved
 // settings, yielding the strategy the query runs: execution reads the
-// Plan built from it, so these guards are the only shard decision. st
-// are the statistics the negative-weight guard reads — the effective
-// statistics at begin, the materialized set's exact ones on the delta
-// paths (reshard).
-func effectiveStrategy(kind queryKind, set querySettings, st plan.Stats) plan.Strategy {
+// Plan built from it, so these rules are the only shard decision. Every
+// ExactMaxRS object solve shards as asked, whatever the weights' signs
+// (DESIGN.md §9.3).
+func effectiveStrategy(kind queryKind, set querySettings) plan.Strategy {
 	alg := set.algorithm
 	if kind != kindMaxRS {
 		alg = ExactMaxRS // TopK, MinRS, CountRS and MaxCRS only ever solve with ExactMaxRS
 	}
 	k := 0
-	switch kind {
-	case kindMaxRS, kindTopK:
-		if alg == ExactMaxRS && st.MinW >= 0 {
-			k = set.shards
-		}
-	case kindCountRS:
-		k = set.shards // COUNT weights are all 1: the merge stays exact
+	if alg == ExactMaxRS && kind != kindMaxCRS {
+		k = set.shards
 	}
 	return plan.Strategy{Algorithm: plan.Algorithm(alg), Shards: k}
 }
@@ -332,27 +306,11 @@ func effectiveStrategy(kind queryKind, set querySettings, st plan.Stats) plan.St
 // restating it: the requested count, the strategy that runs, and the
 // query kind. Empty when nothing was overridden.
 func fallbackReason(requested int, eff plan.Strategy, kind queryKind) string {
-	if requested <= 0 || eff.Shards > 0 {
-		return ""
-	}
 	switch {
-	case kind == kindMinRS:
-		return "MinRS never shards: weight negation produces negative weights, for which the shard merge is not exact (DESIGN.md §9.3)"
+	case requested <= 0 || eff.Shards > 0:
+		return ""
 	case kind == kindMaxCRS:
 		return "MaxCRS never shards: the rectangle transform runs unsharded by construction"
-	case eff.Algorithm != plan.ExactMaxRS:
-		return fmt.Sprintf("algorithm %v ignores sharding: only ExactMaxRS shards", Algorithm(eff.Algorithm))
 	}
-	return "dataset holds negative weights: the shard merge is only exact for nonnegative weights (DESIGN.md §9.3); ran unsharded"
-}
-
-// reshard re-decides the shard count on a delta path from the exact
-// statistics of the materialized effective set: the begin-time decision
-// read the conservatively merged statistics, whose MinW may remember a
-// deleted negative weight. Plan.Shards and the fallback reason move
-// together, so the Result reports what ran.
-func (q *query) reshard(st plan.Stats) {
-	eff := effectiveStrategy(q.kind, q.set, st)
-	q.plan.Shards = eff.Shards
-	q.fallback = fallbackReason(q.set.shards, eff, q.kind)
+	return fmt.Sprintf("algorithm %v ignores sharding: only ExactMaxRS shards", Algorithm(eff.Algorithm))
 }

@@ -212,18 +212,20 @@ func TestFallbackReasons(t *testing.T) {
 	if res, err := eng.MaxRS(ctx, pos, 4, 4); err != nil || res.FallbackReason != "" {
 		t.Fatalf("clean sharded maxrs: err %v reason %q", err, res.FallbackReason)
 	}
-	res, err := eng.MaxRS(ctx, neg, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.FallbackReason, "negative weights") || res.Shards != 0 {
-		t.Fatalf("negative-weight fallback: shards %d reason %q", res.Shards, res.FallbackReason)
-	}
-	if res, err := eng.MinRS(ctx, pos, 4, 4); err != nil || !strings.Contains(res.FallbackReason, "MinRS never shards") {
-		t.Fatalf("minrs fallback: err %v reason %q", err, res.FallbackReason)
-	}
-	if res, err := eng.CountRS(ctx, neg, 4, 4); err != nil || res.FallbackReason != "" {
-		t.Fatalf("countrs on negative weights shards fine: err %v reason %q", err, res.FallbackReason)
+	// Weight signs never stop a shard request.
+	for _, q := range []struct {
+		name string
+		run  func(context.Context, *maxrs.Dataset, float64, float64, ...maxrs.QueryOption) (maxrs.Result, error)
+		d    *maxrs.Dataset
+	}{
+		{"maxrs on negative weights", eng.MaxRS, neg},
+		{"minrs", eng.MinRS, pos},
+		{"minrs on negative weights", eng.MinRS, neg},
+		{"countrs on negative weights", eng.CountRS, neg},
+	} {
+		if res, err := q.run(ctx, q.d, 4, 4); err != nil || res.FallbackReason != "" || res.Shards == 0 {
+			t.Fatalf("%s: err %v shards %d reason %q, want sharded with no reason", q.name, err, res.Shards, res.FallbackReason)
+		}
 	}
 	if res, err := eng.MaxCRS(ctx, pos, 4); err != nil || !strings.Contains(res.FallbackReason, "MaxCRS never shards") {
 		t.Fatalf("maxcrs fallback: err %v reason %q", err, res.FallbackReason)
@@ -233,8 +235,8 @@ func TestFallbackReasons(t *testing.T) {
 	}
 
 	// Without a shard request there is nothing to explain away.
-	if res, err := eng.MinRS(ctx, pos, 4, 4, maxrs.WithShards(0)); err != nil || res.FallbackReason != "" {
-		t.Fatalf("unsharded minrs: err %v reason %q", err, res.FallbackReason)
+	if res, err := eng.MaxCRS(ctx, pos, 4, maxrs.WithShards(0)); err != nil || res.FallbackReason != "" {
+		t.Fatalf("unsharded maxcrs: err %v reason %q", err, res.FallbackReason)
 	}
 }
 
@@ -295,11 +297,11 @@ func TestTopKShardPlanUnderBaselineDefault(t *testing.T) {
 	}
 }
 
-// TestTopKReshardsOnExactStats: on a dataset whose only negative weight
-// has a delete pending, the conservative merged statistics still show
-// MinW < 0, but the materialized set is nonnegative and shards. TopK
-// must report the plan that ran, exactly like MaxRS.
-func TestTopKReshardsOnExactStats(t *testing.T) {
+// TestDeltaPathsShardNegativeWeights: on a dataset with a pending delta
+// and negative weights — one deleted, one live — MaxRS and every TopK
+// round run the requested shards on the materialized set, answer like the
+// unsharded query, and report no fallback.
+func TestDeltaPathsShardNegativeWeights(t *testing.T) {
 	ctx := context.Background()
 	eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: 8192, Shards: 2})
 	if err != nil {
@@ -311,6 +313,7 @@ func TestTopKReshardsOnExactStats(t *testing.T) {
 		objs[i] = maxrs.Object{X: float64(i * 37 % 1000), Y: float64(i * 91 % 1000), Weight: 1}
 	}
 	objs[17].Weight = -3
+	objs[18].Weight = -2
 	d, err := eng.Load(ctx, objs)
 	if err != nil {
 		t.Fatal(err)
@@ -318,26 +321,34 @@ func TestTopKReshardsOnExactStats(t *testing.T) {
 	if _, err := d.Delete(ctx, []uint64{17}); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats(); st.MinW >= 0 {
-		t.Fatalf("merged MinW = %g: the test needs the conservative negative bound", st.MinW)
-	}
-	check := func(kind string, r maxrs.Result) {
+	check := func(kind string, r, want maxrs.Result) {
 		t.Helper()
 		if r.Shards != 2 || r.Plan.Shards != 2 || r.FallbackReason != "" {
 			t.Errorf("%s: Shards %d, Plan.Shards %d, FallbackReason %q; want 2, 2 and none",
 				kind, r.Shards, r.Plan.Shards, r.FallbackReason)
 		}
+		if r.Score != want.Score {
+			t.Errorf("%s: sharded score %g, unsharded %g", kind, r.Score, want.Score)
+		}
+	}
+	want, err := eng.MaxRS(ctx, d, 60, 60, maxrs.WithShards(0))
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := eng.MaxRS(ctx, d, 60, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("MaxRS", res)
+	check("MaxRS", res, want)
 	rounds, err := eng.TopK(ctx, d, 60, 60, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rounds {
-		check("TopK", r)
+	if len(rounds) == 0 {
+		t.Fatal("TopK returned no rounds")
+	}
+	check("TopK", rounds[0], want)
+	for _, r := range rounds[1:] {
+		check("TopK", r, r)
 	}
 }

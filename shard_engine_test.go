@@ -159,10 +159,11 @@ func TestShardedExtensions(t *testing.T) {
 	if gotMin.Score != wantMin.Score {
 		t.Errorf("MinRS: %g != %g", gotMin.Score, wantMin.Score)
 	}
-	// MinRS negates every weight, so it must bypass the shard layer
-	// (the merge is only exact for nonnegative weights, DESIGN.md §9.3).
-	if gotMin.ShardStats != nil {
-		t.Error("MinRS must not shard (negated weights)")
+	// MinRS negates every weight and shards like MaxRS: each shard answers
+	// for its own slab, so the negated weights merge exactly (DESIGN.md
+	// §9.3).
+	if len(gotMin.ShardStats) == 0 || gotMin.FallbackReason != "" {
+		t.Errorf("MinRS: %d shards, FallbackReason %q; want sharded, none", len(gotMin.ShardStats), gotMin.FallbackReason)
 	}
 
 	wantCount, err := ref.CountRS(context.Background(), dRef, 200, 200)
@@ -239,15 +240,16 @@ func TestConcurrentShardedQueries(t *testing.T) {
 	}
 }
 
-// TestNegativeWeightsFallBackUnsharded pins the nonnegativity guard: a
-// shard's unrestricted optimum can land outside its slab, where a
-// negative-weight object beyond its halo is invisible and the local
-// score overshoots the truth. The construction pins the K=2 boundary at
-// x≈500 via zero-weight fillers, puts +10 between two −100 guards less
-// than the query width apart (so every covering window also catches a
-// guard; the true optimum is 0), and would read 10 from shard 0 — which
-// cannot see the guard at x=502.5 — if the engine sharded it.
-func TestNegativeWeightsFallBackUnsharded(t *testing.T) {
+// TestNegativeWeightsShardExactly pins the slab-restricted shard solve: a
+// shard solving over the whole line could place its optimum outside its
+// slab, where a negative-weight object beyond its halo is invisible and
+// the local score overshoots the truth. The construction pins the K=2
+// boundary at x≈500 via zero-weight fillers, puts +10 between two −100
+// guards less than the query width apart (so every covering window also
+// catches a guard; the true optimum is 0), and would read 10 from shard 0
+// — which cannot see the guard at x=502.5 — if that shard answered for
+// centers beyond its slab.
+func TestNegativeWeightsShardExactly(t *testing.T) {
 	objs := make([]Object, 0, 1004)
 	for i := 0; i <= 1000; i++ {
 		objs = append(objs, Object{X: float64(i), Y: 50, Weight: 0})
@@ -278,26 +280,17 @@ func TestNegativeWeightsFallBackUnsharded(t *testing.T) {
 	if got.Score != want.Score {
 		t.Fatalf("sharded engine returned %g on a negative-weight dataset, want %g", got.Score, want.Score)
 	}
-	if got.ShardStats != nil {
-		t.Fatal("negative-weight dataset was sharded")
+	if len(got.ShardStats) != 2 || got.FallbackReason != "" {
+		t.Fatalf("negative-weight MaxRS: %d shards, FallbackReason %q; want 2 and none", len(got.ShardStats), got.FallbackReason)
 	}
-	// TopK rides the same guard.
-	top, err := e.TopK(context.Background(), d, 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range top {
-		if r.ShardStats != nil {
-			t.Fatalf("TopK[%d] sharded a negative-weight dataset", i)
+	for _, q := range []func(context.Context, *Dataset, float64, float64, ...QueryOption) (Result, error){e.CountRS, e.MinRS} {
+		r, err := q(context.Background(), d, 4, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// CountRS maps weights to 1 and may shard regardless.
-	cnt, err := e.CountRS(context.Background(), d, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cnt.ShardStats) == 0 {
-		t.Error("CountRS (all-ones weights) should still shard")
+		if len(r.ShardStats) != 2 || r.FallbackReason != "" {
+			t.Errorf("%d shards, FallbackReason %q; want 2 and none", len(r.ShardStats), r.FallbackReason)
+		}
 	}
 }
 
