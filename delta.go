@@ -483,15 +483,18 @@ func (d *Dataset) compact(ctx context.Context) (err error) {
 	var ids []uint64
 	// Like Load, the context binds the writer and reader, never the new
 	// base file itself.
-	st, err := snap.write(e, e.env.WithContext(ctx), base.f, f, func(id uint64, o rec.Object) rec.Object {
+	col := plan.NewCollector(e.opts.BlockSize, e.opts.Memory)
+	err = snap.write(e.env.WithContext(ctx), base.f, f, func(id uint64, o rec.Object) rec.Object {
 		if needIDs {
 			ids = append(ids, id)
 		}
+		col.Add(o.X, o.Y, o.W)
 		return o
 	})
 	if err != nil {
 		return err
 	}
+	st := col.Finalize()
 
 	d.mu.Lock()
 	if d.released {
@@ -553,26 +556,19 @@ func (s *deltaSnap) scan(env em.Env, base *em.File, emit func(id uint64, o rec.O
 
 // write streams the effective object set of base under s into out
 // through env, each record passing through each (which sees its ID and
-// returns the record to write), and returns the written objects' exact
-// statistics. The caller releases out on error.
-func (s *deltaSnap) write(e *Engine, env em.Env, base, out *em.File, each func(id uint64, o rec.Object) rec.Object) (plan.Stats, error) {
+// returns the record to write). The caller releases out on error.
+func (s *deltaSnap) write(env em.Env, base, out *em.File, each func(id uint64, o rec.Object) rec.Object) error {
 	w, err := em.OpenRecordWriter(env, out, rec.ObjectCodec{})
 	if err != nil {
-		return plan.Stats{}, err
+		return err
 	}
-	col := plan.NewCollector()
 	err = s.scan(env, base, func(id uint64, o rec.Object) error {
-		o = each(id, o)
-		col.Add(o.X, o.Y, o.W)
-		return w.Write(o)
+		return w.Write(each(id, o))
 	})
 	if err != nil {
-		return plan.Stats{}, err
+		return err
 	}
-	if err := w.Close(); err != nil {
-		return plan.Stats{}, err
-	}
-	return col.Finalize(e.opts.BlockSize, e.opts.Memory), nil
+	return w.Close()
 }
 
 // scanEff streams the query's effective object set (see deltaSnap.scan),
@@ -589,7 +585,7 @@ func (q *query) materializeEff(fn func(rec.Object) rec.Object) (*em.File, error)
 	q.deltaPath = deltaPathFused
 	env := q.env()
 	out := env.NewFile()
-	_, err := q.delta.write(q.e, env, q.base.f, out, func(_ uint64, o rec.Object) rec.Object {
+	err := q.delta.write(env, q.base.f, out, func(_ uint64, o rec.Object) rec.Object {
 		if fn != nil {
 			o = fn(o)
 		}

@@ -157,15 +157,31 @@ func (c *Coordinator) solveJob(ctx context.Context, job ShardJob, ready []Worker
 	}
 	bo := c.cfg.Retry.Backoff(uint64(job.Index))
 	var lastErr error
-	for try := 0; try <= c.cfg.Retry.MaxRetries; try++ {
-		w := ready[(job.Index+try)%len(ready)]
+	// stale holds the workers that answered for another slab; the shard
+	// is never sent to them again.
+	stale := map[string]bool{}
+	next := job.Index
+	for try := 0; try <= c.cfg.Retry.MaxRetries; {
+		for skipped := 0; skipped < len(ready) && stale[ready[next%len(ready)].Name]; skipped++ {
+			next++
+		}
+		w := ready[next%len(ready)]
+		if stale[w.Name] {
+			break // every ready worker is stale
+		}
 		rep.Worker = w.Name
-		reply, retryAfter, err := c.callWithHedge(ctx, w, ready, job.Index+try, body, sum, hedges, rep)
+		reply, retryAfter, err := c.callWithHedge(ctx, w, ready, next, body, sum, hedges, rep)
+		next++
 		if err == nil && reply.Slab != job.Req.Slab {
 			// The worker solved another slab — one from before slab-restricted
-			// shards echoes none. Its answer is not this shard's.
-			err = fmt.Errorf("dist: worker %s answered for slab %v, not %v",
+			// shards echoes none. Its answer is not this shard's, and it
+			// would answer no retry differently; another worker may be
+			// current.
+			lastErr = fmt.Errorf("dist: worker %s answered for slab %v, not %v",
 				rep.Worker, reply.Slab.Interval(), job.Req.Slab.Interval())
+			stale[rep.Worker] = true
+			c.members.MarkFailed(rep.Worker)
+			continue
 		}
 		if err == nil {
 			rep.Reads, rep.Writes = reply.Reads, reply.Writes
@@ -176,6 +192,7 @@ func (c *Coordinator) solveJob(ctx context.Context, job ShardJob, ready []Worker
 		if ctx.Err() != nil || !em.IsTransient(err) {
 			break
 		}
+		try++
 		// Back off before the next worker, honoring the larger of the
 		// worker's Retry-After and our own jittered schedule.
 		delay := bo.Next()

@@ -1,34 +1,43 @@
 // Package plan is the engine's decision layer: load-time dataset
-// statistics, a calibrated cost model that predicts the block-transfer
-// count of every execution strategy, and a chooser that picks
-// algorithm × shards under the M budget.
+// statistics, a cost model that predicts the block-transfer count of
+// every execution strategy, and a chooser that picks algorithm × shards
+// under the M budget.
 //
 // The EM layer counts block transfers deterministically, which makes the
-// cost model exactly testable rather than merely plausible: for the
-// strategies whose schedule is closed-form (a resident dataset scanned
-// once) Estimate is bit-for-bit right and says so (Cost.Exact); for the
-// recursive ExactMaxRS schedule, whose division boundaries and spanning
-// populations are data-dependent, Estimate replays the real division and
-// sharding rules over a small load-time sample of the x-distribution and
-// scales the resulting counts — an expected-value simulation whose error
-// against the measured counters is bounded by the calibration tests
-// (DESIGN.md §12).
+// cost model exactly testable rather than merely plausible. The InMemory
+// schedule is closed-form (one scan of the object file) and Estimate
+// says so (Cost.Exact). An ExactMaxRS row is priced on a scale model:
+// the engine's own solve of a load-time sample of n objects, run on a
+// private counting disk at block size B·n/N and memory M·n/N. Theorem 2's
+// cost depends on N/B and M/B alone, and the model keeps both, so it
+// costs what the full query costs; when the sample is the whole dataset
+// the model is the query and the count is exact. DESIGN.md §12 gives the
+// derivation and the measured calibration error.
 package plan
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"maxrs/internal/rec"
 )
 
-// sampleCap bounds the reservoir sample of x-coordinates kept per
-// dataset (2048 float64s = 16 KB). The sample is the planner's picture
-// of the x-distribution: division boundaries, fragment populations and
-// shard balance are all replayed over it, so it must be big enough to
-// resolve per-child event counts at two levels of a fan-out ~10
-// recursion and small enough to be irrelevant next to the M budget.
-const sampleCap = 2048
+// sampleMin is the smallest sample the collector keeps (2048 objects,
+// 48 KB): the scale model's children must hold enough sample objects to
+// divide like the real ones at two levels of a fan-out ~10 recursion.
+const sampleMin = 2048
+
+// eventSize is the piece-event record size. A block of the scale model
+// must hold two events, so the sample keeps at least N·2·eventSize/B
+// objects.
+var eventSize = rec.PieceEventCodec{}.Size()
+
+// sampleSize returns how many of n objects the sample keeps at block
+// size b: max(sampleMin, ⌈n·2·eventSize/b⌉), at most n.
+func sampleSize(n int64, b int) int64 {
+	need := (n*int64(2*eventSize) + int64(b) - 1) / int64(b)
+	return min(n, max(sampleMin, need))
+}
 
 // Stats are the dataset statistics collected in the loader's existing
 // streaming pass — no extra scan, no extra block transfers.
@@ -47,10 +56,16 @@ type Stats struct {
 	// strategies beat the external recursion outright.
 	Resident bool
 
-	// SampleX is a deterministic reservoir sample of object
-	// x-coordinates, sorted ascending — the empirical x-distribution
-	// the cost model simulates division and sharding against.
-	SampleX []float64
+	// Sample is a uniform random sample of the objects, in load order:
+	// sampleSize(N, B) of them, all N when N ≤ 2048. It is the scale
+	// model's dataset.
+	Sample []rec.Object
+
+	// model prices ExactMaxRS rows on Sample and memoizes them. Stats
+	// derived from these (a dataset's effective statistics under a
+	// pending delta) share it, so the memo lives exactly as long as the
+	// base generation the sample was drawn from.
+	model *scaleModel
 }
 
 // MeanW returns the mean object weight (0 for an empty dataset).
@@ -61,32 +76,61 @@ func (s Stats) MeanW() float64 {
 	return s.SumW / float64(s.N)
 }
 
+// keyed is one object the collector may still put in the sample, with
+// its random key.
+type keyed struct {
+	key uint64
+	obj rec.Object
+}
+
 // Collector accumulates Stats record by record inside a loader pass.
+//
+// Every object draws a random key, and the sample is the objects with
+// the sampleSize(N, B) smallest keys — a uniform sample of a size known
+// only at the end. The collector keeps, in load order, every object
+// whose key is below a threshold tau. Whenever it holds 2·sampleMin
+// objects it lowers tau to the sampleMin+1-th smallest key they hold,
+// but never below keep, twice the rate ⌈N·2·eventSize/B⌉ needs, and
+// drops the objects at or above it. So it holds the sampleMin smallest
+// keys seen and, but for a vanishing chance, the ⌈N·2·eventSize/B⌉
+// smallest too.
 type Collector struct {
+	blockSize, memory int
+
 	n          int64
 	minX, maxX float64
 	minY, maxY float64
 	minW, maxW float64
 	sumW       float64
-	sample     []float64
-	rng        uint64
+
+	keep uint64 // tau's floor
+	tau  uint64
+	kept []keyed
+	keys []uint64 // scratch for cutKey
+	rng  uint64
 }
 
-// NewCollector returns an empty collector. The reservoir PRNG is seeded
-// with a fixed constant so the sample — and therefore every plan — is a
+// NewCollector returns an empty collector for an engine with the given
+// block size and memory budget. The key PRNG is seeded with a fixed
+// constant so the sample — and therefore every plan — is a
 // deterministic function of the input sequence.
-func NewCollector() *Collector {
+func NewCollector(blockSize, memory int) *Collector {
+	keep := uint64(math.MaxUint64)
+	if rate := float64(4*eventSize) / float64(blockSize); rate < 1 {
+		keep = uint64(math.Ldexp(rate, 64))
+	}
 	return &Collector{
+		blockSize: blockSize, memory: memory,
 		minX: math.Inf(1), maxX: math.Inf(-1),
 		minY: math.Inf(1), maxY: math.Inf(-1),
 		minW: math.Inf(1), maxW: math.Inf(-1),
-		sample: make([]float64, 0, sampleCap),
-		rng:    0x9e3779b97f4a7c15,
+		keep: keep, tau: math.MaxUint64,
+		kept: make([]keyed, 0, 2*sampleMin),
+		rng:  0x9e3779b97f4a7c15,
 	}
 }
 
-// next is splitmix64 — deterministic, fast, and plenty for reservoir
-// index selection.
+// next is splitmix64 — deterministic, fast, and plenty for sample keys.
 func (c *Collector) next() uint64 {
 	c.rng += 0x9e3779b97f4a7c15
 	z := c.rng
@@ -95,37 +139,80 @@ func (c *Collector) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Add folds one object into the statistics (Algorithm R reservoir
-// sampling for the x-coordinate).
+// Add folds one object into the statistics.
 func (c *Collector) Add(x, y, w float64) {
-	c.n++
-	c.minX = math.Min(c.minX, x)
-	c.maxX = math.Max(c.maxX, x)
-	c.minY = math.Min(c.minY, y)
-	c.maxY = math.Max(c.maxY, y)
-	c.minW = math.Min(c.minW, w)
-	c.maxW = math.Max(c.maxW, w)
+	c.minX, c.maxX = min(c.minX, x), max(c.maxX, x)
+	c.minY, c.maxY = min(c.minY, y), max(c.maxY, y)
+	c.minW, c.maxW = min(c.minW, w), max(c.maxW, w)
 	c.sumW += w
-	if len(c.sample) < sampleCap {
-		c.sample = append(c.sample, x)
+	c.n++
+	key := c.next()
+	if key >= c.tau {
 		return
 	}
-	if j := c.next() % uint64(c.n); j < sampleCap {
-		c.sample[j] = x
+	c.kept = append(c.kept, keyed{key: key, obj: rec.Object{X: x, Y: y, W: w}})
+	if len(c.kept) >= 2*sampleMin && c.tau > c.keep {
+		c.tau = max(c.keep, c.cutKey(sampleMin))
+		c.dropFrom(c.tau)
 	}
 }
 
-// Finalize seals the collector into Stats for an engine with the given
-// block size and memory budget. The collector must not be reused.
-func (c *Collector) Finalize(blockSize, memory int) Stats {
-	sort.Float64s(c.sample)
+// cutKey returns the k+1-th smallest kept key (k zero-based): exactly k
+// kept keys lie below it, keys being distinct but for a vanishing
+// chance. It is a quickselect whose pivot, the last key of the range,
+// is as random as the keys themselves.
+func (c *Collector) cutKey(k int) uint64 {
+	keys := c.keys[:0]
+	for _, o := range c.kept {
+		keys = append(keys, o.key)
+	}
+	c.keys = keys
+	lo, hi := 0, len(keys)-1
+	for lo < hi {
+		i := lo
+		for j := lo; j < hi; j++ {
+			if keys[j] < keys[hi] {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+			}
+		}
+		keys[i], keys[hi] = keys[hi], keys[i]
+		switch {
+		case k < i:
+			hi = i - 1
+		case k > i:
+			lo = i + 1
+		default:
+			return keys[i]
+		}
+	}
+	return keys[k]
+}
+
+// dropFrom drops the kept objects whose key is tau or more, keeping the
+// rest in load order.
+func (c *Collector) dropFrom(tau uint64) {
+	c.kept = slices.DeleteFunc(c.kept, func(o keyed) bool { return o.key >= tau })
+}
+
+// Finalize seals the collector into Stats. The collector must not be
+// reused.
+func (c *Collector) Finalize() Stats {
+	if n := sampleSize(c.n, c.blockSize); int64(len(c.kept)) > n {
+		c.dropFrom(c.cutKey(int(n)))
+	}
+	sample := make([]rec.Object, len(c.kept))
+	for i, k := range c.kept {
+		sample[i] = k.obj
+	}
 	bytes := c.n * int64(rec.ObjectCodec{}.Size())
 	st := Stats{
-		N: c.n, Bytes: bytes, Blocks: ceilDiv(bytes, int64(blockSize)),
+		N: c.n, Bytes: bytes, Blocks: (bytes + int64(c.blockSize) - 1) / int64(c.blockSize),
 		MinX: c.minX, MaxX: c.maxX, MinY: c.minY, MaxY: c.maxY,
 		MinW: c.minW, MaxW: c.maxW, SumW: c.sumW,
-		Resident: bytes <= int64(memory),
-		SampleX:  c.sample,
+		Resident: bytes <= int64(c.memory),
+		Sample:   sample,
+		model:    newScaleModel(sample, c.n, c.blockSize, c.memory),
 	}
 	if c.n == 0 {
 		st.MinX, st.MaxX, st.MinY, st.MaxY = 0, 0, 0, 0
@@ -154,12 +241,10 @@ func (a Algorithm) String() string {
 	return "Algorithm(?)"
 }
 
-// Settings carries everything besides the dataset that determines a
-// strategy's transfer count: the EM geometry, the solver configuration
-// and the query rectangle.
+// Settings carries everything besides the dataset and the EM geometry
+// (which the Stats were collected for) that determines a strategy's
+// transfer count: the query rectangle and the query kind's shape.
 type Settings struct {
-	B    int     // block size
-	M    int     // memory budget
 	W, H float64 // query rectangle (W doubles as the MaxCRS diameter)
 
 	// NoShards excludes sharded candidates (MaxCRS, whose execution path
@@ -175,8 +260,9 @@ type Settings struct {
 	// DeltaPending is the dataset's buffered mutation count. > 0 adds
 	// the informational combined base+delta row to the candidate table;
 	// the chooser never picks it (the combined path is taken adaptively
-	// at solve time when its soundness gates hold) and predictions stop
-	// being Exact (the delta's work is data-dependent).
+	// at solve time when its soundness gates hold) and ExactMaxRS
+	// predictions stop being Exact: they price the base generation's
+	// sample, and the delta's work is data-dependent.
 	DeltaPending int64
 }
 
@@ -186,9 +272,10 @@ type Strategy struct {
 	Shards    int
 }
 
-// Cost is a predicted transfer count. Exact marks the strategies whose
-// schedule is closed-form — the calibration tests hold those bit-for-bit
-// and the rest to a documented tolerance (DESIGN.md §12).
+// Cost is a predicted transfer count. Exact marks a prediction that is
+// the query's own schedule — InMemory's closed form, or an ExactMaxRS
+// row priced on the whole dataset. The calibration tests hold those
+// bit-for-bit and the rest to a documented tolerance (DESIGN.md §12).
 type Cost struct {
 	Reads, Writes int64
 	Exact         bool

@@ -51,7 +51,7 @@ func (e *Engine) LoadCSV(ctx context.Context, r io.Reader) (_ *Dataset, err erro
 	sc.Buffer(make([]byte, 64<<10), maxCSVLine)
 	n := 0
 	lineNo := 0
-	col := plan.NewCollector()
+	col := plan.NewCollector(e.opts.BlockSize, e.opts.Memory)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -79,7 +79,7 @@ func (e *Engine) LoadCSV(ctx context.Context, r io.Reader) (_ *Dataset, err erro
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return e.newDataset(f, n, col.Finalize(e.opts.BlockSize, e.opts.Memory)), nil
+	return e.newDataset(f, n, col.Finalize()), nil
 }
 
 func parseObjectLine(line string) (rec.Object, error) {

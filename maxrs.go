@@ -215,11 +215,11 @@ const (
 	// ignores the EM budget and is intended for small inputs and tests.
 	InMemory
 	// AlgorithmAuto asks the engine's planner to choose: algorithm and
-	// shard count are picked by the calibrated cost model over
-	// the dataset's load-time statistics (DESIGN.md §12), and the chosen
-	// plan rides back in Result.Plan. Opt-in — the zero value stays
-	// ExactMaxRS, so existing explicit queries keep bit-identical
-	// transfer schedules.
+	// shard count are picked by the cost model, which runs the engine
+	// on a scale model of the dataset's load-time sample (DESIGN.md
+	// §12), and the chosen plan rides back in Result.Plan. Opt-in — the
+	// zero value stays ExactMaxRS, so existing explicit queries keep
+	// bit-identical transfer schedules.
 	AlgorithmAuto
 )
 
@@ -713,7 +713,7 @@ func (e *Engine) Load(ctx context.Context, objs []Object) (_ *Dataset, err error
 	if err != nil {
 		return nil, err
 	}
-	col := plan.NewCollector()
+	col := plan.NewCollector(e.opts.BlockSize, e.opts.Memory)
 	for _, o := range objs {
 		if err := checkObject(o.X, o.Y, o.Weight); err != nil {
 			return nil, fmt.Errorf("maxrs: object %+v: %w", o, err)
@@ -726,7 +726,7 @@ func (e *Engine) Load(ctx context.Context, objs []Object) (_ *Dataset, err error
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return e.newDataset(f, len(objs), col.Finalize(e.opts.BlockSize, e.opts.Memory)), nil
+	return e.newDataset(f, len(objs), col.Finalize()), nil
 }
 
 // checkObject rejects NaN and ±Inf coordinates/weights — infinities

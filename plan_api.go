@@ -10,7 +10,7 @@ import (
 
 // This file is the public face of the engine's decision layer
 // (internal/plan, DESIGN.md §12): load-time dataset statistics, the
-// calibrated transfer-count cost model, and the planner behind
+// scale-model transfer-count cost model, and the planner behind
 // AlgorithmAuto. Every query — explicit algorithm or Auto — flows
 // through a materialized Plan; Result carries it back next to the
 // effective-settings fields.
@@ -55,9 +55,11 @@ func (d *Dataset) Stats() DatasetStats {
 }
 
 // PredictedCost is the cost model's transfer-count prediction for a
-// strategy. Exact marks closed-form schedules the calibration tests hold
-// bit-for-bit; the rest are expected values whose measured error is
-// bounded by the calibration matrix (DESIGN.md §12.4).
+// strategy. Exact marks a prediction that is the query's own schedule —
+// the InMemory scan, or an ExactMaxRS solve priced on a dataset small
+// enough to be its own sample — which the calibration tests hold
+// bit-for-bit; the rest come from a scale model of the dataset, and the
+// calibration matrix bounds their measured error (DESIGN.md §12.4).
 type PredictedCost struct {
 	Reads, Writes int64
 	Exact         bool
@@ -133,16 +135,18 @@ type Explanation struct {
 	Candidates     []PlanCandidate
 }
 
-// Explain plans a MaxRS query without executing it: no disk transfers,
-// no worker time — just the planner over the dataset's effective
-// statistics. With AlgorithmAuto (via WithAlgorithm or the engine
-// default) the returned plan is the planner's choice and the candidate
-// table marks the chosen row; with an explicit algorithm the plan
-// reflects the resolved settings and the table shows what the planner
-// would have considered. Explain holds a dataset reference for its
-// duration — it matches begin, so it never races a concurrent Release —
-// and checks ctx before planning (there is no I/O to interrupt after
-// that).
+// Explain plans a MaxRS query without executing it: no transfers on the
+// engine's disks, no worker time — just the planner over the dataset's
+// effective statistics. The planner may run its scale model, a solve of
+// the load-time sample on a private in-memory disk, once per ExactMaxRS
+// row and query size (DESIGN.md §12.2). With AlgorithmAuto (via
+// WithAlgorithm or the engine default) the returned plan is the
+// planner's choice and the candidate table marks the chosen row; with
+// an explicit algorithm the plan reflects the resolved settings and the
+// table shows what the planner would have considered. Explain holds a
+// dataset reference for its duration — it matches begin, so it never
+// races a concurrent Release — and checks ctx before planning (there is
+// no I/O to interrupt after that).
 func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Explanation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -208,7 +212,7 @@ const (
 // restrictions, and its extra passes (charged to every candidate alike,
 // so they never change the ranking — only the absolute prediction).
 func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) plan.Settings {
-	set := plan.Settings{B: e.opts.BlockSize, M: e.opts.Memory, W: w, H: h}
+	set := plan.Settings{W: w, H: h}
 	switch kind {
 	case kindMinRS, kindCountRS:
 		// The weight map pass: read the object file, write the mapped
@@ -250,10 +254,11 @@ func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h fl
 	}
 	eff := effectiveStrategy(kind, *set)
 	cost := plan.Estimate(st, pset, eff)
-	if pending > 0 {
-		// A pending delta adds data-dependent work (the base incumbent,
-		// the influence sweep or the fused materialization) the model
-		// does not schedule exactly.
+	if pending > 0 || kind == kindTopK || (eff.Shards > 0 && set.distributed && e.coord != nil) {
+		// The model schedules none of this work exactly: a pending
+		// delta's (the base incumbent, the influence sweep or the fused
+		// materialization), TopK's later rounds, and shards shipped to
+		// workers instead of solved on the query's shard disks.
 		cost.Exact = false
 	}
 	if !auto {

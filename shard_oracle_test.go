@@ -204,31 +204,54 @@ func runShardOracle(t *testing.T, e *Engine, datasets, step int) {
 // TestDistributedStaleWorkerFallsBack: a worker that does not echo the
 // request's slab — what a worker from before slab-restricted shards
 // sends — solved some other problem. The coordinator refuses its answer
-// as a permanent failure, and the shard falls back to the local
-// halo-replica solve, so the answer stays exact.
+// and sends the shard to the next ready worker that is current; only
+// when none is left does the shard fall back to the local halo-replica
+// solve. Either way the answer stays exact.
 func TestDistributedStaleWorkerFallsBack(t *testing.T) {
-	stale := editingWorker(t, 0, func(r *dist.SolveReply) { r.Slab = dist.Slab{} })
-	e := distTestEngine(t, 2, []string{stale.URL}, nil)
 	od := newOracleData(7) // all negative
-	d, err := e.Load(context.Background(), od.objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, od.w, od.h, WithShards(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.MaxRS(context.Background(), d, od.w, od.h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Score != want.Score {
-		t.Fatalf("score %g, want %g", got.Score, want.Score)
-	}
-	for i, s := range got.ShardStats {
-		if !s.FellBack || s.Attempts != 1 {
-			t.Errorf("shard %d: %+v, want one refused attempt and the local fallback", i, s)
-		}
+	for _, c := range []struct {
+		name     string
+		current  bool // a current worker is ready beside the stale one
+		fellBack bool
+	}{
+		{"stale only", false, true},
+		{"stale and current", true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			workers := []string{editingWorker(t, 0, func(r *dist.SolveReply) { r.Slab = dist.Slab{} }).URL}
+			if c.current {
+				workers = append(workers, testWorker(t, 0).URL)
+			}
+			e := distTestEngine(t, 2, workers, nil)
+			d, err := e.Load(context.Background(), od.objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = d.Release() }()
+			want, err := e.MaxRS(context.Background(), d, od.w, od.h, WithShards(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.MaxRS(context.Background(), d, od.w, od.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Score != want.Score {
+				t.Fatalf("score %g, want %g", got.Score, want.Score)
+			}
+			if len(got.ShardStats) != 2 {
+				t.Fatalf("%d shards, want 2", len(got.ShardStats))
+			}
+			for i, s := range got.ShardStats {
+				switch {
+				case s.FellBack != c.fellBack:
+					t.Errorf("shard %d: %+v, want FellBack %v", i, s, c.fellBack)
+				case c.fellBack && s.Attempts != 1:
+					t.Errorf("shard %d: %+v, want one refused attempt before the local fallback", i, s)
+				case !c.fellBack && s.Worker != "w1":
+					t.Errorf("shard %d: %+v, want the answer of the current worker w1", i, s)
+				}
+			}
+		})
 	}
 }
