@@ -63,6 +63,7 @@ func runPlan(cfg expConfig) ([]experiments.Series, error) {
 				BlockSize:   experiments.DefaultBlockSize,
 				Memory:      cfg.memory,
 				Parallelism: cfg.par,
+				Shards:      st.shards,
 			}
 			if st.auto {
 				opts.Algorithm = maxrs.AlgorithmAuto
@@ -76,11 +77,7 @@ func runPlan(cfg expConfig) ([]experiments.Series, error) {
 				_ = eng.Close()
 				return nil, err
 			}
-			var qopts []maxrs.QueryOption
-			if !st.auto {
-				qopts = append(qopts, maxrs.WithShards(st.shards))
-			}
-			res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge, qopts...)
+			res, err := eng.MaxRS(context.Background(), ds, queryEdge, queryEdge)
 			if err != nil {
 				_ = eng.Close()
 				return nil, fmt.Errorf("plan: %s %s: %w", load.name, st.label, err)

@@ -52,7 +52,8 @@
 //	                                   clamped to -timeout when set)
 //	POST   /v1/query?explain=1         plan the query without executing it:
 //	                                   returns the chosen plan, predicted
-//	                                   cost, and candidate table (maxrs/topk)
+//	                                   cost, and candidate table (maxrs/topk);
+//	                                   admitted like a query, never cached
 //	POST   /v1/shard/solve             solve one shipped shard (cluster
 //	                                   internal; checksummed JSON)
 //	GET    /v1/cluster/workers         membership table (coordinator)

@@ -78,6 +78,42 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 }
 
+// TestExplainAdmission: ?explain=1 may run the cost model's scale-model
+// solves, so it takes an admission slot like a query. With the only slot
+// held, explain is shed with 429 + Retry-After; once the slot is free it
+// answers 200 and holds no slot afterwards.
+func TestExplainAdmission(t *testing.T) {
+	eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv := newServer(eng, 1, 0) // one worker, cache off
+	srv.queue = 0               // pool capacity = one slot
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	putDataset(t, ts, "big", bigCSV(4000))
+
+	const explain = `{"dataset":"big","op":"maxrs","w":600,"h":600}`
+	if !srv.admit() {
+		t.Fatal("could not take the only admission slot")
+	}
+	for _, path := range []string{"/v1/query?explain=1", "/v1/query"} {
+		resp, body := do(t, http.MethodPost, ts.URL+path, explain)
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s with the pool full: status %d, Retry-After %q, body %s; want 429 with Retry-After",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	srv.done()
+	if resp, body := do(t, http.MethodPost, ts.URL+"/v1/query?explain=1", explain); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain with a free slot: status %d body %s", resp.StatusCode, body)
+	}
+	if n := srv.inflight.Load(); n != 0 {
+		t.Fatalf("inflight = %d after explain, want 0", n)
+	}
+}
+
 // TestQueryTimeout checks the per-request deadline: ?timeout= expiry
 // returns 504 (never a cached or partial result), a generous timeout
 // changes nothing, and malformed values are rejected up front.

@@ -780,7 +780,7 @@ func (s *server) acquire(ctx context.Context) error {
 func (s *server) release() { <-s.sem }
 
 // enter is the admission path of every handler that runs engine work
-// (queries, mutations, shipped shards). Beyond the worker pool plus the
+// (queries, explains, mutations, shipped shards). Beyond the worker pool plus the
 // bounded queue a request is shed at once — a saturated server answers
 // 429 in microseconds instead of letting every queued request pin a
 // connection until its client gives up. An admitted request gets one
@@ -896,18 +896,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, codeNotFound, "no dataset %q", req.Dataset)
 		return
 	}
-	// ?explain=1 plans the query without executing: no cache, no
-	// admission, no engine I/O — just the cost model over the dataset's
-	// load-time statistics.
-	if r.URL.Query().Get("explain") == "1" {
-		s.handleExplain(w, r, entry, req)
-		return
-	}
 	// Validate before serving from cache: a malformed request is a 400
 	// even when an identical well-formed one was answered before.
 	timeout, err := s.queryTimeout(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
+	}
+	// ?explain=1 plans the query without executing it and is never
+	// cached. Planning a query size for the first time runs the cost
+	// model's scale-model solves, CPU work like a small query, so explain
+	// goes through admission control like a cache miss.
+	if r.URL.Query().Get("explain") == "1" {
+		s.handleExplain(w, r, req, timeout)
 		return
 	}
 	// Cache lookups are fenced on the dataset's mutation sequence:
@@ -1017,15 +1018,27 @@ type candidateJSON struct {
 }
 
 // handleExplain answers ?explain=1 for the rectangle ops: the plan of
-// the underlying object solve (for topk, that is one greedy round).
-func (s *server) handleExplain(w http.ResponseWriter, r *http.Request, entry *dsEntry, req queryRequest) {
+// the underlying object solve (for topk, that is one greedy round). It
+// takes an admission slot like a query and caches nothing.
+func (s *server) handleExplain(w http.ResponseWriter, r *http.Request, req queryRequest, timeout time.Duration) {
 	switch req.Op {
 	case "maxrs", "topk":
 	default:
 		httpError(w, http.StatusBadRequest, codeInvalidArgument, "explain supports op maxrs and topk, not %q", req.Op)
 		return
 	}
-	ex, err := s.eng.Explain(r.Context(), entry.ds, req.W, req.H)
+	ctx, leave, ok := s.enter(w, r, timeout)
+	if !ok {
+		return
+	}
+	defer leave()
+	// Re-resolve after the queue wait, as a query does.
+	entry, ok := s.lookup(req.Dataset)
+	if !ok {
+		httpError(w, http.StatusNotFound, codeNotFound, "no dataset %q", req.Dataset)
+		return
+	}
+	ex, err := s.eng.Explain(ctx, entry.ds, req.W, req.H)
 	if err != nil {
 		status, code := errStatus(err)
 		httpError(w, status, code, "explain: %v", err)

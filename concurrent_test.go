@@ -24,10 +24,21 @@ func sameResult(a, b Result) bool {
 		a.Region == b.Region && a.Stats == b.Stats
 }
 
-// testDataset loads a pseudo-random weighted dataset large enough to push
-// ExactMaxRS through external recursion under the tiny test EM budget.
+// testDataset loads testObjects(n), a pseudo-random weighted dataset
+// large enough to push ExactMaxRS through external recursion under the
+// tiny test EM budget.
 func testDataset(t *testing.T, e *Engine, n int) *Dataset {
 	t.Helper()
+	d, err := e.Load(context.Background(), testObjects(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// testObjects returns the n objects testDataset loads: the same for
+// every call, so two engines can load the same dataset.
+func testObjects(n int) []Object {
 	rng := rand.New(rand.NewSource(7))
 	objs := make([]Object, n)
 	for i := range objs {
@@ -37,11 +48,7 @@ func testDataset(t *testing.T, e *Engine, n int) *Dataset {
 			Weight: float64(1 + rng.Intn(5)),
 		}
 	}
-	d, err := e.Load(context.Background(), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return objs
 }
 
 // mixedQuery runs the i-th query of the deterministic mixed workload and

@@ -42,14 +42,14 @@ type CRSResult struct {
 // realistic densities (Fig. 17).
 //
 // Cancelling ctx aborts the inner solve or the candidate scan within one
-// block-transfer's work. Of the QueryOptions, WithParallelism applies;
-// WithAlgorithm and WithShards are ignored — the
-// rectangle transform is ExactMaxRS by construction and stays unsharded.
-func (e *Engine) MaxCRS(ctx context.Context, d *Dataset, diameter float64, opts ...QueryOption) (_ CRSResult, err error) {
+// block-transfer's work. Options.Algorithm and the shard count do not
+// apply: the rectangle transform is ExactMaxRS by construction and stays
+// unsharded.
+func (e *Engine) MaxCRS(ctx context.Context, d *Dataset, diameter float64) (_ CRSResult, err error) {
 	if !(diameter > 0) || math.IsInf(diameter, 0) {
 		return CRSResult{}, fmt.Errorf("%w: diameter %g must be positive and finite", ErrInvalidQuery, diameter)
 	}
-	q, err := e.begin(ctx, d, kindMaxCRS, diameter, diameter, opts)
+	q, err := e.begin(ctx, d, kindMaxCRS, diameter, diameter, false)
 	if err != nil {
 		return CRSResult{}, err
 	}
@@ -58,7 +58,7 @@ func (e *Engine) MaxCRS(ctx context.Context, d *Dataset, diameter float64, opts 
 	if err != nil {
 		return CRSResult{}, err
 	}
-	res, err := crs.ApproxScoped(q.ctx, q.solver, f, diameter, q.sc)
+	res, err := crs.ApproxScoped(q.ctx, q.e.solver, f, diameter, q.sc)
 	if owned {
 		if rerr := f.Release(); rerr != nil && err == nil {
 			err = rerr
@@ -85,7 +85,7 @@ func (e *Engine) MaxCRS(ctx context.Context, d *Dataset, diameter float64, opts 
 // engine, loads objs, solves under ctx, and closes the engine on every
 // path — with Options.OnDisk the backing temp file is removed even when
 // loading or solving fails.
-func MaxCRS(ctx context.Context, objs []Object, diameter float64, opts *Options, qopts ...QueryOption) (_ CRSResult, err error) {
+func MaxCRS(ctx context.Context, objs []Object, diameter float64, opts *Options) (_ CRSResult, err error) {
 	e, err := NewEngine(opts)
 	if err != nil {
 		return CRSResult{}, err
@@ -95,7 +95,7 @@ func MaxCRS(ctx context.Context, objs []Object, diameter float64, opts *Options,
 	if err != nil {
 		return CRSResult{}, err
 	}
-	return e.MaxCRS(ctx, d, diameter, qopts...)
+	return e.MaxCRS(ctx, d, diameter)
 }
 
 // MaxCRSExact solves MaxCRS exactly with the in-memory arrangement-sweep

@@ -620,7 +620,7 @@ func (q *query) effFile(fn func(rec.Object) rec.Object) (*em.File, bool, error) 
 // effective set, so the execution (and the answer) matches a reload bit
 // for bit.
 func (q *query) solveDelta(w, h float64) (_ sweep.Result, _ []ShardStat, err error) {
-	if q.set.shards == 0 {
+	if q.plan.Shards == 0 {
 		res, ok, err := q.tryCombined(w, h)
 		if err != nil || ok {
 			return res, nil, err
@@ -702,7 +702,7 @@ func (q *query) baseSolution(w, h float64) (_ sweep.Result, cached bool, err err
 	if valid {
 		return res, true, nil
 	}
-	res, err = q.solver.SolveObjectsScoped(q.ctx, q.base.f, w, h, q.sc)
+	res, err = q.e.solver.SolveObjectsScoped(q.ctx, q.base.f, w, h, q.sc)
 	if err != nil {
 		return sweep.Result{}, false, err
 	}

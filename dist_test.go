@@ -87,6 +87,30 @@ func distTestEngine(t *testing.T, shards int, workerURLs []string, mut func(*Dis
 	return e
 }
 
+// inProcessMaxRS is the reference every distributed answer must equal
+// bit for bit: the 300×300 MaxRS over objs on an engine with e's options
+// but no Dist, so its shards solve in process. Distribution changes only
+// where shards solve, never what they answer.
+func inProcessMaxRS(t *testing.T, e *Engine, objs []Object) Result {
+	t.Helper()
+	opts := e.opts
+	opts.Dist = nil
+	ref := newShardTestEngine(t, opts)
+	d, err := ref.Load(context.Background(), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = d.Release() }()
+	res, err := ref.MaxRS(context.Background(), d, 300, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Distributed {
+		t.Fatal("an engine without Dist reported a distributed run")
+	}
+	return res
+}
+
 // checkSameResult asserts bit-identical answers: distribution must never
 // change a score, location, or region, only where shards solve.
 func checkSameResult(t *testing.T, got, want Result) {
@@ -109,18 +133,12 @@ func TestDistributedNoFaultBitIdentical(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			e := distTestEngine(t, k, workers, nil)
-			for _, load := range []func() *Dataset{
-				func() *Dataset { return testDataset(t, e, 500) },
-				func() *Dataset {
-					d, err := e.Load(context.Background(), mixed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return d
-				},
-			} {
-				d := load()
-				checkDistributedBitIdentical(t, e, d)
+			for _, objs := range [][]Object{testObjects(500), mixed} {
+				d, err := e.Load(context.Background(), objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDistributedBitIdentical(t, e, d, inProcessMaxRS(t, e, objs))
 				if err := d.Release(); err != nil {
 					t.Fatal(err)
 				}
@@ -129,17 +147,10 @@ func TestDistributedNoFaultBitIdentical(t *testing.T) {
 	}
 }
 
-// checkDistributedBitIdentical compares one distributed MaxRS with its
-// in-process run on d, and checks attribution and the leak gauge.
-func checkDistributedBitIdentical(t *testing.T, e *Engine, d *Dataset) {
+// checkDistributedBitIdentical compares one distributed MaxRS on d with
+// want, its in-process run, and checks attribution and the leak gauge.
+func checkDistributedBitIdentical(t *testing.T, e *Engine, d *Dataset, want Result) {
 	t.Helper()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Distributed {
-		t.Fatal("WithDistributed(false) still reported a distributed run")
-	}
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +241,7 @@ func TestDistributedFaultMatrix(t *testing.T) {
 			e := distTestEngine(t, 2, workers, tc.mut)
 			d := testDataset(t, e, 500)
 			defer func() { _ = d.Release() }()
-			want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := inProcessMaxRS(t, e, testObjects(500))
 			got, err := e.MaxRS(context.Background(), d, 300, 300)
 			if err != nil {
 				t.Fatalf("distributed query under %s faults: %v", tc.name, err)
@@ -265,10 +273,7 @@ func TestDistributedPermanentLossFallsBack(t *testing.T) {
 	e := distTestEngine(t, 2, []string{dead.URL}, nil)
 	d := testDataset(t, e, 500)
 	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessMaxRS(t, e, testObjects(500))
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatalf("query with dead workers: %v (fallback should have saved it)", err)
@@ -334,10 +339,7 @@ func TestDistributedNoWorkersDegrades(t *testing.T) {
 	e := distTestEngine(t, 2, nil, nil)
 	d := testDataset(t, e, 400)
 	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessMaxRS(t, e, testObjects(400))
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -361,16 +363,13 @@ func TestDistributedNoWorkersDegrades(t *testing.T) {
 // TestDistributedNoWorkersCostsInProcess: a query that degrades because
 // no worker is ready is exactly the in-process query — the decision is
 // made before routing, so no partition is read for requests that are
-// never sent. Its Stats and every shard's Stats equal a
-// WithDistributed(false) run's.
+// never sent. Its Stats and every shard's Stats equal those of the same
+// query on an engine without Dist.
 func TestDistributedNoWorkersCostsInProcess(t *testing.T) {
 	e := distTestEngine(t, 2, nil, nil)
 	d := testDataset(t, e, 400)
 	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessMaxRS(t, e, testObjects(400))
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -408,10 +407,7 @@ func TestDistributedHedgeStraggler(t *testing.T) {
 	})
 	d := testDataset(t, e, 500)
 	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessMaxRS(t, e, testObjects(500))
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -494,10 +490,7 @@ func TestDistributedMembership(t *testing.T) {
 	// A query against the surviving worker still answers exactly.
 	d := testDataset(t, e, 400)
 	defer func() { _ = d.Release() }()
-	want, err := e.MaxRS(context.Background(), d, 300, 300, WithDistributed(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessMaxRS(t, e, testObjects(400))
 	got, err := e.MaxRS(context.Background(), d, 300, 300)
 	if err != nil {
 		t.Fatal(err)

@@ -96,3 +96,35 @@ func ExampleEngine_TopK() {
 	// #1: weight 5
 	// #2: weight 3
 }
+
+// Dataset.SetShards splits one dataset's queries into vertical shards
+// solved independently and merged exactly; the engine's Options.Shards
+// is the default for every other dataset.
+func ExampleDataset_SetShards() {
+	engine, err := maxrs.NewEngine(nil)
+	if err != nil {
+		panic(err)
+	}
+	defer engine.Close()
+	objs := make([]maxrs.Object, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		objs = append(objs, maxrs.Object{X: float64(i % 50), Y: float64(i / 50), Weight: 1})
+	}
+	ds, err := engine.Load(context.Background(), objs)
+	if err != nil {
+		panic(err)
+	}
+	unsharded, err := engine.MaxRS(context.Background(), ds, 10, 10)
+	if err != nil {
+		panic(err)
+	}
+	if err := ds.SetShards(4); err != nil {
+		panic(err)
+	}
+	sharded, err := engine.MaxRS(context.Background(), ds, 10, 10)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%d shards: weight %.0f, unsharded %.0f\n", sharded.Shards, sharded.Score, unsharded.Score)
+	// Output: 4 shards: weight 100, unsharded 100
+}

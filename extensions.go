@@ -26,16 +26,16 @@ import (
 // Each round costs one full MaxRS solve plus one linear filtering scan, so
 // the total is k times the cost of Engine.MaxRS. Cancelling ctx aborts the
 // current round within one block-transfer's work, releasing the round's
-// intermediates; QueryOptions override the engine defaults for every
-// round of this call.
-func (e *Engine) TopK(ctx context.Context, d *Dataset, w, h float64, k int, opts ...QueryOption) (_ []Result, err error) {
+// intermediates. Every round runs the one Plan made when the call
+// began.
+func (e *Engine) TopK(ctx context.Context, d *Dataset, w, h float64, k int) (_ []Result, err error) {
 	if err := checkQuery(w, h); err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k = %d must be ≥ 1", ErrInvalidQuery, k)
 	}
-	q, err := e.begin(ctx, d, kindTopK, w, h, opts)
+	q, err := e.begin(ctx, d, kindTopK, w, h, false)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +176,8 @@ func transformObjects(env em.Env, in *em.File, fn func(o rec.Object, emit func(r
 // other queries, and cancellable through ctx like every query. It shards
 // like MaxRS: each shard answers for its own slab, so the merge is exact
 // for the negated weights too (DESIGN.md §9.3).
-func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Result, error) {
-	res, err := e.solveMapped(ctx, d, w, h, opts, kindMinRS, func(o rec.Object) rec.Object {
+func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64) (Result, error) {
+	res, err := e.solveMapped(ctx, d, w, h, kindMinRS, func(o rec.Object) rec.Object {
 		o.W = -o.W
 		return o
 	})
@@ -192,8 +192,8 @@ func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 // contributes 1 regardless of its weight. Safe to call concurrently with
 // other queries, and cancellable through ctx like every query. It shards
 // like MaxRS.
-func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Result, error) {
-	return e.solveMapped(ctx, d, w, h, opts, kindCountRS, func(o rec.Object) rec.Object {
+func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64) (Result, error) {
+	return e.solveMapped(ctx, d, w, h, kindCountRS, func(o rec.Object) rec.Object {
 		o.W = 1
 		return o
 	})
@@ -202,11 +202,11 @@ func (e *Engine) CountRS(ctx context.Context, d *Dataset, w, h float64, opts ...
 // solveMapped runs ExactMaxRS on a weight-transformed copy of the dataset
 // with the Plan's shard count, releasing the intermediate file on every
 // path (solve errors and cancellation included).
-func (e *Engine) solveMapped(ctx context.Context, d *Dataset, w, h float64, opts []QueryOption, kind queryKind, f func(rec.Object) rec.Object) (_ Result, err error) {
+func (e *Engine) solveMapped(ctx context.Context, d *Dataset, w, h float64, kind queryKind, f func(rec.Object) rec.Object) (_ Result, err error) {
 	if err := checkQuery(w, h); err != nil {
 		return Result{}, err
 	}
-	q, err := e.begin(ctx, d, kind, w, h, opts)
+	q, err := e.begin(ctx, d, kind, w, h, false)
 	if err != nil {
 		return Result{}, err
 	}

@@ -21,9 +21,9 @@
 // Every query takes a context.Context first: cancel it (or let its
 // deadline pass) and the query stops within one block-transfer's work,
 // releases everything it allocated, and returns an error matching both
-// ErrQueryCancelled and the context error. Variadic QueryOptions
-// (WithAlgorithm, WithShards, WithParallelism, WithDistributed) override the
-// engine defaults per call.
+// ErrQueryCancelled and the context error. The engine's Options
+// configure every query; Dataset.SetShards overrides the shard count for
+// one dataset.
 //
 // # Algorithms
 //
@@ -108,9 +108,10 @@ type Result struct {
 	Region Rect
 	// Stats is the I/O cost of this query alone (see QueryStats).
 	Stats QueryStats
-	// Algorithm is the solver that actually ran. For MaxRS it is the
-	// resolved Options.Algorithm / WithAlgorithm; TopK, MinRS and CountRS
-	// always report ExactMaxRS (the only solver they use).
+	// Algorithm is the solver that actually ran. For MaxRS it is
+	// Options.Algorithm, or the planner's choice under AlgorithmAuto;
+	// TopK, MinRS and CountRS always report ExactMaxRS (the only solver
+	// they use).
 	Algorithm Algorithm
 	// Shards is the effective shard count the query ran with: 0 for an
 	// unsharded solve, otherwise the number of shards actually planned
@@ -127,14 +128,15 @@ type Result struct {
 	ShardStats []ShardStat
 	// Plan is the materialized execution decision this query ran under —
 	// the planner's choice for AlgorithmAuto queries (Plan.Auto), the
-	// resolved explicit settings otherwise — with its predicted cost.
+	// engine's Options and the dataset's shard count otherwise — with its
+	// predicted cost.
 	Plan Plan
 	// PredictedCost is Plan.Predicted, surfaced for direct comparison
 	// against Stats (the measured counts). See DESIGN.md §12.
 	PredictedCost PredictedCost
 	// FallbackReason is non-empty when the query silently did less than
 	// the settings requested — a non-ExactMaxRS algorithm or MaxCRS
-	// ignoring WithShards, or a distributed request degraded to
+	// ignoring the shard count, or a distributed query degraded to
 	// in-process execution because no workers were ready. Empty
 	// otherwise.
 	FallbackReason string
@@ -235,6 +237,16 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+}
+
+// validAlgorithm reports whether a names a known solver (or the planner
+// sentinel AlgorithmAuto).
+func validAlgorithm(a Algorithm) bool {
+	switch a {
+	case ExactMaxRS, InMemory, AlgorithmAuto:
+		return true
+	}
+	return false
 }
 
 // Options configures an Engine. The zero value (and nil) selects the
@@ -406,7 +418,7 @@ type Engine struct {
 	opts   Options
 	env    em.Env
 	solver *core.Solver
-	par    int // resolved Options.Parallelism (≥ 1)
+	par    int // Options.Parallelism resolved once (≥ 1): every query's worker budget
 
 	// shardReads/shardWrites accumulate the traffic of sharded queries'
 	// ephemeral per-shard disks, so Engine.Stats stays the engine-global
@@ -795,19 +807,15 @@ func wrapCancel(err error) error {
 }
 
 // query is one in-flight query: the unified request path every public
-// query method funnels through. It pins the resolved per-call settings
-// (engine defaults + QueryOptions), the cancellation context, the
-// per-query stat scope, and the core solver the call runs on, so the five
-// query kinds share one begin/solve/end shape.
+// query method (and Explain) funnels through. It pins the cancellation
+// context, the per-query stat scope, the dataset generation and the
+// query's Plan, so the five query kinds share one begin/solve/end shape.
+// Every query solves on the engine's one solver and worker pool.
 type query struct {
-	e      *Engine
-	ctx    context.Context
-	d      *Dataset
-	kind   queryKind
-	set    querySettings
-	sc     *em.ScopeStats
-	solver *core.Solver
-	par    int // resolved parallelism (≥ 1) for the shard worker budget
+	e   *Engine
+	ctx context.Context
+	d   *Dataset
+	sc  *em.ScopeStats
 
 	// base pins the dataset's base generation for the query's duration;
 	// delta is the immutable snapshot of the pending mutations (nil when
@@ -824,33 +832,21 @@ type query struct {
 	deltaPath       string
 	deltaBaseCached bool
 
-	// plan is the materialized execution decision (DESIGN.md §12):
-	// under AlgorithmAuto the planner's choice (already folded back into
-	// set, so execution downstream is byte-identical to an explicit
-	// query), otherwise the resolved settings with their predicted cost.
+	// plan is the materialized execution decision (DESIGN.md §12) and
+	// the only settings execution reads: under AlgorithmAuto the
+	// planner's choice, otherwise the engine's Options and the dataset's
+	// shard count with their predicted cost. st is the effective
+	// statistics it was made from; cands the planner's candidate table,
+	// built for Explain only.
 	plan     Plan
+	st       plan.Stats
+	cands    []plan.Candidate
 	fallback string // Result.FallbackReason
 
 	// distributedRan records that the coordinator actually fanned this
 	// query's shards out (Result.Distributed) — not set when distribution
 	// degraded to in-process execution.
 	distributedRan bool
-}
-
-// distribute reports whether this query's sharded solve should fan out
-// to workers, noting the fallback when distribution was requested on an
-// engine that has none configured.
-func (q *query) distribute() bool {
-	if !q.set.distributed {
-		return false
-	}
-	if q.e.coord == nil {
-		if q.set.distributedSet {
-			q.noteFallback("distributed execution requested but Options.Dist is not configured; solved in process")
-		}
-		return false
-	}
-	return true
 }
 
 // noteFallback appends one reason to the query's FallbackReason, once
@@ -864,39 +860,30 @@ func (q *query) noteFallback(reason string) {
 	}
 }
 
-// begin opens the unified request path: it resolves the call's options
-// against the engine defaults, rejects an already-cancelled context
-// before any work, acquires the dataset reference, materializes the
-// query's Plan (running the planner for AlgorithmAuto), and picks the
-// solver the planned settings need. Every error that can be diagnosed
-// without touching the disk surfaces here. The caller must
-// `defer q.end(&err)` on success.
-func (e *Engine) begin(ctx context.Context, d *Dataset, kind queryKind, w, h float64, opts []QueryOption) (*query, error) {
+// begin opens the unified request path: it rejects an already-cancelled
+// context before any work, acquires the dataset reference, and
+// materializes the query's Plan from Options.Algorithm and the shard
+// count (Dataset.SetShards, else Options.Shards), running the planner
+// for AlgorithmAuto. withCands also builds the planner's candidate table
+// (Explain). The caller must `defer q.end(&err)` on success.
+func (e *Engine) begin(ctx context.Context, d *Dataset, kind queryKind, w, h float64, withCands bool) (*query, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	set, err := e.resolveQuery(d, opts)
-	if err != nil {
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCancel(err)
 	}
-	base, snap, effSt, err := d.acquireQuery()
+	shards := d.Shards()
+	if shards == 0 {
+		shards = e.opts.Shards
+	}
+	base, snap, st, err := d.acquireQuery()
 	if err != nil {
 		return nil, err
 	}
-	pl, fallback, _ := e.planQuery(effSt, snap.pending(), kind, w, h, &set, false)
-	solver, par, err := e.solverFor(set)
-	if err != nil {
-		return nil, errors.Join(err, base.release())
-	}
-	pl.Parallelism = par
-	return &query{
-		e: e, ctx: ctx, d: d, kind: kind, set: set, sc: new(em.ScopeStats),
-		base: base, delta: snap,
-		solver: solver, par: par, plan: pl, fallback: fallback,
-	}, nil
+	q := &query{e: e, ctx: ctx, d: d, sc: new(em.ScopeStats), base: base, delta: snap, st: st}
+	q.plan, q.fallback, q.cands = e.planQuery(st, snap.pending(), kind, w, h, shards, withCands)
+	return q, nil
 }
 
 // end is the deferred tail of every query: it drops the base-generation
@@ -955,13 +942,14 @@ func (q *query) annotate(out *Result) {
 // queries on the same engine and dataset. Cancelling ctx (or exceeding
 // its deadline) aborts the solve within one block-transfer's work,
 // releases every intermediate file, and returns an error matching both
-// ErrQueryCancelled and the context error. QueryOptions override the
-// engine defaults for this call only.
-func (e *Engine) MaxRS(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (_ Result, err error) {
+// ErrQueryCancelled and the context error. Options.Algorithm picks the
+// solver; the shard count comes from Dataset.SetShards, else
+// Options.Shards.
+func (e *Engine) MaxRS(ctx context.Context, d *Dataset, w, h float64) (_ Result, err error) {
 	if err := checkQuery(w, h); err != nil {
 		return Result{}, err
 	}
-	q, err := e.begin(ctx, d, kindMaxRS, w, h, opts)
+	q, err := e.begin(ctx, d, kindMaxRS, w, h, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -988,7 +976,7 @@ func (e *Engine) MaxRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 // algorithm honors sharding; the per-shard breakdown (nil when unsharded)
 // and the algorithm that ran ride back alongside the result.
 func (q *query) maxRS(w, h float64) (sweep.Result, []ShardStat, Algorithm, error) {
-	switch q.set.algorithm {
+	switch q.plan.Algorithm {
 	case ExactMaxRS:
 		if q.delta != nil {
 			r, shards, err := q.solveDelta(w, h)
@@ -1003,8 +991,9 @@ func (q *query) maxRS(w, h float64) (sweep.Result, []ShardStat, Algorithm, error
 		}
 		return sweep.MaxRS(objs, w, h), nil, InMemory, nil
 	}
-	// Unreachable: NewEngine and WithAlgorithm validate. Tripwire.
-	return sweep.Result{}, nil, q.set.algorithm, fmt.Errorf("%w: unknown algorithm %v", ErrInvalidQuery, q.set.algorithm)
+	// Unreachable: NewEngine validates and the planner picks a concrete
+	// algorithm. Tripwire.
+	return sweep.Result{}, nil, q.plan.Algorithm, fmt.Errorf("%w: unknown algorithm %v", ErrInvalidQuery, q.plan.Algorithm)
 }
 
 // solveObjects runs one ExactMaxRS object solve, sharded Plan.Shards
@@ -1014,7 +1003,7 @@ func (q *query) solveObjects(f *em.File, w, h float64) (sweep.Result, []ShardSta
 	if k := q.plan.Shards; k > 0 {
 		return q.solveSharded(f, w, h, k)
 	}
-	res, err := q.solver.SolveObjectsScoped(q.ctx, f, w, h, q.sc)
+	res, err := q.e.solver.SolveObjectsScoped(q.ctx, f, w, h, q.sc)
 	return res, nil, err
 }
 
@@ -1028,7 +1017,7 @@ func (q *query) solveObjects(f *em.File, w, h float64) (sweep.Result, []ShardSta
 // engine totals on every path: success, routing or solve failure, and
 // cancellation (DESIGN.md §7.2, §9.4).
 func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []ShardStat, error) {
-	remote := q.distribute()
+	remote := q.e.coord != nil
 	if remote && len(q.e.coord.Members().Ready()) == 0 {
 		// Decided before routing, so the degraded query is exactly the
 		// in-process one: no partition is read for requests never sent.
@@ -1073,7 +1062,7 @@ func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []S
 	// Shard-level fan-out replaces slab-level fan-out: the query's
 	// parallelism budget is split evenly over the effective shard count,
 	// so a sharded query never runs more workers than an unsharded one.
-	cfg := core.Config{Parallelism: max(1, q.par/len(parts))}
+	cfg := core.Config{Parallelism: max(1, q.e.par/len(parts))}
 	var (
 		results []sweep.Result
 		reports []dist.ShardReport
@@ -1092,7 +1081,7 @@ func (q *query) solveSharded(f *em.File, w, h float64, k int) (sweep.Result, []S
 	if remote {
 		q.distributedRan = true
 	} else {
-		results, err = shard.SolveAll(q.ctx, parts, w, h, cfg, q.par)
+		results, err = shard.SolveAll(q.ctx, parts, w, h, cfg, q.e.par)
 	}
 	stats := shardStats(parts, reports)
 	if err != nil {
@@ -1198,7 +1187,7 @@ func fromSweep(res sweep.Result) Result {
 // and closes the engine on every path — with Options.OnDisk the backing
 // temp file is removed even when loading, solving, or cancellation fails
 // the call.
-func MaxRS(ctx context.Context, objs []Object, w, h float64, opts *Options, qopts ...QueryOption) (_ Result, err error) {
+func MaxRS(ctx context.Context, objs []Object, w, h float64, opts *Options) (_ Result, err error) {
 	e, err := NewEngine(opts)
 	if err != nil {
 		return Result{}, err
@@ -1208,7 +1197,7 @@ func MaxRS(ctx context.Context, objs []Object, w, h float64, opts *Options, qopt
 	if err != nil {
 		return Result{}, err
 	}
-	return e.MaxRS(ctx, d, w, h, qopts...)
+	return e.MaxRS(ctx, d, w, h)
 }
 
 // closeEngine is the deferred tail of the one-shot forms: it closes the

@@ -298,7 +298,7 @@ func TestRegionMinEdge(t *testing.T) {
 	}
 	for _, algo := range []Algorithm{ExactMaxRS, InMemory} {
 		t.Run(algo.String(), func(t *testing.T) {
-			e, err := NewEngine(nil)
+			e, err := NewEngine(&Options{Algorithm: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func TestRegionMinEdge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.MaxRS(ctx, d, 1, 1, WithAlgorithm(algo))
+			res, err := e.MaxRS(ctx, d, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

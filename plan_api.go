@@ -3,7 +3,6 @@ package maxrs
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"maxrs/internal/plan"
 )
@@ -45,6 +44,10 @@ func (d *Dataset) Stats() DatasetStats {
 	d.mu.Lock()
 	st := d.effStatsLocked(d.snapLocked())
 	d.mu.Unlock()
+	return datasetStatsOf(st)
+}
+
+func datasetStatsOf(st plan.Stats) DatasetStats {
 	return DatasetStats{
 		N: st.N, Bytes: st.Bytes, Blocks: st.Blocks,
 		MinX: st.MinX, MaxX: st.MaxX,
@@ -71,7 +74,7 @@ func (c PredictedCost) Total() int64 { return c.Reads + c.Writes }
 
 // Plan is the materialized execution decision of one query: the strategy
 // that ran (or is about to run, in an Explanation) and its predicted
-// cost. Auto distinguishes a planner choice from explicitly resolved
+// cost. Auto distinguishes a planner choice from the engine's explicit
 // settings carried through unchanged.
 type Plan struct {
 	Algorithm   Algorithm
@@ -125,7 +128,7 @@ type PlanCandidate struct {
 }
 
 // Explanation is the result of Engine.Explain: the plan a MaxRS query
-// with these options would run, without executing anything.
+// would run, without executing anything.
 type Explanation struct {
 	Plan Plan
 	// FallbackReason is non-empty when the settings requested something
@@ -139,47 +142,31 @@ type Explanation struct {
 // engine's disks, no worker time — just the planner over the dataset's
 // effective statistics. The planner may run its scale model, a solve of
 // the load-time sample on a private in-memory disk, once per ExactMaxRS
-// row and query size (DESIGN.md §12.2). With AlgorithmAuto (via
-// WithAlgorithm or the engine default) the returned plan is the
+// row and query size (DESIGN.md §12.2), so a cold Explain costs CPU
+// time like a small query. Under AlgorithmAuto the returned plan is the
 // planner's choice and the candidate table marks the chosen row; with
-// an explicit algorithm the plan reflects the resolved settings and the
-// table shows what the planner would have considered. Explain holds a
-// dataset reference for its duration — it matches begin, so it never
-// races a concurrent Release — and checks ctx before planning (there is
-// no I/O to interrupt after that).
-func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64, opts ...QueryOption) (Explanation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// an explicit Options.Algorithm the plan reflects the engine's settings
+// and the table shows what the planner would have considered. Explain
+// opens the query path like a query does: it holds a dataset reference
+// for its duration, so it never races a concurrent Release, and checks
+// ctx before planning. The planning itself, scale-model solves
+// included, is not interrupted by ctx.
+func (e *Engine) Explain(ctx context.Context, d *Dataset, w, h float64) (_ Explanation, err error) {
 	if err := checkQuery(w, h); err != nil {
 		return Explanation{}, err
 	}
-	set, err := e.resolveQuery(d, opts)
+	q, err := e.begin(ctx, d, kindMaxRS, w, h, true)
 	if err != nil {
 		return Explanation{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Explanation{}, wrapCancel(err)
-	}
-	base, snap, effSt, err := d.acquireQuery()
-	if err != nil {
-		return Explanation{}, err
-	}
-	defer func() { _ = base.release() }()
-	pl, fallback, cands := e.planQuery(effSt, snap.pending(), kindMaxRS, w, h, &set, true)
+	defer q.end(&err)
 	out := Explanation{
-		Plan:           pl,
-		FallbackReason: fallback,
-		Stats: DatasetStats{
-			N: effSt.N, Bytes: effSt.Bytes, Blocks: effSt.Blocks,
-			MinX: effSt.MinX, MaxX: effSt.MaxX,
-			MinY: effSt.MinY, MaxY: effSt.MaxY,
-			MinW: effSt.MinW, MaxW: effSt.MaxW, MeanW: effSt.MeanW(),
-			Resident: effSt.Resident,
-		},
-		Candidates: make([]PlanCandidate, len(cands)),
+		Plan:           q.plan,
+		FallbackReason: q.fallback,
+		Stats:          datasetStatsOf(q.st),
+		Candidates:     make([]PlanCandidate, len(q.cands)),
 	}
-	for i, c := range cands {
+	for i, c := range q.cands {
 		out.Candidates[i] = PlanCandidate{
 			Algorithm: Algorithm(c.Algorithm),
 			Shards:    c.Shards,
@@ -233,28 +220,26 @@ func (e *Engine) planSettingsFor(st plan.Stats, kind queryKind, w, h float64) pl
 	return set
 }
 
-// planQuery materializes the query's Plan. Under AlgorithmAuto it runs
-// the planner and rewrites set to the chosen strategy (so the execution
-// path downstream is byte-identical to an explicit query with those
-// settings); otherwise set passes through untouched and only the
-// prediction is computed. The candidate table is built when wantCands
-// (Explain); begin skips it.
-func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h float64, set *querySettings, wantCands bool) (Plan, string, []plan.Candidate) {
+// planQuery materializes the query's Plan. It requests
+// Options.Algorithm with the given shard count, or under AlgorithmAuto
+// the planner's choice, and applies the kind's execution rules to it;
+// the execution path downstream reads only the Plan, so an Auto query
+// runs byte-identically to an explicit one with the chosen settings.
+// The candidate table is built when wantCands (Explain).
+func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h float64, shards int, wantCands bool) (Plan, string, []plan.Candidate) {
 	pset := e.planSettingsFor(st, kind, w, h)
 	pset.DeltaPending = pending
-	auto := set.algorithm == AlgorithmAuto
+	auto := e.opts.Algorithm == AlgorithmAuto
+	req := plan.Strategy{Algorithm: plan.Algorithm(e.opts.Algorithm), Shards: shards}
 	var cands []plan.Candidate
 	if auto {
-		var strat plan.Strategy
-		strat, cands = plan.Choose(st, pset)
-		set.algorithm = Algorithm(strat.Algorithm)
-		set.shards = strat.Shards
+		req, cands = plan.Choose(st, pset)
 	} else if wantCands {
 		cands = plan.Candidates(st, pset)
 	}
-	eff := effectiveStrategy(kind, *set)
+	eff := effectiveStrategy(kind, req)
 	cost := plan.Estimate(st, pset, eff)
-	if pending > 0 || kind == kindTopK || (eff.Shards > 0 && set.distributed && e.coord != nil) {
+	if pending > 0 || kind == kindTopK || (eff.Shards > 0 && e.coord != nil) {
 		// The model schedules none of this work exactly: a pending
 		// delta's (the base incumbent, the influence sweep or the fused
 		// materialization), TopK's later rounds, and shards shipped to
@@ -272,38 +257,32 @@ func (e *Engine) planQuery(st plan.Stats, pending int64, kind queryKind, w, h fl
 			}
 		}
 	}
-	par := set.parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	pl := Plan{
 		Algorithm:   Algorithm(eff.Algorithm),
 		Shards:      eff.Shards,
-		Parallelism: par,
+		Parallelism: e.par,
 		Auto:        auto,
 		Predicted:   PredictedCost{Reads: cost.Reads, Writes: cost.Writes, Exact: cost.Exact},
 	}
 	if !wantCands {
 		cands = nil
 	}
-	return pl, fallbackReason(set.shards, eff, kind), cands
+	return pl, fallbackReason(req.Shards, eff, kind), cands
 }
 
-// effectiveStrategy applies the kind's execution rules to the resolved
-// settings, yielding the strategy the query runs: execution reads the
+// effectiveStrategy applies the kind's execution rules to the requested
+// strategy, yielding the strategy the query runs: execution reads the
 // Plan built from it, so these rules are the only shard decision. Every
 // ExactMaxRS object solve shards as asked, whatever the weights' signs
 // (DESIGN.md §9.3).
-func effectiveStrategy(kind queryKind, set querySettings) plan.Strategy {
-	alg := set.algorithm
+func effectiveStrategy(kind queryKind, req plan.Strategy) plan.Strategy {
 	if kind != kindMaxRS {
-		alg = ExactMaxRS // TopK, MinRS, CountRS and MaxCRS only ever solve with ExactMaxRS
+		req.Algorithm = plan.ExactMaxRS // TopK, MinRS, CountRS and MaxCRS only ever solve with ExactMaxRS
 	}
-	k := 0
-	if alg == ExactMaxRS && kind != kindMaxCRS {
-		k = set.shards
+	if req.Algorithm != plan.ExactMaxRS || kind == kindMaxCRS {
+		req.Shards = 0
 	}
-	return plan.Strategy{Algorithm: plan.Algorithm(alg), Shards: k}
+	return req
 }
 
 // fallbackReason explains — in Result.FallbackReason — why a query that

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"maxrs"
+	"maxrs/internal/geom"
+	"maxrs/internal/sweep"
 )
 
 func planTestEngine(t *testing.T, opts *maxrs.Options) (*maxrs.Engine, *maxrs.Dataset) {
@@ -92,20 +94,20 @@ func TestExplainMarksExplicitAlgorithm(t *testing.T) {
 		{"resident", 1 << 20, true},
 		{"nonresident", 16 << 10, false},
 	} {
-		eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: mem.memory})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { eng.Close() })
-		d, err := eng.Load(context.Background(), objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Stats().Resident != mem.resident {
-			t.Fatalf("%s: Resident = %v", mem.name, !mem.resident)
-		}
 		for _, alg := range []maxrs.Algorithm{maxrs.ExactMaxRS, maxrs.InMemory} {
-			ex, err := eng.Explain(context.Background(), d, 100, 100, maxrs.WithAlgorithm(alg))
+			eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: mem.memory, Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			d, err := eng.Load(context.Background(), objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Stats().Resident != mem.resident {
+				t.Fatalf("%s: Resident = %v", mem.name, !mem.resident)
+			}
+			ex, err := eng.Explain(context.Background(), d, 100, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +217,7 @@ func TestFallbackReasons(t *testing.T) {
 	// Weight signs never stop a shard request.
 	for _, q := range []struct {
 		name string
-		run  func(context.Context, *maxrs.Dataset, float64, float64, ...maxrs.QueryOption) (maxrs.Result, error)
+		run  func(context.Context, *maxrs.Dataset, float64, float64) (maxrs.Result, error)
 		d    *maxrs.Dataset
 	}{
 		{"maxrs on negative weights", eng.MaxRS, neg},
@@ -230,12 +232,14 @@ func TestFallbackReasons(t *testing.T) {
 	if res, err := eng.MaxCRS(ctx, pos, 4); err != nil || !strings.Contains(res.FallbackReason, "MaxCRS never shards") {
 		t.Fatalf("maxcrs fallback: err %v reason %q", err, res.FallbackReason)
 	}
-	if res, err := eng.MaxRS(ctx, pos, 4, 4, maxrs.WithAlgorithm(maxrs.InMemory)); err != nil || !strings.Contains(res.FallbackReason, "ignores sharding") {
+	inMem, posIM := planTestEngine(t, &maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.InMemory, Shards: 2})
+	if res, err := inMem.MaxRS(ctx, posIM, 4, 4); err != nil || !strings.Contains(res.FallbackReason, "ignores sharding") {
 		t.Fatalf("in-memory algorithm fallback: err %v reason %q", err, res.FallbackReason)
 	}
 
 	// Without a shard request there is nothing to explain away.
-	if res, err := eng.MaxCRS(ctx, pos, 4, maxrs.WithShards(0)); err != nil || res.FallbackReason != "" {
+	plain, posPlain := planTestEngine(t, nil)
+	if res, err := plain.MaxCRS(ctx, posPlain, 4); err != nil || res.FallbackReason != "" {
 		t.Fatalf("unsharded maxcrs: err %v reason %q", err, res.FallbackReason)
 	}
 }
@@ -244,8 +248,8 @@ func TestFallbackReasons(t *testing.T) {
 // single-scan strategy and the result says so.
 func TestAutoOnResident(t *testing.T) {
 	ctx := context.Background()
-	eng, d := planTestEngine(t, nil)
-	res, err := eng.MaxRS(ctx, d, 4, 4, maxrs.WithAlgorithm(maxrs.AlgorithmAuto))
+	eng, d := planTestEngine(t, &maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.AlgorithmAuto})
+	res, err := eng.MaxRS(ctx, d, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestAutoOnResident(t *testing.T) {
 		t.Fatalf("resident scan prediction %+v vs measured %+v, want exact match", res.PredictedCost, res.Stats)
 	}
 
-	// Engine-wide Auto via Options.Algorithm behaves identically.
+	// A two-object dataset plans the same way.
 	auto, err := maxrs.NewEngine(&maxrs.Options{BlockSize: 512, Memory: 8192, Algorithm: maxrs.AlgorithmAuto})
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +335,13 @@ func TestDeltaPathsShardNegativeWeights(t *testing.T) {
 			t.Errorf("%s: sharded score %g, unsharded %g", kind, r.Score, want.Score)
 		}
 	}
-	want, err := eng.MaxRS(ctx, d, 60, 60, maxrs.WithShards(0))
-	if err != nil {
-		t.Fatal(err)
+	var live []geom.Object
+	for i, o := range objs {
+		if i != 17 {
+			live = append(live, geom.Object{Point: geom.Point{X: o.X, Y: o.Y}, W: o.Weight})
+		}
 	}
+	want := maxrs.Result{Score: sweep.MaxRS(live, 60, 60).Sum}
 	res, err := eng.MaxRS(ctx, d, 60, 60)
 	if err != nil {
 		t.Fatal(err)

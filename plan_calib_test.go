@@ -48,14 +48,27 @@ func calibWorkloads() []calibWorkload {
 	}
 }
 
-func calibEngine(t *testing.T) *maxrs.Engine {
+// calibRig is one engine with one loaded dataset.
+type calibRig struct {
+	e *maxrs.Engine
+	d *maxrs.Dataset
+}
+
+// calibEngine builds an engine at the calibration geometry with opts'
+// other settings and loads objs into it.
+func calibEngine(t *testing.T, opts maxrs.Options, objs []maxrs.Object) calibRig {
 	t.Helper()
-	eng, err := maxrs.NewEngine(&maxrs.Options{BlockSize: calibB, Memory: calibM})
+	opts.BlockSize, opts.Memory = calibB, calibM
+	eng, err := maxrs.NewEngine(&opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	return eng
+	d, err := eng.Load(context.Background(), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return calibRig{eng, d}
 }
 
 // calibTolerance is the documented error bound for a grid point
@@ -72,23 +85,27 @@ func calibTolerance(shards int) float64 {
 
 // TestCalibrationMatrix pins plan.Estimate to the measured em counters
 // across {uniform, gaussian, ne} × shards {1,2,4} ×
-// parallelism {1,4}. Parallelism must not move a single transfer —
-// the schedule is deterministic (DESIGN.md §7) — so the p=1 and p=4
-// measurements are asserted identical, not merely both in tolerance.
+// parallelism {1,4}, one engine per parallelism. Parallelism must not
+// move a single transfer — the schedule is deterministic (DESIGN.md §7) —
+// so the p=1 and p=4 measurements are asserted identical, not merely
+// both in tolerance.
 func TestCalibrationMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, wl := range calibWorkloads() {
 		wl := wl
 		t.Run(wl.name, func(t *testing.T) {
-			eng := calibEngine(t)
-			d, err := eng.Load(context.Background(), wl.objs)
-			if err != nil {
-				t.Fatal(err)
+			engines := map[int]calibRig{}
+			for _, p := range []int{1, 4} {
+				engines[p] = calibEngine(t, maxrs.Options{Parallelism: p}, wl.objs)
 			}
 			for _, k := range []int{1, 2, 4} {
 				var prevTotal uint64
 				for _, p := range []int{1, 4} {
-					res, err := eng.MaxRS(ctx, d, wl.q, wl.q, maxrs.WithShards(k), maxrs.WithParallelism(p))
+					eng := engines[p]
+					if err := eng.d.SetShards(k); err != nil {
+						t.Fatal(err)
+					}
+					res, err := eng.e.MaxRS(ctx, eng.d, wl.q, wl.q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,23 +147,28 @@ func TestAutoNeverFarFromBest(t *testing.T) {
 	for _, wl := range calibWorkloads() {
 		wl := wl
 		t.Run(wl.name, func(t *testing.T) {
-			eng := calibEngine(t)
-			d, err := eng.Load(context.Background(), wl.objs)
+			auto := calibEngine(t, maxrs.Options{Algorithm: maxrs.AlgorithmAuto}, wl.objs)
+			ex, err := auto.e.Explain(context.Background(), auto.d, wl.q, wl.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := eng.Explain(context.Background(), d, wl.q, wl.q, maxrs.WithAlgorithm(maxrs.AlgorithmAuto))
-			if err != nil {
-				t.Fatal(err)
-			}
+			// One engine per candidate algorithm; the dataset's shard
+			// count selects the row.
+			engines := map[maxrs.Algorithm]calibRig{}
 			best := uint64(0)
 			for _, c := range ex.Candidates {
 				if !c.Eligible {
 					continue
 				}
-				res, err := eng.MaxRS(ctx, d, wl.q, wl.q,
-					maxrs.WithAlgorithm(maxrs.Algorithm(c.Algorithm)),
-					maxrs.WithShards(c.Shards))
+				ce, ok := engines[c.Algorithm]
+				if !ok {
+					ce = calibEngine(t, maxrs.Options{Algorithm: c.Algorithm}, wl.objs)
+					engines[c.Algorithm] = ce
+				}
+				if err := ce.d.SetShards(c.Shards); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ce.e.MaxRS(ctx, ce.d, wl.q, wl.q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +179,7 @@ func TestAutoNeverFarFromBest(t *testing.T) {
 			if best == 0 {
 				t.Fatal("no eligible candidates measured")
 			}
-			res, err := eng.MaxRS(ctx, d, wl.q, wl.q, maxrs.WithAlgorithm(maxrs.AlgorithmAuto))
+			res, err := auto.e.MaxRS(ctx, auto.d, wl.q, wl.q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -283,7 +283,7 @@ func TestNegativeWeightsShardExactly(t *testing.T) {
 	if len(got.ShardStats) != 2 || got.FallbackReason != "" {
 		t.Fatalf("negative-weight MaxRS: %d shards, FallbackReason %q; want 2 and none", len(got.ShardStats), got.FallbackReason)
 	}
-	for _, q := range []func(context.Context, *Dataset, float64, float64, ...QueryOption) (Result, error){e.CountRS, e.MinRS} {
+	for _, q := range []func(context.Context, *Dataset, float64, float64) (Result, error){e.CountRS, e.MinRS} {
 		r, err := q(context.Background(), d, 4, 4)
 		if err != nil {
 			t.Fatal(err)

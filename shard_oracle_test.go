@@ -54,8 +54,9 @@ func geomObjects(objs []Object, weight func(Object) float64) []geom.Object {
 // unsharded one and with brute force: equal scores (integer weights make
 // them bit-identical), the true score at Location equal to Score, no
 // fallback, and TopK checked round by round against the greedy
-// definition on the objects its earlier rounds left. It returns the
-// number of answers that differ.
+// definition on the objects its earlier rounds left. The dataset is its
+// own, so Dataset.SetShards sets each shard count; e must leave queries
+// unsharded by default. It returns the number of answers that differ.
 func shardOracle(t *testing.T, e *Engine, od oracleData, ks []int, extensions bool) (checked, bad int) {
 	t.Helper()
 	ctx := context.Background()
@@ -68,7 +69,7 @@ func shardOracle(t *testing.T, e *Engine, od oracleData, ks []int, extensions bo
 	one := func(Object) float64 { return 1 }
 	type kind struct {
 		name string
-		run  func(context.Context, *Dataset, float64, float64, ...QueryOption) (Result, error)
+		run  func(context.Context, *Dataset, float64, float64) (Result, error)
 		w    func(Object) float64
 	}
 	kinds := []kind{{"MaxRS", e.MaxRS, weight}}
@@ -81,14 +82,24 @@ func shardOracle(t *testing.T, e *Engine, od oracleData, ks []int, extensions bo
 			t.Errorf("n=%d %gx%g: "+format, append([]any{len(od.objs), od.w, od.h}, args...)...)
 		}
 	}
+	setShards := func(k int) {
+		if err := d.SetShards(k); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, q := range kinds {
 		objs := geomObjects(od.objs, q.w)
-		want, err := q.run(ctx, d, od.w, od.h, WithShards(0))
+		setShards(0)
+		want, err := q.run(ctx, d, od.w, od.h)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want.Shards != 0 {
+			t.Fatalf("%s: reference ran with %d shards, want unsharded", q.name, want.Shards)
+		}
 		for _, k := range ks {
-			got, err := q.run(ctx, d, od.w, od.h, WithShards(k))
+			setShards(k)
+			got, err := q.run(ctx, d, od.w, od.h)
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", q.name, k, err)
 			}
@@ -108,7 +119,8 @@ func shardOracle(t *testing.T, e *Engine, od oracleData, ks []int, extensions bo
 		return checked, bad
 	}
 	for _, k := range ks {
-		rounds, err := e.TopK(ctx, d, od.w, od.h, 3, WithShards(k))
+		setShards(k)
+		rounds, err := e.TopK(ctx, d, od.w, od.h, 3)
 		if err != nil {
 			t.Fatalf("TopK K=%d: %v", k, err)
 		}
@@ -228,16 +240,13 @@ func TestDistributedStaleWorkerFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = d.Release() }()
-			want, err := e.MaxRS(context.Background(), d, od.w, od.h, WithShards(0))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := sweep.MaxRS(geomObjects(od.objs, func(o Object) float64 { return o.Weight }), od.w, od.h)
 			got, err := e.MaxRS(context.Background(), d, od.w, od.h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Score != want.Score {
-				t.Fatalf("score %g, want %g", got.Score, want.Score)
+			if got.Score != want.Sum {
+				t.Fatalf("score %g, want %g", got.Score, want.Sum)
 			}
 			if len(got.ShardStats) != 2 {
 				t.Fatalf("%d shards, want 2", len(got.ShardStats))
